@@ -1,11 +1,10 @@
-//! `scale_bench` — node-count scaling of the radio hot path, the sweep
-//! harness and the sharded engine (BENCH JSON emission).
+//! `scale_bench` — node-count scaling of the radio hot path and the sweep
+//! harness (BENCH JSON emission).
 //!
 //! Sweeps node count × neighbor index {grid, brute-force} × sweep threads
-//! {1, all} × intra-run shards (`DIKNN_SHARDS`, default `1,4`). Every
-//! cell runs the same seeded DIKNN runs (constant node degree 20, so the
-//! field grows with the node count) and reports a per-phase wall-time
-//! breakdown:
+//! {1, all}. Every cell runs the same seeded DIKNN runs (constant node
+//! degree 20, so the field grows with the node count) and reports a
+//! per-phase wall-time breakdown:
 //!
 //! * `setup` — mobility-plan build + workload generation,
 //! * `warm`  — `Simulator::new` (includes the grid build) plus the warm
@@ -14,16 +13,14 @@
 //! * `run`   — the event loop proper,
 //!
 //! plus events/sec over the run phase and a behaviour fingerprint
-//! (`SimStats` + total energy bits) per run. The grid is a pure index,
-//! the sweep a pure executor, and the sharded loop a pure scheduler:
-//! every cell of the same node count must produce **bit-identical**
-//! fingerprints whatever the index, thread count or shard count; the
-//! binary exits non-zero if they diverge (CI's bench-smoke job relies on
-//! this — it is the scale-size witness of DESIGN.md §15's bit-identity
-//! claim).
+//! (`SimStats` + total energy bits) per run. The grid is a pure index and
+//! the sweep a pure executor: every cell of the same node count must
+//! produce **bit-identical** fingerprints whatever the index or thread
+//! count; the binary exits non-zero if they diverge (CI's bench-smoke job
+//! relies on this).
 //!
 //! Output: a human table on stdout and machine-readable
-//! `results/BENCH_scale.json` (schema 3, see `diknn_bench::report`:
+//! `results/BENCH_scale.json` (schema 4, see `diknn_bench::report`:
 //! unmeasured ratios are `null`, a collapsed thread axis is flagged as
 //! `degenerate_parallel` instead of reporting a vacuous 1.000 column).
 //!
@@ -38,7 +35,6 @@
 //! * `DIKNN_SEED`        — base seed (default 1000)
 //! * `DIKNN_DURATION`    — simulated seconds per run (default 30)
 //! * `DIKNN_THREADS`     — "all threads" axis (default: available cores)
-//! * `DIKNN_SHARDS`      — intra-run shard axis (default `1,4`)
 //! * `DIKNN_SCALE_NODES` — comma-separated node counts
 //!   (default `250,500,1000,2000,5000,10000`)
 
@@ -50,12 +46,10 @@
 use std::time::Instant; // lint: wall-clock-ok (host-side benchmark timing)
 
 use diknn_bench::report::{ratio, render_json, CellRow, ReportConfig, SpeedupRow};
-use diknn_bench::{base_seed, shard_counts, threads};
+use diknn_bench::{base_seed, threads};
 use diknn_core::{Diknn, DiknnConfig};
 use diknn_sim::{NeighborIndex, SimStats, Simulator};
-use diknn_workloads::{
-    run_sharded_to_limit, workload, Experiment, ParallelSweep, ScenarioConfig, WorkloadConfig,
-};
+use diknn_workloads::{workload, Experiment, ParallelSweep, ScenarioConfig, WorkloadConfig};
 
 /// Radio range (m); matches `SimConfig::default` and sizes the grid cells.
 const RADIO_RANGE: f64 = 20.0;
@@ -80,13 +74,11 @@ struct RunOut {
     energy_bits: u64,
 }
 
-/// One benchmark cell: node count × index × thread count × shard count,
-/// `runs` seeds.
+/// One benchmark cell: node count × index × thread count, `runs` seeds.
 struct Cell {
     nodes: usize,
     index: NeighborIndex,
     threads: usize,
-    shards: usize,
     /// Wall time of the whole sweep (what parallelism improves).
     wall_s: f64,
     /// Per-phase times summed over runs (CPU-side cost of each phase).
@@ -115,7 +107,6 @@ impl Cell {
             nodes: self.nodes,
             index: self.index_name(),
             threads: self.threads,
-            shards: self.shards,
             runs: self.fingerprints.len(),
             wall_s: self.wall_s,
             setup_s: self.setup_s,
@@ -170,13 +161,12 @@ fn scale_nodes() -> Vec<usize> {
 
 /// One seeded DIKNN run with per-phase timing. Identical inputs to the
 /// sequential experiment driver for the same `(scenario, workload,
-/// seed)`; only the neighbor index and the intra-run shard count differ
-/// between cells — and neither is allowed to change the fingerprint.
+/// seed)`; only the neighbor index differs between cells — and it is not
+/// allowed to change the fingerprint.
 fn run_one(
     scenario: &ScenarioConfig,
     wl: &WorkloadConfig,
     index: NeighborIndex,
-    shards: usize,
     seed: u64,
 ) -> RunOut {
     let t0 = Instant::now(); // lint: wall-clock-ok
@@ -197,11 +187,7 @@ fn run_one(
     let warm_s = t1.elapsed().as_secs_f64();
 
     let t2 = Instant::now(); // lint: wall-clock-ok
-    if shards > 1 {
-        run_sharded_to_limit(&mut sim, shards);
-    } else {
-        sim.run();
-    }
+    sim.run();
     let run_s = t2.elapsed().as_secs_f64();
 
     let (_protocol, ctx) = sim.into_parts();
@@ -219,21 +205,19 @@ fn bench_cell(
     wl: &WorkloadConfig,
     index: NeighborIndex,
     thread_count: usize,
-    shards: usize,
     runs: usize,
     seed: u64,
 ) -> Cell {
     let sweep = ParallelSweep::new(thread_count);
     let t0 = Instant::now(); // lint: wall-clock-ok
     let outs = sweep.map(runs, |i| {
-        run_one(scenario, wl, index, shards, Experiment::sweep_seed(seed, i))
+        run_one(scenario, wl, index, Experiment::sweep_seed(seed, i))
     });
     let wall_s = t0.elapsed().as_secs_f64();
     Cell {
         nodes: scenario.nodes,
         index,
         threads: sweep.threads(),
-        shards,
         wall_s,
         setup_s: outs.iter().map(|o| o.setup_s).sum(),
         warm_s: outs.iter().map(|o| o.warm_s).sum(),
@@ -245,12 +229,11 @@ fn bench_cell(
 
 fn print_cell(cell: &Cell) {
     println!(
-        "scale nodes={:<5} index={:<5} threads={:<2} shards={:<2} wall={:>8.3}s \
+        "scale nodes={:<5} index={:<5} threads={:<2} wall={:>8.3}s \
          setup={:>7.3}s warm={:>7.3}s run={:>8.3}s events={:>9} ({:>9.0} ev/s)",
         cell.nodes,
         cell.index_name(),
         cell.threads,
-        cell.shards,
         cell.wall_s,
         cell.setup_s,
         cell.warm_s,
@@ -260,16 +243,15 @@ fn print_cell(cell: &Cell) {
     );
 }
 
-fn compute_speedup(cells: &[Cell], nodes: usize, t_max: usize, max_shards: usize) -> SpeedupRow {
-    let find = |index: NeighborIndex, threads: usize, shards: usize| {
-        cells.iter().find(|c| {
-            c.nodes == nodes && c.index == index && c.threads == threads && c.shards == shards
-        })
+fn compute_speedup(cells: &[Cell], nodes: usize, t_max: usize) -> SpeedupRow {
+    let find = |index: NeighborIndex, threads: usize| {
+        cells
+            .iter()
+            .find(|c| c.nodes == nodes && c.index == index && c.threads == threads)
     };
-    let grid_1 = find(NeighborIndex::Grid, 1, 1);
-    let brute_1 = find(NeighborIndex::BruteForce, 1, 1);
-    let grid_t = find(NeighborIndex::Grid, t_max, 1);
-    let grid_sharded = find(NeighborIndex::Grid, 1, max_shards);
+    let grid_1 = find(NeighborIndex::Grid, 1);
+    let brute_1 = find(NeighborIndex::BruteForce, 1);
+    let grid_t = find(NeighborIndex::Grid, t_max);
     let vs_brute = |f: fn(&Cell) -> f64| match (grid_1, brute_1) {
         (Some(g), Some(b)) => ratio(f(b), f(g)),
         _ => None,
@@ -282,10 +264,6 @@ fn compute_speedup(cells: &[Cell], nodes: usize, t_max: usize, max_shards: usize
         sweep_parallel_vs_serial_grid: match (grid_1, grid_t) {
             (Some(g), Some(gt)) if t_max > 1 => ratio(g.wall_s, gt.wall_s),
             // Single-thread axis (or missing cell): unmeasurable, not 1.0.
-            _ => None,
-        },
-        shard_wall_speedup: match (grid_1, grid_sharded) {
-            (Some(g), Some(gs)) if max_shards > 1 => ratio(g.wall_s, gs.wall_s),
             _ => None,
         },
     }
@@ -305,18 +283,13 @@ fn main() {
     let t_max = threads();
     let detected = ParallelSweep::available().threads();
     let node_counts = scale_nodes();
-    let shards_axis = shard_counts();
-    let max_shards = *shards_axis.last().unwrap_or(&1);
     // On a single-core box the {1, all} thread axis collapses to {1}; the
     // JSON records threads_detected + degenerate_parallel so the missing
     // comparison is flagged, never reported as a vacuous 1.000.
     let thread_counts: Vec<usize> = if t_max > 1 { vec![1, t_max] } else { vec![1] };
     let degenerate_parallel = t_max <= 1;
 
-    println!(
-        "scale_bench: radio-index (grid vs brute), sweep (1 vs {t_max} threads) and \
-         sharded-engine (shards {shards_axis:?}) scaling"
-    );
+    println!("scale_bench: radio-index (grid vs brute) and sweep (1 vs {t_max} threads) scaling");
     println!(
         "runs={runs} base_seed={seed} duration={duration}s degree={NODE_DEGREE} \
          range={RADIO_RANGE}m max_speed={MAX_SPEED}m/s nodes={node_counts:?} \
@@ -355,34 +328,24 @@ fn main() {
         };
         for &index in indexes {
             for &tc in &thread_counts {
-                let cell = bench_cell(&scenario, &wl, index, tc, 1, runs, seed);
+                let cell = bench_cell(&scenario, &wl, index, tc, runs, seed);
                 print_cell(&cell);
                 cells.push(cell);
             }
         }
-        // The sharded-engine axis: grid index, serial sweep (the intra-run
-        // workers are the parallelism being measured).
-        for &sc in shards_axis.iter().filter(|&&sc| sc > 1) {
-            let cell = bench_cell(&scenario, &wl, NeighborIndex::Grid, 1, sc, runs, seed);
-            print_cell(&cell);
-            cells.push(cell);
-        }
-        // The index is a pure lookup structure, the sweep a pure executor
-        // and the sharded loop a pure scheduler: every variant must have
-        // produced the same runs.
+        // The index is a pure lookup structure and the sweep a pure
+        // executor: every variant must have produced the same runs.
         let (reference, rest) = cells[group_start..].split_at(1);
         for cell in rest {
             if cell.fingerprints != reference[0].fingerprints {
                 equivalent = false;
                 eprintln!(
-                    "DIVERGENCE at nodes={n}: index={} threads={} shards={} disagrees with \
-                     index={} threads={} shards={}",
+                    "DIVERGENCE at nodes={n}: index={} threads={} disagrees with \
+                     index={} threads={}",
                     cell.index_name(),
                     cell.threads,
-                    cell.shards,
                     reference[0].index_name(),
                     reference[0].threads,
-                    reference[0].shards,
                 );
             }
         }
@@ -390,20 +353,18 @@ fn main() {
 
     let speedups: Vec<SpeedupRow> = node_counts
         .iter()
-        .map(|&n| compute_speedup(&cells, n, t_max, max_shards))
+        .map(|&n| compute_speedup(&cells, n, t_max))
         .collect();
     for s in &speedups {
         println!(
             "speedup nodes={:<5} warm grid/brute={:>6} run grid/brute={:>6} \
-             wall grid/brute={:>6} sweep 1->{} threads={:>6} shards 1->{}={:>6}",
+             wall grid/brute={:>6} sweep 1->{} threads={:>6}",
             s.nodes,
             opt_display(s.warm_grid_vs_brute),
             opt_display(s.run_grid_vs_brute),
             opt_display(s.wall_grid_vs_brute),
             t_max,
             opt_display(s.sweep_parallel_vs_serial_grid),
-            max_shards,
-            opt_display(s.shard_wall_speedup),
         );
     }
 
@@ -419,7 +380,6 @@ fn main() {
         degenerate_parallel,
         brute_max_nodes: BRUTE_MAX_NODES,
         node_counts: node_counts.clone(),
-        shard_counts: shards_axis.clone(),
     };
     let cell_rows: Vec<CellRow> = cells.iter().map(Cell::row).collect();
     let json = render_json(&report_cfg, &cell_rows, &speedups, equivalent);
@@ -434,9 +394,9 @@ fn main() {
         }
     }
     if equivalent {
-        println!("OK: all index/thread/shard variants produced bit-identical run fingerprints");
+        println!("OK: all index/thread variants produced bit-identical run fingerprints");
     } else {
-        eprintln!("FAIL: neighbor-index, thread or shard variants diverged — see above");
+        eprintln!("FAIL: neighbor-index or thread variants diverged — see above");
         std::process::exit(1);
     }
 }

@@ -58,27 +58,6 @@ pub fn threads() -> usize {
         .max(1)
 }
 
-/// Intra-run spatial shard counts from `DIKNN_SHARDS` (comma-separated;
-/// default `1,4`). The list always contains 1 — the sequential baseline
-/// every sharded cell is fingerprint-checked against — and is sorted and
-/// deduplicated.
-pub fn shard_counts() -> Vec<usize> {
-    let mut counts: Vec<usize> = std::env::var("DIKNN_SHARDS")
-        .ok()
-        .map(|raw| {
-            raw.split(',')
-                .filter_map(|tok| tok.trim().parse().ok())
-                .filter(|&n| n > 0)
-                .collect()
-        })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4]);
-    counts.push(1);
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
 /// The paper's default scenario with the configured duration.
 pub fn default_scenario() -> ScenarioConfig {
     let duration = duration();

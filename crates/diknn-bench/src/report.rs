@@ -16,13 +16,15 @@
 //!   (`threads_detected`) next to the requested axis (`threads_max`), and
 //!   an explicit `degenerate_parallel` flag when the sweep axis collapsed
 //!   to a single thread — a degenerate column is flagged, never faked.
-//! * Cells carry a `shards` field (the intra-run spatial shard count, 1 =
-//!   sequential loop) and the report gains a `shard_wall_series` for the
-//!   sharded-engine scaling curve.
+//!
+//! Schema 4 removes the intra-run partition axis with the partitioned run
+//! loop it measured (DESIGN.md §15): the per-cell partition count, its
+//! wall-time series, its speed-up column and its config list.
 
 /// Schema version of `results/BENCH_scale.json`. Bumped to 3 for the
-/// `null`-ratio rules, the degenerate-parallel flag and the shards axis.
-pub const SCALE_SCHEMA_VERSION: u32 = 3;
+/// `null`-ratio rules and the degenerate-parallel flag, and to 4 when the
+/// intra-run partition axis was removed.
+pub const SCALE_SCHEMA_VERSION: u32 = 4;
 
 /// `num / den` if both sides are real measurements, else `None`.
 pub fn ratio(num: f64, den: f64) -> Option<f64> {
@@ -44,8 +46,6 @@ pub struct CellRow {
     pub nodes: usize,
     pub index: &'static str,
     pub threads: usize,
-    /// Intra-run spatial shards (1 = the sequential engine loop).
-    pub shards: usize,
     pub runs: usize,
     pub wall_s: f64,
     pub setup_s: f64,
@@ -58,13 +58,12 @@ pub struct CellRow {
 impl CellRow {
     fn json(&self) -> String {
         format!(
-            "    {{\"nodes\": {}, \"index\": \"{}\", \"threads\": {}, \"shards\": {}, \
-             \"runs\": {}, \"wall_s\": {:.6}, \"setup_s\": {:.6}, \"warm_s\": {:.6}, \
+            "    {{\"nodes\": {}, \"index\": \"{}\", \"threads\": {}, \"runs\": {}, \
+             \"wall_s\": {:.6}, \"setup_s\": {:.6}, \"warm_s\": {:.6}, \
              \"run_s\": {:.6}, \"events\": {}, \"events_per_sec\": {:.1}}}",
             self.nodes,
             self.index,
             self.threads,
-            self.shards,
             self.runs,
             self.wall_s,
             self.setup_s,
@@ -76,10 +75,10 @@ impl CellRow {
     }
 }
 
-/// Grid-vs-brute, parallel-vs-serial and sharded-vs-sequential ratios for
-/// one node count. `None` = the comparison could not be measured on this
-/// machine/configuration (oracle gated off, single-core, shards axis not
-/// requested) and is serialized as `null`.
+/// Grid-vs-brute and parallel-vs-serial ratios for one node count.
+/// `None` = the comparison could not be measured on this
+/// machine/configuration (oracle gated off, single-core) and is
+/// serialized as `null`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupRow {
     pub nodes: usize,
@@ -87,23 +86,18 @@ pub struct SpeedupRow {
     pub run_grid_vs_brute: Option<f64>,
     pub wall_grid_vs_brute: Option<f64>,
     pub sweep_parallel_vs_serial_grid: Option<f64>,
-    /// Wall time of the 1-shard grid cell over the widest multi-shard
-    /// cell (the sharded-engine payoff at this node count).
-    pub shard_wall_speedup: Option<f64>,
 }
 
 impl SpeedupRow {
     fn json(&self) -> String {
         format!(
             "    {{\"nodes\": {}, \"warm_grid_vs_brute\": {}, \"run_grid_vs_brute\": {}, \
-             \"wall_grid_vs_brute\": {}, \"sweep_parallel_vs_serial_grid\": {}, \
-             \"shard_wall_speedup\": {}}}",
+             \"wall_grid_vs_brute\": {}, \"sweep_parallel_vs_serial_grid\": {}}}",
             self.nodes,
             opt_json(self.warm_grid_vs_brute),
             opt_json(self.run_grid_vs_brute),
             opt_json(self.wall_grid_vs_brute),
             opt_json(self.sweep_parallel_vs_serial_grid),
-            opt_json(self.shard_wall_speedup),
         )
     }
 }
@@ -127,8 +121,6 @@ pub struct ReportConfig {
     pub degenerate_parallel: bool,
     pub brute_max_nodes: usize,
     pub node_counts: Vec<usize>,
-    /// The intra-run shard axis (always contains 1).
-    pub shard_counts: Vec<usize>,
 }
 
 fn usize_list(xs: &[usize]) -> String {
@@ -148,27 +140,14 @@ pub fn render_json(
     let cell_rows: Vec<String> = cells.iter().map(CellRow::json).collect();
     let speedup_rows: Vec<String> = speedups.iter().map(SpeedupRow::json).collect();
     // The engine throughput curve across the population axis: grid,
-    // single sweep thread, sequential (1-shard) loop.
+    // single sweep thread.
     let series_rows: Vec<String> = cells
-        .iter()
-        .filter(|c| c.index == "grid" && c.threads == 1 && c.shards == 1)
-        .map(|c| {
-            format!(
-                "    {{\"nodes\": {}, \"events_per_sec\": {:.1}}}",
-                c.nodes, c.events_per_sec
-            )
-        })
-        .collect();
-    // Schema 3: the sharded-engine scaling curve — wall time per shard
-    // count on the grid single-thread cells.
-    let shard_rows: Vec<String> = cells
         .iter()
         .filter(|c| c.index == "grid" && c.threads == 1)
         .map(|c| {
             format!(
-                "    {{\"nodes\": {}, \"shards\": {}, \"wall_s\": {:.6}, \
-                 \"events_per_sec\": {:.1}}}",
-                c.nodes, c.shards, c.wall_s, c.events_per_sec
+                "    {{\"nodes\": {}, \"events_per_sec\": {:.1}}}",
+                c.nodes, c.events_per_sec
             )
         })
         .collect();
@@ -179,10 +158,9 @@ pub fn render_json(
          \"max_speed\": {speed:.1}, \"threads_max\": {tmax}, \
          \"threads_detected\": {tdet}, \"degenerate_parallel\": {degen}, \
          \"brute_max_nodes\": {bmax}, \
-         \"node_counts\": [{nodes}], \"shard_counts\": [{shards}]}},\n  \
+         \"node_counts\": [{nodes}]}},\n  \
          \"cells\": [\n{cells}\n  ],\n  \
          \"events_per_sec_series\": [\n{series}\n  ],\n  \
-         \"shard_wall_series\": [\n{shard_series}\n  ],\n  \
          \"speedups\": [\n{speedups}\n  ],\n  \
          \"equivalence\": {{\"all_variants_bit_identical\": {equivalent}}}\n}}\n",
         ver = SCALE_SCHEMA_VERSION,
@@ -197,10 +175,8 @@ pub fn render_json(
         degen = cfg.degenerate_parallel,
         bmax = cfg.brute_max_nodes,
         nodes = usize_list(&cfg.node_counts),
-        shards = usize_list(&cfg.shard_counts),
         cells = cell_rows.join(",\n"),
         series = series_rows.join(",\n"),
-        shard_series = shard_rows.join(",\n"),
         speedups = speedup_rows.join(",\n"),
         equivalent = equivalent,
     )
@@ -210,12 +186,11 @@ pub fn render_json(
 mod tests {
     use super::*;
 
-    fn cell(nodes: usize, index: &'static str, threads: usize, shards: usize) -> CellRow {
+    fn cell(nodes: usize, index: &'static str, threads: usize) -> CellRow {
         CellRow {
             nodes,
             index,
             threads,
-            shards,
             runs: 3,
             wall_s: 1.5,
             setup_s: 0.1,
@@ -239,7 +214,6 @@ mod tests {
             degenerate_parallel: true,
             brute_max_nodes: 2000,
             node_counts: vec![250, 5000],
-            shard_counts: vec![1, 4],
         }
     }
 
@@ -265,7 +239,6 @@ mod tests {
             run_grid_vs_brute: None,
             wall_grid_vs_brute: None,
             sweep_parallel_vs_serial_grid: None,
-            shard_wall_speedup: Some(1.9),
         };
         let json = row.json();
         assert!(json.contains("\"warm_grid_vs_brute\": null"), "{json}");
@@ -275,24 +248,22 @@ mod tests {
             json.contains("\"sweep_parallel_vs_serial_grid\": null"),
             "{json}"
         );
-        assert!(json.contains("\"shard_wall_speedup\": 1.900"), "{json}");
         assert!(!json.contains("0.000"), "fabricated zero ratio: {json}");
     }
 
     #[test]
     fn degenerate_single_thread_axis_is_flagged_not_faked() {
         let cfg = config();
-        let cells = [cell(250, "grid", 1, 1)];
+        let cells = [cell(250, "grid", 1)];
         let speedups = [SpeedupRow {
             nodes: 250,
             warm_grid_vs_brute: Some(3.2),
             run_grid_vs_brute: Some(1.1),
             wall_grid_vs_brute: Some(1.4),
             sweep_parallel_vs_serial_grid: None,
-            shard_wall_speedup: None,
         }];
         let json = render_json(&cfg, &cells, &speedups, true);
-        assert!(json.contains("\"schema_version\": 3"), "{json}");
+        assert!(json.contains("\"schema_version\": 4"), "{json}");
         assert!(json.contains("\"degenerate_parallel\": true"), "{json}");
         assert!(json.contains("\"threads_detected\": 1"), "{json}");
         assert!(
@@ -303,37 +274,5 @@ mod tests {
             !json.contains("\"sweep_parallel_vs_serial_grid\": 1.000"),
             "{json}"
         );
-    }
-
-    #[test]
-    fn shard_series_covers_every_grid_single_thread_cell() {
-        let cfg = config();
-        let cells = [
-            cell(250, "grid", 1, 1),
-            cell(250, "grid", 1, 4),
-            cell(250, "brute", 1, 1),
-        ];
-        let json = render_json(&cfg, &cells, &[], true);
-        assert!(json.contains("\"shard_counts\": [1, 4]"), "{json}");
-        // Both shard cells appear in the series; the brute cell does not.
-        let series = json
-            .split("\"shard_wall_series\"")
-            .nth(1)
-            .and_then(|s| s.split(']').next())
-            .unwrap();
-        assert_eq!(series.matches("\"shards\": ").count(), 2, "{series}");
-        // The headline throughput series stays 1-shard only.
-        let eps = json
-            .split("\"events_per_sec_series\"")
-            .nth(1)
-            .and_then(|s| s.split(']').next())
-            .unwrap();
-        assert_eq!(eps.matches("\"nodes\": ").count(), 1, "{eps}");
-    }
-
-    #[test]
-    fn cells_carry_the_shards_field() {
-        let json = cell(250, "grid", 1, 7).json();
-        assert!(json.contains("\"shards\": 7"), "{json}");
     }
 }

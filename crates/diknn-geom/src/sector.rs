@@ -216,21 +216,25 @@ mod tests {
         // including directions a ULP either side of every border. Rounding
         // in the per-sector `normalize(origin + i·span)` used to open
         // ULP-wide gaps (typically at the partition-origin wrap seam) where
-        // `contains` was false for every sector.
+        // `contains` was false for every sector. At most the two sectors
+        // sharing a border may claim a point, out to the rim (`π/2` puts a
+        // border straight up from the apex).
         let apex = Point::new(37.2, -11.5);
         for sectors in [1usize, 3, 4, 5, 7, 8, 12] {
-            for origin in [0.0, 0.3, 1.234_567, PI, 5.5, TAU - 1e-9, -0.25] {
+            for origin in [0.0, 0.3, 1.234_567, FRAC_PI_2, PI, 5.5, TAU - 1e-9, -0.25] {
                 let parts = Sector::partition(apex, 50.0, sectors, origin);
                 for s in &parts {
                     for a in [s.start_angle, s.end_angle()] {
                         for dir in [ulp_down(a), a, ulp_up(a)] {
-                            let p = apex.polar_offset(dir, 30.0);
-                            let n = parts.iter().filter(|s| s.contains(p)).count();
-                            assert!(
-                                n >= 1,
-                                "S={sectors} origin={origin}: direction {dir} \
-                                 (border {a}) lies in no sector"
-                            );
+                            for r in [30.0, 50.0 - 1e-9] {
+                                let p = apex.polar_offset(dir, r);
+                                let n = parts.iter().filter(|s| s.contains(p)).count();
+                                assert!(
+                                    (1..=2).contains(&n),
+                                    "S={sectors} origin={origin}: direction {dir} \
+                                     (border {a}) at radius {r} lies in {n} sectors"
+                                );
+                            }
                         }
                     }
                 }

@@ -15,7 +15,7 @@
 //!   collision rule, which also captures hidden terminals); optional uniform
 //!   packet loss on top. Unicast frames get link-layer retries.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use diknn_geom::Point;
@@ -33,7 +33,6 @@ use crate::ids::{NodeId, TimerId};
 use crate::lifecycle::NodePhase;
 use crate::neighbors::{Neighbor, NeighborTable};
 use crate::queue::{EventQueue, FramePool, Handle};
-use crate::shard::{AudibleWorld, ShardExecutor, WorkItem, ANCHOR_EPS};
 use crate::soa::{FlowLedger, NodeSoA};
 use crate::stats::{PerfCounters, SimStats};
 use crate::time::{SimDuration, SimTime};
@@ -263,9 +262,7 @@ struct Scratch {
 /// the world and emit frames/timers.
 pub struct Ctx<M> {
     cfg: SimConfig,
-    /// Mobility plans, shared with shard-worker world snapshots (the
-    /// `Arc` makes a snapshot one refcount bump instead of `n` clones).
-    mobility: Arc<Vec<SharedMobility>>,
+    mobility: Vec<SharedMobility>,
     tables: Vec<NeighborTable>,
     energy: Vec<EnergyMeter>,
     now: SimTime,
@@ -291,11 +288,8 @@ pub struct Ctx<M> {
     /// Spatial index over node positions for the radio hot path; `None`
     /// under [`NeighborIndex::BruteForce`]. Grid answers are candidate
     /// supersets, always exact-checked against true positions, so both
-    /// settings produce bit-identical runs (see [`crate::grid`]). Behind
-    /// an `Arc` so shard-worker snapshots share it; the run loop mutates
-    /// through [`Arc::make_mut`], which is in-place (free) while no
-    /// snapshot is outstanding and copy-on-write while one is.
-    grid: Option<Arc<SpatialGrid>>,
+    /// settings produce bit-identical runs (see [`crate::grid`]).
+    grid: Option<SpatialGrid>,
     /// The flight recorder (see [`crate::trace`]); disabled unless
     /// `SimConfig::trace.enabled` (or the legacy `trace_tx`) is set.
     trace: EventTrace,
@@ -311,22 +305,6 @@ pub struct Ctx<M> {
     /// Implementation performance counters (not snapshotted, not part of
     /// any behavioural fingerprint — see [`PerfCounters`]).
     perf: PerfCounters,
-    /// Version counter over `nodes.alive`/`nodes.phase`: bumped on every
-    /// liveness flip (crash, recover, leave, rejoin, energy death).
-    /// Derived state (never snapshotted — restore starts at 0); stamps
-    /// shard-worker world snapshots so stale precomputed receiver sets
-    /// are detected and recomputed inline (see [`crate::shard`]).
-    alive_ver: u64,
-    /// Mirror of every future `MacAttempt` in the queue, keyed
-    /// `(time, handle)` with the sending node as value. `Some` only while
-    /// a sharded run loop is active (see [`Simulator::run_until_sharded`]);
-    /// the three MAC scheduling sites feed it through
-    /// [`Ctx::schedule_mac_attempt`]. Derived state, never snapshotted.
-    plan_feed: Option<BTreeMap<(SimTime, Handle), NodeId>>,
-    /// Cached alive-bitmap snapshot keyed by `alive_ver`, so consecutive
-    /// world snapshots between liveness flips share one allocation.
-    /// Derived state, never snapshotted.
-    alive_snap: Option<(u64, Arc<Vec<bool>>)>,
 }
 
 impl<M: Clone> Ctx<M> {
@@ -654,19 +632,7 @@ impl<M: Clone> Ctx<M> {
         // Initial desynchronisation jitter.
         let jitter = self.random_backoff(0);
         let at = self.now + jitter;
-        self.schedule_mac_attempt(at, h, from);
-    }
-
-    /// Schedule the MAC attempt for frame `h` at `at`, mirroring it into
-    /// the plan feed when a sharded run loop is collecting one. Every
-    /// `MacAttempt` scheduling site (initial jitter, busy backoff, ARQ
-    /// retry) funnels through here so the feed never misses a future
-    /// transmission start.
-    fn schedule_mac_attempt(&mut self, at: SimTime, h: Handle, from: NodeId) {
         self.schedule(at, EventKind::MacAttempt(h));
-        if let Some(feed) = self.plan_feed.as_mut() {
-            feed.insert((at, h), from);
-        }
     }
 
     fn random_backoff(&mut self, exponent: u32) -> SimDuration {
@@ -714,7 +680,7 @@ impl<M: Clone> Ctx<M> {
         let in_range = |i: usize| -> bool {
             i != fi && nodes.alive[i] && origin.dist_sq(mobility[i].position_at(t)) <= range2
         };
-        let Some(grid) = grid.as_deref() else {
+        let Some(grid) = grid.as_ref() else {
             for i in 0..mobility.len() {
                 if in_range(i) {
                     out.push((NodeId(i as u32), false));
@@ -752,8 +718,7 @@ impl<M: Clone> Ctx<M> {
         // candidate the triage classifies would get the same answer from
         // the exact predicate, so the receiver set — and every RNG draw
         // downstream of it — is bit-identical to the brute-force scan.
-        // (`ANCHOR_EPS` is shared with `shard::AudibleWorld::compute`,
-        // which mirrors this query for shard workers.)
+        const ANCHOR_EPS: f64 = 1e-6;
         let drift = grid.drift_bound(*now);
         let far = cfg.radio_range + drift + ANCHOR_EPS;
         let far_sq = far * far;
@@ -791,11 +756,7 @@ impl<M: Clone> Ctx<M> {
         if let Some(grid) = grid.as_mut() {
             if grid.needs_refresh(now) {
                 let t = now.as_secs_f64();
-                // In-place while unshared (the sequential path); a
-                // copy-on-write clone while a shard-worker snapshot still
-                // holds the old buckets. The epoch bump makes any result
-                // computed from that old snapshot visibly stale.
-                Arc::make_mut(grid).refresh(|i| mobility[i].position_at(t), now);
+                grid.refresh(|i| mobility[i].position_at(t), now);
                 perf.grid_refreshes += 1;
             }
         }
@@ -803,12 +764,7 @@ impl<M: Clone> Ctx<M> {
 
     /// Begin transmitting pending frame `h`: mark collisions, bump the
     /// carrier-sense counters, and schedule the end-of-frame event.
-    /// `pre` may hold a shard-worker precomputed audible set for this
-    /// `(now, h)`; it is consumed only when its `(grid epoch, alive
-    /// version)` stamp still matches the engine — otherwise the set is
-    /// recomputed inline, so a stale precompute can cost time but never
-    /// change behaviour.
-    fn start_transmission(&mut self, h: Handle, pre: &mut Precomp) {
+    fn start_transmission(&mut self, h: Handle) {
         let (from, airtime, dest, beacon) = {
             let p = self.frames.get_mut(h).expect("pending tx");
             p.on_air = true;
@@ -831,24 +787,7 @@ impl<M: Clone> Ctx<M> {
             },
         );
         let mut receivers = self.scratch.recv.pop().unwrap_or_default();
-        let mut precomputed = false;
-        if pre.enabled {
-            if let Some((epoch, aver, list)) = pre.map.remove(&(self.now, h)) {
-                let cur_epoch = self.grid.as_ref().map_or(0, |g| g.epoch());
-                if epoch == cur_epoch && aver == self.alive_ver {
-                    receivers.extend(list.iter().map(|&r| (r, false)));
-                    self.perf.precomp_used += 1;
-                    precomputed = true;
-                } else {
-                    self.perf.precomp_stale += 1;
-                }
-            } else {
-                self.perf.precomp_missed += 1;
-            }
-        }
-        if !precomputed {
-            self.fill_receivers(from, &mut receivers);
-        }
+        self.fill_receivers(from, &mut receivers);
         if self.cfg.mac == MacMode::Contention {
             // Collision rule: a receiver hearing two overlapping
             // transmissions loses both copies; a transmitting node cannot
@@ -891,116 +830,6 @@ impl<M: Clone> Ctx<M> {
         self.schedule(self.now + airtime, EventKind::TxEnd(h));
     }
     // lint: end-hot-path
-
-    // ----- sharded precompute plumbing ----------------------------------
-
-    /// Build the plan-feed mirror of every future `MacAttempt` already in
-    /// the queue (frames enqueued before the sharded loop was entered —
-    /// `on_start` sends, resident-mode `drive` injections, restored
-    /// snapshots). From here on [`Ctx::schedule_mac_attempt`] keeps the
-    /// feed live.
-    fn install_plan_feed(&mut self) {
-        let mut feed = BTreeMap::new();
-        for (time, _seq, kind) in self.queue.iter() {
-            if let EventKind::MacAttempt(h) = kind {
-                if let Some(p) = self.frames.get(*h) {
-                    if !p.on_air {
-                        feed.insert((time, *h), p.from);
-                    }
-                }
-            }
-        }
-        self.plan_feed = Some(feed);
-    }
-
-    /// Ship every planned transmission start within `now + lookahead` to
-    /// the shard executor and merge the results into `pre` in
-    /// `(time, tie-break-handle)` order. Runs on the commit thread after
-    /// the grid refresh, so the world snapshot carries the current
-    /// `(grid epoch, alive version)` stamp; anything that invalidates the
-    /// snapshot before consumption flips a stamp and the consumer
-    /// recomputes inline.
-    fn release_plans<E: ShardExecutor + ?Sized>(
-        &mut self,
-        exec: &mut E,
-        pre: &mut Precomp,
-        lookahead: SimDuration,
-    ) {
-        // Discard precomputed sets whose moment passed unconsumed (the
-        // frame was dropped, or its attempt resolved without a
-        // transmission start).
-        while let Some((&key, _)) = pre.map.iter().next() {
-            if key.0 >= self.now {
-                break;
-            }
-            pre.map.remove(&key);
-        }
-        let Some(feed) = self.plan_feed.as_mut() else {
-            return;
-        };
-        let horizon = self.now + lookahead;
-        let mut items: Vec<WorkItem> = Vec::new();
-        while let Some((&(at, handle), &from)) = feed.iter().next() {
-            if at > horizon {
-                break;
-            }
-            feed.remove(&(at, handle));
-            if at < self.now {
-                continue; // its event already fired
-            }
-            items.push(WorkItem { at, handle, from });
-        }
-        if items.is_empty() {
-            return;
-        }
-        let alive = match &self.alive_snap {
-            Some((v, arc)) if *v == self.alive_ver => arc.clone(),
-            _ => {
-                let arc = Arc::new(self.nodes.alive.clone());
-                self.alive_snap = Some((self.alive_ver, arc.clone()));
-                arc
-            }
-        };
-        let world = AudibleWorld::new(
-            self.mobility.clone(),
-            self.grid.clone(),
-            alive,
-            self.cfg.field,
-            self.cfg.radio_range,
-            self.alive_ver,
-        );
-        self.perf.precomp_planned += items.len() as u64;
-        let (epoch, aver) = world.stamp();
-        for r in exec.compute_batch(&world, items) {
-            pre.map
-                .insert((r.item.at, r.item.handle), (epoch, aver, r.receivers));
-        }
-    }
-}
-
-/// Store of shard-precomputed audible sets keyed `(time, handle)`, each
-/// stamped with the `(grid epoch, alive version)` of the world snapshot
-/// it was computed from. `enabled: false` (the sequential run loop) makes
-/// every lookup a no-op with no counter noise.
-struct Precomp {
-    enabled: bool,
-    map: BTreeMap<(SimTime, Handle), (u64, u64, Vec<NodeId>)>,
-}
-
-impl Precomp {
-    fn disabled() -> Self {
-        Precomp {
-            enabled: false,
-            map: BTreeMap::new(),
-        }
-    }
-
-    fn enabled() -> Self {
-        Precomp {
-            enabled: true,
-            map: BTreeMap::new(),
-        }
-    }
 }
 
 /// Outcome handed back to the run loop when an event needs a protocol
@@ -1044,7 +873,7 @@ impl<P: Protocol> Simulator<P> {
         let trace = EventTrace::new(&trace_cfg);
         let mut ctx = Ctx {
             cfg,
-            mobility: Arc::new(mobility),
+            mobility,
             tables: vec![NeighborTable::default(); n],
             energy: vec![EnergyMeter::default(); n],
             now: SimTime::ZERO,
@@ -1065,9 +894,6 @@ impl<P: Protocol> Simulator<P> {
             aud: AudCache::new(n),
             scratch: Scratch::default(),
             perf: PerfCounters::default(),
-            alive_ver: 0,
-            plan_feed: None,
-            alive_snap: None,
         };
         if ctx.cfg.neighbor_index == NeighborIndex::Grid {
             let vmax = ctx
@@ -1076,14 +902,14 @@ impl<P: Protocol> Simulator<P> {
                 .map(|m| m.max_speed())
                 .fold(0.0_f64, f64::max);
             let positions: Vec<Point> = ctx.mobility.iter().map(|m| m.position_at(0.0)).collect();
-            ctx.grid = Some(Arc::new(SpatialGrid::build(
+            ctx.grid = Some(SpatialGrid::build(
                 ctx.cfg.field,
                 ctx.cfg.radio_range,
                 &positions,
                 vmax,
                 0.5 * ctx.cfg.radio_range,
                 SimTime::ZERO,
-            )));
+            ));
         }
         Self::schedule_faults(&mut ctx, seed);
         Simulator { ctx, protocol }
@@ -1285,7 +1111,6 @@ impl<P: Protocol> Simulator<P> {
     /// (which only [`Simulator::run`] applies).
     pub fn run_until(&mut self, until: SimTime) -> SimTime {
         self.start();
-        let mut pre = Precomp::disabled();
         loop {
             if self.ctx.stopped {
                 break;
@@ -1302,59 +1127,9 @@ impl<P: Protocol> Simulator<P> {
             self.ctx.now = time;
             self.ctx.refresh_grid_if_stale();
             self.ctx.stats.events += 1;
-            let cb = self.dispatch(kind, &mut pre);
+            let cb = self.dispatch(kind);
             self.handle_callback(cb);
         }
-        self.ctx.now
-    }
-
-    /// [`Simulator::run_until`] with the audible-set precompute shipped to
-    /// a shard executor (DESIGN.md §15, [`crate::shard`]).
-    ///
-    /// The event loop itself stays sequential — every event commits on
-    /// this thread in `(time, seq)` order with the single run RNG — but
-    /// each event first releases the transmission starts planned within
-    /// the conservative lookahead (header airtime + one backoff slot, the
-    /// minimum schedule-to-attempt delay the MAC constants allow) to
-    /// `exec`, whose shard workers compute their audible sets from an
-    /// immutable world snapshot. Results merge back in `(time, handle)`
-    /// order and are consumed only while their `(grid epoch, alive
-    /// version)` stamp is current, so the run is **bit-identical** to
-    /// [`Simulator::run_until`] for any executor and any shard count —
-    /// the property `shard_equiv` proptests and the `scale_bench`
-    /// fingerprint gate enforce.
-    pub fn run_until_sharded<E: ShardExecutor + ?Sized>(
-        &mut self,
-        until: SimTime,
-        exec: &mut E,
-    ) -> SimTime {
-        self.start();
-        self.ctx.install_plan_feed();
-        let lookahead = SimDuration::airtime(self.ctx.cfg.header_bytes, self.ctx.cfg.bits_per_sec)
-            + self.ctx.cfg.backoff_window;
-        let mut pre = Precomp::enabled();
-        loop {
-            if self.ctx.stopped {
-                break;
-            }
-            let Some((head_time, _)) = self.ctx.queue.peek_key() else {
-                break;
-            };
-            if head_time > until {
-                break;
-            }
-            let Some((time, _seq, kind)) = self.ctx.queue.pop() else {
-                break;
-            };
-            self.ctx.now = time;
-            self.ctx.refresh_grid_if_stale();
-            self.ctx.release_plans(exec, &mut pre, lookahead);
-            self.ctx.stats.events += 1;
-            let cb = self.dispatch(kind, &mut pre);
-            self.handle_callback(cb);
-        }
-        self.ctx.plan_feed = None;
-        self.ctx.alive_snap = None;
         self.ctx.now
     }
 
@@ -1392,7 +1167,7 @@ impl<P: Protocol> Simulator<P> {
 
     /// Handle one event inside `Ctx`, returning any required protocol
     /// callback.
-    fn dispatch(&mut self, kind: EventKind, pre: &mut Precomp) -> Callback<P::Msg> {
+    fn dispatch(&mut self, kind: EventKind) -> Callback<P::Msg> {
         let ctx = &mut self.ctx;
         // Per-event-kind breakdown for the profiling harness. The counts
         // are variant-invariant (the event sequence is bit-identical across
@@ -1412,7 +1187,6 @@ impl<P: Protocol> Simulator<P> {
                 if ctx.nodes.alive[node.index()] {
                     ctx.nodes.alive[node.index()] = false;
                     ctx.nodes.phase[node.index()] = NodePhase::Down;
-                    ctx.alive_ver += 1;
                     ctx.stats.nodes_crashed += 1;
                     ctx.trace_event(node, TraceKind::Crash);
                 }
@@ -1429,7 +1203,6 @@ impl<P: Protocol> Simulator<P> {
                 if !ctx.nodes.alive[node.index()] && !exhausted {
                     ctx.nodes.alive[node.index()] = true;
                     ctx.nodes.phase[node.index()] = NodePhase::Up;
-                    ctx.alive_ver += 1;
                     ctx.stats.nodes_recovered += 1;
                     ctx.trace_event(node, TraceKind::Recover);
                 }
@@ -1439,7 +1212,6 @@ impl<P: Protocol> Simulator<P> {
                 if ctx.nodes.alive[node.index()] {
                     ctx.nodes.alive[node.index()] = false;
                     ctx.nodes.phase[node.index()] = NodePhase::Down;
-                    ctx.alive_ver += 1;
                     ctx.stats.nodes_left += 1;
                     ctx.trace_event(node, TraceKind::Leave);
                 }
@@ -1464,7 +1236,6 @@ impl<P: Protocol> Simulator<P> {
                     }
                     ctx.nodes.alive[node.index()] = true;
                     ctx.nodes.phase[node.index()] = NodePhase::Up;
-                    ctx.alive_ver += 1;
                     ctx.stats.nodes_rejoined += 1;
                     ctx.trace_event(node, TraceKind::Rejoin);
                 }
@@ -1550,10 +1321,10 @@ impl<P: Protocol> Simulator<P> {
                     let backoffs = p.backoffs;
                     let delay = ctx.random_backoff(backoffs);
                     let at = ctx.now + delay;
-                    ctx.schedule_mac_attempt(at, h, from);
+                    ctx.schedule(at, EventKind::MacAttempt(h));
                     Callback::None
                 } else {
-                    ctx.start_transmission(h, pre);
+                    ctx.start_transmission(h);
                     Callback::None
                 }
             }
@@ -1645,7 +1416,6 @@ impl<P: Protocol> Simulator<P> {
             if ctx.nodes.alive[from.index()] && ctx.energy[from.index()].total_j() >= budget {
                 ctx.nodes.alive[from.index()] = false;
                 ctx.nodes.phase[from.index()] = NodePhase::Dead;
-                ctx.alive_ver += 1;
                 ctx.stats.energy_deaths += 1;
                 ctx.trace_event(from, TraceKind::EnergyDeath);
             }
@@ -1653,7 +1423,6 @@ impl<P: Protocol> Simulator<P> {
                 if ctx.nodes.alive[r.index()] && ctx.energy[r.index()].total_j() >= budget {
                     ctx.nodes.alive[r.index()] = false;
                     ctx.nodes.phase[r.index()] = NodePhase::Dead;
-                    ctx.alive_ver += 1;
                     ctx.stats.energy_deaths += 1;
                     ctx.trace_event(r, TraceKind::EnergyDeath);
                 }
@@ -1819,7 +1588,7 @@ impl<P: Protocol> Simulator<P> {
                         });
                         let delay = ctx.random_backoff(retries);
                         let at = ctx.now + delay;
-                        ctx.schedule_mac_attempt(at, new_h, from);
+                        ctx.schedule(at, EventKind::MacAttempt(new_h));
                         successes.clear();
                         ctx.scratch.succ.push(successes);
                         Callback::None
@@ -1885,14 +1654,14 @@ impl<M: Clone> Ctx<M> {
                 .fold(0.0_f64, f64::max);
             let t = self.now.as_secs_f64();
             let positions: Vec<Point> = self.mobility.iter().map(|m| m.position_at(t)).collect();
-            self.grid = Some(Arc::new(SpatialGrid::build(
+            self.grid = Some(SpatialGrid::build(
                 self.cfg.field,
                 self.cfg.radio_range,
                 &positions,
                 vmax,
                 0.5 * self.cfg.radio_range,
                 self.now,
-            )));
+            ));
         } else {
             self.grid = None;
         }
@@ -1974,15 +1743,9 @@ impl<M: Clone> Ctx<M> {
             ));
         }
         // Derived state: the audible cache is rebuilt lazily (epoch
-        // sentinel never matches a fresh grid), perf counters restart,
-        // and the shard plumbing (alive version, plan feed, alive-bitmap
-        // snapshot) resets — a sharded resume re-plans from the restored
-        // queue via `install_plan_feed`.
+        // sentinel never matches a fresh grid), and perf counters restart.
         self.aud = AudCache::new(n);
         self.perf = PerfCounters::default();
-        self.alive_ver = 0;
-        self.plan_feed = None;
-        self.alive_snap = None;
         Ok(())
     }
 }

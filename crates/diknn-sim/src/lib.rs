@@ -71,7 +71,6 @@ pub mod lifecycle;
 pub mod load;
 pub mod neighbors;
 pub mod queue;
-pub mod shard;
 pub mod soa;
 mod stats;
 pub mod time;
@@ -89,7 +88,6 @@ pub use lifecycle::NodePhase;
 pub use load::LoadSignal;
 pub use neighbors::Neighbor;
 pub use queue::{EventQueue, FramePool, Handle};
-pub use shard::{AudibleWorld, InlineExecutor, ShardExecutor, ShardMap, ShardResult, WorkItem};
 pub use soa::{FlowLedger, NodeSoA};
 pub use stats::{PerfCounters, SimStats};
 pub use time::{SimDuration, SimTime};

@@ -129,18 +129,6 @@ pub struct PerfCounters {
     pub aud_cache_misses: u64,
     /// Incremental spatial-grid refreshes performed by the run loop.
     pub grid_refreshes: u64,
-    /// Transmission starts shipped to shard workers ahead of time
-    /// (sharded run loop only; see `diknn_sim::shard`).
-    pub precomp_planned: u64,
-    /// Precomputed audible sets consumed with a current stamp.
-    pub precomp_used: u64,
-    /// Precomputed audible sets discarded because the grid epoch or
-    /// alive version moved between planning and commit (recomputed
-    /// inline — a cost, never a behaviour change).
-    pub precomp_stale: u64,
-    /// Transmission starts that reached commit with no precomputed set
-    /// (frame scheduled and started inside one lookahead window).
-    pub precomp_missed: u64,
 }
 
 #[cfg(test)]

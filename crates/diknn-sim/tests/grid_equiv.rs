@@ -394,3 +394,85 @@ fn single_cell_pileup_matches_brute_force() {
     };
     assert_eq!(run(NeighborIndex::Grid), run(NeighborIndex::BruteForce));
 }
+
+/// Boundary-heavy placement through the engine's own receiver query:
+/// static nodes on every 20 m cell corner (lattice neighbours sit at
+/// exactly the radio range), a centre node with partners just inside and
+/// just outside the range — `RANGE ± 1e-9` lands inside the anchor
+/// triage's ε band, `RANGE ± 2e-6` outside it — and out-of-field nodes
+/// clamped into edge cells. The fully static run has zero drift, so ε is
+/// the whole triage margin; the second run adds movers crossing cell
+/// edges, so the grid pads and refreshes. Grid and brute force must agree
+/// bit for bit either way.
+#[test]
+fn boundary_lattice_runs_bit_identical() {
+    let fixed = |x: f64, y: f64| Arc::new(StaticMobility::new(Point::new(x, y))) as SharedMobility;
+    let mut statics: Vec<SharedMobility> = Vec::new();
+    for i in 0..6 {
+        for j in 0..6 {
+            statics.push(fixed(i as f64 * RANGE, j as f64 * RANGE));
+        }
+    }
+    let centre = Point::new(50.0, 50.0);
+    statics.push(fixed(centre.x, centre.y));
+    for (k, d) in [-2e-6, -1e-9, 1e-9, 2e-6].into_iter().enumerate() {
+        // One partner per side of the centre, on an axis so the distance
+        // is exactly `RANGE + d` up to the rounding of the coordinate.
+        let (dx, dy) = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][k];
+        statics.push(fixed(
+            centre.x + dx * (RANGE + d),
+            centre.y + dy * (RANGE + d),
+        ));
+    }
+    // Out of field: a hair left of the edge (1e-9 beyond range of the
+    // lattice node at x = 20), on the far edge, and beyond it at exactly
+    // the range from the edge node.
+    statics.push(fixed(-1e-9, 2.0 * RANGE));
+    statics.push(fixed(115.0, 3.0 * RANGE));
+    statics.push(fixed(115.0 + RANGE, 3.0 * RANGE));
+
+    let run = |nodes: &[SharedMobility], index: NeighborIndex| {
+        let cfg = SimConfig {
+            neighbor_index: index,
+            time_limit: SimDuration::from_secs_f64(12.0),
+            trace: TraceConfig::enabled(),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(
+            cfg,
+            nodes.to_vec(),
+            Gossip {
+                heard: 0,
+                neighbor_checksum: 0,
+            },
+            5,
+        );
+        sim.warm_neighbor_tables();
+        sim.run();
+        let (proto, ctx) = sim.into_parts();
+        (
+            ctx.trace().render(),
+            proto.heard,
+            proto.neighbor_checksum,
+            ctx.total_energy_j(),
+        )
+    };
+
+    let mut movers = statics.clone();
+    for (a, b) in [
+        (Point::new(5.0, 10.0), Point::new(75.0, 10.0)),
+        (Point::new(30.0, 5.0), Point::new(30.0, 95.0)),
+        (Point::new(95.0, 95.0), Point::new(25.0, 25.0)),
+    ] {
+        movers.push(Arc::new(WaypointTrace::new(vec![(0.0, a), (12.0, b)])) as SharedMobility);
+    }
+    for (label, nodes) in [("static", &statics), ("movers", &movers)] {
+        let grid = run(nodes, NeighborIndex::Grid);
+        let brute = run(nodes, NeighborIndex::BruteForce);
+        assert!(grid.1 > 0, "{label}: no deliveries");
+        assert_eq!(
+            grid, brute,
+            "{label}: lattice runs diverged between indexes"
+        );
+    }
+}

@@ -62,7 +62,7 @@ pub use fault_sweep::FaultCell;
 pub use invariants::{assert_clean, check, check_with, CheckOptions, Violation};
 pub use metrics::{status_index, Aggregate, QueryRecord, RunMetrics, Stat};
 pub use oracle::GroundTruth;
-pub use parallel::{run_sharded, run_sharded_to_limit, ParallelSweep, ShardPool};
+pub use parallel::ParallelSweep;
 pub use runner::{run_protocol_once, run_protocol_once_faulted, Experiment, ProtocolKind};
 pub use scenario::{HerdSetup, PlacementKind, ScenarioConfig};
 pub use service::{ServiceConfig, ServiceMetrics, ServiceRun, SERVICE_SNAP_VERSION};

@@ -26,25 +26,9 @@
 //!
 //! Hence `run_parallel(n, seed, …) == run(n, seed)` bit for bit, which
 //! `tests/parallel_equiv.rs` pins.
-//!
-//! # Intra-run sharding
-//!
-//! [`ShardPool`] parallelises *inside* one run: it implements
-//! [`diknn_sim::ShardExecutor`] with persistent worker threads, one per
-//! spatial shard ([`diknn_sim::ShardMap`] x-bands). Workers compute only
-//! the pure audible-set function over immutable world snapshots; every
-//! mutation stays on the calling (commit) thread, and results are merged
-//! back in `(time, handle)` order before the engine sees them. See
-//! `diknn_sim::shard` and DESIGN.md §15 for the bit-identity argument;
-//! `tests/shard_equiv.rs` pins it across shard counts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
-
-use diknn_sim::{
-    AudibleWorld, InlineExecutor, Protocol, ShardExecutor, ShardMap, ShardResult, SimTime,
-    Simulator, WorkItem,
-};
+use std::sync::Mutex;
 
 /// A scoped-thread work-stealing executor for embarrassingly parallel
 /// sweeps (seed × config cells). No dependencies beyond `std`.
@@ -114,175 +98,6 @@ impl ParallelSweep {
             })
             .collect()
     }
-}
-
-/// One batch shipped to a shard worker: the snapshot to compute against,
-/// the items the worker's band owns, and where to send the answers.
-struct ShardJob {
-    world: AudibleWorld,
-    items: Vec<WorkItem>,
-    done: mpsc::Sender<Vec<ShardResult>>,
-}
-
-/// A persistent pool of shard workers implementing
-/// [`diknn_sim::ShardExecutor`] — the threaded half of the sharded engine
-/// (DESIGN.md §15).
-///
-/// Each worker owns one contiguous x-band of the field. A batch is
-/// partitioned by the *sender's position at transmission time* under
-/// [`ShardMap`] (total and deterministic, including points exactly on a
-/// band edge), each worker computes its items' audible sets against the
-/// shared immutable [`AudibleWorld`] snapshot, and the pool merges the
-/// per-shard answers back into `(time, handle)` order before returning.
-/// Workers never mutate simulation state and never draw randomness, so
-/// thread scheduling can change *when* an audible set is computed, never
-/// what the engine observes — the engine additionally guards every
-/// consumption with a `(grid epoch, alive version)` stamp check, making
-/// bit-identity to the sequential engine unconditional.
-pub struct ShardPool {
-    senders: Vec<mpsc::Sender<ShardJob>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ShardPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPool")
-            .field("shards", &self.senders.len())
-            .finish()
-    }
-}
-
-impl ShardPool {
-    /// Spawn a pool with one worker per shard (clamped to ≥ 1).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        let mut senders = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let (tx, rx) = mpsc::channel::<ShardJob>();
-            let spawned = std::thread::Builder::new()
-                .name(format!("diknn-shard-{i}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let mut out = Vec::with_capacity(job.items.len());
-                        for item in &job.items {
-                            let mut receivers = Vec::new();
-                            job.world.compute(item, &mut receivers);
-                            out.push(ShardResult {
-                                item: *item,
-                                receivers,
-                            });
-                        }
-                        // A send error means the submitting side gave up
-                        // (compute_batch recomputes inline on any channel
-                        // failure), so dropping the result is safe.
-                        let _ = job.done.send(out);
-                    }
-                });
-            match spawned {
-                Ok(handle) => {
-                    senders.push(tx);
-                    workers.push(handle);
-                }
-                // Spawn failure (resource exhaustion) degrades to fewer
-                // workers — zero workers falls back to inline compute in
-                // `compute_batch`. Same answers either way.
-                Err(_) => drop(tx),
-            }
-        }
-        ShardPool { senders, workers }
-    }
-
-    /// Number of shard workers.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.senders.len()
-    }
-}
-
-impl ShardExecutor for ShardPool {
-    fn compute_batch(&mut self, world: &AudibleWorld, items: Vec<WorkItem>) -> Vec<ShardResult> {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.senders.is_empty() {
-            return InlineExecutor.compute_batch(world, items);
-        }
-        // Partition by the sender's band at transmission time. Items keep
-        // their submission order inside each band; the merge below
-        // re-establishes the global (time, handle) order regardless.
-        let map = ShardMap::new(world.field(), self.senders.len());
-        let mut parts: Vec<Vec<WorkItem>> = vec![Vec::new(); self.senders.len()];
-        for item in items {
-            let band = map.shard_of(world.position(item.from, item.at));
-            parts[band].push(item);
-        }
-        let (done_tx, done_rx) = mpsc::channel::<Vec<ShardResult>>();
-        let mut dispatched = 0usize;
-        let mut merged = Vec::with_capacity(n);
-        for (band, part) in parts.into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            let job = ShardJob {
-                world: world.clone(),
-                items: part,
-                done: done_tx.clone(),
-            };
-            match self.senders[band].send(job) {
-                Ok(()) => dispatched += 1,
-                // A dead worker (panicked) degrades to inline compute —
-                // same answers, no parallelism.
-                Err(mpsc::SendError(job)) => {
-                    merged.extend(InlineExecutor.compute_batch(world, job.items));
-                }
-            }
-        }
-        drop(done_tx);
-        for _ in 0..dispatched {
-            match done_rx.recv() {
-                Ok(part) => merged.extend(part),
-                Err(_) => break,
-            }
-        }
-        // Deterministic merge: results return to the engine in
-        // (time, tie-break handle) order whatever the thread interleaving.
-        merged.sort_unstable_by_key(|r| (r.item.at, r.item.handle));
-        merged
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        // Closing the channels ends the worker loops; join so no thread
-        // outlives the pool.
-        self.senders.clear();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Advance `sim` to `until` on the sharded run loop with `shards` spatial
-/// shards. `shards <= 1` uses the thread-free [`InlineExecutor`] (the
-/// 1-shard baseline); larger counts spin up a [`ShardPool`] for the call.
-/// Either way the result is bit-identical to `sim.run_until(until)`.
-pub fn run_sharded<P: Protocol>(sim: &mut Simulator<P>, until: SimTime, shards: usize) -> SimTime {
-    if shards <= 1 {
-        let mut exec = InlineExecutor;
-        sim.run_until_sharded(until, &mut exec)
-    } else {
-        let mut pool = ShardPool::new(shards);
-        sim.run_until_sharded(until, &mut pool)
-    }
-}
-
-/// [`run_sharded`] to the configured `SimConfig::time_limit` — the
-/// sharded analogue of [`Simulator::run`].
-pub fn run_sharded_to_limit<P: Protocol>(sim: &mut Simulator<P>, shards: usize) -> SimTime {
-    let limit = SimTime::ZERO + sim.ctx().config().time_limit;
-    run_sharded(sim, limit, shards)
 }
 
 #[cfg(test)]

@@ -55,11 +55,6 @@ pub struct Experiment {
     /// [`crate::invariants`]). On by default: every experiment doubles as a
     /// correctness check. Disable for benchmark timing runs.
     pub check_invariants: bool,
-    /// Spatial shards for the intra-run executor (see
-    /// [`crate::parallel::run_sharded`]). `1` (the default) runs the plain
-    /// sequential loop; any value is bit-identical to it — invariant
-    /// replay and metrics are unchanged by construction.
-    pub shards: usize,
 }
 
 impl Experiment {
@@ -71,7 +66,6 @@ impl Experiment {
             sim_tweak: None,
             fault_plan: None,
             check_invariants: true,
-            shards: 1,
         }
     }
 
@@ -102,7 +96,6 @@ impl Experiment {
             sim_cfg.trace = TraceConfig::enabled();
         }
         let check = self.check_invariants;
-        let shards = self.shards;
         match &self.protocol {
             ProtocolKind::Diknn(cfg) => execute(
                 sim_cfg,
@@ -111,7 +104,6 @@ impl Experiment {
                 seed,
                 &oracle,
                 check,
-                shards,
             ),
             ProtocolKind::Kpt(cfg) => execute(
                 sim_cfg,
@@ -120,7 +112,6 @@ impl Experiment {
                 seed,
                 &oracle,
                 check,
-                shards,
             ),
             ProtocolKind::PeerTree(cfg) => execute(
                 sim_cfg,
@@ -129,7 +120,6 @@ impl Experiment {
                 seed,
                 &oracle,
                 check,
-                shards,
             ),
             ProtocolKind::Flood(cfg) => execute(
                 sim_cfg,
@@ -138,7 +128,6 @@ impl Experiment {
                 seed,
                 &oracle,
                 check,
-                shards,
             ),
             ProtocolKind::Centralized(cfg) => execute(
                 sim_cfg,
@@ -147,7 +136,6 @@ impl Experiment {
                 seed,
                 &oracle,
                 check,
-                shards,
             ),
         }
     }
@@ -186,7 +174,6 @@ fn execute<P>(
     seed: u64,
     oracle: &GroundTruth,
     check: bool,
-    shards: usize,
 ) -> RunMetrics
 where
     P: Protocol + KnnProtocol,
@@ -195,13 +182,7 @@ where
     // Nodes have been in place before t=0: start with a warm beacon round,
     // as a long-running network would be.
     sim.warm_neighbor_tables();
-    if shards > 1 {
-        // Bit-identical to `sim.run()` for every shard count; the trace
-        // replay below therefore checks the sharded executor too.
-        crate::parallel::run_sharded_to_limit(&mut sim, shards);
-    } else {
-        sim.run();
-    }
+    sim.run();
     let (mut protocol, ctx) = sim.into_parts();
     // Classify queries that never finalised (dead sink, suppressed timer).
     protocol.finish(&ctx);

@@ -1,5 +1,6 @@
 // Lint fixture: raw std::thread use outside the sanctioned executor
-// module (rule 7). Scanned as crates/diknn-bench/src code; never compiled.
+// module (rule 7). Scanned as crates/diknn-bench/src and crates/diknn-sim/src
+// code; never compiled.
 
 pub fn fan_out(jobs: Vec<u64>) -> Vec<u64> {
     let handle = std::thread::spawn(move || jobs.iter().sum::<u64>());

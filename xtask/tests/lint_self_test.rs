@@ -19,7 +19,6 @@ use xtask::rules::{conformance, determinism, float_order, hot_path, panic_budget
 const BAD_SIM_STATE: &str = include_str!("../fixtures/determinism/bad_sim_state.rs");
 const BAD_ENTROPY: &str = include_str!("../fixtures/determinism/bad_entropy.rs");
 const BAD_THREAD: &str = include_str!("../fixtures/determinism/bad_thread.rs");
-const BAD_SHARD_WORKER: &str = include_str!("../fixtures/determinism/bad_shard_worker.rs");
 const GOOD_CLEAN: &str = include_str!("../fixtures/determinism/good_clean.rs");
 const BAD_FLOAT_ORDER: &str = include_str!("../fixtures/float_order/bad_partial_cmp.rs");
 const GOOD_FLOAT_ORDER: &str = include_str!("../fixtures/float_order/good_total_cmp.rs");
@@ -84,48 +83,17 @@ fn fixture_thread_rng_and_float_eq_are_caught() {
 
 #[test]
 fn fixture_raw_threads_are_caught() {
-    let f = parse(
-        "crates/diknn-bench/src/bad_thread.rs",
-        "diknn-bench",
-        BAD_THREAD,
-    );
-    let counts = rule_counts(&determinism::scan(&f));
-    // spawn, scope, and Builder.
-    assert_eq!(counts.get("raw-thread"), Some(&3), "{counts:?}");
-}
-
-#[test]
-fn fixture_shard_worker_outside_sanctioned_module_is_caught() {
-    // A shard-worker pool (the sharded engine's threaded executor shape)
-    // planted outside `crates/diknn-workloads/src/parallel.rs` must fail
-    // the raw-thread rule — in the engine crate and in any other crate.
+    // Outside `crates/diknn-workloads/src/parallel.rs` the rule fires in
+    // any crate, the engine crate included.
     for (rel, krate) in [
-        ("crates/diknn-sim/src/shard_pool.rs", "diknn-sim"),
-        ("crates/diknn-bench/src/shard_pool.rs", "diknn-bench"),
+        ("crates/diknn-bench/src/bad_thread.rs", "diknn-bench"),
+        ("crates/diknn-sim/src/bad_thread.rs", "diknn-sim"),
     ] {
-        let f = parse(rel, krate, BAD_SHARD_WORKER);
+        let f = parse(rel, krate, BAD_THREAD);
         let counts = rule_counts(&determinism::scan(&f));
-        // `thread::Builder` in `new` and `thread::scope` in
-        // `compute_batch`; the `.spawn(...)` calls are method calls on the
-        // builder/scope and are reached only through those two roots.
-        assert_eq!(counts.get("raw-thread"), Some(&2), "{rel}: {counts:?}");
+        // spawn, scope, and Builder.
+        assert_eq!(counts.get("raw-thread"), Some(&3), "{rel}: {counts:?}");
     }
-}
-
-#[test]
-fn fixture_shard_worker_in_sanctioned_module_is_allowed() {
-    // The identical pool at the sanctioned path is the one legal home for
-    // shard workers; the rule must stay silent there.
-    let f = parse(
-        determinism::SANCTIONED_THREAD_MODULE,
-        "diknn-workloads",
-        BAD_SHARD_WORKER,
-    );
-    let v: Vec<_> = determinism::scan(&f)
-        .into_iter()
-        .filter(|v| v.rule == "raw-thread")
-        .collect();
-    assert!(v.is_empty(), "{v:?}");
 }
 
 #[test]
