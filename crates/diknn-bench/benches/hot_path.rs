@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the engine hot path (PR 9): event
 //! scheduling, frame-pool churn, grid candidate queries, SoA node-state
 //! access, and a whole-engine MAC fan-out cell. These pin the costs the
-//! slab/SoA overhaul is accountable for; `profile_bench` measures the
-//! same paths in situ with behaviour fingerprints.
+//! slab/SoA overhaul is accountable for; `e2ebench --trace 1` measures the
+//! same paths in situ, per layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::cmp::Reverse;
@@ -216,21 +216,18 @@ fn bench_mac_fanout(c: &mut Criterion) {
             Arc::new(RandomWaypoint::new(start, &cfg, &mut rng)) as SharedMobility
         })
         .collect();
-    for (name, audible_cache) in [("cache_on", true), ("cache_off", false)] {
-        group.bench_function(BenchmarkId::new("flood_100n_5s", name), |b| {
-            b.iter(|| {
-                let cfg = SimConfig {
-                    neighbor_index: NeighborIndex::Grid,
-                    audible_cache,
-                    time_limit: SimDuration::from_secs_f64(5.0),
-                    ..SimConfig::default()
-                };
-                let mut sim = Simulator::new(cfg, black_box(nodes.clone()), Flood, 17);
-                sim.run();
-                sim.ctx().stats().events
-            })
-        });
-    }
+    group.bench_function("flood_100n_5s", |b| {
+        b.iter(|| {
+            let cfg = SimConfig {
+                neighbor_index: NeighborIndex::Grid,
+                time_limit: SimDuration::from_secs_f64(5.0),
+                ..SimConfig::default()
+            };
+            let mut sim = Simulator::new(cfg, black_box(nodes.clone()), Flood, 17);
+            sim.run();
+            sim.ctx().stats().events
+        })
+    });
     group.finish();
 }
 

@@ -52,44 +52,12 @@
 
 use std::time::Instant; // lint: wall-clock-ok (host-side benchmark timing)
 
-use diknn_bench::{base_seed, threads};
-use diknn_core::ServingConfig;
-use diknn_workloads::{
-    admission_experiment, Aggregate, Experiment, ParallelSweep, QueryLoad, RunMetrics,
-    ServingSummary,
+use diknn_bench::report::{gate, write_results, Json};
+use diknn_bench::{
+    base_seed, env_f64, env_list, env_usize, load_experiment, matches_sequential, threads,
 };
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64_list(name: &str, default: &[f64]) -> Vec<f64> {
-    match std::env::var(name) {
-        Ok(raw) => {
-            let parsed: Vec<f64> = raw
-                .split(',')
-                .filter_map(|tok| tok.trim().parse().ok())
-                .filter(|&v: &f64| v > 0.0 && v.is_finite())
-                .collect();
-            if parsed.is_empty() {
-                default.to_vec()
-            } else {
-                parsed
-            }
-        }
-        Err(_) => default.to_vec(),
-    }
-}
+use diknn_core::ServingConfig;
+use diknn_workloads::{Aggregate, Experiment, ParallelSweep, RunMetrics, ServingSummary};
 
 /// One bench cell: arrival rate × serving mode.
 struct Cell {
@@ -102,35 +70,14 @@ struct Cell {
     peak_in_flight: usize,
 }
 
-fn load_for(rate_qps: f64, k: usize, duration: f64) -> QueryLoad {
-    QueryLoad {
-        rate_qps,
-        k,
-        first_at: 2.0,
-        last_at: (duration - 10.0).max(duration * 0.5),
-        ..QueryLoad::default()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn bench_cell(
-    nodes: usize,
-    duration: f64,
+    exp: &Experiment,
     rate_qps: f64,
-    k: usize,
-    max_speed: f64,
     serving_on: bool,
     runs: usize,
     seed: u64,
     sweep: &ParallelSweep,
 ) -> (Cell, Vec<RunMetrics>) {
-    let serving = if serving_on {
-        ServingConfig::enabled()
-    } else {
-        ServingConfig::default()
-    };
-    let load = load_for(rate_qps, k, duration);
-    let exp = admission_experiment(nodes, duration, max_speed, &load, serving);
     let t0 = Instant::now(); // lint: wall-clock-ok
     let metrics = sweep.map(runs, |i| exp.run_once(Experiment::sweep_seed(seed, i)));
     let wall_s = t0.elapsed().as_secs_f64();
@@ -169,33 +116,32 @@ fn cell_line(c: &Cell) -> String {
     )
 }
 
-fn cell_json(c: &Cell) -> String {
+fn cell_json(c: &Cell) -> Json {
     let s = &c.summary;
-    format!(
-        "    {{\"rate_qps\": {}, \"serving\": {}, \"queries_per_run\": {:.1}, \
-         \"post_accuracy\": {:.4}, \"pre_accuracy\": {:.4}, \"answered_rate\": {:.4}, \
-         \"latency_p50_s\": {:.6}, \"latency_p95_s\": {:.6}, \"peak_in_flight\": {}, \
-         \"all_terminal\": {}, \"wall_s\": {:.3}, \
-         \"status_counts\": {{\"completed\": {}, \"degraded\": {}, \"pending\": {}, \
-         \"rejected\": {}, \"merged\": {}, \"cache_hit\": {}}}}}",
-        c.rate_qps,
-        c.serving_on,
-        c.queries_per_run,
-        c.agg.post_accuracy.mean,
-        c.agg.pre_accuracy.mean,
-        s.answered_rate(),
-        c.agg.latency_p50_s.mean,
-        c.agg.latency_p95_s.mean,
-        c.peak_in_flight,
-        s.all_terminal(),
-        c.wall_s,
-        s.completed,
-        s.degraded,
-        s.pending,
-        s.rejected,
-        s.merged,
-        s.cache_hits,
-    )
+    Json::obj([
+        ("rate_qps", Json::Num(c.rate_qps)),
+        ("serving", Json::Bool(c.serving_on)),
+        ("queries_per_run", Json::Fixed(c.queries_per_run, 1)),
+        ("post_accuracy", Json::Fixed(c.agg.post_accuracy.mean, 4)),
+        ("pre_accuracy", Json::Fixed(c.agg.pre_accuracy.mean, 4)),
+        ("answered_rate", Json::Fixed(s.answered_rate(), 4)),
+        ("latency_p50_s", Json::Fixed(c.agg.latency_p50_s.mean, 6)),
+        ("latency_p95_s", Json::Fixed(c.agg.latency_p95_s.mean, 6)),
+        ("peak_in_flight", c.peak_in_flight.into()),
+        ("all_terminal", Json::Bool(s.all_terminal())),
+        ("wall_s", Json::Fixed(c.wall_s, 3)),
+        (
+            "status_counts",
+            Json::obj([
+                ("completed", s.completed.into()),
+                ("degraded", s.degraded.into()),
+                ("pending", s.pending.into()),
+                ("rejected", s.rejected.into()),
+                ("merged", s.merged.into()),
+                ("cache_hit", s.cache_hits.into()),
+            ]),
+        ),
+    ])
 }
 
 fn main() {
@@ -203,7 +149,9 @@ fn main() {
     let seed = base_seed();
     let duration = env_f64("DIKNN_DURATION", 40.0).max(5.0);
     let nodes = env_usize("DIKNN_ADM_NODES", 500).max(10);
-    let rates = env_f64_list("DIKNN_ADM_RATES", &[2.0, 10.0]);
+    let rates = env_list("DIKNN_ADM_RATES", &[2.0, 10.0], |&v: &f64| {
+        v > 0.0 && v.is_finite()
+    });
     let k = env_usize("DIKNN_ADM_K", 10).max(1);
     let speed = env_f64("DIKNN_ADM_SPEED", 0.0).max(0.0);
     let min_accuracy = env_f64("DIKNN_ADM_MIN_ACCURACY", 0.5);
@@ -237,24 +185,20 @@ fn main() {
     let mut checked_equiv = false;
     for &rate in &rates {
         for serving_on in [false, true] {
-            let (cell, metrics) = bench_cell(
-                nodes, duration, rate, k, speed, serving_on, runs, seed, &sweep,
-            );
+            let serving = if serving_on {
+                ServingConfig::enabled()
+            } else {
+                ServingConfig::default()
+            };
+            let exp = load_experiment(nodes, duration, rate, k, speed, serving);
+            let (cell, metrics) = bench_cell(&exp, rate, serving_on, runs, seed, &sweep);
             line(cell_line(&cell));
             // First serving-on cell: the parallel sweep above must be
             // bit-identical to the plain sequential loop, per-query rows
             // included — the serving layer must not break sweep determinism.
             if serving_on && !checked_equiv {
                 checked_equiv = true;
-                let load = load_for(rate, k, duration);
-                let exp =
-                    admission_experiment(nodes, duration, speed, &load, ServingConfig::enabled());
-                let sequential: Vec<RunMetrics> = (0..runs)
-                    .map(|i| exp.run_once(Experiment::sweep_seed(seed, i)))
-                    .collect();
-                // Debug formatting round-trips f64 exactly and renders NaN
-                // equal to itself, unlike PartialEq.
-                if format!("{sequential:?}") != format!("{metrics:?}") {
+                if !matches_sequential(&exp, seed, &metrics) {
                     parallel_equiv = false;
                     eprintln!(
                         "DIVERGENCE: parallel sweep disagrees with sequential metrics \
@@ -282,59 +226,59 @@ fn main() {
          all_terminal={all_terminal} parallel_equiv={parallel_equiv}"
     ));
 
-    let rows: Vec<String> = cells.iter().map(cell_json).collect();
     let accuracy_ok = gated_accuracy >= min_accuracy;
-    let json = format!(
-        "{{\n  \"bench\": \"admission\",\n  \"schema_version\": 1,\n  \"config\": {{\
-         \"runs\": {runs}, \"base_seed\": {seed}, \"duration_s\": {duration:.1}, \
-         \"nodes\": {nodes}, \"k\": {k}, \"max_speed\": {speed}, \
-         \"gate_rate_qps\": {gate_rate}, \"min_accuracy\": {min_accuracy}}},\n  \
-         \"cells\": [\n{}\n  ],\n  \
-         \"checks\": {{\"serving_on_accuracy\": {gated_accuracy:.4}, \
-         \"serving_off_accuracy\": {baseline_accuracy:.4}, \
-         \"accuracy_ok\": {accuracy_ok}, \
-         \"all_queries_terminal\": {all_terminal}, \
-         \"parallel_equiv_bit_identical\": {parallel_equiv}}}\n}}\n",
-        rows.join(",\n"),
-    );
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("warning: could not create results/: {e}");
-    }
-    for (path, contents) in [
-        ("results/BENCH_admission.json", &json),
-        ("results/admission.txt", &out),
-    ] {
-        match std::fs::write(path, contents) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let mut failed = false;
-    if !accuracy_ok {
-        eprintln!(
-            "FAIL: serving-on cell at {gate_rate} q/s holds {gated_accuracy:.3} \
-             post-accuracy, below the {min_accuracy} floor"
-        );
-        failed = true;
-    }
-    if !all_terminal {
-        eprintln!("FAIL: some query never reached a terminal classification");
-        failed = true;
-    }
-    if !parallel_equiv {
-        eprintln!("FAIL: parallel sweep diverged from sequential metrics");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "OK: serving layer holds {gated_accuracy:.3} post-accuracy at {gate_rate} q/s \
-         (unprotected: {baseline_accuracy:.3}), every query classified, \
-         parallel sweep bit-identical"
+    let json = Json::obj([
+        ("bench", "admission".into()),
+        ("schema_version", 1usize.into()),
+        (
+            "config",
+            Json::obj([
+                ("runs", runs.into()),
+                ("base_seed", Json::UInt(seed)),
+                ("duration_s", Json::Fixed(duration, 1)),
+                ("nodes", nodes.into()),
+                ("k", k.into()),
+                ("max_speed", Json::Num(speed)),
+                ("gate_rate_qps", Json::Num(gate_rate)),
+                ("min_accuracy", Json::Num(min_accuracy)),
+            ]),
+        ),
+        ("cells", Json::Arr(cells.iter().map(cell_json).collect())),
+        (
+            "checks",
+            Json::obj([
+                ("serving_on_accuracy", Json::Fixed(gated_accuracy, 4)),
+                ("serving_off_accuracy", Json::Fixed(baseline_accuracy, 4)),
+                ("accuracy_ok", Json::Bool(accuracy_ok)),
+                ("all_queries_terminal", Json::Bool(all_terminal)),
+                ("parallel_equiv_bit_identical", Json::Bool(parallel_equiv)),
+            ]),
+        ),
+    ])
+    .render();
+    write_results(&[("BENCH_admission.json", &json), ("admission.txt", &out)]);
+    gate(
+        &[
+            (
+                accuracy_ok,
+                format!(
+                    "serving-on cell at {gate_rate} q/s holds {gated_accuracy:.3} \
+                     post-accuracy, below the {min_accuracy} floor"
+                ),
+            ),
+            (
+                all_terminal,
+                "some query never reached a terminal classification".into(),
+            ),
+            (
+                parallel_equiv,
+                "parallel sweep diverged from sequential metrics".into(),
+            ),
+        ],
+        &format!(
+            "serving layer holds {gated_accuracy:.3} post-accuracy at {gate_rate} q/s \
+             (unprotected: {baseline_accuracy:.3}), every query classified, \
+             parallel sweep bit-identical"
+        ),
     );
 }

@@ -48,61 +48,25 @@
 
 use std::time::Instant; // lint: wall-clock-ok (host-side benchmark timing)
 
-use diknn_bench::{base_seed, threads};
-use diknn_core::{DiknnConfig, QueryStatus};
-use diknn_workloads::{
-    Aggregate, Experiment, ParallelSweep, ProtocolKind, QueryLoad, RunMetrics, ScenarioConfig,
+use diknn_bench::report::{gate, write_results, Json};
+use diknn_bench::{
+    base_seed, env_f64, env_list, env_usize, load_experiment, matches_sequential, threads,
 };
+use diknn_core::{QueryStatus, ServingConfig};
+use diknn_workloads::{Aggregate, Experiment, ParallelSweep, RunMetrics};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64_list(name: &str, default: &[f64]) -> Vec<f64> {
-    match std::env::var(name) {
-        Ok(raw) => {
-            let parsed: Vec<f64> = raw
-                .split(',')
-                .filter_map(|tok| tok.trim().parse().ok())
-                .filter(|&v: &f64| v >= 0.0 && v.is_finite())
-                .collect();
-            if parsed.is_empty() {
-                default.to_vec()
-            } else {
-                parsed
-            }
-        }
-        Err(_) => default.to_vec(),
-    }
-}
-
-fn env_usize_list(name: &str, default: &[usize]) -> Vec<usize> {
-    match std::env::var(name) {
-        Ok(raw) => {
-            let parsed: Vec<usize> = raw
-                .split(',')
-                .filter_map(|tok| tok.trim().parse().ok())
-                .filter(|&v| v > 0)
-                .collect();
-            if parsed.is_empty() {
-                default.to_vec()
-            } else {
-                parsed
-            }
-        }
-        Err(_) => default.to_vec(),
-    }
-}
+/// `RunMetrics::status_counts` slot names, in
+/// [`diknn_workloads::status_index`] order.
+const STATUS_NAMES: [&str; 8] = [
+    "completed",
+    "partial_timeout",
+    "token_lost",
+    "sink_unreachable",
+    "pending",
+    "rejected",
+    "merged",
+    "cache_hit",
+];
 
 /// One load cell: arrival rate × k × mobility.
 struct Cell {
@@ -124,48 +88,24 @@ struct Cell {
     status_counts: [usize; 8],
 }
 
-fn experiment(nodes: usize, duration: f64, load: &QueryLoad, max_speed: f64) -> Experiment {
-    Experiment::new(
-        ProtocolKind::Diknn(DiknnConfig::default()),
-        ScenarioConfig {
-            nodes,
-            duration,
-            max_speed,
-            ..ScenarioConfig::default()
-        },
-        load.workload(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
 fn bench_cell(
-    nodes: usize,
-    duration: f64,
+    exp: &Experiment,
     rate_qps: f64,
     k: usize,
-    max_speed: f64,
     runs: usize,
     seed: u64,
     sweep: &ParallelSweep,
 ) -> (Cell, Vec<RunMetrics>) {
-    let load = QueryLoad {
-        rate_qps,
-        k,
-        first_at: 2.0,
-        last_at: (duration - 10.0).max(duration * 0.5),
-        ..QueryLoad::default()
-    };
-    let exp = experiment(nodes, duration, &load, max_speed);
     let t0 = Instant::now(); // lint: wall-clock-ok
     let metrics = sweep.map(runs, |i| exp.run_once(Experiment::sweep_seed(seed, i)));
     let wall_s = t0.elapsed().as_secs_f64();
-    let agg = Aggregate::from_runs(&metrics);
+    let duration = exp.scenario.duration;
     let cell = Cell {
         rate_qps,
         k,
-        max_speed,
+        max_speed: exp.scenario.max_speed,
         wall_s,
-        agg,
+        agg: Aggregate::from_runs(&metrics),
         peak_in_flight: metrics.iter().map(|m| m.max_in_flight).max().unwrap_or(0),
         queries_per_run: metrics.iter().map(|m| m.queries as f64).sum::<f64>() / runs.max(1) as f64,
         sustained_qps: metrics
@@ -209,66 +149,36 @@ fn cell_line(c: &Cell) -> String {
     )
 }
 
-fn cell_json(c: &Cell) -> String {
-    format!(
-        "    {{\"rate_qps\": {}, \"k\": {}, \"max_speed\": {}, \"queries_per_run\": {:.1}, \
-         \"sustained_qps\": {:.4}, \"latency_p50_s\": {:.6}, \"latency_p95_s\": {:.6}, \
-         \"latency_mean_s\": {:.6}, \"pre_accuracy\": {:.4}, \"post_accuracy\": {:.4}, \
-         \"completion_rate\": {:.4}, \"per_query_energy_j\": {:.6}, \
-         \"peak_in_flight\": {}, \"all_terminal\": {}, \"wall_s\": {:.3}, \
-         \"status_counts\": {{\"completed\": {}, \"partial_timeout\": {}, \
-         \"token_lost\": {}, \"sink_unreachable\": {}, \"pending\": {}, \
-         \"rejected\": {}, \"merged\": {}, \"cache_hit\": {}}}}}",
-        c.rate_qps,
-        c.k,
-        c.max_speed,
-        c.queries_per_run,
-        c.sustained_qps,
-        c.agg.latency_p50_s.mean,
-        c.agg.latency_p95_s.mean,
-        c.agg.latency_s.mean,
-        c.agg.pre_accuracy.mean,
-        c.agg.post_accuracy.mean,
-        c.agg.completion_rate.mean,
-        c.agg.per_query_energy_j.mean,
-        c.peak_in_flight,
-        c.all_terminal,
-        c.wall_s,
-        c.status_counts[0],
-        c.status_counts[1],
-        c.status_counts[2],
-        c.status_counts[3],
-        c.status_counts[4],
-        c.status_counts[5],
-        c.status_counts[6],
-        c.status_counts[7],
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    runs: usize,
-    seed: u64,
-    duration: f64,
-    nodes: usize,
-    min_inflight: usize,
-    cells: &[Cell],
-    peak_in_flight: usize,
-    all_terminal: bool,
-    parallel_equiv: bool,
-) -> String {
-    let rows: Vec<String> = cells.iter().map(cell_json).collect();
-    let inflight_ok = peak_in_flight >= min_inflight;
-    format!(
-        "{{\n  \"bench\": \"query_load\",\n  \"schema_version\": 2,\n  \"config\": {{\
-         \"runs\": {runs}, \"base_seed\": {seed}, \"duration_s\": {duration:.1}, \
-         \"nodes\": {nodes}, \"min_inflight\": {min_inflight}}},\n  \"cells\": [\n{}\n  ],\n  \
-         \"checks\": {{\"peak_in_flight\": {peak_in_flight}, \
-         \"sustained_inflight_ok\": {inflight_ok}, \
-         \"all_queries_terminal\": {all_terminal}, \
-         \"parallel_equiv_bit_identical\": {parallel_equiv}}}\n}}\n",
-        rows.join(",\n"),
-    )
+fn cell_json(c: &Cell) -> Json {
+    let status_counts = STATUS_NAMES
+        .iter()
+        .zip(c.status_counts)
+        .map(|(&name, n)| (name, n.into()))
+        .collect();
+    Json::obj([
+        ("rate_qps", Json::Num(c.rate_qps)),
+        ("k", c.k.into()),
+        ("max_speed", Json::Num(c.max_speed)),
+        ("queries_per_run", Json::Fixed(c.queries_per_run, 1)),
+        ("sustained_qps", Json::Fixed(c.sustained_qps, 4)),
+        ("latency_p50_s", Json::Fixed(c.agg.latency_p50_s.mean, 6)),
+        ("latency_p95_s", Json::Fixed(c.agg.latency_p95_s.mean, 6)),
+        ("latency_mean_s", Json::Fixed(c.agg.latency_s.mean, 6)),
+        ("pre_accuracy", Json::Fixed(c.agg.pre_accuracy.mean, 4)),
+        ("post_accuracy", Json::Fixed(c.agg.post_accuracy.mean, 4)),
+        (
+            "completion_rate",
+            Json::Fixed(c.agg.completion_rate.mean, 4),
+        ),
+        (
+            "per_query_energy_j",
+            Json::Fixed(c.agg.per_query_energy_j.mean, 6),
+        ),
+        ("peak_in_flight", c.peak_in_flight.into()),
+        ("all_terminal", Json::Bool(c.all_terminal)),
+        ("wall_s", Json::Fixed(c.wall_s, 3)),
+        ("status_counts", Json::Obj(status_counts)),
+    ])
 }
 
 fn main() {
@@ -276,9 +186,13 @@ fn main() {
     let seed = base_seed();
     let duration = env_f64("DIKNN_DURATION", 40.0).max(5.0);
     let nodes = env_usize("DIKNN_LOAD_NODES", 500).max(10);
-    let rates = env_f64_list("DIKNN_LOAD_RATES", &[2.0, 10.0, 25.0]);
-    let ks = env_usize_list("DIKNN_LOAD_KS", &[10, 40]);
-    let speeds = env_f64_list("DIKNN_LOAD_SPEEDS", &[0.0, 5.0]);
+    let rates = env_list("DIKNN_LOAD_RATES", &[2.0, 10.0, 25.0], |&v: &f64| {
+        v > 0.0 && v.is_finite()
+    });
+    let ks = env_list("DIKNN_LOAD_KS", &[10, 40], |&v| v > 0);
+    let speeds = env_list("DIKNN_LOAD_SPEEDS", &[0.0, 5.0], |&v: &f64| {
+        v >= 0.0 && v.is_finite()
+    });
     let min_inflight = env_usize("DIKNN_LOAD_MIN_INFLIGHT", 8);
     let sweep = ParallelSweep::new(threads());
 
@@ -300,38 +214,20 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     let mut parallel_equiv = true;
     for &rate in &rates {
-        if rate <= 0.0 {
-            continue;
-        }
         for &k in &ks {
             for &speed in &speeds {
-                let (cell, metrics) =
-                    bench_cell(nodes, duration, rate, k, speed, runs, seed, &sweep);
+                let exp =
+                    load_experiment(nodes, duration, rate, k, speed, ServingConfig::default());
+                let (cell, metrics) = bench_cell(&exp, rate, k, runs, seed, &sweep);
                 line(cell_line(&cell));
                 // First cell: the parallel sweep above must be bit-identical
                 // to the plain sequential loop, per-query rows included.
-                if cells.is_empty() {
-                    let load = QueryLoad {
-                        rate_qps: rate,
-                        k,
-                        first_at: 2.0,
-                        last_at: (duration - 10.0).max(duration * 0.5),
-                        ..QueryLoad::default()
-                    };
-                    let exp = experiment(nodes, duration, &load, speed);
-                    let sequential: Vec<RunMetrics> = (0..runs)
-                        .map(|i| exp.run_once(Experiment::sweep_seed(seed, i)))
-                        .collect();
-                    // Debug formatting round-trips f64 exactly and renders
-                    // NaN (a never-completed query's latency) equal to
-                    // itself, unlike PartialEq.
-                    if format!("{sequential:?}") != format!("{metrics:?}") {
-                        parallel_equiv = false;
-                        eprintln!(
-                            "DIVERGENCE: parallel sweep disagrees with sequential metrics \
-                             at rate={rate} k={k} speed={speed}"
-                        );
-                    }
+                if cells.is_empty() && !matches_sequential(&exp, seed, &metrics) {
+                    parallel_equiv = false;
+                    eprintln!(
+                        "DIVERGENCE: parallel sweep disagrees with sequential metrics \
+                         at rate={rate} k={k} speed={speed}"
+                    );
                 }
                 cells.push(cell);
             }
@@ -345,54 +241,54 @@ fn main() {
          all_terminal={all_terminal} parallel_equiv={parallel_equiv}"
     ));
 
-    let json = render_json(
-        runs,
-        seed,
-        duration,
-        nodes,
-        min_inflight,
-        &cells,
-        peak_in_flight,
-        all_terminal,
-        parallel_equiv,
-    );
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("warning: could not create results/: {e}");
-    }
-    for (path, contents) in [
-        ("results/BENCH_query_load.json", &json),
-        ("results/query_load.txt", &out),
-    ] {
-        match std::fs::write(path, contents) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let mut failed = false;
-    if peak_in_flight < min_inflight {
-        eprintln!(
-            "FAIL: no cell sustained {min_inflight} concurrent in-flight queries \
-             (peak {peak_in_flight})"
-        );
-        failed = true;
-    }
-    if !all_terminal {
-        eprintln!("FAIL: some query never reached a terminal status");
-        failed = true;
-    }
-    if !parallel_equiv {
-        eprintln!("FAIL: parallel sweep diverged from sequential metrics");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "OK: sustained {peak_in_flight} in-flight queries, every query terminal, \
-         parallel sweep bit-identical"
+    let inflight_ok = peak_in_flight >= min_inflight;
+    let json = Json::obj([
+        ("bench", "query_load".into()),
+        ("schema_version", 2usize.into()),
+        (
+            "config",
+            Json::obj([
+                ("runs", runs.into()),
+                ("base_seed", Json::UInt(seed)),
+                ("duration_s", Json::Fixed(duration, 1)),
+                ("nodes", nodes.into()),
+                ("min_inflight", min_inflight.into()),
+            ]),
+        ),
+        ("cells", Json::Arr(cells.iter().map(cell_json).collect())),
+        (
+            "checks",
+            Json::obj([
+                ("peak_in_flight", peak_in_flight.into()),
+                ("sustained_inflight_ok", Json::Bool(inflight_ok)),
+                ("all_queries_terminal", Json::Bool(all_terminal)),
+                ("parallel_equiv_bit_identical", Json::Bool(parallel_equiv)),
+            ]),
+        ),
+    ])
+    .render();
+    write_results(&[("BENCH_query_load.json", &json), ("query_load.txt", &out)]);
+    gate(
+        &[
+            (
+                inflight_ok,
+                format!(
+                    "no cell sustained {min_inflight} concurrent in-flight queries \
+                     (peak {peak_in_flight})"
+                ),
+            ),
+            (
+                all_terminal,
+                "some query never reached a terminal status".into(),
+            ),
+            (
+                parallel_equiv,
+                "parallel sweep diverged from sequential metrics".into(),
+            ),
+        ],
+        &format!(
+            "sustained {peak_in_flight} in-flight queries, every query terminal, \
+             parallel sweep bit-identical"
+        ),
     );
 }

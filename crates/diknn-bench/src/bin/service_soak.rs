@@ -40,24 +40,11 @@
 
 use std::time::Instant; // lint: wall-clock-ok (host-side benchmark timing)
 
-use diknn_bench::base_seed;
+use diknn_bench::report::{gate, write_results, Json};
+use diknn_bench::{base_seed, env_f64, env_usize};
 use diknn_core::{KnnProtocol, QueryStatus, ServingConfig};
 use diknn_sim::FaultPlan;
 use diknn_workloads::{invariants, RateSchedule, ScenarioConfig, ServiceConfig, ServiceRun};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn service_cfg(
     nodes: usize,
@@ -197,72 +184,82 @@ fn main() {
         protocol.outcomes().len(),
     ));
 
-    let json = format!(
-        "{{\n  \"bench\": \"service_soak\",\n  \"schema_version\": 1,\n  \
-         \"config\": {{\"seed\": {seed}, \"duration_s\": {duration:.1}, \
-         \"nodes\": {nodes}, \"rate_qps\": {rate}, \"epoch_s\": {epoch_s}, \
-         \"max_speed\": {speed}, \"churn_fraction\": {churn}, \"k\": {k}, \
-         \"epochs\": {epochs}, \"snapshot_epoch\": {cut}}},\n  \
-         \"metrics\": {{\"injected\": {}, \"issued\": {}, \"never_issued\": {}, \
-         \"terminal\": {}, \"completion_rate\": {:.4}, \"latency_p50_s\": {:.6}, \
-         \"latency_p95_s\": {:.6}, \"joules_per_query\": {:.6}, \
-         \"nodes_alive\": {}}},\n  \
-         \"checks\": {{\"snapshot_bytes\": {snap_bytes}, \
-         \"restore_equivalent\": {equivalent}, \"all_terminal\": {all_terminal}, \
-         \"metrics_finite\": {metrics_ok}, \"invariant_violations\": {}}},\n  \
-         \"wall\": {{\"reference_s\": {reference_wall:.3}, \
-         \"interrupted_s\": {interrupted_wall:.3}}}\n}}\n",
-        final_metrics.injected,
-        final_metrics.issued,
-        final_metrics.never_issued,
-        final_metrics.terminal,
-        final_metrics.completion_rate,
-        final_metrics.latency_p50_s,
-        final_metrics.latency_p95_s,
-        final_metrics.joules_per_query,
-        final_metrics.nodes_alive,
-        violations.len(),
-    );
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("warning: could not create results/: {e}");
-    }
-    for (path, contents) in [
-        ("results/BENCH_service_soak.json", &json),
-        ("results/service_soak.txt", &out),
-        ("results/service_soak_metrics.prom", &prom),
-    ] {
-        match std::fs::write(path, contents) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let mut failed = false;
-    if !equivalent {
-        eprintln!("FAIL: restored run diverged from the uninterrupted reference");
-        failed = true;
-    }
-    if !all_terminal {
-        eprintln!("FAIL: {non_terminal} queries never reached a terminal classification");
-        failed = true;
-    }
-    if !violations.is_empty() {
-        eprintln!("FAIL: {} invariant violations", violations.len());
-        failed = true;
-    }
-    if !metrics_ok {
-        eprintln!("FAIL: rolling metrics went non-finite");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "OK: restore bit-identical over {epochs} epochs, {} queries all \
-         classified, laws clean",
-        final_metrics.issued
+    let m = &final_metrics;
+    let json = Json::obj([
+        ("bench", "service_soak".into()),
+        ("schema_version", 1usize.into()),
+        (
+            "config",
+            Json::obj([
+                ("seed", Json::UInt(seed)),
+                ("duration_s", Json::Fixed(duration, 1)),
+                ("nodes", nodes.into()),
+                ("rate_qps", Json::Num(rate)),
+                ("epoch_s", Json::Num(epoch_s)),
+                ("max_speed", Json::Num(speed)),
+                ("churn_fraction", Json::Num(churn)),
+                ("k", k.into()),
+                ("epochs", Json::UInt(epochs)),
+                ("snapshot_epoch", Json::UInt(cut)),
+            ]),
+        ),
+        (
+            "metrics",
+            Json::obj([
+                ("injected", Json::UInt(m.injected)),
+                ("issued", Json::UInt(m.issued)),
+                ("never_issued", Json::UInt(m.never_issued)),
+                ("terminal", Json::UInt(m.terminal)),
+                ("completion_rate", Json::Fixed(m.completion_rate, 4)),
+                ("latency_p50_s", Json::Fixed(m.latency_p50_s, 6)),
+                ("latency_p95_s", Json::Fixed(m.latency_p95_s, 6)),
+                ("joules_per_query", Json::Fixed(m.joules_per_query, 6)),
+                ("nodes_alive", Json::UInt(m.nodes_alive)),
+            ]),
+        ),
+        (
+            "checks",
+            Json::obj([
+                ("snapshot_bytes", snap_bytes.into()),
+                ("restore_equivalent", Json::Bool(equivalent)),
+                ("all_terminal", Json::Bool(all_terminal)),
+                ("metrics_finite", Json::Bool(metrics_ok)),
+                ("invariant_violations", violations.len().into()),
+            ]),
+        ),
+        (
+            "wall",
+            Json::obj([
+                ("reference_s", Json::Fixed(reference_wall, 3)),
+                ("interrupted_s", Json::Fixed(interrupted_wall, 3)),
+            ]),
+        ),
+    ])
+    .render();
+    write_results(&[
+        ("BENCH_service_soak.json", &json),
+        ("service_soak.txt", &out),
+        ("service_soak_metrics.prom", &prom),
+    ]);
+    gate(
+        &[
+            (
+                equivalent,
+                "restored run diverged from the uninterrupted reference".into(),
+            ),
+            (
+                all_terminal,
+                format!("{non_terminal} queries never reached a terminal classification"),
+            ),
+            (
+                violations.is_empty(),
+                format!("{} invariant violations", violations.len()),
+            ),
+            (metrics_ok, "rolling metrics went non-finite".into()),
+        ],
+        &format!(
+            "restore bit-identical over {epochs} epochs, {} queries all classified, laws clean",
+            final_metrics.issued
+        ),
     );
 }

@@ -11,6 +11,10 @@
 //! * `DIKNN_SEED`   — base seed (default 1000)
 //! * `DIKNN_DURATION` — simulated seconds per run (paper: 100; default 100)
 //! * `DIKNN_THREADS` — sweep worker threads (default: all available cores)
+//!
+//! Bins with knobs of their own read them through [`env_usize`],
+//! [`env_f64`] and [`env_list`], and write their results through
+//! [`report`].
 // Shared strict-lint header (checked by `cargo xtask lint`): the
 // simulation stack must stay safe Rust, and determinism rules are enforced
 // by clippy `disallowed-types`/`disallowed-methods` plus `cargo xtask lint`.
@@ -20,54 +24,110 @@
 pub mod report;
 pub mod svg;
 
-use diknn_workloads::{Aggregate, Experiment, ProtocolKind, ScenarioConfig, WorkloadConfig};
+use std::str::FromStr;
+
+use diknn_core::ServingConfig;
+use diknn_workloads::{
+    admission_experiment, Aggregate, Experiment, ProtocolKind, QueryLoad, RunMetrics,
+    ScenarioConfig, WorkloadConfig,
+};
+
+fn env<T: FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok()?.parse().ok()
+}
+
+/// `name` parsed as a count, or `default` when unset or unparsable.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    env(name).unwrap_or(default)
+}
+
+/// `name` parsed as a float, or `default` when unset or unparsable.
+pub fn env_f64(name: &str, default: f64) -> f64 {
+    env(name).unwrap_or(default)
+}
+
+/// Comma-separated `name`: the tokens that parse and pass `keep`, or
+/// `default` when the variable is unset or no token survives.
+pub fn env_list<T: FromStr + Clone>(
+    name: &str,
+    default: &[T],
+    keep: impl Fn(&T) -> bool,
+) -> Vec<T> {
+    let parsed: Vec<T> = std::env::var(name)
+        .unwrap_or_default()
+        .split(',')
+        .filter_map(|tok| tok.trim().parse().ok())
+        .filter(|v| keep(v))
+        .collect();
+    if parsed.is_empty() {
+        default.to_vec()
+    } else {
+        parsed
+    }
+}
 
 /// Runs-per-cell from `DIKNN_RUNS` (default 5, floor 1).
 pub fn runs() -> usize {
-    std::env::var("DIKNN_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5)
-        .max(1)
+    env_usize("DIKNN_RUNS", 5).max(1)
 }
 
 /// Base seed from `DIKNN_SEED` (default 1000).
 pub fn base_seed() -> u64 {
-    std::env::var("DIKNN_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000)
+    env("DIKNN_SEED").unwrap_or(1000)
 }
 
 /// Simulated duration from `DIKNN_DURATION` (default 100 s, as the paper).
 pub fn duration() -> f64 {
-    std::env::var("DIKNN_DURATION")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100.0)
+    env_f64("DIKNN_DURATION", 100.0)
 }
 
 /// Sweep worker threads from `DIKNN_THREADS` (default: the machine's
 /// available parallelism, floor 1). Parallelism never changes results —
 /// see `diknn_workloads::parallel` — so this is purely a wall-time knob.
 pub fn threads() -> usize {
-    std::env::var("DIKNN_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
+    env("DIKNN_THREADS")
         .unwrap_or_else(|| diknn_workloads::ParallelSweep::available().threads())
         .max(1)
 }
 
+/// The DIKNN cell that `query_load` and `admission` sweep: a seeded
+/// Poisson-like stream of `rate_qps` k-NN queries from t = 2 s until ten
+/// seconds before the end (at least half the run), with the sink-side
+/// serving layer configured by `serving`.
+pub fn load_experiment(
+    nodes: usize,
+    duration: f64,
+    rate_qps: f64,
+    k: usize,
+    max_speed: f64,
+    serving: ServingConfig,
+) -> Experiment {
+    let load = QueryLoad {
+        rate_qps,
+        k,
+        first_at: 2.0,
+        last_at: (duration - 10.0).max(duration * 0.5),
+        ..QueryLoad::default()
+    };
+    admission_experiment(nodes, duration, max_speed, &load, serving)
+}
+
+/// Whether running `exp` over the sweep seeds `0..parallel.len()` of
+/// `seed` one after another reproduces the `ParallelSweep` metrics
+/// `parallel`, per-query rows included. `Debug` text round-trips `f64`
+/// exactly and renders NaN (a never-completed query's latency) equal to
+/// itself, unlike `PartialEq`.
+pub fn matches_sequential(exp: &Experiment, seed: u64, parallel: &[RunMetrics]) -> bool {
+    let sequential: Vec<RunMetrics> = (0..parallel.len())
+        .map(|i| exp.run_once(Experiment::sweep_seed(seed, i)))
+        .collect();
+    format!("{sequential:?}") == format!("{parallel:?}")
+}
+
 /// The paper's default scenario with the configured duration.
 pub fn default_scenario() -> ScenarioConfig {
-    let duration = duration();
-    let mut wl_last = duration - 20.0;
-    if wl_last < 5.0 {
-        wl_last = duration * 0.6;
-    }
-    let _ = wl_last;
     ScenarioConfig {
-        duration,
+        duration: duration(),
         ..ScenarioConfig::default()
     }
 }
@@ -189,6 +249,19 @@ mod tests {
         assert!(duration() > 0.0);
         assert!(threads() >= 1);
         let _ = base_seed();
+    }
+
+    #[test]
+    fn env_list_keeps_parsed_tokens_that_pass() {
+        // A variable no other test reads, so setting it cannot race.
+        let name = "DIKNN_TEST_ENV_LIST";
+        let positive = |v: &usize| *v > 0;
+        assert_eq!(env_list(name, &[7], positive), vec![7]);
+        std::env::set_var(name, " 3, x,0 ,5,");
+        assert_eq!(env_list(name, &[7], positive), vec![3, 5]);
+        std::env::set_var(name, "0,y");
+        assert_eq!(env_list(name, &[7], positive), vec![7]);
+        std::env::remove_var(name);
     }
 
     #[test]

@@ -248,8 +248,6 @@ impl AudCache {
 /// between events; only the allocations are recycled.
 #[derive(Default)]
 struct Scratch {
-    /// Grid candidates for cache-off audible queries.
-    cand: Vec<u32>,
     /// Free receiver lists for `ActiveTx` (returned at end-of-frame).
     recv: Vec<Vec<(NodeId, bool)>>,
     /// Free delivery lists (returned once callbacks have run).
@@ -291,7 +289,7 @@ pub struct Ctx<M> {
     /// settings produce bit-identical runs (see [`crate::grid`]).
     grid: Option<SpatialGrid>,
     /// The flight recorder (see [`crate::trace`]); disabled unless
-    /// `SimConfig::trace.enabled` (or the legacy `trace_tx`) is set.
+    /// `SimConfig::trace.enabled` is set.
     trace: EventTrace,
     /// Per-flow protocol energy ledger (joules), indexed by the flow label
     /// passed to [`Ctx::unicast_flow`]/[`Ctx::broadcast_flow`]. Each frame's
@@ -450,7 +448,7 @@ impl<M: Clone> Ctx<M> {
     }
 
     /// The recorded event trace; empty unless tracing was enabled via
-    /// `SimConfig::trace` (or the legacy `trace_tx`).
+    /// `SimConfig::trace`.
     #[inline]
     pub fn trace(&self) -> &EventTrace {
         &self.trace
@@ -654,9 +652,9 @@ impl<M: Clone> Ctx<M> {
     /// Append to `out` (which must be empty) the nodes within radio range
     /// of `from` right now, ascending by id.
     ///
-    /// With the grid index and `audible_cache` on, the node's grid
-    /// candidate list is reused across transmissions until the grid
-    /// refreshes or the padded query window moves to different cells.
+    /// With the grid index, the node's grid candidate list is reused
+    /// across transmissions until the grid refreshes or the padded query
+    /// window moves to different cells.
     /// Bucket contents only change on refresh (= epoch bump), so a cached
     /// list over the same (epoch, window) is byte-identical to a fresh
     /// query: same membership, same order, same downstream RNG draws.
@@ -672,7 +670,6 @@ impl<M: Clone> Ctx<M> {
             nodes,
             grid,
             aud,
-            scratch,
             perf,
             now,
             ..
@@ -689,25 +686,17 @@ impl<M: Clone> Ctx<M> {
             return;
         };
         let window = grid.cover_cells(origin, cfg.radio_range, *now);
-        let cand: &[u32] = if cfg.audible_cache {
-            if aud.epoch[fi] == grid.epoch() && aud.window[fi] == window {
-                perf.aud_cache_hits += 1;
-            } else {
-                let list = &mut aud.list[fi];
-                list.clear();
-                grid.collect_cells(window, list);
-                list.sort_unstable();
-                aud.epoch[fi] = grid.epoch();
-                aud.window[fi] = window;
-                perf.aud_cache_misses += 1;
-            }
-            &aud.list[fi]
+        if aud.epoch[fi] == grid.epoch() && aud.window[fi] == window {
+            perf.aud_cache_hits += 1;
         } else {
-            scratch.cand.clear();
-            grid.collect_cells(window, &mut scratch.cand);
-            scratch.cand.sort_unstable();
-            &scratch.cand
-        };
+            let list = &mut aud.list[fi];
+            list.clear();
+            grid.collect_cells(window, list);
+            list.sort_unstable();
+            aud.epoch[fi] = grid.epoch();
+            aud.window[fi] = window;
+            perf.aud_cache_misses += 1;
+        }
         // Triage candidates against their grid anchors before paying for
         // an exact mobility-plan evaluation. A candidate's true position
         // is within `drift` of its anchor, so anchor distances outside
@@ -725,7 +714,7 @@ impl<M: Clone> Ctx<M> {
         let near = cfg.radio_range - drift - ANCHOR_EPS;
         let near_sq = if near > 0.0 { near * near } else { -1.0 };
         let anchors = grid.anchors();
-        for &i in cand {
+        for &i in &aud.list[fi] {
             let ix = i as usize;
             if ix == fi || !nodes.alive[ix] {
                 continue;
@@ -867,10 +856,7 @@ impl<P: Protocol> Simulator<P> {
         }
         assert!(!mobility.is_empty(), "simulation needs at least one node");
         let n = mobility.len();
-        // The legacy `trace_tx` switch routes through the flight recorder.
-        let mut trace_cfg = cfg.trace.clone();
-        trace_cfg.enabled |= cfg.trace_tx;
-        let trace = EventTrace::new(&trace_cfg);
+        let trace = EventTrace::new(&cfg.trace);
         let mut ctx = Ctx {
             cfg,
             mobility,

@@ -149,21 +149,6 @@ impl FaultRegion {
             FaultRegion::Circle { center, radius } => center.dist_sq(p) <= radius * radius,
         }
     }
-
-    /// Axis-aligned bounding rectangle; lets the engine pre-filter zone
-    /// membership through the spatial grid before the exact
-    /// [`FaultRegion::contains`] check.
-    pub fn bounding_rect(&self) -> Rect {
-        match *self {
-            FaultRegion::Rect(r) => r,
-            FaultRegion::Circle { center, radius } => Rect::new(
-                center.x - radius,
-                center.y - radius,
-                center.x + radius,
-                center.y + radius,
-            ),
-        }
-    }
 }
 
 /// A jamming zone: receivers inside `region` during `[from, until]` lose
@@ -472,16 +457,5 @@ mod tests {
         };
         assert!(c.contains(Point::new(1.0, 1.0)));
         assert!(!c.contains(Point::new(2.0, 2.0)));
-    }
-
-    #[test]
-    fn bounding_rect_encloses_region() {
-        let r = FaultRegion::Rect(Rect::new(1.0, 2.0, 3.0, 4.0));
-        assert_eq!(r.bounding_rect(), Rect::new(1.0, 2.0, 3.0, 4.0));
-        let c = FaultRegion::Circle {
-            center: Point::new(10.0, 10.0),
-            radius: 3.0,
-        };
-        assert_eq!(c.bounding_rect(), Rect::new(7.0, 7.0, 13.0, 13.0));
     }
 }

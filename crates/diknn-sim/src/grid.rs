@@ -259,33 +259,6 @@ impl SpatialGrid {
             }
         }
     }
-
-    /// Append to `out` every node whose bucketed position could place it
-    /// inside `rect` as of `now` (superset; same contract as
-    /// [`SpatialGrid::candidates_near`]).
-    pub fn candidates_in_rect(&self, rect: &Rect, now: SimTime, out: &mut Vec<u32>) {
-        if rect.is_empty() {
-            return;
-        }
-        let pad = self.drift_bound(now);
-        self.candidates_in_window(
-            rect.min_x - pad,
-            rect.min_y - pad,
-            rect.max_x + pad,
-            rect.max_y + pad,
-            out,
-        );
-    }
-
-    fn candidates_in_window(&self, x0: f64, y0: f64, x1: f64, y1: f64, out: &mut Vec<u32>) {
-        let (c0, c1) = (self.col_of(x0), self.col_of(x1));
-        let (r0, r1) = (self.row_of(y0), self.row_of(y1));
-        for row in r0..=r1 {
-            for col in c0..=c1 {
-                out.extend_from_slice(&self.buckets[row * self.cols + col]);
-            }
-        }
-    }
     // lint: end-hot-path
 }
 
@@ -399,17 +372,5 @@ mod tests {
         let mut via_window = Vec::new();
         g.collect_cells(g.cover_cells(center, 25.0, later), &mut via_window);
         assert_eq!(direct, via_window);
-    }
-
-    #[test]
-    fn rect_query_covers_contained_nodes() {
-        let g = grid_of(&[(10.0, 10.0), (50.0, 50.0), (90.0, 90.0)], 20.0, 0.0);
-        let mut out = Vec::new();
-        g.candidates_in_rect(&Rect::new(40.0, 40.0, 60.0, 60.0), SimTime::ZERO, &mut out);
-        assert!(out.contains(&1));
-        assert!(!out.contains(&2));
-        out.clear();
-        g.candidates_in_rect(&Rect::empty(), SimTime::ZERO, &mut out);
-        assert!(out.is_empty());
     }
 }
