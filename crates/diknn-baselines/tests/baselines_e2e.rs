@@ -334,3 +334,18 @@ fn baseline_runs_are_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// A request sink outside the network is a caller bug: the query's first
+/// timer at the sink names it, instead of an index panic deep in the run.
+#[test]
+#[should_panic(expected = "node n99 is out of range: the network has 5 nodes")]
+fn out_of_range_sink_panics_with_a_named_message() {
+    let req = QueryRequest {
+        at: 0.5,
+        sink: NodeId(99),
+        q: Point::new(50.0, 50.0),
+        k: 3,
+    };
+    let kpt = Kpt::new(KptConfig::default(), vec![req]);
+    run_protocol(to_static(&static_points(5, 1)), kpt, 1, 5.0);
+}

@@ -168,24 +168,19 @@ pub struct SimConfig {
     /// [`crate::faults::LinkLossModel::GilbertElliott`] channel.
     pub loss_rate: f64,
     /// Interval between neighbour beacons (0.5 s in the paper). A zero
-    /// duration disables beaconing (neighbor tables stay empty unless the
-    /// oracle mode below is used).
+    /// duration disables beaconing: tables then hold only what
+    /// `Simulator::warm_neighbor_tables` seeded at t = 0. Beacons are the
+    /// only way a node learns its neighbours during a run (§3.1, §5.1).
     pub beacon_interval: SimDuration,
     /// Beacon payload size in bytes (id + position + speed).
     pub beacon_bytes: usize,
     /// Neighbour entries older than this are ignored; defaults to 2.2×
     /// the beacon interval so one lost beacon does not evict a neighbour.
     pub neighbor_timeout: SimDuration,
-    /// Spatial index answering range queries on the radio hot path
-    /// (deliveries, oracle neighbours, table warm-up, jam-zone
-    /// membership). [`NeighborIndex::Grid`] by default;
+    /// Spatial index behind the engine's one in-range query (frame
+    /// receivers and table warm-up). [`NeighborIndex::Grid`] by default;
     /// [`NeighborIndex::BruteForce`] keeps the O(n) scan as an oracle.
     pub neighbor_index: NeighborIndex,
-    /// If true, neighbour tables are fed directly from the mobility oracle
-    /// (perfect, instantaneous neighbourhood knowledge, no beacon traffic).
-    /// Used by unit tests and by ablations that want to isolate protocol
-    /// behaviour from beacon staleness.
-    pub oracle_neighbors: bool,
     /// Transmit power draw in watts (energy = power × airtime).
     pub tx_power_w: f64,
     /// Receive power draw in watts; every audible node pays reception
@@ -219,7 +214,6 @@ impl Default for SimConfig {
             beacon_bytes: 20,
             neighbor_timeout: beacon_interval.mul_f64(2.2),
             neighbor_index: NeighborIndex::default(),
-            oracle_neighbors: false,
             tx_power_w: 0.0522,
             rx_power_w: 0.0564,
             time_limit: SimDuration::from_secs_f64(100.0),
@@ -341,7 +335,6 @@ mod tests {
         let c = SimConfig {
             beacon_interval: SimDuration::ZERO,
             neighbor_timeout: SimDuration::ZERO,
-            oracle_neighbors: true,
             ..SimConfig::default()
         };
         assert_eq!(c.validate(), Ok(()));
@@ -364,7 +357,6 @@ mod tests {
             trace: TraceConfig {
                 enabled: true,
                 capacity: 0,
-                verbose: false,
             },
             ..SimConfig::default()
         };

@@ -36,7 +36,7 @@ use crate::queue::{EventQueue, FramePool, Handle};
 use crate::soa::{FlowLedger, NodeSoA};
 use crate::stats::{PerfCounters, SimStats};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{DropReason, EventTrace, ProtoEvent, TraceKind};
+use crate::trace::{EventTrace, ProtoEvent, TraceKind};
 
 /// Snapshot format version of the simulator's mutable state (see
 /// [`Simulator::snapshot`]). The versioning rule: **any** change that
@@ -50,7 +50,11 @@ use crate::trace::{DropReason, EventTrace, ProtoEvent, TraceKind};
 /// ids on the wire), per-node state packed into [`NodeSoA`] with the new
 /// carrier-sense columns, the flow-energy ledger densified, and per-event-
 /// kind counters added to [`SimStats`].
-pub const SNAP_VERSION: u32 = 2;
+///
+/// Version 3: the flight recorder has one tier — [`EventTrace`] lost its
+/// `verbose` flag and [`TraceKind`] its five per-reception/timer variants
+/// (DESIGN §8, §14).
+pub const SNAP_VERSION: u32 = 3;
 
 /// A mobility plan shared between the simulator and the ground-truth oracle.
 pub type SharedMobility = Arc<dyn Mobility>;
@@ -338,73 +342,20 @@ impl<M: Clone> Ctx<M> {
         self.mobility[node.index()].speed_at(self.now.as_secs_f64())
     }
 
-    /// Snapshot of `node`'s neighbour table (stale entries pruned).
-    ///
-    /// With `oracle_neighbors` the snapshot is computed from ground truth
-    /// instead — perfect knowledge, for tests and ablations.
+    /// Snapshot of `node`'s neighbour table (stale entries pruned). The
+    /// table holds what the node heard in beacons (plus the t = 0 warm-up
+    /// round, see [`Simulator::warm_neighbor_tables`]), never ground truth.
     ///
     /// Takes `&mut self` because pruning is a behavioural side effect: it
     /// decides where a later-re-heard neighbour lands in the table's
-    /// insertion order. Protocol decision paths keep calling this; pure
-    /// observers can use the read-only [`Ctx::neighbors_snapshot`].
+    /// insertion order.
     pub fn neighbors(&mut self, node: NodeId) -> Vec<Neighbor> {
-        if self.cfg.oracle_neighbors {
-            return self.neighbors_snapshot(node);
-        }
         let cutoff = self.neighbor_cutoff();
         let table = &mut self.tables[node.index()];
         if self.now > SimTime::ZERO + self.cfg.neighbor_timeout {
             table.expire(cutoff);
         }
         table.entries().to_vec()
-    }
-
-    /// Read-only view of `node`'s neighbourhood: the same entries
-    /// [`Ctx::neighbors`] returns, without the table-pruning side effect.
-    ///
-    /// Under `oracle_neighbors` this is the ground-truth in-range set
-    /// (grid-accelerated when the grid index is enabled), ascending by
-    /// id. Otherwise it filters the beacon table on the fly.
-    pub fn neighbors_snapshot(&self, node: NodeId) -> Vec<Neighbor> {
-        if self.cfg.oracle_neighbors {
-            let me = self.position(node);
-            let range2 = self.cfg.radio_range * self.cfg.radio_range;
-            let t = self.now.as_secs_f64();
-            let neighbor_of = |i: usize| -> Option<Neighbor> {
-                if i == node.index() || !self.nodes.alive[i] {
-                    return None;
-                }
-                let p = self.mobility[i].position_at(t);
-                (me.dist_sq(p) <= range2).then(|| Neighbor {
-                    id: NodeId(i as u32),
-                    position: p,
-                    speed: self.mobility[i].speed_at(t),
-                    heard_at: self.now,
-                })
-            };
-            if let Some(grid) = &self.grid {
-                let mut cand = Vec::new();
-                grid.candidates_near(me, self.cfg.radio_range, self.now, &mut cand);
-                cand.sort_unstable();
-                return cand
-                    .into_iter()
-                    .filter_map(|i| neighbor_of(i as usize))
-                    .collect();
-            }
-            return (0..self.mobility.len()).filter_map(neighbor_of).collect();
-        }
-        let table = &self.tables[node.index()];
-        if self.now > SimTime::ZERO + self.cfg.neighbor_timeout {
-            let cutoff = self.neighbor_cutoff();
-            table
-                .entries()
-                .iter()
-                .filter(|e| e.heard_at > cutoff)
-                .copied()
-                .collect()
-        } else {
-            table.entries().to_vec()
-        }
     }
 
     /// Beacon entries heard at or before this time are stale.
@@ -547,6 +498,7 @@ impl<M: Clone> Ctx<M> {
 
     /// Schedule `on_timer(node, key)` after `delay`.
     pub fn set_timer(&mut self, node: NodeId, delay: SimDuration, key: u64) -> TimerId {
+        self.check_node(node);
         let id = TimerId(self.next_timer);
         self.next_timer += 1;
         let at = self.now + delay;
@@ -581,15 +533,6 @@ impl<M: Clone> Ctx<M> {
         }
     }
 
-    /// Record a chatty per-reception event (kept only in verbose mode).
-    #[inline]
-    fn trace_verbose(&mut self, node: NodeId, kind: TraceKind) {
-        if self.trace.is_verbose() {
-            self.trace.record(self.now, node, kind);
-            self.stats.trace_events += 1;
-        }
-    }
-
     /// Record the node's running energy total after a charge. Only done
     /// under an energy budget, where the invariant checker needs the
     /// series; unbudgeted runs would drown the ring in meter samples.
@@ -602,6 +545,17 @@ impl<M: Clone> Ctx<M> {
     }
 
     // ----- internals ----------------------------------------------------
+
+    /// Reject an id that names no node of this network, at the call that
+    /// supplied it rather than deep inside a later event.
+    #[track_caller]
+    fn check_node(&self, node: NodeId) {
+        let n = self.node_count();
+        assert!(
+            node.index() < n,
+            "node {node} is out of range: the network has {n} nodes"
+        );
+    }
 
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.seq;
@@ -617,6 +571,10 @@ impl<M: Clone> Ctx<M> {
         payload_bytes: usize,
         flow: Option<u32>,
     ) {
+        self.check_node(from);
+        if let Destination::Unicast(to) = dest {
+            self.check_node(to);
+        }
         let h = self.frames.insert(PendingTx {
             from,
             dest,
@@ -649,8 +607,9 @@ impl<M: Clone> Ctx<M> {
         self.nodes.tx_count[i] > 0 || self.nodes.rx_cover[i] > 0
     }
 
-    /// Append to `out` (which must be empty) the nodes within radio range
-    /// of `from` right now, ascending by id.
+    /// Append to `out` (which must be empty) the live nodes within radio
+    /// range of `from` right now, ascending by id. This is the engine's
+    /// one in-range query: frame delivery and table warm-up both use it.
     ///
     /// With the grid index, the node's grid candidate list is reused
     /// across transmissions until the grid refreshes or the padded query
@@ -881,22 +840,7 @@ impl<P: Protocol> Simulator<P> {
             scratch: Scratch::default(),
             perf: PerfCounters::default(),
         };
-        if ctx.cfg.neighbor_index == NeighborIndex::Grid {
-            let vmax = ctx
-                .mobility
-                .iter()
-                .map(|m| m.max_speed())
-                .fold(0.0_f64, f64::max);
-            let positions: Vec<Point> = ctx.mobility.iter().map(|m| m.position_at(0.0)).collect();
-            ctx.grid = Some(SpatialGrid::build(
-                ctx.cfg.field,
-                ctx.cfg.radio_range,
-                &positions,
-                vmax,
-                0.5 * ctx.cfg.radio_range,
-                SimTime::ZERO,
-            ));
-        }
+        ctx.rebuild_grid();
         Self::schedule_faults(&mut ctx, seed);
         Simulator { ctx, protocol }
     }
@@ -1020,41 +964,25 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Seed every neighbour table from ground truth as if one clean beacon
-    /// round had already happened. Protocols can then route immediately at
-    /// t=0 instead of being blind for the first beacon interval.
+    /// round had already happened at t = 0. Protocols can then route
+    /// immediately instead of being blind for the first beacon interval.
+    /// Call before the run: each hit is recorded with its position and
+    /// speed now, heard at t = 0. Membership comes from the delivery path's
+    /// own receiver query, `Ctx::fill_receivers`.
     pub fn warm_neighbor_tables(&mut self) {
-        let n = self.ctx.node_count();
-        let mut cand: Vec<u32> = Vec::new();
-        for i in 0..n {
-            let entries = {
-                let me = self.ctx.position(NodeId(i as u32));
-                let range2 = self.ctx.cfg.radio_range * self.ctx.cfg.radio_range;
-                let neighbor_of = |j: usize| -> Option<Neighbor> {
-                    if j == i {
-                        return None;
-                    }
-                    let p = self.ctx.position(NodeId(j as u32));
-                    (me.dist_sq(p) <= range2).then(|| Neighbor {
-                        id: NodeId(j as u32),
-                        position: p,
-                        speed: self.ctx.speed(NodeId(j as u32)),
-                        heard_at: SimTime::ZERO,
-                    })
+        let ctx = &mut self.ctx;
+        let mut hits = Vec::new();
+        for i in 0..ctx.node_count() {
+            hits.clear();
+            ctx.fill_receivers(NodeId(i as u32), &mut hits);
+            for &(j, _) in &hits {
+                let entry = Neighbor {
+                    id: j,
+                    position: ctx.position(j),
+                    speed: ctx.speed(j),
+                    heard_at: SimTime::ZERO,
                 };
-                if let Some(grid) = &self.ctx.grid {
-                    cand.clear();
-                    grid.candidates_near(me, self.ctx.cfg.radio_range, self.ctx.now, &mut cand);
-                    cand.sort_unstable();
-                    cand.iter()
-                        .filter_map(|&j| neighbor_of(j as usize))
-                        .collect::<Vec<_>>()
-                } else {
-                    (0..n).filter_map(neighbor_of).collect::<Vec<_>>()
-                }
-            };
-            let table = &mut self.ctx.tables[i];
-            for e in entries {
-                table.record(e);
+                ctx.tables[i].record(entry);
             }
         }
     }
@@ -1071,7 +999,7 @@ impl<P: Protocol> Simulator<P> {
             return;
         }
         self.ctx.started = true;
-        if self.ctx.cfg.beacon_interval > SimDuration::ZERO && !self.ctx.cfg.oracle_neighbors {
+        if self.ctx.cfg.beacon_interval > SimDuration::ZERO {
             for i in 0..self.ctx.node_count() {
                 let phase = SimDuration::from_nanos(
                     self.ctx
@@ -1253,10 +1181,8 @@ impl<P: Protocol> Simulator<P> {
                     // tolerate that, which is what the token watchdog and
                     // sink retry in diknn-core exist for.)
                     ctx.stats.timers_suppressed += 1;
-                    ctx.trace_verbose(node, TraceKind::TimerSuppressed { key });
                     Callback::None
                 } else {
-                    ctx.trace_verbose(node, TraceKind::TimerFired { key });
                     Callback::Timer { node, key }
                 }
             }
@@ -1270,13 +1196,6 @@ impl<P: Protocol> Simulator<P> {
                     // instance cannot react, that is the point.
                     ctx.frames.remove(h);
                     ctx.stats.frames_dropped_dead += 1;
-                    ctx.trace_verbose(
-                        from,
-                        TraceKind::Drop {
-                            from: None,
-                            reason: DropReason::DeadSender,
-                        },
-                    );
                     return Callback::None;
                 }
                 if on_air {
@@ -1288,13 +1207,6 @@ impl<P: Protocol> Simulator<P> {
                     if p.backoffs > ctx.cfg.max_backoffs {
                         ctx.stats.mac_drops += 1;
                         let p = ctx.frames.remove(h).expect("pending tx");
-                        ctx.trace_verbose(
-                            p.from,
-                            TraceKind::Drop {
-                                from: None,
-                                reason: DropReason::MacBusy,
-                            },
-                        );
                         if let (Destination::Unicast(to), Frame::Proto(msg)) = (p.dest, p.frame) {
                             return Callback::SendFailed {
                                 from: p.from,
@@ -1348,13 +1260,6 @@ impl<P: Protocol> Simulator<P> {
             // energy is charged (the crash froze the radio) and nothing is
             // delivered or retried.
             ctx.stats.frames_dropped_dead += 1;
-            ctx.trace_verbose(
-                from,
-                TraceKind::Drop {
-                    from: None,
-                    reason: DropReason::DeadSender,
-                },
-            );
             let mut buf = receivers;
             buf.clear();
             ctx.scratch.recv.push(buf);
@@ -1428,9 +1333,7 @@ impl<P: Protocol> Simulator<P> {
                 continue;
             }
             if corrupted {
-                // Already counted in stats.collisions.
-                ctx.trace_verbose(r, TraceKind::Collision { from });
-                continue;
+                continue; // already counted in stats.collisions
             }
             if !ctx.cfg.faults.jam_zones.is_empty() {
                 // Max loss over the time-active zones containing the
@@ -1450,13 +1353,6 @@ impl<P: Protocol> Simulator<P> {
                     .fold(0.0_f64, f64::max);
                 if jam > 0.0 && ctx.rng.gen::<f64>() < jam {
                     ctx.stats.frames_jammed += 1;
-                    ctx.trace_verbose(
-                        r,
-                        TraceKind::Drop {
-                            from: Some(from),
-                            reason: DropReason::Jammed,
-                        },
-                    );
                     continue;
                 }
             }
@@ -1464,13 +1360,6 @@ impl<P: Protocol> Simulator<P> {
                 LinkLossModel::Uniform => {
                     if ctx.cfg.loss_rate > 0.0 && ctx.rng.gen::<f64>() < ctx.cfg.loss_rate {
                         ctx.stats.random_losses += 1;
-                        ctx.trace_verbose(
-                            r,
-                            TraceKind::Drop {
-                                from: Some(from),
-                                reason: DropReason::RandomLoss,
-                            },
-                        );
                         continue;
                     }
                 }
@@ -1487,13 +1376,6 @@ impl<P: Protocol> Simulator<P> {
                     let p = if *bad { ge.bad_loss } else { ge.good_loss };
                     if p > 0.0 && ctx.rng.gen::<f64>() < p {
                         ctx.stats.burst_losses += 1;
-                        ctx.trace_verbose(
-                            r,
-                            TraceKind::Drop {
-                                from: Some(from),
-                                reason: DropReason::BurstLoss,
-                            },
-                        );
                         continue;
                     }
                 }
@@ -1513,9 +1395,8 @@ impl<P: Protocol> Simulator<P> {
                 // is sub-millisecond).
                 let entry_pos = ctx.position(from);
                 let entry_speed = ctx.speed(from);
+                ctx.stats.rx_deliveries += successes.len() as u64;
                 for &r in &successes {
-                    ctx.stats.rx_deliveries += 1;
-                    ctx.trace_verbose(r, TraceKind::RxDeliver { from });
                     ctx.tables[r.index()].record(Neighbor {
                         id: from,
                         position: entry_pos,
@@ -1530,9 +1411,6 @@ impl<P: Protocol> Simulator<P> {
             Frame::Proto(msg) => match dest {
                 Destination::Broadcast => {
                     ctx.stats.rx_deliveries += successes.len() as u64;
-                    for &r in &successes {
-                        ctx.trace_verbose(r, TraceKind::RxDeliver { from });
-                    }
                     if successes.is_empty() {
                         ctx.scratch.succ.push(successes);
                         Callback::None
@@ -1547,7 +1425,6 @@ impl<P: Protocol> Simulator<P> {
                 Destination::Unicast(to) => {
                     if successes.contains(&to) {
                         ctx.stats.rx_deliveries += 1;
-                        ctx.trace_verbose(to, TraceKind::RxDeliver { from });
                         // Reuse the successes buffer instead of a fresh
                         // one-element allocation on every clean unicast.
                         successes.clear();
@@ -1580,13 +1457,6 @@ impl<P: Protocol> Simulator<P> {
                         Callback::None
                     } else {
                         ctx.stats.unicast_failures += 1;
-                        ctx.trace_verbose(
-                            from,
-                            TraceKind::Drop {
-                                from: None,
-                                reason: DropReason::UnicastFailed,
-                            },
-                        );
                         successes.clear();
                         ctx.scratch.succ.push(successes);
                         Callback::SendFailed { from, to, msg }
@@ -1627,10 +1497,11 @@ impl<M: Clone> Ctx<M> {
         diknn_snap::fingerprint(&bytes)
     }
 
-    /// Rebuild the spatial grid from scratch at the current time. Grid
-    /// contents are *not* serialized: grid answers are exact-checked
-    /// candidate supersets, so a freshly built grid yields bit-identical
-    /// behaviour regardless of the original's refresh history.
+    /// Build the spatial grid from scratch at the current time, for
+    /// [`Simulator::new`] and [`Simulator::restore`]. Grid contents are
+    /// *not* serialized: grid answers are exact-checked candidate
+    /// supersets, so a freshly built grid yields bit-identical behaviour
+    /// regardless of the original's refresh history.
     fn rebuild_grid(&mut self) {
         if self.cfg.neighbor_index == NeighborIndex::Grid {
             let vmax = self

@@ -1,10 +1,10 @@
 //! Uniform spatial grid over the simulation field: the radio hot path.
 //!
-//! Every transmission, neighbour-oracle lookup, and table warm-up needs
-//! "which nodes are within radio range of here?". The naive answer scans
-//! all `n` mobility plans — O(n) per transmission, O(n²) per beacon round,
-//! the exact cost wall that makes naive PHY neighbourhood computation the
-//! bottleneck of packet-level simulators. This module buckets nodes into
+//! Every transmission and the table warm-up need "which nodes are within
+//! radio range of here?". The naive answer scans all `n` mobility plans —
+//! O(n) per transmission, O(n²) per beacon round, the exact cost wall that
+//! makes naive PHY neighbourhood computation the bottleneck of
+//! packet-level simulators. This module buckets nodes into
 //! square cells of edge length = radio range, so a range query touches the
 //! 3×3 cell neighbourhood (O(degree)) instead of the whole field.
 //!

@@ -91,4 +91,4 @@ pub use queue::{EventQueue, FramePool, Handle};
 pub use soa::{FlowLedger, NodeSoA};
 pub use stats::{PerfCounters, SimStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{DropReason, EventTrace, ProtoEvent, TraceConfig, TraceEvent, TraceKind};
+pub use trace::{EventTrace, ProtoEvent, TraceConfig, TraceEvent, TraceKind};

@@ -13,10 +13,11 @@
 //!
 //! Two event families share the one stream:
 //!
-//! * **Engine events** ([`TraceKind`] radio/timer/fault variants) recorded
-//!   by the event engine itself: transmission starts, deliveries,
-//!   collisions, drops (with a [`DropReason`]), timer firings and
-//!   suppressions, crashes, recoveries, and energy readings under a budget.
+//! * **Engine events** ([`TraceKind`] radio/fault variants) recorded by the
+//!   event engine itself: transmission starts, crashes, recoveries, churn,
+//!   and energy readings under a budget. Per-reception outcomes
+//!   (deliveries, collisions, losses, drops) and timer firings carry no
+//!   query id and are not recorded; [`crate::SimStats`] counts each one.
 //! * **Protocol events** ([`ProtoEvent`], wrapped in [`TraceKind::Proto`])
 //!   emitted by protocol implementations through the `TraceSink` trait in
 //!   `diknn-core`: query issue, itinerary handoffs, boundary changes,
@@ -43,11 +44,6 @@ pub struct TraceConfig {
     /// Ring-buffer capacity in events; the oldest events are evicted (and
     /// counted) beyond this. Must be nonzero when `enabled`.
     pub capacity: usize,
-    /// Also record the chatty per-reception events (deliveries, collisions,
-    /// drops, timer firings). Off, the trace holds transmission starts,
-    /// fault events, energy readings and protocol events only — enough for
-    /// every invariant, at a fraction of the volume.
-    pub verbose: bool,
 }
 
 impl Default for TraceConfig {
@@ -55,7 +51,6 @@ impl Default for TraceConfig {
         TraceConfig {
             enabled: false,
             capacity: 1 << 20,
-            verbose: false,
         }
     }
 }
@@ -66,45 +61,6 @@ impl TraceConfig {
         TraceConfig {
             enabled: true,
             ..TraceConfig::default()
-        }
-    }
-
-    /// An enabled recorder that also keeps per-reception events.
-    pub fn verbose() -> Self {
-        TraceConfig {
-            enabled: true,
-            verbose: true,
-            ..TraceConfig::default()
-        }
-    }
-}
-
-/// Why a reception (or a queued frame) was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// Receiver inside an active jamming zone.
-    Jammed,
-    /// Uniform random link loss.
-    RandomLoss,
-    /// Gilbert–Elliott bursty-loss chain in a losing state.
-    BurstLoss,
-    /// The sender died before or during the transmission.
-    DeadSender,
-    /// The MAC never found the channel idle within its backoff budget.
-    MacBusy,
-    /// A unicast exhausted its ARQ retries without reaching the addressee.
-    UnicastFailed,
-}
-
-impl DropReason {
-    pub fn label(self) -> &'static str {
-        match self {
-            DropReason::Jammed => "jam",
-            DropReason::RandomLoss => "random",
-            DropReason::BurstLoss => "burst",
-            DropReason::DeadSender => "dead-sender",
-            DropReason::MacBusy => "mac-busy",
-            DropReason::UnicastFailed => "unicast-failed",
         }
     }
 }
@@ -209,23 +165,6 @@ pub enum TraceKind {
     /// The node put a frame on the air. `dest` is `None` for broadcasts;
     /// `beacon` marks engine beacon traffic.
     TxStart { dest: Option<NodeId>, beacon: bool },
-    /// A clean copy of a frame from `from` was delivered to the node
-    /// (verbose only).
-    RxDeliver { from: NodeId },
-    /// The node's copy of a frame from `from` was destroyed by an
-    /// overlapping transmission (verbose only).
-    Collision { from: NodeId },
-    /// A frame (from `from`, or queued at the node itself when `from` is
-    /// `None`) was dropped (verbose only).
-    Drop {
-        from: Option<NodeId>,
-        reason: DropReason,
-    },
-    /// A protocol timer fired at the node (verbose only).
-    TimerFired { key: u64 },
-    /// A protocol timer came due at a dead node and was suppressed
-    /// (verbose only).
-    TimerSuppressed { key: u64 },
     /// Fail-stop crash.
     Crash,
     /// A crashed node rebooted.
@@ -270,19 +209,6 @@ impl fmt::Display for TraceEvent {
                     write!(f, " beacon")?;
                 }
                 Ok(())
-            }
-            TraceKind::RxDeliver { from } => write!(f, "rx from={from}"),
-            TraceKind::Collision { from } => write!(f, "collision from={from}"),
-            TraceKind::Drop { from, reason } => {
-                write!(f, "drop reason={}", reason.label())?;
-                if let Some(from) = from {
-                    write!(f, " from={from}")?;
-                }
-                Ok(())
-            }
-            TraceKind::TimerFired { key } => write!(f, "timer key={key:#018x}"),
-            TraceKind::TimerSuppressed { key } => {
-                write!(f, "timer-suppressed key={key:#018x}")
             }
             TraceKind::Crash => write!(f, "crash"),
             TraceKind::Recover => write!(f, "recover"),
@@ -409,15 +335,6 @@ impl fmt::Display for TraceEvent {
         }
     }
 }
-
-diknn_snap::snap_enum!(DropReason {
-    0 => Jammed,
-    1 => RandomLoss,
-    2 => BurstLoss,
-    3 => DeadSender,
-    4 => MacBusy,
-    5 => UnicastFailed,
-});
 
 /// Map a serialized `QueryDone` status string back to the `&'static str`
 /// the trace vocabulary uses. The set mirrors `QueryStatus::label()` in
@@ -679,13 +596,10 @@ impl diknn_snap::Snap for ProtoEvent {
     }
 }
 
+// Tags 1–5 belonged to the per-reception and timer kinds dropped in
+// snapshot version 3; they are not reused.
 diknn_snap::snap_enum!(TraceKind {
     0 => TxStart { dest, beacon },
-    1 => RxDeliver { from },
-    2 => Collision { from },
-    3 => Drop { from, reason },
-    4 => TimerFired { key },
-    5 => TimerSuppressed { key },
     6 => Crash,
     7 => Recover,
     8 => EnergyDeath,
@@ -703,7 +617,6 @@ pub struct EventTrace {
     events: VecDeque<TraceEvent>,
     capacity: usize,
     enabled: bool,
-    verbose: bool,
     /// Events evicted after the ring filled.
     dropped: u64,
 }
@@ -715,7 +628,6 @@ impl EventTrace {
             events: VecDeque::new(),
             capacity: cfg.capacity.max(1),
             enabled: cfg.enabled,
-            verbose: cfg.verbose,
             dropped: 0,
         }
     }
@@ -728,12 +640,6 @@ impl EventTrace {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Whether chatty per-reception events are being kept.
-    #[inline]
-    pub fn is_verbose(&self) -> bool {
-        self.enabled && self.verbose
     }
 
     /// Number of events currently held.
@@ -808,7 +714,6 @@ diknn_snap::snap_struct!(EventTrace {
     events,
     capacity,
     enabled,
-    verbose,
     dropped
 });
 
@@ -834,7 +739,6 @@ mod tests {
         let mut t = EventTrace::new(&TraceConfig {
             enabled: true,
             capacity: 2,
-            verbose: false,
         });
         for i in 0..5u64 {
             let (at, n, k) = ev(i, i as u32, TraceKind::Crash);
@@ -870,15 +774,6 @@ mod tests {
             e.to_string(),
             "0 n0 proto query-done qid=3 status=completed answer=[n1,n2]"
         );
-        let e = TraceEvent {
-            time: SimTime::from_nanos(12),
-            node: NodeId(4),
-            kind: TraceKind::Drop {
-                from: Some(NodeId(2)),
-                reason: DropReason::BurstLoss,
-            },
-        };
-        assert_eq!(e.to_string(), "12 n4 drop reason=burst from=n2");
     }
 
     #[test]
@@ -930,7 +825,7 @@ mod tests {
 
     #[test]
     fn render_protocol_filters_engine_noise() {
-        let mut t = EventTrace::new(&TraceConfig::verbose());
+        let mut t = EventTrace::new(&TraceConfig::enabled());
         let (at, n, k) = ev(
             1,
             0,

@@ -4,9 +4,10 @@
 use std::sync::Arc;
 
 use diknn_geom::{Point, Rect};
-use diknn_mobility::{RandomWaypoint, RwpConfig, StaticMobility};
+use diknn_mobility::{RandomWaypoint, RwpConfig, StaticMobility, WaypointTrace};
 use diknn_sim::{
-    Ctx, MacMode, NodeId, Protocol, SharedMobility, SimConfig, SimDuration, SimTime, Simulator,
+    Ctx, MacMode, Neighbor, NeighborIndex, NodeId, Protocol, SharedMobility, SimConfig,
+    SimDuration, SimTime, Simulator,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -427,6 +428,11 @@ fn stop_halts_the_run() {
     assert!((end.as_secs_f64() - 1.0).abs() < 1e-9);
 }
 
+/// Warm-up fills every table with exactly the ground-truth in-range set at
+/// t = 0: ascending ids, t = 0 position and speed, `heard_at` 0. The probe
+/// node 0 has a partner at exactly the radio range (included) and one at
+/// the range plus 1e-9 (excluded), and a moving node pins the recorded
+/// speed. Both neighbour indexes must produce the same tables.
 #[test]
 fn warm_neighbor_tables_gives_immediate_neighbors() {
     struct Idle;
@@ -434,29 +440,70 @@ fn warm_neighbor_tables_gives_immediate_neighbors() {
         type Msg = ();
         fn on_message(&mut self, _: NodeId, _: NodeId, _: &(), _: &mut Ctx<()>) {}
     }
-    let nodes = static_nodes(&[(0.0, 0.0), (10.0, 0.0)]);
-    let mut sim = Simulator::new(quiet_config(), nodes, Idle, 1);
-    sim.warm_neighbor_tables();
-    let nb = sim.ctx_mut().neighbors(NodeId(0));
-    assert_eq!(nb.len(), 1);
-    assert_eq!(nb[0].id, NodeId(1));
+    let range = SimConfig::default().radio_range;
+    let mut nodes = static_nodes(&[(0.0, 0.0), (10.0, 0.0), (range, 0.0), (0.0, range + 1e-9)]);
+    nodes.push(Arc::new(WaypointTrace::new(vec![
+        (0.0, Point::new(5.0, 5.0)),
+        (10.0, Point::new(75.0, 5.0)),
+    ])));
+    for index in [NeighborIndex::Grid, NeighborIndex::BruteForce] {
+        let cfg = SimConfig {
+            neighbor_index: index,
+            ..quiet_config()
+        };
+        let mut sim = Simulator::new(cfg, nodes.clone(), Idle, 1);
+        sim.warm_neighbor_tables();
+        for (i, me) in nodes.iter().enumerate() {
+            let truth: Vec<Neighbor> = nodes
+                .iter()
+                .enumerate()
+                .filter(|&(j, m)| {
+                    j != i && me.position_at(0.0).dist_sq(m.position_at(0.0)) <= range * range
+                })
+                .map(|(j, m)| Neighbor {
+                    id: NodeId(j as u32),
+                    position: m.position_at(0.0),
+                    speed: m.speed_at(0.0),
+                    heard_at: SimTime::ZERO,
+                })
+                .collect();
+            let table = sim.ctx_mut().neighbors(NodeId(i as u32));
+            assert_eq!(table, truth, "{index:?}: table of n{i}");
+        }
+        let probe = sim.ctx_mut().neighbors(NodeId(0));
+        let ids: Vec<NodeId> = probe.iter().map(|e| e.id).collect();
+        assert_eq!(ids, [NodeId(1), NodeId(2), NodeId(4)], "{index:?}");
+        assert_eq!(probe[2].speed, 7.0, "{index:?}");
+    }
 }
 
+/// A caller-supplied id that names no node panics at the call that
+/// supplied it, naming the node and the network size: for timers and for
+/// both ends of a frame.
 #[test]
-fn oracle_neighbors_track_ground_truth() {
-    struct Idle;
-    impl Protocol for Idle {
+fn out_of_range_node_ids_panic_with_a_named_message() {
+    struct Misuse(u8);
+    impl Protocol for Misuse {
         type Msg = ();
+        fn on_start(&mut self, ctx: &mut Ctx<()>) {
+            match self.0 {
+                0 => drop(ctx.set_timer(NodeId(99), SimDuration::from_millis(1), 0)),
+                1 => ctx.broadcast(NodeId(99), 10, ()),
+                _ => ctx.unicast(NodeId(0), NodeId(99), 10, ()),
+            }
+        }
         fn on_message(&mut self, _: NodeId, _: NodeId, _: &(), _: &mut Ctx<()>) {}
     }
-    let cfg = SimConfig {
-        oracle_neighbors: true,
-        ..quiet_config()
-    };
-    let nodes = static_nodes(&[(0.0, 0.0), (10.0, 0.0), (100.0, 0.0)]);
-    let mut sim = Simulator::new(cfg, nodes, Idle, 1);
-    let nb = sim.ctx_mut().neighbors(NodeId(0));
-    assert_eq!(nb.len(), 1);
-    assert_eq!(nb[0].id, NodeId(1));
-    assert_eq!(nb[0].position, Point::new(10.0, 0.0));
+    for case in 0..3 {
+        let nodes = static_nodes(&[(0.0, 0.0); 5]);
+        let run = std::panic::AssertUnwindSafe(|| {
+            Simulator::new(quiet_config(), nodes, Misuse(case), 1).run();
+        });
+        let err = std::panic::catch_unwind(run).expect_err("an out-of-range id must panic");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert_eq!(
+            msg, "node n99 is out of range: the network has 5 nodes",
+            "case {case}"
+        );
+    }
 }

@@ -194,8 +194,8 @@ fn range_boundary_pair_is_included() {
 }
 
 /// A chatty protocol exercising every grid-backed engine path: periodic
-/// broadcasts (audible sets), oracle/table neighbour reads, and the
-/// read-only snapshot (asserted equal to the pruning read en route).
+/// broadcasts (audible sets) and beacon-table neighbour reads, on tables
+/// seeded by the warm-up round.
 struct Gossip {
     heard: u64,
     neighbor_checksum: u64,
@@ -211,12 +211,7 @@ impl Protocol for Gossip {
     }
 
     fn on_timer(&mut self, at: NodeId, _key: u64, ctx: &mut Ctx<u8>) {
-        let snapshot = ctx.neighbors_snapshot(at);
         let pruned = ctx.neighbors(at);
-        assert_eq!(
-            snapshot, pruned,
-            "read-only snapshot diverged from the pruning read at {at}"
-        );
         self.neighbor_checksum = self
             .neighbor_checksum
             .wrapping_mul(31)
@@ -241,18 +236,13 @@ fn mobile_nodes(n: usize, max_speed: f64, seed: u64) -> Vec<SharedMobility> {
         .collect()
 }
 
-fn run_gossip(index: NeighborIndex, seed: u64, oracle: bool) -> (String, u64, u64, f64) {
+fn run_gossip(index: NeighborIndex, seed: u64) -> (String, u64, u64, f64) {
     let mut cfg = SimConfig {
         neighbor_index: index,
-        oracle_neighbors: oracle,
         time_limit: SimDuration::from_secs_f64(12.0),
         trace: TraceConfig::enabled(),
         ..SimConfig::default()
     };
-    if oracle {
-        cfg.beacon_interval = SimDuration::ZERO;
-        cfg.neighbor_timeout = SimDuration::ZERO;
-    }
     // A moving jam zone population check plus churn: every fault path that
     // consults positions runs through the index under test.
     cfg.faults = FaultPlan {
@@ -294,15 +284,10 @@ fn run_gossip(index: NeighborIndex, seed: u64, oracle: bool) -> (String, u64, u6
 #[test]
 fn grid_and_brute_force_runs_are_bit_identical() {
     for seed in [3, 17, 2024] {
-        let grid = run_gossip(NeighborIndex::Grid, seed, false);
-        let brute = run_gossip(NeighborIndex::BruteForce, seed, false);
+        let grid = run_gossip(NeighborIndex::Grid, seed);
+        let brute = run_gossip(NeighborIndex::BruteForce, seed);
         assert!(!grid.0.is_empty(), "run recorded no trace events");
         assert_eq!(grid, brute, "seed {seed}: beacon-table runs diverged");
-        // Oracle-neighbour mode reads ground truth through the index on
-        // every neighbours() call — the hottest read path.
-        let grid = run_gossip(NeighborIndex::Grid, seed, true);
-        let brute = run_gossip(NeighborIndex::BruteForce, seed, true);
-        assert_eq!(grid, brute, "seed {seed}: oracle runs diverged");
     }
 }
 

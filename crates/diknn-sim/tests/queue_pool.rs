@@ -11,19 +11,20 @@
 //!   removed handle never resolves again (even after its slot is reused),
 //!   live handles always resolve to their own frame, and the LIFO free
 //!   list makes slot assignment a pure function of the op sequence.
-//! * Engine snapshots must be byte-stable across a restore round-trip, and
-//!   the incremental audible-set cache must be semantically invisible: a
-//!   cached grid run is bit-identical to the brute-force oracle's.
+//! * Engine snapshots must be byte-stable across a restore round-trip, with
+//!   their layout pinned to `SNAP_VERSION`, and the incremental audible-set
+//!   cache must be semantically invisible: a cached grid run is
+//!   bit-identical to the brute-force oracle's.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use diknn_geom::{Point, Rect};
-use diknn_mobility::{RandomWaypoint, RwpConfig};
+use diknn_mobility::{RandomWaypoint, RwpConfig, StaticMobility};
 use diknn_sim::{
     Ctx, EventQueue, FramePool, NeighborIndex, NodeId, Protocol, SharedMobility, SimConfig,
-    SimDuration, SimTime, Simulator, TraceConfig,
+    SimDuration, SimTime, Simulator, TraceConfig, SNAP_VERSION,
 };
 use proptest::prelude::*;
 use proptest::ProptestConfig;
@@ -149,6 +150,31 @@ impl diknn_snap::SnapState for Chatter {
 }
 
 use diknn_snap::Snap;
+
+/// The snapshot byte layout is pinned to its version: any change to what a
+/// snapshot holds or how it is encoded must bump `SNAP_VERSION` and re-pin
+/// the hash. The run is fixed and tiny: four static nodes, beacons and the
+/// recorder on, every node broadcasting on a timer.
+#[test]
+fn snapshot_layout_is_pinned_to_its_version() {
+    let nodes: Vec<SharedMobility> = [(10.0, 10.0), (25.0, 10.0), (10.0, 25.0), (60.0, 60.0)]
+        .into_iter()
+        .map(|(x, y)| Arc::new(StaticMobility::new(Point::new(x, y))) as SharedMobility)
+        .collect();
+    let cfg = SimConfig {
+        time_limit: SimDuration::from_secs_f64(2.0),
+        trace: TraceConfig::enabled(),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(cfg, nodes, Chatter { heard: 0 }, 7);
+    sim.run();
+    let bytes = sim.snapshot();
+    assert_eq!(
+        (SNAP_VERSION, diknn_snap::fingerprint(&bytes)),
+        (3, 0x6bd8_1d04_0d57_5ef9),
+        "snapshot layout changed: bump SNAP_VERSION and re-pin"
+    );
+}
 
 const FIELD: Rect = Rect {
     min_x: 0.0,

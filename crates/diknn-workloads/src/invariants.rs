@@ -448,11 +448,6 @@ pub fn check_with(
                 | ProtoEvent::SectorFinished { .. }
                 | ProtoEvent::SinkMerge { .. } => {}
             },
-            TraceKind::RxDeliver { .. }
-            | TraceKind::Collision { .. }
-            | TraceKind::Drop { .. }
-            | TraceKind::TimerFired { .. }
-            | TraceKind::TimerSuppressed { .. } => {}
         }
     }
 
@@ -674,7 +669,7 @@ mod tests {
     use diknn_sim::{TraceConfig, TraceEvent};
 
     fn trace_with(events: Vec<TraceEvent>) -> EventTrace {
-        let mut t = EventTrace::new(&TraceConfig::verbose());
+        let mut t = EventTrace::new(&TraceConfig::enabled());
         for e in events {
             t.record(e.time, e.node, e.kind);
         }
@@ -1097,7 +1092,6 @@ mod tests {
         let mut t = EventTrace::new(&TraceConfig {
             enabled: true,
             capacity: 1,
-            verbose: false,
         });
         t.record(SimTime::from_nanos(1), NodeId(0), TraceKind::Crash);
         t.record(SimTime::from_nanos(2), NodeId(1), TraceKind::Crash);
