@@ -16,30 +16,14 @@
 use std::collections::BTreeMap;
 
 use diknn_geom::{Point, Rect};
-use diknn_routing::{plan_next_hop, GpsrHeader, RouteStep};
+use diknn_routing::{plan_next_hop, reliable, GpsrHeader, RouteStep};
 use diknn_rtree::RTree;
-use diknn_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
+use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
 use diknn_core::{KnnProtocol, QueryOutcome, QueryRequest, QueryStatus};
 
 const K_ISSUE: u8 = 1;
 const K_REPORT: u8 = 2;
-
-fn key(kind: u8, qid: u32, aux: u32) -> u64 {
-    ((kind as u64) << 56) | ((qid as u64) << 24) | (aux as u64 & 0xFF_FFFF)
-}
-
-/// Neighbour snapshot filtered by the link-reliability predictor.
-fn reliable(ctx: &mut Ctx<CentralMsg>, at: NodeId) -> Vec<diknn_sim::Neighbor> {
-    let raw = ctx.neighbors(at);
-    diknn_routing::reliable_neighbors(
-        ctx.position(at),
-        ctx.speed(at),
-        ctx.now(),
-        &raw,
-        ctx.config().radio_range,
-    )
-}
 
 /// Centralized-index configuration.
 #[derive(Debug, Clone)]
@@ -229,7 +213,7 @@ impl Centralized {
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(self.cfg.report_interval),
-            key(K_REPORT, 0, 0),
+            pack_timer_key(K_REPORT, 0, 0),
         );
     }
 
@@ -331,21 +315,20 @@ impl Protocol for Centralized {
             ctx.set_timer(
                 NodeId(i as u32),
                 SimDuration::from_secs_f64(phase),
-                key(K_REPORT, 0, 0),
+                pack_timer_key(K_REPORT, 0, 0),
             );
         }
         for (i, req) in self.requests.clone().into_iter().enumerate() {
             ctx.set_timer(
                 req.sink,
                 SimDuration::from_secs_f64(req.at),
-                key(K_ISSUE, 0, i as u32),
+                pack_timer_key(K_ISSUE, 0, i as u32),
             );
         }
     }
 
     fn on_timer(&mut self, at: NodeId, timer_key: u64, ctx: &mut Ctx<CentralMsg>) {
-        let kind = (timer_key >> 56) as u8;
-        let aux = (timer_key & 0xFF_FFFF) as u32;
+        let (kind, _, aux) = unpack_timer_key(timer_key);
         match kind {
             K_ISSUE => self.issue(ctx, aux as usize),
             K_REPORT => self.report_tick(ctx, at),

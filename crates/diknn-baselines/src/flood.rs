@@ -8,8 +8,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use diknn_geom::Point;
-use diknn_routing::{plan_next_hop, GpsrHeader, RouteStep};
-use diknn_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
+use diknn_routing::{plan_next_hop, reliable, GpsrHeader, RouteStep};
+use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
 use diknn_core::knnb::{knnb, HopRecord};
 use diknn_core::{Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, QueryStatus};
@@ -17,24 +17,6 @@ use diknn_core::{Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryReques
 const K_ISSUE: u8 = 1;
 const K_CLOSE: u8 = 2;
 const K_RESPOND: u8 = 3;
-
-/// Neighbour snapshot filtered by the link-reliability predictor
-/// ([`diknn_routing::reliable_neighbors`]): avoids unicasting to entries
-/// that have likely drifted out of range.
-fn reliable(ctx: &mut Ctx<FloodMsg>, at: NodeId) -> Vec<diknn_sim::Neighbor> {
-    let raw = ctx.neighbors(at);
-    diknn_routing::reliable_neighbors(
-        ctx.position(at),
-        ctx.speed(at),
-        ctx.now(),
-        &raw,
-        ctx.config().radio_range,
-    )
-}
-
-fn key(kind: u8, qid: u32, aux: u32) -> u64 {
-    ((kind as u64) << 56) | ((qid as u64) << 24) | (aux as u64 & 0xFF_FFFF)
-}
 
 /// Flooding baseline configuration.
 #[derive(Debug, Clone)]
@@ -171,7 +153,7 @@ impl Flood {
         ctx.set_timer(
             req.sink,
             SimDuration::from_secs_f64(self.cfg.close_after),
-            key(K_CLOSE, qid, 0),
+            pack_timer_key(K_CLOSE, qid, 0),
         );
         let msg = FloodMsg::Query {
             spec,
@@ -267,7 +249,7 @@ impl Flood {
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(jitter),
-            key(K_RESPOND, spec.qid, 0),
+            pack_timer_key(K_RESPOND, spec.qid, 0),
         );
     }
 
@@ -385,15 +367,13 @@ impl Protocol for Flood {
             ctx.set_timer(
                 req.sink,
                 SimDuration::from_secs_f64(req.at),
-                key(K_ISSUE, 0, i as u32),
+                pack_timer_key(K_ISSUE, 0, i as u32),
             );
         }
     }
 
     fn on_timer(&mut self, at: NodeId, timer_key: u64, ctx: &mut Ctx<FloodMsg>) {
-        let kind = (timer_key >> 56) as u8;
-        let qid = ((timer_key >> 24) & 0xFFFF_FFFF) as u32;
-        let aux = (timer_key & 0xFF_FFFF) as u32;
+        let (kind, qid, aux) = unpack_timer_key(timer_key);
         match kind {
             K_ISSUE => self.issue(ctx, aux as usize),
             K_CLOSE => self.close(qid),

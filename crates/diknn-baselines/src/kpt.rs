@@ -23,8 +23,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use diknn_geom::Point;
-use diknn_routing::{plan_next_hop, GpsrHeader, RouteStep};
-use diknn_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
+use diknn_routing::{plan_next_hop, reliable, GpsrHeader, RouteStep};
+use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
 use diknn_core::knnb::{knnb, kpt_conservative_radius, HopRecord};
 use diknn_core::{Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, QueryStatus};
@@ -33,24 +33,6 @@ const K_ISSUE: u8 = 1;
 const K_REPORT: u8 = 2;
 const K_SINK_TIMEOUT: u8 = 3;
 const K_FINALIZE: u8 = 4;
-
-/// Neighbour snapshot filtered by the link-reliability predictor
-/// ([`diknn_routing::reliable_neighbors`]): avoids unicasting to entries
-/// that have likely drifted out of range.
-fn reliable(ctx: &mut Ctx<KptMsg>, at: NodeId) -> Vec<diknn_sim::Neighbor> {
-    let raw = ctx.neighbors(at);
-    diknn_routing::reliable_neighbors(
-        ctx.position(at),
-        ctx.speed(at),
-        ctx.now(),
-        &raw,
-        ctx.config().radio_range,
-    )
-}
-
-fn key(kind: u8, qid: u32, aux: u32) -> u64 {
-    ((kind as u64) << 56) | ((qid as u64) << 24) | (aux as u64 & 0xFF_FFFF)
-}
 
 /// Boundary estimation mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -268,7 +250,7 @@ impl Kpt {
         ctx.set_timer(
             req.sink,
             SimDuration::from_secs_f64(self.cfg.sink_timeout),
-            key(K_SINK_TIMEOUT, qid, 0),
+            pack_timer_key(K_SINK_TIMEOUT, qid, 0),
         );
         let msg = KptMsg::Query {
             spec,
@@ -419,7 +401,7 @@ impl Kpt {
         ctx.set_timer(
             home,
             SimDuration::from_secs_f64(wait),
-            key(K_FINALIZE, spec.qid, 0),
+            pack_timer_key(K_FINALIZE, spec.qid, 0),
         );
     }
 
@@ -485,7 +467,7 @@ impl Kpt {
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(wait),
-            key(K_REPORT, spec.qid, 0),
+            pack_timer_key(K_REPORT, spec.qid, 0),
         );
     }
 
@@ -711,15 +693,13 @@ impl Protocol for Kpt {
             ctx.set_timer(
                 req.sink,
                 SimDuration::from_secs_f64(req.at),
-                key(K_ISSUE, 0, i as u32),
+                pack_timer_key(K_ISSUE, 0, i as u32),
             );
         }
     }
 
     fn on_timer(&mut self, at: NodeId, timer_key: u64, ctx: &mut Ctx<KptMsg>) {
-        let kind = (timer_key >> 56) as u8;
-        let qid = ((timer_key >> 24) & 0xFFFF_FFFF) as u32;
-        let aux = (timer_key & 0xFF_FFFF) as u32;
+        let (kind, qid, aux) = unpack_timer_key(timer_key);
         match kind {
             K_ISSUE => self.issue(ctx, aux as usize),
             K_REPORT => self.report_up(ctx, at, qid),
@@ -786,7 +766,7 @@ impl Protocol for Kpt {
                         ctx.set_timer(
                             at,
                             SimDuration::from_secs_f64(jitter),
-                            key(K_REPORT, *qid, 0),
+                            pack_timer_key(K_REPORT, *qid, 0),
                         );
                     }
                 }

@@ -28,9 +28,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use diknn_geom::{Point, Rect};
-use diknn_routing::{plan_next_hop, GpsrHeader, RouteStep};
+use diknn_routing::{plan_next_hop, reliable, GpsrHeader, RouteStep};
 use diknn_rtree::RTree;
-use diknn_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
+use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
 use diknn_core::{Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, QueryStatus};
 
@@ -43,24 +43,6 @@ const K_ASK: u8 = 6;
 const K_ASK_STEP: u8 = 7;
 const K_SUBREPLY: u8 = 8;
 const K_CROSSING: u8 = 9;
-
-/// Neighbour snapshot filtered by the link-reliability predictor
-/// ([`diknn_routing::reliable_neighbors`]): avoids unicasting to entries
-/// that have likely drifted out of range.
-fn reliable(ctx: &mut Ctx<PtMsg>, at: NodeId) -> Vec<diknn_sim::Neighbor> {
-    let raw = ctx.neighbors(at);
-    diknn_routing::reliable_neighbors(
-        ctx.position(at),
-        ctx.speed(at),
-        ctx.now(),
-        &raw,
-        ctx.config().radio_range,
-    )
-}
-
-fn key(kind: u8, qid: u32, aux: u32) -> u64 {
-    ((kind as u64) << 56) | ((qid as u64) << 24) | (aux as u64 & 0xFF_FFFF)
-}
 
 /// Peer-tree configuration.
 #[derive(Debug, Clone)]
@@ -400,7 +382,7 @@ impl PeerTree {
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(self.cfg.notify_interval),
-            key(K_NOTIFY, 0, 0),
+            pack_timer_key(K_NOTIFY, 0, 0),
         );
         // Crossing detection piggybacks on a fast sub-timer: rather than a
         // separate mechanism, notifications also fire early when the node's
@@ -479,7 +461,7 @@ impl PeerTree {
         ctx.set_timer(
             req.sink,
             SimDuration::from_secs_f64(self.cfg.sink_timeout),
-            key(K_SINK_TIMEOUT, qid, 0),
+            pack_timer_key(K_SINK_TIMEOUT, qid, 0),
         );
         // Stage 0: to my clusterhead.
         let my_head = self.head_id(self.cell_of(ctx.position(req.sink)));
@@ -628,7 +610,7 @@ impl PeerTree {
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(gather),
-            key(K_ASK, spec.qid, 0),
+            pack_timer_key(K_ASK, spec.qid, 0),
         );
     }
 
@@ -664,7 +646,7 @@ impl PeerTree {
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(wait),
-            key(K_COLLECT_DONE, spec.qid, 0),
+            pack_timer_key(K_COLLECT_DONE, spec.qid, 0),
         );
     }
 
@@ -690,7 +672,7 @@ impl PeerTree {
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(self.cfg.per_collect_slot),
-            key(K_ASK_STEP, qid, 0),
+            pack_timer_key(K_ASK_STEP, qid, 0),
         );
     }
 
@@ -836,28 +818,26 @@ impl Protocol for PeerTree {
             ctx.set_timer(
                 NodeId(i as u32),
                 SimDuration::from_secs_f64(phase),
-                key(K_NOTIFY, 0, 0),
+                pack_timer_key(K_NOTIFY, 0, 0),
             );
             let cphase: f64 = ctx.rng().gen_range(0.0..self.cfg.crossing_check_interval);
             ctx.set_timer(
                 NodeId(i as u32),
                 SimDuration::from_secs_f64(cphase),
-                key(K_CROSSING, 0, 0),
+                pack_timer_key(K_CROSSING, 0, 0),
             );
         }
         for (i, req) in self.requests.clone().into_iter().enumerate() {
             ctx.set_timer(
                 req.sink,
                 SimDuration::from_secs_f64(req.at),
-                key(K_ISSUE, 0, i as u32),
+                pack_timer_key(K_ISSUE, 0, i as u32),
             );
         }
     }
 
     fn on_timer(&mut self, at: NodeId, timer_key: u64, ctx: &mut Ctx<PtMsg>) {
-        let kind = (timer_key >> 56) as u8;
-        let qid = ((timer_key >> 24) & 0xFFFF_FFFF) as u32;
-        let aux = (timer_key & 0xFF_FFFF) as u32;
+        let (kind, qid, aux) = unpack_timer_key(timer_key);
         match kind {
             K_ISSUE => self.issue(ctx, aux as usize),
             K_NOTIFY => self.notify_tick(ctx, at),
@@ -867,7 +847,7 @@ impl Protocol for PeerTree {
                 ctx.set_timer(
                     at,
                     SimDuration::from_secs_f64(interval),
-                    key(K_CROSSING, 0, 0),
+                    pack_timer_key(K_CROSSING, 0, 0),
                 );
             }
             K_COLLECT_DONE => self.finish_collection(ctx, at, qid),
@@ -952,7 +932,7 @@ impl Protocol for PeerTree {
                     ctx.set_timer(
                         at,
                         SimDuration::from_secs_f64(jitter),
-                        key(K_SUBREPLY, *qid, 0),
+                        pack_timer_key(K_SUBREPLY, *qid, 0),
                     );
                 } else {
                     // Relay toward the target head.
@@ -1005,7 +985,7 @@ impl Protocol for PeerTree {
                         ctx.set_timer(
                             at,
                             SimDuration::from_secs_f64(jitter),
-                            key(K_COLLECT_REPLY, *qid, 0),
+                            pack_timer_key(K_COLLECT_REPLY, *qid, 0),
                         );
                     }
                 } else {

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use diknn_geom::{Point, Rect};
 use diknn_mobility::{RandomWaypoint, RwpConfig};
 use diknn_sim::{
-    Ctx, EventQueue, FramePool, NeighborIndex, NodeId, NodeSoA, Protocol, SharedMobility,
-    SimConfig, SimDuration, SimTime, Simulator, SpatialGrid,
+    Ctx, EventQueue, FramePool, NeighborIndex, NodeId, NodePhase, NodeSoA, Protocol,
+    SharedMobility, SimConfig, SimDuration, SimTime, Simulator, SpatialGrid,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -164,7 +164,9 @@ fn bench_node_soa(c: &mut Criterion) {
     let mut nodes = NodeSoA::new(n);
     let mut rng = SmallRng::seed_from_u64(3);
     for i in 0..n {
-        nodes.alive[i] = rng.gen_bool(0.9);
+        if !rng.gen_bool(0.9) {
+            nodes.phase[i] = NodePhase::Down;
+        }
         nodes.tx_count[i] = u32::from(rng.gen_bool(0.05));
     }
     let order: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
@@ -174,11 +176,11 @@ fn bench_node_soa(c: &mut Criterion) {
         b.iter(|| {
             let id = order[i % order.len()];
             i += 1;
-            nodes.alive[id] && (nodes.tx_count[id] > 0 || nodes.rx_cover[id] > 0)
+            nodes.phase[id].is_up() && (nodes.tx_count[id] > 0 || nodes.rx_cover[id] > 0)
         })
     });
     group.bench_function("alive_scan_4096", |b| {
-        b.iter(|| nodes.alive.iter().filter(|&&a| a).count())
+        b.iter(|| nodes.phase.iter().filter(|p| p.is_up()).count())
     });
     group.finish();
 }

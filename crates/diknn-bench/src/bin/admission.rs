@@ -132,14 +132,7 @@ fn cell_json(c: &Cell) -> Json {
         ("wall_s", Json::Fixed(c.wall_s, 3)),
         (
             "status_counts",
-            Json::obj([
-                ("completed", s.completed.into()),
-                ("degraded", s.degraded.into()),
-                ("pending", s.pending.into()),
-                ("rejected", s.rejected.into()),
-                ("merged", s.merged.into()),
-                ("cache_hit", s.cache_hits.into()),
-            ]),
+            Json::Obj(s.ledger().into_iter().map(|(k, n)| (k, n.into())).collect()),
         ),
     ])
 }

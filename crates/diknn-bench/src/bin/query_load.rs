@@ -53,20 +53,7 @@ use diknn_bench::{
     base_seed, env_f64, env_list, env_usize, load_experiment, matches_sequential, threads,
 };
 use diknn_core::{QueryStatus, ServingConfig};
-use diknn_workloads::{Aggregate, Experiment, ParallelSweep, RunMetrics};
-
-/// `RunMetrics::status_counts` slot names, in
-/// [`diknn_workloads::status_index`] order.
-const STATUS_NAMES: [&str; 8] = [
-    "completed",
-    "partial_timeout",
-    "token_lost",
-    "sink_unreachable",
-    "pending",
-    "rejected",
-    "merged",
-    "cache_hit",
-];
+use diknn_workloads::{Aggregate, Experiment, ParallelSweep, RunMetrics, ServingSummary};
 
 /// One load cell: arrival rate × k × mobility.
 struct Cell {
@@ -81,11 +68,8 @@ struct Cell {
     queries_per_run: f64,
     /// Completed queries per simulated second, averaged over runs.
     sustained_qps: f64,
-    /// Every query of every run reached a terminal status.
-    all_terminal: bool,
-    /// Queries per termination status, summed over the cell's runs
-    /// (indexing per [`diknn_workloads::status_index`]).
-    status_counts: [usize; 8],
+    /// Queries per terminal status, summed over the cell's runs.
+    summary: ServingSummary,
 }
 
 fn bench_cell(
@@ -113,16 +97,7 @@ fn bench_cell(
             .map(|m| m.completed as f64 / duration)
             .sum::<f64>()
             / runs.max(1) as f64,
-        all_terminal: metrics
-            .iter()
-            .flat_map(|m| &m.per_query)
-            .all(|q| q.status != QueryStatus::Pending),
-        status_counts: metrics.iter().fold([0usize; 8], |mut acc, m| {
-            for (a, c) in acc.iter_mut().zip(m.status_counts) {
-                *a += c;
-            }
-            acc
-        }),
+        summary: ServingSummary::from_runs(&metrics),
     };
     (cell, metrics)
 }
@@ -144,16 +119,16 @@ fn cell_line(c: &Cell) -> String {
         c.agg.completion_rate.mean,
         c.agg.per_query_energy_j.mean,
         c.peak_in_flight,
-        c.all_terminal,
+        c.summary.all_terminal(),
         c.wall_s,
     )
 }
 
 fn cell_json(c: &Cell) -> Json {
-    let status_counts = STATUS_NAMES
+    let status_counts = QueryStatus::ALL
         .iter()
-        .zip(c.status_counts)
-        .map(|(&name, n)| (name, n.into()))
+        .zip(c.summary.status_counts)
+        .map(|(s, n)| (s.label().replace('-', "_"), n.into()))
         .collect();
     Json::obj([
         ("rate_qps", Json::Num(c.rate_qps)),
@@ -175,7 +150,7 @@ fn cell_json(c: &Cell) -> Json {
             Json::Fixed(c.agg.per_query_energy_j.mean, 6),
         ),
         ("peak_in_flight", c.peak_in_flight.into()),
-        ("all_terminal", Json::Bool(c.all_terminal)),
+        ("all_terminal", Json::Bool(c.summary.all_terminal())),
         ("wall_s", Json::Fixed(c.wall_s, 3)),
         ("status_counts", Json::Obj(status_counts)),
     ])
@@ -235,7 +210,7 @@ fn main() {
     }
 
     let peak_in_flight = cells.iter().map(|c| c.peak_in_flight).max().unwrap_or(0);
-    let all_terminal = cells.iter().all(|c| c.all_terminal);
+    let all_terminal = cells.iter().all(|c| c.summary.all_terminal());
     line(format!(
         "summary peak_in_flight={peak_in_flight} (target >= {min_inflight}) \
          all_terminal={all_terminal} parallel_equiv={parallel_equiv}"

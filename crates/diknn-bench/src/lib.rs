@@ -107,7 +107,6 @@ pub fn load_experiment(
         k,
         first_at: 2.0,
         last_at: (duration - 10.0).max(duration * 0.5),
-        ..QueryLoad::default()
     };
     admission_experiment(nodes, duration, max_speed, &load, serving)
 }

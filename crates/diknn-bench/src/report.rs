@@ -23,13 +23,13 @@ pub enum Json {
     Fixed(f64, usize),
     Str(String),
     Arr(Vec<Json>),
-    Obj(Vec<(&'static str, Json)>),
+    Obj(Vec<(String, Json)>),
 }
 
 impl Json {
     /// An object with `members` in the given order.
-    pub fn obj<const N: usize>(members: [(&'static str, Json); N]) -> Json {
-        Json::Obj(members.into())
+    pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+        Json::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
     }
 
     /// The document text. Top-level members go one per line, as do the
@@ -55,7 +55,7 @@ impl Json {
                 write_seq(out, ['[', ']'], items, depth, depth == 1);
             }
             Json::Obj(members) => {
-                let members = members.iter().map(|(k, v)| (Some(*k), v));
+                let members = members.iter().map(|(k, v)| (Some(k.as_str()), v));
                 write_seq(out, ['{', '}'], members, depth, depth == 0);
             }
         }

@@ -62,7 +62,6 @@ pub mod messages;
 mod outcome;
 mod protocol;
 pub mod token;
-pub mod trace;
 pub mod window;
 
 pub use candidates::{Candidate, CandidateSet};
@@ -73,5 +72,4 @@ pub use knnb::{knnb, kpt_conservative_radius, Boundary, HopRecord};
 pub use messages::DiknnMsg;
 pub use outcome::{KnnProtocol, QueryOutcome, QueryRequest, QueryStatus};
 pub use protocol::{Diknn, TokenHop};
-pub use trace::{TraceSink, VecSink};
 pub use window::{WindowOutcome, WindowQuery, WindowRequest};

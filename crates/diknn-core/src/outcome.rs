@@ -20,63 +20,10 @@ pub struct QueryRequest {
 
 diknn_snap::snap_struct!(QueryRequest { at, sink, q, k });
 
-/// How a query terminated — the structured degradation reason consumed by
-/// the fault-sweep harness. Every query ends in exactly one non-`Pending`
-/// state once [`KnnProtocol::finish`] has run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum QueryStatus {
-    /// Still running (or [`KnnProtocol::finish`] was never called).
-    Pending,
-    /// All expected partial results were merged at the sink.
-    Completed,
-    /// The sink timed out with *some* partial results merged.
-    PartialTimeout,
-    /// The sink heard nothing at all: the query, a token, or every result
-    /// was lost and the recovery budget ran out.
-    TokenLost,
-    /// The sink itself was dead when the run ended; nobody was left to
-    /// account for the query.
-    SinkUnreachable,
-    /// The serving layer refused the query: load stayed above the admission
-    /// ceiling through every deferral, so it was never executed. The answer
-    /// is empty by construction.
-    Rejected,
-    /// The serving layer attached the query to a spatially overlapping
-    /// in-flight query; the answer was split out of the host's merged
-    /// candidates with exact per-query re-ranking.
-    Merged,
-    /// The serving layer answered the query from a fresh cached result of
-    /// an earlier query at (nearly) the same point, inside the TTL and the
-    /// mobility-drift bound.
-    CacheHit,
-}
-
-diknn_snap::snap_enum!(QueryStatus {
-    0 => Pending,
-    1 => Completed,
-    2 => PartialTimeout,
-    3 => TokenLost,
-    4 => SinkUnreachable,
-    5 => Rejected,
-    6 => Merged,
-    7 => CacheHit,
-});
-
-impl QueryStatus {
-    /// Short stable label for tables and CSV output.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueryStatus::Pending => "pending",
-            QueryStatus::Completed => "completed",
-            QueryStatus::PartialTimeout => "partial-timeout",
-            QueryStatus::TokenLost => "token-lost",
-            QueryStatus::SinkUnreachable => "sink-unreachable",
-            QueryStatus::Rejected => "rejected",
-            QueryStatus::Merged => "merged",
-            QueryStatus::CacheHit => "cache-hit",
-        }
-    }
-}
+/// How a query terminated, declared beside the trace vocabulary in
+/// `diknn-sim` so [`diknn_sim::ProtoEvent::QueryDone`] carries the same
+/// value the outcome does.
+pub use diknn_sim::QueryStatus;
 
 /// Per-query result record.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,16 +140,5 @@ mod tests {
         assert_eq!(o.latency(), None);
         o.completed_at = Some(SimTime::from_secs_f64(2.5));
         assert!((o.latency().unwrap() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn status_labels_are_stable() {
-        assert_eq!(QueryStatus::Completed.label(), "completed");
-        assert_eq!(QueryStatus::PartialTimeout.label(), "partial-timeout");
-        assert_eq!(QueryStatus::TokenLost.label(), "token-lost");
-        assert_eq!(QueryStatus::SinkUnreachable.label(), "sink-unreachable");
-        assert_eq!(QueryStatus::Rejected.label(), "rejected");
-        assert_eq!(QueryStatus::Merged.label(), "merged");
-        assert_eq!(QueryStatus::CacheHit.label(), "cache-hit");
     }
 }

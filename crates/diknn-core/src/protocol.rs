@@ -19,8 +19,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use diknn_geom::{angle, Point, Polyline};
-use diknn_routing::{plan_next_hop, GpsrHeader, RouteStep};
-use diknn_sim::{Ctx, LoadSignal, NodeId, ProtoEvent, Protocol, SimDuration, SimTime, TimerId};
+use diknn_routing::{plan_next_hop, reliable, GpsrHeader, RouteStep};
+use diknn_sim::{
+    pack_timer_key, unpack_timer_key, Ctx, LoadSignal, NodeId, ProtoEvent, Protocol, SimDuration,
+    SimTime, TimerId,
+};
 use diknn_snap::Snap;
 use rand::Rng;
 
@@ -49,36 +52,6 @@ const MAX_TOKEN_HOPS: u32 = 400;
 
 /// Upper bound on retained result-cache entries (oldest evicted first).
 const SERVING_CACHE_CAP: usize = 64;
-
-/// Neighbour snapshot filtered by the link-reliability predictor
-/// ([`diknn_routing::reliable_neighbors`]): avoids unicasting to entries
-/// that have likely drifted out of range.
-fn reliable(ctx: &mut Ctx<DiknnMsg>, at: NodeId) -> Vec<diknn_sim::Neighbor> {
-    let raw = ctx.neighbors(at);
-    diknn_routing::reliable_neighbors(
-        ctx.position(at),
-        ctx.speed(at),
-        ctx.now(),
-        &raw,
-        ctx.config().radio_range,
-    )
-}
-
-fn key(kind: u8, qid: u32, aux: u32) -> u64 {
-    ((kind as u64) << 56) | ((qid as u64) << 24) | (aux as u64 & 0xFF_FFFF)
-}
-
-fn key_kind(k: u64) -> u8 {
-    (k >> 56) as u8
-}
-
-fn key_qid(k: u64) -> u32 {
-    ((k >> 24) & 0xFFFF_FFFF) as u32
-}
-
-fn key_aux(k: u64) -> u32 {
-    (k & 0xFF_FFFF) as u32
-}
 
 /// An active data collection at a Q-node.
 struct Collecting {
@@ -323,7 +296,7 @@ impl Diknn {
             ctx.set_timer(
                 req.sink,
                 SimDuration::from_secs_f64((req.at - now_s).max(0.0)),
-                key(K_ISSUE, 0, idx as u32),
+                pack_timer_key(K_ISSUE, 0, idx as u32),
             );
         }
     }
@@ -385,7 +358,7 @@ impl Diknn {
             let timer = ctx.set_timer(
                 from,
                 SimDuration::from_secs_f64(self.cfg.watchdog_timeout),
-                key(K_WATCHDOG, token.spec.qid, token.sector as u32),
+                pack_timer_key(K_WATCHDOG, token.spec.qid, token.sector as u32),
             );
             let old = self.watchdogs.insert(
                 (token.spec.qid, token.sector),
@@ -477,7 +450,7 @@ impl Diknn {
         ctx.set_timer(
             sink,
             SimDuration::from_secs_f64(self.cfg.sink_timeout),
-            key(K_SINK_TIMEOUT, qid, 0),
+            pack_timer_key(K_SINK_TIMEOUT, qid, 0),
         );
         ctx.record_proto(
             sink,
@@ -566,7 +539,7 @@ impl Diknn {
                     sink,
                     ProtoEvent::QueryDone {
                         qid,
-                        status: QueryStatus::CacheHit.label(),
+                        status: QueryStatus::CacheHit,
                         answer,
                     },
                 );
@@ -633,7 +606,7 @@ impl Diknn {
                     sink,
                     ProtoEvent::QueryDone {
                         qid,
-                        status: QueryStatus::Rejected.label(),
+                        status: QueryStatus::Rejected,
                         answer: Vec::new(),
                     },
                 );
@@ -652,7 +625,11 @@ impl Diknn {
                     self.cfg.serving.retry_after_s,
                     self.cfg.serving.max_retry_after_s,
                 );
-                ctx.set_timer(sink, SimDuration::from_secs_f64(wait), key(K_ADMIT, qid, 0));
+                ctx.set_timer(
+                    sink,
+                    SimDuration::from_secs_f64(wait),
+                    pack_timer_key(K_ADMIT, qid, 0),
+                );
             }
             return;
         }
@@ -714,7 +691,7 @@ impl Diknn {
                 m_sink,
                 ProtoEvent::QueryDone {
                     qid: member,
-                    status: QueryStatus::Merged.label(),
+                    status: QueryStatus::Merged,
                     answer,
                 },
             );
@@ -882,7 +859,7 @@ impl Diknn {
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(wait),
-            key(K_COLLECT, qid, sector as u32),
+            pack_timer_key(K_COLLECT, qid, sector as u32),
         );
     }
 
@@ -941,7 +918,7 @@ impl Diknn {
                 ctx.set_timer(
                     at,
                     SimDuration::from_secs_f64(wait),
-                    key(K_COLLECT, qid, sector as u32),
+                    pack_timer_key(K_COLLECT, qid, sector as u32),
                 );
                 return;
             }
@@ -1249,7 +1226,7 @@ impl Diknn {
                 let timer = ctx.set_timer(
                     at,
                     SimDuration::from_secs_f64(self.cfg.watchdog_timeout),
-                    key(K_WATCHDOG, token.spec.qid, token.sector as u32),
+                    pack_timer_key(K_WATCHDOG, token.spec.qid, token.sector as u32),
                 );
                 self.watchdogs.insert(
                     (token.spec.qid, token.sector),
@@ -1391,7 +1368,7 @@ impl Diknn {
             outcome.sink,
             ProtoEvent::QueryDone {
                 qid,
-                status: outcome.status.label(),
+                status: outcome.status,
                 answer: outcome.answer.clone(),
             },
         );
@@ -1462,7 +1439,7 @@ impl Diknn {
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(self.cfg.sink_timeout),
-            key(K_SINK_TIMEOUT, qid, attempt as u32),
+            pack_timer_key(K_SINK_TIMEOUT, qid, attempt as u32),
         );
         ctx.record_proto(
             at,
@@ -1556,19 +1533,17 @@ impl Protocol for Diknn {
             ctx.set_timer(
                 req.sink,
                 SimDuration::from_secs_f64(req.at),
-                key(K_ISSUE, 0, i as u32),
+                pack_timer_key(K_ISSUE, 0, i as u32),
             );
         }
     }
 
     fn on_timer(&mut self, at: NodeId, timer_key: u64, ctx: &mut Ctx<DiknnMsg>) {
-        match key_kind(timer_key) {
-            K_ISSUE => self.issue_query(ctx, key_aux(timer_key) as usize),
-            K_COLLECT => {
-                self.collection_done(ctx, at, key_qid(timer_key), key_aux(timer_key) as u8)
-            }
+        let (kind, qid, aux) = unpack_timer_key(timer_key);
+        match kind {
+            K_ISSUE => self.issue_query(ctx, aux as usize),
+            K_COLLECT => self.collection_done(ctx, at, qid, aux as u8),
             K_REPLY => {
-                let qid = key_qid(timer_key);
                 if let Some(pending) = self.pending_replies.remove(&(qid, at.0)) {
                     let cached = self
                         .rdv_cache
@@ -1586,13 +1561,9 @@ impl Protocol for Diknn {
                     self.send(ctx, at, pending.to, DiknnMsg::Reply(reply));
                 }
             }
-            K_SINK_TIMEOUT => {
-                self.sink_timeout(ctx, at, key_qid(timer_key), key_aux(timer_key) as u8);
-            }
-            K_WATCHDOG => {
-                self.watchdog_fire(ctx, at, key_qid(timer_key), key_aux(timer_key) as u8);
-            }
-            K_ADMIT => self.admission_retry(ctx, key_qid(timer_key)),
+            K_SINK_TIMEOUT => self.sink_timeout(ctx, at, qid, aux as u8),
+            K_WATCHDOG => self.watchdog_fire(ctx, at, qid, aux as u8),
+            K_ADMIT => self.admission_retry(ctx, qid),
             _ => unreachable!("unknown timer kind"),
         }
     }
@@ -1653,7 +1624,7 @@ impl Protocol for Diknn {
                 ctx.set_timer(
                     at,
                     SimDuration::from_secs_f64(delay),
-                    key(K_REPLY, p.qid, 0),
+                    pack_timer_key(K_REPLY, p.qid, 0),
                 );
             }
             DiknnMsg::Poll(p) => {
@@ -1910,14 +1881,6 @@ impl diknn_snap::SnapState for Diknn {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timer_key_round_trips() {
-        let k = key(K_COLLECT, 0xDEAD_BEEF, 0x12_3456);
-        assert_eq!(key_kind(k), K_COLLECT);
-        assert_eq!(key_qid(k), 0xDEAD_BEEF);
-        assert_eq!(key_aux(k), 0x12_3456);
-    }
 
     #[test]
     fn origin_is_deterministic_and_spread() {

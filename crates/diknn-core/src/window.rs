@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use diknn_geom::{Point, Polyline, Rect};
 use diknn_routing::{plan_next_hop, GpsrHeader, RouteStep};
-use diknn_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
+use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::candidates::Candidate;
@@ -25,10 +25,6 @@ use crate::candidates::Candidate;
 const K_ISSUE: u8 = 1;
 const K_COLLECT: u8 = 2;
 const K_REPLY: u8 = 3;
-
-fn key(kind: u8, qid: u32, aux: u32) -> u64 {
-    ((kind as u64) << 56) | ((qid as u64) << 24) | (aux as u64 & 0xFF_FFFF)
-}
 
 /// Build the comb-sweep itinerary over `window` with scanline spacing `w`.
 /// The sweep starts at the bottom-left corner and serpentines upward.
@@ -294,7 +290,7 @@ impl WindowQuery {
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(self.collection_window + 0.02),
-            key(K_COLLECT, spec.qid, 0),
+            pack_timer_key(K_COLLECT, spec.qid, 0),
         );
     }
 
@@ -484,15 +480,13 @@ impl Protocol for WindowQuery {
             ctx.set_timer(
                 req.sink,
                 SimDuration::from_secs_f64(req.at),
-                key(K_ISSUE, 0, i as u32),
+                pack_timer_key(K_ISSUE, 0, i as u32),
             );
         }
     }
 
     fn on_timer(&mut self, at: NodeId, timer_key: u64, ctx: &mut Ctx<WindowMsg>) {
-        let kind = (timer_key >> 56) as u8;
-        let qid = ((timer_key >> 24) & 0xFFFF_FFFF) as u32;
-        let aux = (timer_key & 0xFF_FFFF) as u32;
+        let (kind, qid, aux) = unpack_timer_key(timer_key);
         match kind {
             K_ISSUE => self.issue(ctx, aux as usize),
             K_COLLECT => self.advance(ctx, qid),
@@ -588,7 +582,11 @@ impl Protocol for WindowQuery {
                 }
                 let delay: f64 = ctx.rng().gen_range(0.0..win_secs.max(0.001));
                 self.pending_replies.insert((*qid, at.0), *qnode);
-                ctx.set_timer(at, SimDuration::from_secs_f64(delay), key(K_REPLY, *qid, 0));
+                ctx.set_timer(
+                    at,
+                    SimDuration::from_secs_f64(delay),
+                    pack_timer_key(K_REPLY, *qid, 0),
+                );
             }
             WindowMsg::Reply {
                 qid,

@@ -62,7 +62,7 @@ impl Sector {
     }
 
     /// Whether `p` lies inside the sector (inclusive of borders and of the
-    /// apex itself). Borders are inclusive with [`SEAM_EPS`] angular
+    /// apex itself). Borders are inclusive with a `SEAM_EPS` (1e-12 rad) angular
     /// tolerance on both edges, so the sectors of a [`Sector::partition`]
     /// cover every direction despite per-sector border rounding — adjacent
     /// sectors may both claim an exact border point, but no point is

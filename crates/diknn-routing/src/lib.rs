@@ -37,19 +37,31 @@ mod planar;
 
 pub use planar::gabriel_neighbors;
 
-use diknn_sim::SimTime;
+use diknn_sim::{Ctx, SimTime};
 
-/// Filter a neighbour snapshot down to entries whose link is predicted to
-/// still exist: the advertised position plus the worst-case drift since the
-/// beacon (`(now − heard_at) · (their speed + my speed)`) must stay inside
-/// the radio range.
+/// `at`'s neighbour table filtered down to entries whose link is predicted
+/// to still exist: the advertised position plus the worst-case drift since
+/// the beacon (`(now − heard_at) · (their speed + my speed)`) must stay
+/// inside the radio range.
 ///
 /// Under mobility, table entries are up to a beacon interval stale; blindly
 /// unicasting to a departed neighbour burns a full ARQ cycle. All protocols
 /// in this reproduction pre-filter their unicast targets with this
 /// predictor, falling back to the raw table when it empties (better a risky
 /// link than none).
-pub fn reliable_neighbors(
+pub fn reliable<M: Clone>(ctx: &mut Ctx<M>, at: NodeId) -> Vec<Neighbor> {
+    let raw = ctx.neighbors(at);
+    reliable_neighbors(
+        ctx.position(at),
+        ctx.speed(at),
+        ctx.now(),
+        &raw,
+        ctx.config().radio_range,
+    )
+}
+
+/// The predictor behind [`reliable`], on explicit inputs.
+fn reliable_neighbors(
     my_pos: Point,
     my_speed: f64,
     now: SimTime,

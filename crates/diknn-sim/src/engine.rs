@@ -54,7 +54,11 @@ use crate::trace::{EventTrace, ProtoEvent, TraceKind};
 /// Version 3: the flight recorder has one tier — [`EventTrace`] lost its
 /// `verbose` flag and [`TraceKind`] its five per-reception/timer variants
 /// (DESIGN §8, §14).
-pub const SNAP_VERSION: u32 = 3;
+///
+/// Version 4: [`ProtoEvent::QueryDone`] carries its status as a
+/// [`crate::QueryStatus`] tag byte instead of a length-prefixed label, and
+/// [`NodeSoA`] lost its `alive` column (liveness is `phase == Up`).
+pub const SNAP_VERSION: u32 = 4;
 
 /// A mobility plan shared between the simulator and the ground-truth oracle.
 pub type SharedMobility = Arc<dyn Mobility>;
@@ -383,7 +387,7 @@ impl<M: Clone> Ctx<M> {
     /// Whether `node` is currently up (fault plan liveness).
     #[inline]
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.nodes.alive[node.index()]
+        self.nodes.phase[node.index()].is_up()
     }
 
     /// Lifecycle phase of `node`: up, temporarily down (crash/churn), or
@@ -395,7 +399,7 @@ impl<M: Clone> Ctx<M> {
 
     /// Number of currently-live nodes.
     pub fn alive_count(&self) -> usize {
-        self.nodes.alive.iter().filter(|&&a| a).count()
+        self.nodes.phase.iter().filter(|p| p.is_up()).count()
     }
 
     /// The recorded event trace; empty unless tracing was enabled via
@@ -519,8 +523,8 @@ impl<M: Clone> Ctx<M> {
     // ----- flight recorder ----------------------------------------------
 
     /// Record a protocol-level trace event at `node` (no-op while the
-    /// flight recorder is disabled). Protocol implementations reach this
-    /// through the `TraceSink` trait in `diknn-core`.
+    /// flight recorder is disabled). Every protocol emits its trace points
+    /// here.
     pub fn record_proto(&mut self, node: NodeId, ev: ProtoEvent) {
         self.trace_event(node, TraceKind::Proto(ev));
     }
@@ -634,7 +638,9 @@ impl<M: Clone> Ctx<M> {
             ..
         } = self;
         let in_range = |i: usize| -> bool {
-            i != fi && nodes.alive[i] && origin.dist_sq(mobility[i].position_at(t)) <= range2
+            i != fi
+                && nodes.phase[i].is_up()
+                && origin.dist_sq(mobility[i].position_at(t)) <= range2
         };
         let Some(grid) = grid.as_ref() else {
             for i in 0..mobility.len() {
@@ -675,7 +681,7 @@ impl<M: Clone> Ctx<M> {
         let anchors = grid.anchors();
         for &i in &aud.list[fi] {
             let ix = i as usize;
-            if ix == fi || !nodes.alive[ix] {
+            if ix == fi || !nodes.phase[ix].is_up() {
                 continue;
             }
             let d0 = origin.dist_sq(anchors[ix]);
@@ -1098,8 +1104,7 @@ impl<P: Protocol> Simulator<P> {
         }
         match kind {
             EventKind::Crash(node) => {
-                if ctx.nodes.alive[node.index()] {
-                    ctx.nodes.alive[node.index()] = false;
+                if ctx.is_alive(node) {
                     ctx.nodes.phase[node.index()] = NodePhase::Down;
                     ctx.stats.nodes_crashed += 1;
                     ctx.trace_event(node, TraceKind::Crash);
@@ -1114,8 +1119,7 @@ impl<P: Protocol> Simulator<P> {
                     .faults
                     .energy_budget_j
                     .is_some_and(|b| ctx.energy[node.index()].total_j() >= b);
-                if !ctx.nodes.alive[node.index()] && !exhausted {
-                    ctx.nodes.alive[node.index()] = true;
+                if !ctx.is_alive(node) && !exhausted {
                     ctx.nodes.phase[node.index()] = NodePhase::Up;
                     ctx.stats.nodes_recovered += 1;
                     ctx.trace_event(node, TraceKind::Recover);
@@ -1123,8 +1127,7 @@ impl<P: Protocol> Simulator<P> {
                 Callback::None
             }
             EventKind::Leave(node) => {
-                if ctx.nodes.alive[node.index()] {
-                    ctx.nodes.alive[node.index()] = false;
+                if ctx.is_alive(node) {
                     ctx.nodes.phase[node.index()] = NodePhase::Down;
                     ctx.stats.nodes_left += 1;
                     ctx.trace_event(node, TraceKind::Leave);
@@ -1139,8 +1142,7 @@ impl<P: Protocol> Simulator<P> {
                     .faults
                     .energy_budget_j
                     .is_some_and(|b| ctx.energy[node.index()].total_j() >= b);
-                let dead = ctx.nodes.phase[node.index()] == NodePhase::Dead;
-                if !ctx.nodes.alive[node.index()] && !exhausted && !dead {
+                if ctx.phase(node) == NodePhase::Down && !exhausted {
                     if ctx.cfg.faults.churn.is_some_and(|c| c.state_loss) {
                         // Amnesiac rejoin: the node's own neighbour table
                         // is gone; it re-learns from beacons like a
@@ -1148,7 +1150,6 @@ impl<P: Protocol> Simulator<P> {
                         // old entry out on their own.
                         ctx.tables[node.index()].clear();
                     }
-                    ctx.nodes.alive[node.index()] = true;
                     ctx.nodes.phase[node.index()] = NodePhase::Up;
                     ctx.stats.nodes_rejoined += 1;
                     ctx.trace_event(node, TraceKind::Rejoin);
@@ -1158,7 +1159,7 @@ impl<P: Protocol> Simulator<P> {
             EventKind::Beacon(node) => {
                 // A dead node stays silent but keeps its beacon slot so it
                 // resumes advertising right after a recovery.
-                if ctx.nodes.alive[node.index()] {
+                if ctx.is_alive(node) {
                     ctx.enqueue_frame(
                         node,
                         Destination::Broadcast,
@@ -1175,7 +1176,7 @@ impl<P: Protocol> Simulator<P> {
             EventKind::Timer { node, id, key } => {
                 if ctx.cancelled_timers.remove(&id.0) {
                     Callback::None
-                } else if !ctx.nodes.alive[node.index()] {
+                } else if !ctx.is_alive(node) {
                     // A dead node's CPU is off: its timers never fire. (If
                     // it recovers the timers stay lost — protocols must
                     // tolerate that, which is what the token watchdog and
@@ -1190,7 +1191,7 @@ impl<P: Protocol> Simulator<P> {
                 let Some((from, on_air)) = ctx.frames.get(h).map(|p| (p.from, p.on_air)) else {
                     return Callback::None; // frame already resolved; handle is stale
                 };
-                if !ctx.nodes.alive[from.index()] {
+                if !ctx.is_alive(from) {
                     // Sender died while the frame sat in the MAC queue: the
                     // frame vanishes. No SendFailed — a dead protocol
                     // instance cannot react, that is the point.
@@ -1255,7 +1256,7 @@ impl<P: Protocol> Simulator<P> {
         for &(r, _) in &receivers {
             ctx.nodes.rx_cover[r.index()] -= 1;
         }
-        if !ctx.nodes.alive[from.index()] {
+        if !ctx.is_alive(from) {
             // Sender crashed mid-air: the frame is truncated garbage. No
             // energy is charged (the crash froze the radio) and nothing is
             // delivered or retried.
@@ -1281,7 +1282,7 @@ impl<P: Protocol> Simulator<P> {
         let header_airtime =
             SimDuration::airtime(ctx.cfg.header_bytes, ctx.cfg.bits_per_sec).min(airtime);
         for &(r, corrupted) in &receivers {
-            if !ctx.nodes.alive[r.index()] {
+            if !ctx.is_alive(r) {
                 continue; // died mid-reception: radio already off
             }
             let rx_time = match dest {
@@ -1304,15 +1305,13 @@ impl<P: Protocol> Simulator<P> {
         // this frame (sender or any receiver) dies permanently, before any
         // delivery is processed.
         if let Some(budget) = ctx.cfg.faults.energy_budget_j {
-            if ctx.nodes.alive[from.index()] && ctx.energy[from.index()].total_j() >= budget {
-                ctx.nodes.alive[from.index()] = false;
+            if ctx.is_alive(from) && ctx.energy[from.index()].total_j() >= budget {
                 ctx.nodes.phase[from.index()] = NodePhase::Dead;
                 ctx.stats.energy_deaths += 1;
                 ctx.trace_event(from, TraceKind::EnergyDeath);
             }
             for &(r, _) in &receivers {
-                if ctx.nodes.alive[r.index()] && ctx.energy[r.index()].total_j() >= budget {
-                    ctx.nodes.alive[r.index()] = false;
+                if ctx.is_alive(r) && ctx.energy[r.index()].total_j() >= budget {
                     ctx.nodes.phase[r.index()] = NodePhase::Dead;
                     ctx.stats.energy_deaths += 1;
                     ctx.trace_event(r, TraceKind::EnergyDeath);
@@ -1329,7 +1328,7 @@ impl<P: Protocol> Simulator<P> {
         let mut successes = ctx.scratch.succ.pop().unwrap_or_default();
         debug_assert!(successes.is_empty());
         for &(r, corrupted) in &receivers {
-            if !ctx.nodes.alive[r.index()] {
+            if !ctx.is_alive(r) {
                 continue;
             }
             if corrupted {
@@ -1589,7 +1588,6 @@ impl<M: Clone> Ctx<M> {
         let n = self.mobility.len();
         if self.tables.len() != n
             || self.energy.len() != n
-            || self.nodes.alive.len() != n
             || self.nodes.phase.len() != n
             || self.nodes.ge_bad.len() != n
             || self.nodes.tx_count.len() != n

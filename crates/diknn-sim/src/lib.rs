@@ -83,7 +83,7 @@ pub use faults::{
     RandomCrashes,
 };
 pub use grid::SpatialGrid;
-pub use ids::{NodeId, TimerId};
+pub use ids::{pack_timer_key, unpack_timer_key, NodeId, TimerId};
 pub use lifecycle::NodePhase;
 pub use load::LoadSignal;
 pub use neighbors::Neighbor;
@@ -91,4 +91,4 @@ pub use queue::{EventQueue, FramePool, Handle};
 pub use soa::{FlowLedger, NodeSoA};
 pub use stats::{PerfCounters, SimStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{EventTrace, ProtoEvent, TraceConfig, TraceEvent, TraceKind};
+pub use trace::{EventTrace, ProtoEvent, QueryStatus, TraceConfig, TraceEvent, TraceKind};

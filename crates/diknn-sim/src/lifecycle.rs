@@ -1,13 +1,12 @@
 //! Node lifecycle state machine for the resident service mode.
 //!
-//! The PR-2 fault model tracked liveness as a single `alive` bit per node.
 //! Long-running service deployments distinguish *why* a node is not
 //! answering: a node that **left** (churn, reboot, duty-cycling) will come
 //! back and re-learn its neighbourhood, while a node that is **dead**
-//! (battery exhausted) never will. The engine keeps the hot-path `alive`
-//! bitmap as the single source of truth for radio behaviour and maintains
-//! this phase alongside it for lifecycle-aware callers (the churn planner,
-//! the invariant checker, metrics).
+//! (battery exhausted) never will. The phase is the engine's one liveness
+//! record ([`crate::NodeSoA::phase`]): the radio hot path, timer dispatch,
+//! [`crate::Ctx::is_alive`] and [`crate::Ctx::alive_count`] all read it, and
+//! a node is live exactly when it is [`NodePhase::Up`].
 
 /// Where a node is in its up/down/dead lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

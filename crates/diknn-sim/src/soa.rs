@@ -5,7 +5,7 @@
 //! flat column ([`NodeSoA`]) means carrier sense, liveness checks, and
 //! lifecycle updates are single indexed loads with no map traversal, and
 //! the columns the MAC touches every event (`tx_count`, `rx_cover`,
-//! `alive`) stay dense in cache.
+//! `phase`) stay dense in cache.
 //!
 //! [`FlowLedger`] replaces the old `BTreeMap<u32, f64>` per-flow energy
 //! table: flow labels are small dense query ids in practice, so a `Vec`
@@ -33,10 +33,8 @@ use crate::lifecycle::NodePhase;
 /// or receiver" scan.
 #[derive(Debug, Clone)]
 pub struct NodeSoA {
-    /// Liveness (fault plan); dead nodes neither tx nor rx.
-    pub alive: Vec<bool>,
-    /// Lifecycle phase, kept in lockstep with `alive` (the hot path reads
-    /// the bitmap, lifecycle-aware callers read this).
+    /// Lifecycle phase (fault plan). Only [`NodePhase::Up`] nodes tx, rx
+    /// and run timers: this column is the engine's one liveness record.
     pub phase: Vec<NodePhase>,
     /// Per-receiver Gilbert–Elliott channel state (true = Bad).
     pub ge_bad: Vec<bool>,
@@ -49,7 +47,6 @@ pub struct NodeSoA {
 impl NodeSoA {
     pub fn new(n: usize) -> Self {
         NodeSoA {
-            alive: vec![true; n],
             phase: vec![NodePhase::Up; n],
             ge_bad: vec![false; n],
             tx_count: vec![0; n],
@@ -59,19 +56,18 @@ impl NodeSoA {
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.alive.len()
+        self.phase.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.alive.is_empty()
+        self.phase.is_empty()
     }
 }
 
 // Column order is part of the snapshot wire format (SNAP_VERSION ≥ 2);
 // changing it requires a version bump.
 diknn_snap::snap_struct!(NodeSoA {
-    alive,
     phase,
     ge_bad,
     tx_count,
@@ -153,7 +149,6 @@ mod tests {
     fn soa_columns_start_uniform() {
         let s = NodeSoA::new(3);
         assert_eq!(s.len(), 3);
-        assert!(s.alive.iter().all(|&a| a));
         assert!(s.phase.iter().all(|&p| p == NodePhase::Up));
         assert!(s.tx_count.iter().all(|&c| c == 0));
         assert!(s.rx_cover.iter().all(|&c| c == 0));

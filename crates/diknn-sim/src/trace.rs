@@ -19,9 +19,10 @@
 //!   (deliveries, collisions, losses, drops) and timer firings carry no
 //!   query id and are not recorded; [`crate::SimStats`] counts each one.
 //! * **Protocol events** ([`ProtoEvent`], wrapped in [`TraceKind::Proto`])
-//!   emitted by protocol implementations through the `TraceSink` trait in
-//!   `diknn-core`: query issue, itinerary handoffs, boundary changes,
-//!   sector completion, token re-issue epochs, sink merges, final answers.
+//!   emitted by protocol implementations through
+//!   [`crate::Ctx::record_proto`]: query issue, itinerary handoffs,
+//!   boundary changes, sector completion, token re-issue epochs, sink
+//!   merges, final answers (with their [`QueryStatus`]).
 //!
 //! Recording is opt-in via [`crate::SimConfig::trace`] and costs nothing
 //! when disabled. The buffer is a bounded ring: once `capacity` events are
@@ -65,8 +66,93 @@ impl TraceConfig {
     }
 }
 
-/// Protocol-level trace points, emitted by protocol implementations via the
-/// `TraceSink` trait in `diknn-core`. The vocabulary lives here so the sim
+/// How a query terminated: the one vocabulary of terminal states shared by
+/// the protocols' outcomes, [`ProtoEvent::QueryDone`], the invariant
+/// checker and every report. Every query ends in exactly one
+/// non-`Pending` state once `KnnProtocol::finish` (in `diknn-core`) has run.
+///
+/// Variants are declared in report order, so `status as usize` is the
+/// status's slot in a per-status count array and [`QueryStatus::ALL`]
+/// lists the slots in order. The snapshot tags are explicit and independent
+/// of that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryStatus {
+    /// All expected partial results were merged at the sink.
+    Completed,
+    /// The sink timed out with *some* partial results merged.
+    PartialTimeout,
+    /// The sink heard nothing at all: the query, a token, or every result
+    /// was lost and the recovery budget ran out.
+    TokenLost,
+    /// The sink itself was dead when the run ended; nobody was left to
+    /// account for the query.
+    SinkUnreachable,
+    /// Still running (or `KnnProtocol::finish` was never called).
+    Pending,
+    /// The serving layer refused the query: load stayed above the admission
+    /// ceiling through every deferral, so it was never executed. The answer
+    /// is empty by construction.
+    Rejected,
+    /// The serving layer attached the query to a spatially overlapping
+    /// in-flight query; the answer was split out of the host's merged
+    /// candidates with exact per-query re-ranking.
+    Merged,
+    /// The serving layer answered the query from a fresh cached result of
+    /// an earlier query at (nearly) the same point, inside the TTL and the
+    /// mobility-drift bound.
+    CacheHit,
+}
+
+diknn_snap::snap_enum!(QueryStatus {
+    0 => Pending,
+    1 => Completed,
+    2 => PartialTimeout,
+    3 => TokenLost,
+    4 => SinkUnreachable,
+    5 => Rejected,
+    6 => Merged,
+    7 => CacheHit,
+});
+
+impl QueryStatus {
+    /// Every status, in report order (`ALL[s as usize] == s`).
+    pub const ALL: [QueryStatus; 8] = [
+        QueryStatus::Completed,
+        QueryStatus::PartialTimeout,
+        QueryStatus::TokenLost,
+        QueryStatus::SinkUnreachable,
+        QueryStatus::Pending,
+        QueryStatus::Rejected,
+        QueryStatus::Merged,
+        QueryStatus::CacheHit,
+    ];
+
+    /// Short stable label for traces, tables and CSV output.
+    pub fn label(self) -> &'static str {
+        match self {
+            QueryStatus::Completed => "completed",
+            QueryStatus::PartialTimeout => "partial-timeout",
+            QueryStatus::TokenLost => "token-lost",
+            QueryStatus::SinkUnreachable => "sink-unreachable",
+            QueryStatus::Pending => "pending",
+            QueryStatus::Rejected => "rejected",
+            QueryStatus::Merged => "merged",
+            QueryStatus::CacheHit => "cache-hit",
+        }
+    }
+
+    /// Whether the query got a KNN answer: it completed its own itinerary,
+    /// rode another query's, or was served from the result cache.
+    pub fn is_answered(self) -> bool {
+        matches!(
+            self,
+            QueryStatus::Completed | QueryStatus::Merged | QueryStatus::CacheHit
+        )
+    }
+}
+
+/// Protocol-level trace points, emitted by protocol implementations via
+/// [`crate::Ctx::record_proto`]. The vocabulary lives here so the sim
 /// engine, the protocols and the invariant checker share one event stream
 /// without a dependency cycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,7 +240,7 @@ pub enum ProtoEvent {
     /// list reported to the application.
     QueryDone {
         qid: u32,
-        status: &'static str,
+        status: QueryStatus,
         answer: Vec<NodeId>,
     },
 }
@@ -322,6 +408,7 @@ impl fmt::Display for TraceEvent {
                     status,
                     answer,
                 } => {
+                    let status = status.label();
                     write!(f, "proto query-done qid={qid} status={status} answer=[")?;
                     for (i, id) in answer.iter().enumerate() {
                         if i > 0 {
@@ -336,265 +423,22 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Map a serialized `QueryDone` status string back to the `&'static str`
-/// the trace vocabulary uses. The set mirrors `QueryStatus::label()` in
-/// `diknn-core`; an unknown status means the snapshot came from a different
-/// (incompatible) build and is rejected.
-fn intern_status(s: &str) -> Result<&'static str, diknn_snap::SnapError> {
-    const KNOWN: [&str; 8] = [
-        "pending",
-        "completed",
-        "partial-timeout",
-        "token-lost",
-        "sink-unreachable",
-        "rejected",
-        "merged",
-        "cache-hit",
-    ];
-    KNOWN
-        .into_iter()
-        .find(|k| *k == s)
-        .ok_or(diknn_snap::SnapError::Corrupt("unknown query status label"))
-}
-
-impl diknn_snap::Snap for ProtoEvent {
-    fn snap(&self, w: &mut diknn_snap::SnapWriter) {
-        match self {
-            ProtoEvent::QueryIssued { qid, attempt, k } => {
-                w.put_u8(0);
-                qid.snap(w);
-                attempt.snap(w);
-                k.snap(w);
-            }
-            ProtoEvent::BoundaryEstimated {
-                qid,
-                attempt,
-                radius,
-            } => {
-                w.put_u8(1);
-                qid.snap(w);
-                attempt.snap(w);
-                radius.snap(w);
-            }
-            ProtoEvent::TokenHandoff {
-                qid,
-                attempt,
-                sector,
-                epoch,
-                to,
-                frontier,
-            } => {
-                w.put_u8(2);
-                qid.snap(w);
-                attempt.snap(w);
-                sector.snap(w);
-                epoch.snap(w);
-                to.snap(w);
-                frontier.snap(w);
-            }
-            ProtoEvent::BoundaryExtended {
-                qid,
-                attempt,
-                sector,
-                old_radius,
-                new_radius,
-            } => {
-                w.put_u8(3);
-                qid.snap(w);
-                attempt.snap(w);
-                sector.snap(w);
-                old_radius.snap(w);
-                new_radius.snap(w);
-            }
-            ProtoEvent::CandidateHeard {
-                qid,
-                attempt,
-                sector,
-                responder,
-                dist,
-                radius,
-            } => {
-                w.put_u8(4);
-                qid.snap(w);
-                attempt.snap(w);
-                sector.snap(w);
-                responder.snap(w);
-                dist.snap(w);
-                radius.snap(w);
-            }
-            ProtoEvent::SectorFinished {
-                qid,
-                attempt,
-                sector,
-                epoch,
-            } => {
-                w.put_u8(5);
-                qid.snap(w);
-                attempt.snap(w);
-                sector.snap(w);
-                epoch.snap(w);
-            }
-            ProtoEvent::TokenReissued {
-                qid,
-                attempt,
-                sector,
-                epoch,
-            } => {
-                w.put_u8(6);
-                qid.snap(w);
-                attempt.snap(w);
-                sector.snap(w);
-                epoch.snap(w);
-            }
-            ProtoEvent::SinkMerge {
-                qid,
-                attempt,
-                sector,
-            } => {
-                w.put_u8(7);
-                qid.snap(w);
-                attempt.snap(w);
-                sector.snap(w);
-            }
-            ProtoEvent::QueryAdmitted { qid, depth } => {
-                w.put_u8(8);
-                qid.snap(w);
-                depth.snap(w);
-            }
-            ProtoEvent::QueryRejected {
-                qid,
-                depth,
-                terminal,
-            } => {
-                w.put_u8(9);
-                qid.snap(w);
-                depth.snap(w);
-                terminal.snap(w);
-            }
-            ProtoEvent::QueryMerged { qid, host } => {
-                w.put_u8(10);
-                qid.snap(w);
-                host.snap(w);
-            }
-            ProtoEvent::CacheServed {
-                qid,
-                src,
-                age_s,
-                ttl_s,
-            } => {
-                w.put_u8(11);
-                qid.snap(w);
-                src.snap(w);
-                age_s.snap(w);
-                ttl_s.snap(w);
-            }
-            ProtoEvent::QueryDone {
-                qid,
-                status,
-                answer,
-            } => {
-                w.put_u8(12);
-                qid.snap(w);
-                w.put_bytes(status.as_bytes());
-                answer.snap(w);
-            }
-        }
-    }
-
-    fn unsnap(r: &mut diknn_snap::SnapReader<'_>) -> Result<Self, diknn_snap::SnapError> {
-        Ok(match r.take_u8()? {
-            0 => ProtoEvent::QueryIssued {
-                qid: u32::unsnap(r)?,
-                attempt: u8::unsnap(r)?,
-                k: u32::unsnap(r)?,
-            },
-            1 => ProtoEvent::BoundaryEstimated {
-                qid: u32::unsnap(r)?,
-                attempt: u8::unsnap(r)?,
-                radius: f64::unsnap(r)?,
-            },
-            2 => ProtoEvent::TokenHandoff {
-                qid: u32::unsnap(r)?,
-                attempt: u8::unsnap(r)?,
-                sector: u8::unsnap(r)?,
-                epoch: u32::unsnap(r)?,
-                to: NodeId::unsnap(r)?,
-                frontier: f64::unsnap(r)?,
-            },
-            3 => ProtoEvent::BoundaryExtended {
-                qid: u32::unsnap(r)?,
-                attempt: u8::unsnap(r)?,
-                sector: u8::unsnap(r)?,
-                old_radius: f64::unsnap(r)?,
-                new_radius: f64::unsnap(r)?,
-            },
-            4 => ProtoEvent::CandidateHeard {
-                qid: u32::unsnap(r)?,
-                attempt: u8::unsnap(r)?,
-                sector: u8::unsnap(r)?,
-                responder: NodeId::unsnap(r)?,
-                dist: f64::unsnap(r)?,
-                radius: f64::unsnap(r)?,
-            },
-            5 => ProtoEvent::SectorFinished {
-                qid: u32::unsnap(r)?,
-                attempt: u8::unsnap(r)?,
-                sector: u8::unsnap(r)?,
-                epoch: u32::unsnap(r)?,
-            },
-            6 => ProtoEvent::TokenReissued {
-                qid: u32::unsnap(r)?,
-                attempt: u8::unsnap(r)?,
-                sector: u8::unsnap(r)?,
-                epoch: u32::unsnap(r)?,
-            },
-            7 => ProtoEvent::SinkMerge {
-                qid: u32::unsnap(r)?,
-                attempt: u8::unsnap(r)?,
-                sector: u8::unsnap(r)?,
-            },
-            8 => ProtoEvent::QueryAdmitted {
-                qid: u32::unsnap(r)?,
-                depth: u32::unsnap(r)?,
-            },
-            9 => ProtoEvent::QueryRejected {
-                qid: u32::unsnap(r)?,
-                depth: u32::unsnap(r)?,
-                terminal: bool::unsnap(r)?,
-            },
-            10 => ProtoEvent::QueryMerged {
-                qid: u32::unsnap(r)?,
-                host: u32::unsnap(r)?,
-            },
-            11 => ProtoEvent::CacheServed {
-                qid: u32::unsnap(r)?,
-                src: u32::unsnap(r)?,
-                age_s: f64::unsnap(r)?,
-                ttl_s: f64::unsnap(r)?,
-            },
-            12 => {
-                let qid = u32::unsnap(r)?;
-                let status = {
-                    let bytes = r.take_bytes()?;
-                    let s = std::str::from_utf8(bytes)
-                        .map_err(|_| diknn_snap::SnapError::Corrupt("invalid utf-8 status"))?;
-                    intern_status(s)?
-                };
-                ProtoEvent::QueryDone {
-                    qid,
-                    status,
-                    answer: Vec::unsnap(r)?,
-                }
-            }
-            tag => {
-                return Err(diknn_snap::SnapError::BadTag {
-                    ty: "ProtoEvent",
-                    tag,
-                })
-            }
-        })
-    }
-}
+// Tags are part of the snapshot wire format (see `crate::SNAP_VERSION`).
+diknn_snap::snap_enum!(ProtoEvent {
+    0 => QueryIssued { qid, attempt, k },
+    1 => BoundaryEstimated { qid, attempt, radius },
+    2 => TokenHandoff { qid, attempt, sector, epoch, to, frontier },
+    3 => BoundaryExtended { qid, attempt, sector, old_radius, new_radius },
+    4 => CandidateHeard { qid, attempt, sector, responder, dist, radius },
+    5 => SectorFinished { qid, attempt, sector, epoch },
+    6 => TokenReissued { qid, attempt, sector, epoch },
+    7 => SinkMerge { qid, attempt, sector },
+    8 => QueryAdmitted { qid, depth },
+    9 => QueryRejected { qid, depth, terminal },
+    10 => QueryMerged { qid, host },
+    11 => CacheServed { qid, src, age_s, ttl_s },
+    12 => QueryDone { qid, status, answer },
+});
 
 // Tags 1–5 belonged to the per-reception and timer kinds dropped in
 // snapshot version 3; they are not reused.
@@ -766,7 +610,7 @@ mod tests {
             node: NodeId(0),
             kind: TraceKind::Proto(ProtoEvent::QueryDone {
                 qid: 3,
-                status: "completed",
+                status: QueryStatus::Completed,
                 answer: vec![NodeId(1), NodeId(2)],
             }),
         };
@@ -821,6 +665,34 @@ mod tests {
             }),
             "2000000000 n3 proto cache-served qid=7 src=1 age=0.250 ttl=2.000"
         );
+    }
+
+    #[test]
+    fn query_status_label_tag_slot_and_answered_table() {
+        use QueryStatus::*;
+        // (status, label, snapshot tag, report slot, answered)
+        let table = [
+            (Completed, "completed", 1, 0, true),
+            (PartialTimeout, "partial-timeout", 2, 1, false),
+            (TokenLost, "token-lost", 3, 2, false),
+            (SinkUnreachable, "sink-unreachable", 4, 3, false),
+            (Pending, "pending", 0, 4, false),
+            (Rejected, "rejected", 5, 5, false),
+            (Merged, "merged", 6, 6, true),
+            (CacheHit, "cache-hit", 7, 7, true),
+        ];
+        assert_eq!(QueryStatus::ALL, table.map(|row| row.0));
+        for (status, label, tag, slot, answered) in table {
+            assert_eq!(status.label(), label);
+            let mut w = diknn_snap::SnapWriter::new();
+            diknn_snap::Snap::snap(&status, &mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, [tag], "{label}");
+            let mut r = diknn_snap::SnapReader::new(&bytes);
+            assert_eq!(diknn_snap::Snap::unsnap(&mut r), Ok(status), "{label}");
+            assert_eq!(status as usize, slot, "{label}");
+            assert_eq!(status.is_answered(), answered, "{label}");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   live handles always resolve to their own frame, and the LIFO free
 //!   list makes slot assignment a pure function of the op sequence.
 //! * Engine snapshots must be byte-stable across a restore round-trip, with
-//!   their layout pinned to `SNAP_VERSION`, and the incremental audible-set
+//!   their layout pinned to `SNAP_VERSION` and every flight-recorder event
+//!   kind decoding back to itself, and the incremental audible-set
 //!   cache must be semantically invisible: a cached grid run is
 //!   bit-identical to the brute-force oracle's.
 
@@ -23,8 +24,9 @@ use std::sync::Arc;
 use diknn_geom::{Point, Rect};
 use diknn_mobility::{RandomWaypoint, RwpConfig, StaticMobility};
 use diknn_sim::{
-    Ctx, EventQueue, FramePool, NeighborIndex, NodeId, Protocol, SharedMobility, SimConfig,
-    SimDuration, SimTime, Simulator, TraceConfig, SNAP_VERSION,
+    Ctx, EventQueue, FramePool, NeighborIndex, NodeId, ProtoEvent, Protocol, QueryStatus,
+    SharedMobility, SimConfig, SimDuration, SimTime, Simulator, TraceConfig, TraceEvent, TraceKind,
+    SNAP_VERSION,
 };
 use proptest::prelude::*;
 use proptest::ProptestConfig;
@@ -149,12 +151,135 @@ impl diknn_snap::SnapState for Chatter {
     }
 }
 
-use diknn_snap::Snap;
+use diknn_snap::{Snap, SnapReader, SnapWriter};
+
+/// One value of every protocol trace event variant, in snapshot-tag order.
+fn every_proto_event() -> Vec<ProtoEvent> {
+    use ProtoEvent::*;
+    let (qid, attempt, sector, epoch, k, depth) = (3, 1, 2, 1, 5, 2);
+    let (radius, new_radius, to, responder) = (18.5, 21.0, NodeId(1), NodeId(2));
+    vec![
+        QueryIssued { qid, attempt, k },
+        BoundaryEstimated {
+            qid,
+            attempt,
+            radius,
+        },
+        TokenHandoff {
+            qid,
+            attempt,
+            sector,
+            epoch,
+            to,
+            frontier: 4.75,
+        },
+        BoundaryExtended {
+            qid,
+            attempt,
+            sector,
+            old_radius: radius,
+            new_radius,
+        },
+        CandidateHeard {
+            qid,
+            attempt,
+            sector,
+            responder,
+            dist: 6.25,
+            radius,
+        },
+        SectorFinished {
+            qid,
+            attempt,
+            sector,
+            epoch,
+        },
+        TokenReissued {
+            qid,
+            attempt,
+            sector,
+            epoch,
+        },
+        SinkMerge {
+            qid,
+            attempt,
+            sector,
+        },
+        QueryAdmitted { qid, depth },
+        QueryRejected {
+            qid: 4,
+            depth,
+            terminal: true,
+        },
+        QueryMerged { qid: 5, host: qid },
+        CacheServed {
+            qid: 6,
+            src: qid,
+            age_s: 0.5,
+            ttl_s: 2.0,
+        },
+        QueryDone {
+            qid,
+            status: QueryStatus::Completed,
+            answer: vec![responder, to],
+        },
+    ]
+}
+
+/// The flight-recorder codec: one value of every engine and protocol event
+/// kind (and a `QueryDone` per status) decodes back to itself, and the
+/// protocol events keep their snapshot tags 0–12.
+#[test]
+fn every_trace_event_kind_round_trips_through_the_snapshot_codec() {
+    fn encode<T: Snap>(v: &T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.snap(&mut w);
+        w.into_bytes()
+    }
+    let tags: Vec<u8> = every_proto_event().iter().map(|e| encode(e)[0]).collect();
+    assert_eq!(tags, (0..=12).collect::<Vec<u8>>());
+    let mut kinds = vec![
+        TraceKind::TxStart {
+            dest: Some(NodeId(9)),
+            beacon: false,
+        },
+        TraceKind::TxStart {
+            dest: None,
+            beacon: true,
+        },
+        TraceKind::Crash,
+        TraceKind::Recover,
+        TraceKind::Leave,
+        TraceKind::Rejoin,
+        TraceKind::EnergyDeath,
+        TraceKind::Energy { spent_j: 0.125 },
+    ];
+    kinds.extend(every_proto_event().into_iter().map(TraceKind::Proto));
+    kinds.extend(QueryStatus::ALL.map(|status| {
+        TraceKind::Proto(ProtoEvent::QueryDone {
+            qid: 4,
+            status,
+            answer: Vec::new(),
+        })
+    }));
+    for kind in kinds {
+        let ev = TraceEvent {
+            time: SimTime::from_nanos(42),
+            node: NodeId(3),
+            kind,
+        };
+        let bytes = encode(&ev);
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(TraceEvent::unsnap(&mut r).as_ref(), Ok(&ev));
+        r.finish().expect("fully consumed");
+    }
+}
 
 /// The snapshot byte layout is pinned to its version: any change to what a
 /// snapshot holds or how it is encoded must bump `SNAP_VERSION` and re-pin
 /// the hash. The run is fixed and tiny: four static nodes, beacons and the
-/// recorder on, every node broadcasting on a timer.
+/// recorder on, every node broadcasting on a timer, and one event of every
+/// protocol variant recorded through `Ctx::record_proto` at the end.
 #[test]
 fn snapshot_layout_is_pinned_to_its_version() {
     let nodes: Vec<SharedMobility> = [(10.0, 10.0), (25.0, 10.0), (10.0, 25.0), (60.0, 60.0)]
@@ -168,10 +293,15 @@ fn snapshot_layout_is_pinned_to_its_version() {
     };
     let mut sim = Simulator::new(cfg, nodes, Chatter { heard: 0 }, 7);
     sim.run();
+    sim.drive(|_, ctx| {
+        for ev in every_proto_event() {
+            ctx.record_proto(NodeId(0), ev);
+        }
+    });
     let bytes = sim.snapshot();
     assert_eq!(
         (SNAP_VERSION, diknn_snap::fingerprint(&bytes)),
-        (3, 0x6bd8_1d04_0d57_5ef9),
+        (4, 0x38bc_db6f_310a_798c),
         "snapshot layout changed: bump SNAP_VERSION and re-pin"
     );
 }

@@ -121,7 +121,7 @@ impl SnapWriter {
         self.put_u64(v.to_bits());
     }
 
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
@@ -181,7 +181,7 @@ impl<'a> SnapReader<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
-    pub fn take_bytes(&mut self) -> Result<&'a [u8], SnapError> {
+    fn take_bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.take_u64()?;
         let n = usize::try_from(n).map_err(|_| SnapError::Corrupt("length exceeds usize"))?;
         self.take(n)

@@ -14,7 +14,7 @@
 
 use diknn_core::{DiknnConfig, QueryStatus, ServingConfig};
 
-use crate::metrics::{status_index, RunMetrics};
+use crate::metrics::{count_statuses, RunMetrics};
 use crate::runner::{Experiment, ProtocolKind};
 use crate::scenario::ScenarioConfig;
 use crate::workload::QueryLoad;
@@ -51,9 +51,14 @@ pub fn admission_experiment(
 pub struct ServingSummary {
     /// Total queries issued.
     pub queries: usize,
+    /// Queries per terminal status, summed over the runs and indexed by
+    /// `QueryStatus as usize`. Every other count here is read from it; the
+    /// named columns below stay for callers that read them by name.
+    pub status_counts: [usize; QueryStatus::ALL.len()],
     /// Queries that ran their own itinerary to completion.
     pub completed: usize,
-    /// Degraded executions: partial-timeout + token-lost + sink-unreachable.
+    /// Degraded executions, run but not answered: partial-timeout +
+    /// token-lost + sink-unreachable.
     pub degraded: usize,
     /// Terminally rejected by admission control (never executed).
     pub rejected: usize,
@@ -61,30 +66,39 @@ pub struct ServingSummary {
     pub merged: usize,
     /// Answered from the sink result cache.
     pub cache_hits: usize,
-    /// Still pending after `finish` — always a bug if nonzero.
-    pub pending: usize,
+}
+
+/// A degraded status: the query was executed but got no answer. Narrower
+/// than [`RunMetrics::degraded_rate`], which also counts rejected and
+/// pending queries.
+fn is_degraded(status: QueryStatus) -> bool {
+    !status.is_answered() && !matches!(status, QueryStatus::Pending | QueryStatus::Rejected)
 }
 
 impl ServingSummary {
     pub fn from_runs(runs: &[RunMetrics]) -> Self {
-        let mut s = ServingSummary::default();
-        for m in runs {
-            s.queries += m.queries;
-            s.completed += m.status_counts[status_index(QueryStatus::Completed)];
-            s.degraded += m.status_counts[status_index(QueryStatus::PartialTimeout)]
-                + m.status_counts[status_index(QueryStatus::TokenLost)]
-                + m.status_counts[status_index(QueryStatus::SinkUnreachable)];
-            s.rejected += m.status_counts[status_index(QueryStatus::Rejected)];
-            s.merged += m.status_counts[status_index(QueryStatus::Merged)];
-            s.cache_hits += m.status_counts[status_index(QueryStatus::CacheHit)];
-            s.pending += m.status_counts[status_index(QueryStatus::Pending)];
-        }
-        s
+        Self::from_counts(
+            runs.iter().map(|m| m.queries).sum(),
+            QueryStatus::ALL.map(|s| runs.iter().map(|m| m.status_counts[s as usize]).sum()),
+        )
     }
 
-    /// Queries that got a KNN answer: completed, merged, or cache-served.
+    fn from_counts(queries: usize, status_counts: [usize; QueryStatus::ALL.len()]) -> Self {
+        let n = |status: QueryStatus| status_counts[status as usize];
+        ServingSummary {
+            queries,
+            status_counts,
+            completed: n(QueryStatus::Completed),
+            degraded: count_statuses(&status_counts, is_degraded),
+            rejected: n(QueryStatus::Rejected),
+            merged: n(QueryStatus::Merged),
+            cache_hits: n(QueryStatus::CacheHit),
+        }
+    }
+
+    /// Queries that got a KNN answer (see [`QueryStatus::is_answered`]).
     pub fn answered(&self) -> usize {
-        self.completed + self.merged + self.cache_hits
+        count_statuses(&self.status_counts, QueryStatus::is_answered)
     }
 
     /// Fraction of all queries that got an answer.
@@ -94,9 +108,28 @@ impl ServingSummary {
 
     /// Every query reached a terminal classification.
     pub fn all_terminal(&self) -> bool {
-        self.pending == 0
-            && self.queries
-                == self.completed + self.degraded + self.rejected + self.merged + self.cache_hits
+        self.status_counts[QueryStatus::Pending as usize] == 0
+            && self.queries == self.status_counts.iter().sum::<usize>()
+    }
+
+    /// The serving ledger in report order as `(key, count)` rows: each
+    /// status under its label with `-` → `_`, except that the degraded
+    /// statuses share one `degraded` row, placed where the first of them
+    /// stands.
+    pub fn ledger(&self) -> Vec<(String, usize)> {
+        let mut rows: Vec<(String, usize)> = Vec::new();
+        for s in QueryStatus::ALL {
+            let key = if is_degraded(s) {
+                "degraded".to_string()
+            } else {
+                s.label().replace('-', "_")
+            };
+            match rows.iter_mut().find(|(k, _)| *k == key) {
+                Some(row) => row.1 += self.status_counts[s as usize],
+                None => rows.push((key, self.status_counts[s as usize])),
+            }
+        }
+        rows
     }
 }
 
@@ -117,6 +150,7 @@ mod tests {
         a.status_counts = [4, 1, 0, 0, 0, 2, 2, 1];
         let s = ServingSummary::from_runs(&[a.clone(), a]);
         assert_eq!(s.queries, 20);
+        assert_eq!(s.status_counts, [8, 2, 0, 0, 0, 4, 4, 2]);
         assert_eq!(s.completed, 8);
         assert_eq!(s.degraded, 2);
         assert_eq!(s.rejected, 4);
@@ -128,20 +162,30 @@ mod tests {
     }
 
     #[test]
+    fn ledger_folds_the_degraded_statuses_into_one_row() {
+        let s = ServingSummary::from_counts(36, [1, 2, 3, 4, 5, 6, 7, 8]);
+        let ledger = s.ledger();
+        let rows: Vec<(&str, usize)> = ledger.iter().map(|(k, n)| (k.as_str(), *n)).collect();
+        assert_eq!(
+            rows,
+            [
+                ("completed", 1),
+                ("degraded", 9),
+                ("pending", 5),
+                ("rejected", 6),
+                ("merged", 7),
+                ("cache_hit", 8),
+            ]
+        );
+        assert_eq!(s.degraded, 9);
+    }
+
+    #[test]
     fn unclassified_queries_fail_all_terminal() {
-        let s = ServingSummary {
-            queries: 5,
-            completed: 4,
-            pending: 1,
-            ..ServingSummary::default()
-        };
+        let s = ServingSummary::from_counts(5, [4, 0, 0, 0, 1, 0, 0, 0]);
         assert!(!s.all_terminal());
         // A count that doesn't add up is also non-terminal (lost query).
-        let s = ServingSummary {
-            queries: 5,
-            completed: 4,
-            ..ServingSummary::default()
-        };
+        let s = ServingSummary::from_counts(5, [4, 0, 0, 0, 0, 0, 0, 0]);
         assert!(!s.all_terminal());
     }
 
@@ -155,8 +199,6 @@ mod tests {
             k: 8,
             first_at: 2.0,
             last_at: 10.0,
-            edge_margin: 15.0,
-            max_queries: None,
         };
         let serving = ServingConfig {
             max_in_flight: 2,

@@ -84,26 +84,13 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Tunables for [`check_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct CheckOptions {
-    /// Slack (metres) allowed on boundary containment: a responder is
-    /// vetted against the boundary when the probe arrives but reports its
-    /// position up to a full contention window later, so a mobile node can
-    /// legitimately drift `max_speed × window` (both endpoints move) past
-    /// the radius before its reply is recorded.
-    pub boundary_slack_m: f64,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            // ~2 × 20 m/s × 0.15 s, the worst drift the paper's settings
-            // (max speed 20 m/s, 0.144 s contention window) can produce.
-            boundary_slack_m: 6.0,
-        }
-    }
-}
+/// Slack (metres) allowed on boundary containment: a responder is vetted
+/// against the boundary when the probe arrives but reports its position up
+/// to a full contention window later, so a mobile node can legitimately
+/// drift `max_speed × window` (both endpoints move) past the radius before
+/// its reply is recorded. ~2 × 20 m/s × 0.15 s, the worst drift the paper's
+/// settings (max speed 20 m/s, 0.144 s contention window) can produce.
+const BOUNDARY_SLACK_M: f64 = 6.0;
 
 /// Custody-chain state for one `(qid, attempt, sector, epoch)` traversal.
 struct Chain {
@@ -112,18 +99,9 @@ struct Chain {
     frontier: f64,
 }
 
-/// Replay `trace` against the final `outcomes` with default options.
-pub fn check(trace: &EventTrace, outcomes: &[QueryOutcome]) -> Vec<Violation> {
-    check_with(trace, outcomes, CheckOptions::default())
-}
-
 /// Replay `trace` against the final `outcomes`; returns every violation
 /// found (empty = the run was lawful).
-pub fn check_with(
-    trace: &EventTrace,
-    outcomes: &[QueryOutcome],
-    opts: CheckOptions,
-) -> Vec<Violation> {
+pub fn check(trace: &EventTrace, outcomes: &[QueryOutcome]) -> Vec<Violation> {
     let mut v: Vec<Violation> = Vec::new();
     if trace.dropped_events() > 0 {
         v.push(Violation {
@@ -153,7 +131,7 @@ pub fn check_with(
     let mut reissuer: BTreeMap<(u32, u8, u8, u32), NodeId> = BTreeMap::new();
     let mut chains: BTreeMap<(u32, u8, u8, u32), Chain> = BTreeMap::new();
     // qid → emitted QueryDone records.
-    let mut dones: BTreeMap<u32, Vec<(&'static str, Vec<NodeId>)>> = BTreeMap::new();
+    let mut dones: BTreeMap<u32, Vec<(QueryStatus, Vec<NodeId>)>> = BTreeMap::new();
     // Serving layer (admission-soundness). "Executed" below means the query
     // ran its own itinerary: it was admitted and/or issued.
     let mut admitted: BTreeSet<u32> = BTreeSet::new();
@@ -375,7 +353,7 @@ pub fn check_with(
                     dones
                         .entry(*qid)
                         .or_default()
-                        .push((status, answer.clone()));
+                        .push((*status, answer.clone()));
                 }
                 ProtoEvent::BoundaryEstimated { qid, attempt, .. } => {
                     homes.entry((*qid, *attempt)).or_insert(e.node);
@@ -602,14 +580,15 @@ pub fn check_with(
                     });
                 }
                 let (status, answer) = &ds[0];
-                if *status != o.status.label() || *answer != o.answer {
+                if *status != o.status || *answer != o.answer {
                     v.push(Violation {
                         invariant: "terminal-status",
                         at: SimTime::ZERO,
                         detail: format!(
-                            "q{}: QueryDone ({status}, {} ids) disagrees with outcome \
+                            "q{}: QueryDone ({}, {} ids) disagrees with outcome \
                              ({}, {} ids)",
                             o.qid,
+                            status.label(),
                             answer.len(),
                             o.status.label(),
                             o.answer.len()
@@ -630,13 +609,13 @@ pub fn check_with(
                         o.qid
                     ),
                 }),
-                Some(&margin) if margin > opts.boundary_slack_m => v.push(Violation {
+                Some(&margin) if margin > BOUNDARY_SLACK_M => v.push(Violation {
                     invariant: "boundary-containment",
                     at: SimTime::ZERO,
                     detail: format!(
                         "q{}: {id} heard {margin:.3} m outside the boundary \
                          (slack {:.1} m)",
-                        o.qid, opts.boundary_slack_m
+                        o.qid, BOUNDARY_SLACK_M
                     ),
                 }),
                 Some(_) => {}
@@ -759,7 +738,7 @@ mod tests {
                 0,
                 ProtoEvent::QueryDone {
                     qid: 0,
-                    status: "completed",
+                    status: QueryStatus::Completed,
                     answer: vec![NodeId(7)],
                 },
             ),
@@ -1035,7 +1014,7 @@ mod tests {
     fn duplicate_query_done_is_flagged() {
         let done = || ProtoEvent::QueryDone {
             qid: 0,
-            status: "completed",
+            status: QueryStatus::Completed,
             answer: vec![],
         };
         let t = trace_with(vec![
@@ -1075,7 +1054,7 @@ mod tests {
                 0,
                 ProtoEvent::QueryDone {
                     qid: 0,
-                    status: "token-lost",
+                    status: QueryStatus::TokenLost,
                     answer: vec![],
                 },
             ),
@@ -1142,7 +1121,7 @@ mod tests {
                 0,
                 ProtoEvent::QueryDone {
                     qid: 1,
-                    status: "completed",
+                    status: QueryStatus::Completed,
                     answer: vec![NodeId(7)],
                 },
             ),

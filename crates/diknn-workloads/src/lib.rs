@@ -59,8 +59,8 @@ pub mod workload;
 
 pub use admission::{admission_experiment, ServingSummary};
 pub use fault_sweep::FaultCell;
-pub use invariants::{assert_clean, check, check_with, CheckOptions, Violation};
-pub use metrics::{status_index, Aggregate, QueryRecord, RunMetrics, Stat};
+pub use invariants::{assert_clean, check, Violation};
+pub use metrics::{Aggregate, QueryRecord, RunMetrics, Stat};
 pub use oracle::GroundTruth;
 pub use parallel::ParallelSweep;
 pub use runner::{run_protocol_once, run_protocol_once_faulted, Experiment, ProtocolKind};

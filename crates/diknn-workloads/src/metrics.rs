@@ -48,13 +48,12 @@ pub struct RunMetrics {
     pub tx_frames: u64,
     /// Receptions destroyed by collisions.
     pub collisions: u64,
-    /// Queries per termination status: `[completed, partial-timeout,
-    /// token-lost, sink-unreachable, pending, rejected, merged, cache-hit]`
-    /// (see [`diknn_core::QueryStatus`]). `pending` should be 0 after
+    /// Queries per termination status, indexed by `status as usize` (the
+    /// order of [`QueryStatus::ALL`]). `Pending` should be 0 after
     /// [`diknn_core::KnnProtocol::finish`]; a nonzero count flags a bug.
-    /// The last three are serving-layer outcomes and stay 0 with serving
-    /// disabled.
-    pub status_counts: [usize; 8],
+    /// `Rejected`, `Merged` and `CacheHit` are serving-layer outcomes and
+    /// stay 0 with serving disabled.
+    pub status_counts: [usize; QueryStatus::ALL.len()],
     /// Itinerary tokens re-issued by the token-loss watchdog.
     pub tokens_reissued: u64,
     /// Whole-query retries launched by sinks after silent timeouts.
@@ -71,20 +70,6 @@ pub struct RunMetrics {
     pub max_in_flight: usize,
     /// Per-query attribution rows, ascending by qid.
     pub per_query: Vec<QueryRecord>,
-}
-
-/// Index of a [`QueryStatus`] in [`RunMetrics::status_counts`].
-pub fn status_index(s: QueryStatus) -> usize {
-    match s {
-        QueryStatus::Completed => 0,
-        QueryStatus::PartialTimeout => 1,
-        QueryStatus::TokenLost => 2,
-        QueryStatus::SinkUnreachable => 3,
-        QueryStatus::Pending => 4,
-        QueryStatus::Rejected => 5,
-        QueryStatus::Merged => 6,
-        QueryStatus::CacheHit => 7,
-    }
 }
 
 /// Interpolated percentile of pre-sorted ascending values (p in [0, 1]).
@@ -140,13 +125,13 @@ impl RunMetrics {
         let mut post_sum = 0.0;
         let mut radius_sum = 0.0;
         let mut explored_sum = 0.0;
-        let mut status_counts = [0usize; 8];
+        let mut status_counts = [0usize; QueryStatus::ALL.len()];
         let mut latencies: Vec<f64> = Vec::with_capacity(queries);
         let mut per_query: Vec<QueryRecord> = Vec::with_capacity(queries);
         for o in outcomes {
             radius_sum += o.boundary_radius;
             explored_sum += o.explored_nodes as f64;
-            status_counts[status_index(o.status)] += 1;
+            status_counts[o.status as usize] += 1;
             let mut lat = f64::NAN;
             let mut pre = 0.0;
             let mut post = 0.0;
@@ -198,14 +183,27 @@ impl RunMetrics {
         }
     }
 
-    /// Fraction of queries that ended with a degraded status: anything from
-    /// partial-timeout through rejected. Merged and cache-hit queries are
-    /// *answered* (via a host itinerary or a fresh cached result), so they
+    /// Fraction of queries that ended without an answer (see
+    /// [`QueryStatus::is_answered`]). Merged and cache-hit queries are
+    /// answered (via a host itinerary or a fresh cached result), so they
     /// do not count as degraded.
     pub fn degraded_rate(&self) -> f64 {
-        let degraded: usize = self.status_counts[1..=5].iter().sum();
+        let degraded = count_statuses(&self.status_counts, |s| !s.is_answered());
         degraded as f64 / self.queries.max(1) as f64
     }
+}
+
+/// The queries in `counts` (indexed by `QueryStatus as usize`) whose status
+/// satisfies `pick`.
+pub(crate) fn count_statuses(
+    counts: &[usize; QueryStatus::ALL.len()],
+    pick: impl Fn(QueryStatus) -> bool,
+) -> usize {
+    QueryStatus::ALL
+        .into_iter()
+        .filter(|&s| pick(s))
+        .map(|s| counts[s as usize])
+        .sum()
 }
 
 /// Mean and sample standard deviation of a metric over runs.
@@ -247,7 +245,8 @@ pub struct Aggregate {
     pub completion_rate: Stat,
     pub boundary_radius_m: Stat,
     pub explored: Stat,
-    /// Fraction of queries per run that ended degraded (non-completed).
+    /// Fraction of queries per run that ended without an answer (see
+    /// [`QueryStatus::is_answered`]).
     pub degraded_rate: Stat,
     /// Watchdog token re-issues per run.
     pub tokens_reissued: Stat,
@@ -334,23 +333,6 @@ mod tests {
         // rejections are degraded — merged/cached queries were answered.
         m.status_counts = [5, 0, 0, 0, 0, 2, 2, 1];
         assert!((m.degraded_rate() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn status_index_covers_all_statuses() {
-        use QueryStatus::*;
-        let all = [
-            Completed,
-            PartialTimeout,
-            TokenLost,
-            SinkUnreachable,
-            Pending,
-            Rejected,
-            Merged,
-            CacheHit,
-        ];
-        let idx: Vec<usize> = all.iter().map(|&s| status_index(s)).collect();
-        assert_eq!(idx, (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -285,7 +285,6 @@ mod tests {
             first_at: 2.0,
             last_at: 10.0,
             mean_interval: 4.0,
-            ..WorkloadConfig::default()
         }
     }
 

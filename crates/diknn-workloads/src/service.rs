@@ -1,8 +1,8 @@
 //! Resident service mode: a long-lived simulator fed by a streaming
 //! workload, with snapshot/restore and rolling operational metrics.
 //!
-//! The batch drivers in [`crate::runner`] build a simulator, run it to a
-//! fixed horizon and tear it down. [`ServiceRun`] instead keeps one
+//! The batch drivers ([`crate::Experiment`]) build a simulator, run it to
+//! a fixed horizon and tear it down. [`ServiceRun`] instead keeps one
 //! simulator resident and advances it in fixed *epochs*: before each epoch
 //! the driver derives that epoch's query arrivals statelessly from
 //! `(seed, epoch)` ([`crate::workload::epoch_arrivals`]), streams them into
@@ -51,6 +51,10 @@ use crate::workload::{epoch_arrivals, RateSchedule};
 /// engine stream is versioned separately by [`diknn_sim::SNAP_VERSION`]).
 pub const SERVICE_SNAP_VERSION: u32 = 1;
 
+/// Rolling window (number of recent terminal queries) for the latency
+/// percentiles in [`ServiceMetrics`].
+const LATENCY_WINDOW: usize = 256;
+
 /// Static configuration of a resident service run. Everything here is
 /// immutable for the lifetime of the run and must be re-supplied verbatim
 /// to [`ServiceRun::restore`] (fingerprint-enforced).
@@ -68,8 +72,6 @@ pub struct ServiceConfig {
     pub faults: FaultPlan,
     /// Neighbours requested per query.
     pub k: usize,
-    /// Query points keep this margin from the field edge (metres).
-    pub edge_margin: f64,
     /// Epoch length in seconds. Arrivals are derived per epoch and
     /// snapshots are taken at epoch boundaries.
     pub epoch_s: f64,
@@ -77,15 +79,11 @@ pub struct ServiceConfig {
     /// brute-force oracle must behave identically, so the equivalence laws
     /// are exercised under both.
     pub neighbor_index: NeighborIndex,
-    /// Rolling window (number of recent terminal queries) for the latency
-    /// percentiles in [`ServiceMetrics`].
-    pub latency_window: usize,
 }
 
 impl ServiceConfig {
     /// A service configuration with serving-layer defaults: k = 10,
-    /// 15 m edge margin, 5 s epochs, a 256-query metrics window and no
-    /// faults.
+    /// 5 s epochs and no faults.
     pub fn new(scenario: ScenarioConfig, schedule: RateSchedule) -> Self {
         ServiceConfig {
             scenario,
@@ -93,10 +91,8 @@ impl ServiceConfig {
             schedule,
             faults: FaultPlan::default(),
             k: 10,
-            edge_margin: 15.0,
             epoch_s: 5.0,
             neighbor_index: NeighborIndex::Grid,
-            latency_window: 256,
         }
     }
 
@@ -202,7 +198,6 @@ impl ServiceRun {
             cfg.epoch_s > 0.0 && cfg.epoch_s.is_finite(),
             "epoch length must be positive"
         );
-        assert!(cfg.latency_window >= 1, "latency window must be non-empty");
         let plans = cfg.scenario.build(seed);
         let mut sim_cfg = cfg.scenario.sim_config();
         sim_cfg.faults = cfg.faults.clone();
@@ -240,7 +235,6 @@ impl ServiceRun {
                 &self.cfg.scenario,
                 &self.cfg.schedule,
                 self.cfg.k,
-                self.cfg.edge_margin,
                 self.seed,
                 self.epoch,
                 start,
@@ -256,30 +250,20 @@ impl ServiceRun {
 
     /// Fold newly-terminal outcomes into the rolling metrics.
     fn absorb_outcomes(&mut self) {
-        let mut fresh: Vec<(u32, QueryStatus, Option<f64>)> = Vec::new();
         for o in self.sim.protocol().outcomes() {
-            if o.status == QueryStatus::Pending || self.counted.contains(&o.qid) {
+            if o.status == QueryStatus::Pending || !self.counted.insert(o.qid) {
                 continue;
             }
-            let latency = o
-                .completed_at
-                .map(|done| done.as_secs_f64() - o.issued_at.as_secs_f64());
-            fresh.push((o.qid, o.status, latency));
-        }
-        for (qid, status, latency) in fresh {
-            self.counted.insert(qid);
             self.terminal += 1;
-            if matches!(
-                status,
-                QueryStatus::Completed | QueryStatus::Merged | QueryStatus::CacheHit
-            ) {
+            if o.status.is_answered() {
                 self.completed += 1;
             }
-            if let Some(l) = latency {
-                if self.latencies.len() == self.cfg.latency_window {
+            if let Some(done) = o.completed_at {
+                if self.latencies.len() == LATENCY_WINDOW {
                     self.latencies.pop_front();
                 }
-                self.latencies.push_back(l);
+                self.latencies
+                    .push_back(done.as_secs_f64() - o.issued_at.as_secs_f64());
             }
         }
     }

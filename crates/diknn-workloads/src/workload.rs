@@ -8,6 +8,10 @@ use diknn_sim::{ConfigError, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// Query points keep this margin (metres) from the field edge, in every
+/// workload: batch, sustained load and the resident service.
+const QUERY_EDGE_MARGIN_M: f64 = 15.0;
+
 /// Workload parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkloadConfig {
@@ -21,8 +25,6 @@ pub struct WorkloadConfig {
     /// No queries after this time (queries need time to complete inside
     /// the run).
     pub last_at: f64,
-    /// Query points keep this margin from the field edge.
-    pub edge_margin: f64,
 }
 
 impl Default for WorkloadConfig {
@@ -32,7 +34,6 @@ impl Default for WorkloadConfig {
             mean_interval: 4.0,
             first_at: 2.0,
             last_at: 80.0,
-            edge_margin: 15.0,
         }
     }
 }
@@ -40,7 +41,7 @@ impl Default for WorkloadConfig {
 /// Generate the request sequence for one run.
 ///
 /// Sinks are uniform over the data nodes; query points uniform inside the
-/// field margin; inter-arrival times `Exp(1/mean)`.
+/// 15 m field margin; inter-arrival times `Exp(1/mean)`.
 pub fn generate(scenario: &ScenarioConfig, cfg: &WorkloadConfig, seed: u64) -> Vec<QueryRequest> {
     assert!(cfg.k >= 1, "k must be positive");
     assert!(cfg.mean_interval > 0.0);
@@ -51,7 +52,7 @@ pub fn generate(scenario: &ScenarioConfig, cfg: &WorkloadConfig, seed: u64) -> V
         out.push(QueryRequest {
             at: t,
             sink: NodeId(rng.gen_range(0..scenario.nodes) as u32),
-            q: scenario.random_query_point(&mut rng, cfg.edge_margin),
+            q: scenario.random_query_point(&mut rng, QUERY_EDGE_MARGIN_M),
             k: cfg.k,
         });
         // Inverse-CDF exponential sample.
@@ -66,7 +67,7 @@ pub fn generate(scenario: &ScenarioConfig, cfg: &WorkloadConfig, seed: u64) -> V
 ///
 /// Same sampler as [`generate`] (so a `QueryLoad` run is bit-reproducible
 /// per seed) but parameterised by arrival *rate* λ in queries/sec instead
-/// of a mean interval, with an optional total-query cap. Rates well above
+/// of a mean interval ([`QueryLoad::workload`]). Rates well above
 /// `1 / typical_query_latency` put many queries in flight at once, which
 /// is the regime the per-query metrics, watchdogs and the cross-query
 /// custody invariant exist for.
@@ -80,10 +81,6 @@ pub struct QueryLoad {
     pub first_at: f64,
     /// No arrivals after this time.
     pub last_at: f64,
-    /// Query points keep this margin from the field edge.
-    pub edge_margin: f64,
-    /// Optional cap on the total number of queries issued.
-    pub max_queries: Option<usize>,
 }
 
 impl Default for QueryLoad {
@@ -93,8 +90,6 @@ impl Default for QueryLoad {
             k: 10,
             first_at: 2.0,
             last_at: 80.0,
-            edge_margin: 15.0,
-            max_queries: None,
         }
     }
 }
@@ -123,18 +118,7 @@ impl QueryLoad {
             mean_interval: 1.0 / self.rate_qps,
             first_at: self.first_at,
             last_at: self.last_at,
-            edge_margin: self.edge_margin,
         }
-    }
-
-    /// Generate the arrival sequence for one run: [`generate`] through the
-    /// equivalent workload, truncated to `max_queries` if set.
-    pub fn generate(&self, scenario: &ScenarioConfig, seed: u64) -> Vec<QueryRequest> {
-        let mut reqs = generate(scenario, &self.workload(), seed);
-        if let Some(cap) = self.max_queries {
-            reqs.truncate(cap);
-        }
-        reqs
     }
 }
 
@@ -194,12 +178,10 @@ impl RateSchedule {
 /// arrival stream for every later epoch — the property the service mode's
 /// restore-equivalence law rests on. The rate is sampled from `schedule`
 /// at each arrival instant, so a step mid-epoch takes effect mid-epoch.
-#[allow(clippy::too_many_arguments)]
 pub fn epoch_arrivals(
     scenario: &ScenarioConfig,
     schedule: &RateSchedule,
     k: usize,
-    edge_margin: f64,
     seed: u64,
     epoch: u64,
     start: f64,
@@ -236,7 +218,7 @@ pub fn epoch_arrivals(
         out.push(QueryRequest {
             at: t,
             sink: NodeId(rng.gen_range(0..scenario.nodes) as u32),
-            q: scenario.random_query_point(&mut rng, edge_margin),
+            q: scenario.random_query_point(&mut rng, QUERY_EDGE_MARGIN_M),
             k,
         });
     }
@@ -318,25 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn query_load_matches_equivalent_workload_and_caps() {
-        let sc = ScenarioConfig::default();
-        let load = QueryLoad {
-            rate_qps: 0.25,
-            ..QueryLoad::default()
-        };
-        let via_load = load.generate(&sc, 5);
-        let via_wl = generate(&sc, &load.workload(), 5);
-        assert_eq!(via_load, via_wl);
-        let capped = QueryLoad {
-            max_queries: Some(3),
-            ..load
-        }
-        .generate(&sc, 5);
-        assert_eq!(capped.len(), 3.min(via_load.len()));
-        assert_eq!(&via_load[..capped.len()], &capped[..]);
-    }
-
-    #[test]
     fn rate_schedule_steps_take_effect() {
         let rs = RateSchedule::new(vec![(0.0, 2.0), (10.0, 8.0), (20.0, 0.0)]);
         assert_eq!(rs.rate_at(0.0), 2.0);
@@ -356,8 +319,8 @@ mod tests {
     fn epoch_arrivals_are_stateless_per_epoch() {
         let sc = ScenarioConfig::default();
         let rs = RateSchedule::constant(4.0);
-        let a = epoch_arrivals(&sc, &rs, 10, 15.0, 7, 3, 15.0, 20.0);
-        let b = epoch_arrivals(&sc, &rs, 10, 15.0, 7, 3, 15.0, 20.0);
+        let a = epoch_arrivals(&sc, &rs, 10, 7, 3, 15.0, 20.0);
+        let b = epoch_arrivals(&sc, &rs, 10, 7, 3, 15.0, 20.0);
         assert_eq!(a, b);
         assert!(!a.is_empty());
         for r in &a {
@@ -366,7 +329,7 @@ mod tests {
         }
         // A different epoch index draws a different stream even over the
         // same window (the per-epoch derivation, not the window, keys it).
-        let c = epoch_arrivals(&sc, &rs, 10, 15.0, 7, 4, 15.0, 20.0);
+        let c = epoch_arrivals(&sc, &rs, 10, 7, 4, 15.0, 20.0);
         assert_ne!(a, c);
     }
 
@@ -374,14 +337,14 @@ mod tests {
     fn epoch_arrivals_respect_rate_pause() {
         let sc = ScenarioConfig::default();
         let rs = RateSchedule::new(vec![(0.0, 0.0), (4.0, 50.0)]);
-        let a = epoch_arrivals(&sc, &rs, 5, 15.0, 1, 0, 0.0, 6.0);
+        let a = epoch_arrivals(&sc, &rs, 5, 1, 0, 0.0, 6.0);
         assert!(!a.is_empty());
         for r in &a {
             assert!(r.at >= 4.0, "arrival {} during the paused stretch", r.at);
         }
         // Fully paused window: no arrivals at all.
         let quiet = RateSchedule::new(vec![(0.0, 0.0)]);
-        assert!(epoch_arrivals(&sc, &quiet, 5, 15.0, 1, 0, 0.0, 6.0).is_empty());
+        assert!(epoch_arrivals(&sc, &quiet, 5, 1, 0, 0.0, 6.0).is_empty());
     }
 
     mod props {
@@ -391,15 +354,12 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Truncation stability: capping a load is a pure prefix
-            /// operation — the capped stream equals the first `cap` entries
-            /// of the uncapped stream (same times, sinks, points, k), and
-            /// arrivals stay strictly monotone. Load sweeps rely on this to
-            /// compare capped and uncapped runs of the same seed.
+            /// Arrivals of a sustained load, generated through its
+            /// equivalent workload, are strictly monotone in time for any
+            /// rate and seed.
             #[test]
-            fn query_load_truncation_is_prefix_stable(
+            fn query_load_arrivals_are_strictly_monotone(
                 rate in 0.05..30.0f64,
-                cap in 0usize..40,
                 seed in 0u64..10_000,
             ) {
                 let sc = ScenarioConfig::default();
@@ -407,8 +367,8 @@ mod tests {
                     rate_qps: rate,
                     ..QueryLoad::default()
                 };
-                let full = load.generate(&sc, seed);
-                for w in full.windows(2) {
+                let arrivals = generate(&sc, &load.workload(), seed);
+                for w in arrivals.windows(2) {
                     prop_assert!(
                         w[0].at < w[1].at,
                         "arrivals must be strictly monotone: {} then {}",
@@ -416,13 +376,6 @@ mod tests {
                         w[1].at
                     );
                 }
-                let capped = QueryLoad {
-                    max_queries: Some(cap),
-                    ..load
-                }
-                .generate(&sc, seed);
-                prop_assert_eq!(capped.len(), cap.min(full.len()));
-                prop_assert_eq!(&full[..capped.len()], &capped[..]);
             }
         }
     }

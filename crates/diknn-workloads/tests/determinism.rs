@@ -35,7 +35,6 @@ fn workload() -> WorkloadConfig {
         first_at: 2.0,
         last_at: 12.0,
         mean_interval: 3.0,
-        ..WorkloadConfig::default()
     }
 }
 
@@ -157,7 +156,6 @@ mod crashed_silence {
                 first_at: 1.0,
                 last_at: 8.0,
                 mean_interval: 2.0,
-                ..WorkloadConfig::default()
             };
             let requests = diknn_workloads::workload::generate(&scenario, &wl, seed);
             let plans = scenario.build(seed);

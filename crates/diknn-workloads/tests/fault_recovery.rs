@@ -8,7 +8,7 @@ use diknn_baselines::PeerTreeConfig;
 use diknn_core::{DiknnConfig, QueryStatus};
 use diknn_sim::FaultPlan;
 use diknn_workloads::{
-    fault_sweep, status_index, Experiment, ProtocolKind, RunMetrics, ScenarioConfig, WorkloadConfig,
+    fault_sweep, Experiment, ProtocolKind, RunMetrics, ScenarioConfig, WorkloadConfig,
 };
 
 fn scenario() -> ScenarioConfig {
@@ -26,7 +26,6 @@ fn workload() -> WorkloadConfig {
         first_at: 2.0,
         last_at: 22.0,
         mean_interval: 2.0,
-        ..WorkloadConfig::default()
     }
 }
 
@@ -68,7 +67,7 @@ fn every_query_terminates_with_a_classified_outcome() {
                 m.queries
             );
             assert_eq!(
-                m.status_counts[status_index(QueryStatus::Pending)],
+                m.status_counts[QueryStatus::Pending as usize],
                 0,
                 "seed {seed}: unclassified queries: {:?}",
                 m.status_counts
@@ -104,7 +103,6 @@ fn routeless_final_stage_peertree_query_is_dropped() {
         first_at: 2.0,
         last_at: 20.0,
         mean_interval: 2.0,
-        ..WorkloadConfig::default()
     };
     for seed in [1u64, 2, 3, 4, 7, 8] {
         let mut exp = Experiment::new(
@@ -116,7 +114,7 @@ fn routeless_final_stage_peertree_query_is_dropped() {
         let m = exp.run_once(seed);
         assert!(m.queries >= 3, "seed {seed}: vacuous run");
         assert_eq!(
-            m.status_counts[status_index(QueryStatus::Pending)],
+            m.status_counts[QueryStatus::Pending as usize],
             0,
             "seed {seed}: unclassified queries: {:?}",
             m.status_counts
@@ -133,7 +131,7 @@ fn recovery_measurably_raises_completion_under_faults() {
     // "Complete" here means *fully* complete (every sector merged): queries
     // that time out with partial sectors still carry a `completed_at`, so
     // `RunMetrics::completed` alone cannot see what recovery buys back.
-    let full = |m: &RunMetrics| m.status_counts[status_index(QueryStatus::Completed)];
+    let full = |m: &RunMetrics| m.status_counts[QueryStatus::Completed as usize];
     let mut on = (0usize, 0usize); // (fully completed, queries)
     let mut off = (0usize, 0usize);
     let mut recoveries = 0u64;

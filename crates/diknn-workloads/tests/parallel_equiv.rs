@@ -26,7 +26,6 @@ fn pinned_experiment() -> Experiment {
             first_at: 2.0,
             last_at: 10.0,
             mean_interval: 4.0,
-            ..WorkloadConfig::default()
         },
     )
 }
@@ -69,7 +68,6 @@ fn multi_query_parallel_aggregate_is_bit_identical_to_sequential() {
         k: 10,
         first_at: 2.0,
         last_at: 10.0,
-        ..QueryLoad::default()
     };
     let exp = Experiment::new(
         ProtocolKind::Diknn(DiknnConfig::default()),
@@ -112,7 +110,6 @@ fn overload_with_serving_classifies_every_query_and_stays_bit_identical() {
         k: 10,
         first_at: 2.0,
         last_at: 10.0,
-        ..QueryLoad::default()
     };
     let exp = admission_experiment(120, 25.0, 2.0, &load, ServingConfig::enabled());
     let runs: Vec<_> = (0..3)
@@ -127,7 +124,11 @@ fn overload_with_serving_classifies_every_query_and_stays_bit_identical() {
         summary.all_terminal(),
         "every query must be classified: {summary:?}"
     );
-    assert_eq!(summary.pending, 0, "{summary:?}");
+    assert_eq!(
+        summary.status_counts[QueryStatus::Pending as usize],
+        0,
+        "{summary:?}"
+    );
     for m in &runs {
         for q in &m.per_query {
             assert_ne!(

@@ -34,7 +34,6 @@ fn stale_carrier_cannot_duplicate_a_reissue_epoch() {
         k: 40,
         first_at: 2.0,
         last_at: 30.0,
-        ..QueryLoad::default()
     };
     let scenario = ScenarioConfig {
         nodes: 500,

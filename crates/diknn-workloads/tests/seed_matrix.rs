@@ -12,9 +12,7 @@
 use diknn_baselines::{FloodConfig, KptConfig, PeerTreeConfig};
 use diknn_core::{DiknnConfig, QueryStatus};
 use diknn_sim::FaultPlan;
-use diknn_workloads::{
-    fault_sweep, status_index, Experiment, ProtocolKind, ScenarioConfig, WorkloadConfig,
-};
+use diknn_workloads::{fault_sweep, Experiment, ProtocolKind, ScenarioConfig, WorkloadConfig};
 
 const SEEDS: [u64; 5] = [11, 23, 47, 101, 2007];
 
@@ -33,7 +31,6 @@ fn workload() -> WorkloadConfig {
         first_at: 2.0,
         last_at: 10.0,
         mean_interval: 4.0,
-        ..WorkloadConfig::default()
     }
 }
 
@@ -47,7 +44,7 @@ fn smoke(label: &str, mut make: impl FnMut(ProtocolKind) -> Experiment) {
             let m = exp.run_once(seed);
             assert!(m.queries >= 1, "{label}/{name} seed {seed}: no queries ran");
             assert_eq!(
-                m.status_counts[status_index(QueryStatus::Pending)],
+                m.status_counts[QueryStatus::Pending as usize],
                 0,
                 "{label}/{name} seed {seed}: unclassified queries: {:?}",
                 m.status_counts
