@@ -230,6 +230,72 @@ fn faulted_diknn_same_seed_runs_are_bit_identical() {
     assert_eq!(exp.run_once(11), exp.run_once(11));
 }
 
+/// Every KNN protocol's seeded run, pinned: the FNV-1a of its
+/// [`fingerprint`] text on the mobile [`scenario`], once clean and once
+/// under `fault_sweep::churn_and_bursts`. The constants were taken from a
+/// build whose protocols each kept their own query plumbing; code that
+/// only moves that plumbing into shared helpers must match all ten. A
+/// deliberate change of protocol behaviour re-pins them.
+#[test]
+fn every_protocol_run_matches_its_pinned_fingerprint() {
+    use diknn_baselines::{CentralizedConfig, FloodConfig, KptConfig};
+    let scenario = scenario();
+    let plan = fault_sweep::churn_and_bursts(scenario.duration);
+    let requests = diknn_workloads::workload::generate(&scenario, &workload(), 11);
+    // (protocol, clean fingerprint, faulted fingerprint)
+    let pinned = [
+        (
+            ProtocolKind::Diknn(DiknnConfig::default()),
+            0xbcb0_6c65_232b_4d6f_u64,
+            0x94ec_7a5b_09cc_6663_u64,
+        ),
+        (
+            ProtocolKind::Kpt(KptConfig::default()),
+            0x6d3a_a4b3_4ed2_2b63,
+            0x1832_714f_a92a_ef88,
+        ),
+        (
+            ProtocolKind::PeerTree(PeerTreeConfig::default()),
+            0x30b3_e305_0c2a_8d65,
+            0x9398_1cd0_be71_e52a,
+        ),
+        (
+            ProtocolKind::Flood(FloodConfig::default()),
+            0x053f_1c8f_2a00_fab1,
+            0xa87a_a2bd_aebc_afe7,
+        ),
+        (
+            ProtocolKind::Centralized(CentralizedConfig::default()),
+            0xb35e_dab8_4daf_f26e,
+            0xf60b_f347_00db_6897,
+        ),
+    ];
+    let mut got = Vec::new();
+    for (kind, clean, faulted) in pinned {
+        let name = kind.name();
+        for (faults, want) in [(None, clean), (Some(plan.clone()), faulted)] {
+            let is_clean = faults.is_none();
+            let (o, e) =
+                run_protocol_once_faulted(kind.clone(), &scenario, requests.clone(), 11, faults);
+            assert!(
+                !is_clean || o.iter().any(|o| o.completed_at.is_some()),
+                "{name}: no query completed on the clean run, the pin is vacuous"
+            );
+            let hash = diknn_snap::fingerprint(fingerprint(&o, e).as_bytes());
+            got.push((name, is_clean, hash, want));
+        }
+    }
+    let wrong: Vec<String> = got
+        .iter()
+        .filter(|(_, _, hash, want)| hash != want)
+        .map(|(name, clean, hash, want)| {
+            let run = if *clean { "clean" } else { "faulted" };
+            format!("{name} {run}: {hash:#018x}, pinned {want:#018x}")
+        })
+        .collect();
+    assert!(wrong.is_empty(), "runs drifted:\n{}", wrong.join("\n"));
+}
+
 #[test]
 fn full_experiment_metrics_are_deterministic_across_seeds() {
     // The aggregated driver path too, on a couple of seeds: RunMetrics
