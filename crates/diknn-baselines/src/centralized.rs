@@ -16,13 +16,13 @@
 use std::collections::BTreeMap;
 
 use diknn_geom::{Point, Rect};
-use diknn_routing::{plan_next_hop, reliable, GpsrHeader, RouteStep};
+use diknn_routing::{next_hop, GpsrHeader};
 use diknn_rtree::RTree;
 use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
-use diknn_core::{KnnProtocol, QueryOutcome, QueryRequest, QueryStatus};
+use diknn_core::messages::QuerySpec;
+use diknn_core::{schedule_issues, KnnProtocol, QueryOutcome, QueryRequest, K_ISSUE};
 
-const K_ISSUE: u8 = 1;
 const K_REPORT: u8 = 2;
 
 /// Centralized-index configuration.
@@ -47,16 +47,6 @@ impl Default for CentralizedConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CSpec {
-    pub qid: u32,
-    pub sink: NodeId,
-    pub sink_pos: Point,
-    pub q: Point,
-    pub k: u32,
-    pub issued_at: SimTime,
-}
-
 #[derive(Debug, Clone, PartialEq)]
 pub enum CentralMsg {
     /// Periodic position report node → base station.
@@ -66,10 +56,10 @@ pub enum CentralMsg {
         gpsr: GpsrHeader,
     },
     /// Query sink → base station.
-    Query { spec: CSpec, gpsr: GpsrHeader },
+    Query { spec: QuerySpec, gpsr: GpsrHeader },
     /// Answer base station → sink.
     Answer {
-        spec: CSpec,
+        spec: QuerySpec,
         gpsr: GpsrHeader,
         answer: Vec<NodeId>,
     },
@@ -82,6 +72,15 @@ impl CentralMsg {
         match self {
             CentralMsg::Report { .. } => None,
             CentralMsg::Query { spec, .. } | CentralMsg::Answer { spec, .. } => Some(spec.qid),
+        }
+    }
+
+    /// The GPSR header every frame travels under.
+    fn gpsr_mut(&mut self) -> &mut GpsrHeader {
+        match self {
+            CentralMsg::Report { gpsr, .. }
+            | CentralMsg::Query { gpsr, .. }
+            | CentralMsg::Answer { gpsr, .. } => gpsr,
         }
     }
 
@@ -144,60 +143,42 @@ impl Centralized {
         ctx.unicast_flow(from, to, bytes, msg, flow);
     }
 
-    /// Geo-route `msg` toward the header's destination, delivering to
-    /// `dest` when adjacent. Returns false if the route died.
-    fn geo_forward(
+    /// The node a frame is bound for, and the key its failed next hops are
+    /// excluded under.
+    fn route_of(&self, msg: &CentralMsg) -> (NodeId, (u32, u8)) {
+        match msg {
+            CentralMsg::Report { node, .. } => (self.base_id(), (node.0, 0)),
+            CentralMsg::Query { spec, .. } => (self.base_id(), (spec.qid, 1)),
+            CentralMsg::Answer { spec, .. } => (spec.sink, (spec.qid, 2)),
+        }
+    }
+
+    /// Frame `msg` is at node `at`: handle it if this is its destination,
+    /// else route it one GPSR hop on. A dead end loses it.
+    fn deliver(
         &mut self,
         ctx: &mut Ctx<CentralMsg>,
         at: NodeId,
-        dest: NodeId,
-        route_key: (u32, u8),
-        msg: CentralMsg,
+        mut msg: CentralMsg,
         from: Option<NodeId>,
-    ) -> bool {
-        let gpsr = match &msg {
-            CentralMsg::Report { gpsr, .. }
-            | CentralMsg::Query { gpsr, .. }
-            | CentralMsg::Answer { gpsr, .. } => *gpsr,
-        };
-        let neighbors = reliable(ctx, at);
-        if neighbors.iter().any(|n| n.id == dest) {
-            self.send(ctx, at, dest, msg);
-            return true;
-        }
-        let exclude = self
-            .route_excludes
-            .get(&route_key)
-            .cloned()
-            .unwrap_or_default();
-        let prev = from.map(|f| (f, ctx.position(f)));
-        match plan_next_hop(
-            at,
-            ctx.position(at),
-            &gpsr,
-            &neighbors,
-            prev,
-            &exclude,
-            self.radio_range,
-        ) {
-            RouteStep::Forward { next, header } => {
-                let fwd = match msg {
-                    CentralMsg::Report { node, position, .. } => CentralMsg::Report {
-                        node,
-                        position,
-                        gpsr: header,
-                    },
-                    CentralMsg::Query { spec, .. } => CentralMsg::Query { spec, gpsr: header },
-                    CentralMsg::Answer { spec, answer, .. } => CentralMsg::Answer {
-                        spec,
-                        answer,
-                        gpsr: header,
-                    },
-                };
-                self.send(ctx, at, next, fwd);
-                true
+    ) {
+        let (dest, key) = self.route_of(&msg);
+        if at != dest {
+            let exclude = self.route_excludes.get(&key).map_or(&[][..], Vec::as_slice);
+            let r = self.radio_range;
+            if let Some(next) = next_hop(ctx, at, Some(dest), msg.gpsr_mut(), from, exclude, r) {
+                self.send(ctx, at, next, msg);
             }
-            RouteStep::Arrived | RouteStep::NoRoute => false,
+            return;
+        }
+        match msg {
+            CentralMsg::Report { node, position, .. } => {
+                self.index.insert(node.0, (position, ctx.now()));
+            }
+            CentralMsg::Query { spec, .. } => self.answer_query(ctx, spec),
+            CentralMsg::Answer { spec, answer, .. } => {
+                self.outcomes[spec.qid as usize].complete(ctx.now(), answer);
+            }
         }
     }
 
@@ -208,8 +189,7 @@ impl Centralized {
             position: pos,
             gpsr: GpsrHeader::new(self.base_pos),
         };
-        let base = self.base_id();
-        self.geo_forward(ctx, at, base, (at.0, 0), msg, None);
+        self.deliver(ctx, at, msg, None);
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(self.cfg.report_interval),
@@ -218,46 +198,19 @@ impl Centralized {
     }
 
     fn issue(&mut self, ctx: &mut Ctx<CentralMsg>, idx: usize) {
-        let req = self.requests[idx];
         let qid = self.outcomes.len() as u32;
-        let spec = CSpec {
-            qid,
-            sink: req.sink,
-            sink_pos: ctx.position(req.sink),
-            q: req.q,
-            k: req.k.max(1) as u32,
-            issued_at: ctx.now(),
-        };
-        self.outcomes.push(QueryOutcome {
-            qid,
-            sink: req.sink,
-            q: req.q,
-            k: req.k,
-            issued_at: ctx.now(),
-            completed_at: None,
-            answer: Vec::new(),
-            boundary_radius: 0.0,
-            final_radius: 0.0,
-            routing_hops: 0,
-            parts_expected: 1,
-            parts_returned: 0,
-            explored_nodes: 0,
-            status: QueryStatus::Pending,
-        });
+        let outcome = QueryOutcome::pending(qid, &self.requests[idx], ctx.now(), 1);
+        let spec = QuerySpec::issue(ctx, &outcome, 0);
+        self.outcomes.push(outcome);
         let msg = CentralMsg::Query {
             spec,
             gpsr: GpsrHeader::new(self.base_pos),
         };
-        let base = self.base_id();
-        if req.sink == base {
-            self.answer_query(ctx, spec);
-        } else {
-            self.geo_forward(ctx, req.sink, base, (qid, 1), msg, None);
-        }
+        self.deliver(ctx, spec.sink, msg, None);
     }
 
     /// The base station answers from its index.
-    fn answer_query(&mut self, ctx: &mut Ctx<CentralMsg>, spec: CSpec) {
+    fn answer_query(&mut self, ctx: &mut Ctx<CentralMsg>, spec: QuerySpec) {
         let now = ctx.now();
         let timeout = self.cfg.entry_timeout;
         self.index
@@ -278,24 +231,7 @@ impl Centralized {
             answer,
         };
         let base = self.base_id();
-        if spec.sink == base {
-            self.absorb(ctx, msg);
-        } else {
-            self.geo_forward(ctx, base, spec.sink, (spec.qid, 2), msg, None);
-        }
-    }
-
-    fn absorb(&mut self, ctx: &mut Ctx<CentralMsg>, msg: CentralMsg) {
-        let CentralMsg::Answer { spec, answer, .. } = msg else {
-            unreachable!()
-        };
-        let o = &mut self.outcomes[spec.qid as usize];
-        if o.completed_at.is_none() {
-            o.completed_at = Some(ctx.now());
-            o.answer = answer;
-            o.answer.truncate(o.k);
-            o.parts_returned = 1;
-        }
+        self.deliver(ctx, base, msg, None);
     }
 }
 
@@ -318,13 +254,7 @@ impl Protocol for Centralized {
                 pack_timer_key(K_REPORT, 0, 0),
             );
         }
-        for (i, req) in self.requests.clone().into_iter().enumerate() {
-            ctx.set_timer(
-                req.sink,
-                SimDuration::from_secs_f64(req.at),
-                pack_timer_key(K_ISSUE, 0, i as u32),
-            );
-        }
+        schedule_issues(ctx, 0, &self.requests);
     }
 
     fn on_timer(&mut self, at: NodeId, timer_key: u64, ctx: &mut Ctx<CentralMsg>) {
@@ -343,34 +273,7 @@ impl Protocol for Centralized {
         msg: &CentralMsg,
         ctx: &mut Ctx<CentralMsg>,
     ) {
-        let base = self.base_id();
-        match msg {
-            CentralMsg::Report { node, position, .. } => {
-                if at == base {
-                    self.index.insert(node.0, (*position, ctx.now()));
-                } else {
-                    let node = *node;
-                    self.geo_forward(ctx, at, base, (node.0, 0), msg.clone(), Some(from));
-                }
-            }
-            CentralMsg::Query { spec, .. } => {
-                if at == base {
-                    self.answer_query(ctx, *spec);
-                } else {
-                    let qid = spec.qid;
-                    self.geo_forward(ctx, at, base, (qid, 1), msg.clone(), Some(from));
-                }
-            }
-            CentralMsg::Answer { spec, .. } => {
-                if at == spec.sink {
-                    self.absorb(ctx, msg.clone());
-                } else {
-                    let qid = spec.qid;
-                    let sink = spec.sink;
-                    self.geo_forward(ctx, at, sink, (qid, 2), msg.clone(), Some(from));
-                }
-            }
-        }
+        self.deliver(ctx, at, msg.clone(), Some(from));
     }
 
     fn on_send_failed(
@@ -380,15 +283,11 @@ impl Protocol for Centralized {
         msg: &CentralMsg,
         ctx: &mut Ctx<CentralMsg>,
     ) {
-        let (route_key, dest) = match msg {
-            CentralMsg::Report { node, .. } => ((node.0, 0u8), self.base_id()),
-            CentralMsg::Query { spec, .. } => ((spec.qid, 1u8), self.base_id()),
-            CentralMsg::Answer { spec, .. } => ((spec.qid, 2u8), spec.sink),
-        };
+        let (_, route_key) = self.route_of(msg);
         let e = self.route_excludes.entry(route_key).or_default();
         e.push(to);
         if e.len() <= 8 {
-            self.geo_forward(ctx, at, dest, route_key, msg.clone(), None);
+            self.deliver(ctx, at, msg.clone(), None);
         } else {
             self.route_excludes.remove(&route_key);
         }

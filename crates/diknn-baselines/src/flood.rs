@@ -8,13 +8,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use diknn_geom::Point;
-use diknn_routing::{plan_next_hop, reliable, GpsrHeader, RouteStep};
+use diknn_routing::{next_hop, GpsrHeader};
 use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
-use diknn_core::knnb::{knnb, HopRecord};
-use diknn_core::{Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, QueryStatus};
+use diknn_core::knnb::knnb;
+use diknn_core::messages::{QueryMsg, QuerySpec};
+use diknn_core::{
+    schedule_issues, Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, K_ISSUE,
+};
 
-const K_ISSUE: u8 = 1;
 const K_CLOSE: u8 = 2;
 const K_RESPOND: u8 = 3;
 
@@ -42,33 +44,24 @@ impl Default for FloodConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FloodSpec {
-    pub qid: u32,
-    pub sink: NodeId,
-    pub sink_pos: Point,
-    pub q: Point,
-    pub k: u32,
-    pub issued_at: SimTime,
+/// One in-boundary node's own answer, routed end-to-end to the sink.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FloodResponse {
+    pub spec: QuerySpec,
+    pub gpsr: GpsrHeader,
+    pub node: NodeId,
+    pub position: Point,
 }
 
 #[derive(Debug, Clone, PartialEq)]
 pub enum FloodMsg {
-    /// Routing phase toward the home node (KNNB list gathering).
-    Query {
-        spec: FloodSpec,
-        gpsr: GpsrHeader,
-        list: Vec<HopRecord>,
-    },
+    /// Routing phase toward the home node: DIKNN's query message, gathering
+    /// the KNNB hop records.
+    Query(QueryMsg),
     /// In-boundary flood.
-    Flood { spec: FloodSpec, radius: f64 },
+    Flood { spec: QuerySpec, radius: f64 },
     /// Per-node response routed end-to-end to the sink.
-    Response {
-        spec: FloodSpec,
-        gpsr: GpsrHeader,
-        node: NodeId,
-        position: Point,
-    },
+    Response(FloodResponse),
 }
 
 impl FloodMsg {
@@ -76,17 +69,17 @@ impl FloodMsg {
     /// query-scoped).
     fn qid(&self) -> Option<u32> {
         match self {
-            FloodMsg::Query { spec, .. }
+            FloodMsg::Query(QueryMsg { spec, .. })
             | FloodMsg::Flood { spec, .. }
-            | FloodMsg::Response { spec, .. } => Some(spec.qid),
+            | FloodMsg::Response(FloodResponse { spec, .. }) => Some(spec.qid),
         }
     }
 
     fn wire_bytes(&self, cfg: &FloodConfig) -> usize {
         match self {
-            FloodMsg::Query { list, .. } => cfg.base_msg_bytes + 10 * list.len(),
+            FloodMsg::Query(m) => cfg.base_msg_bytes + 10 * m.list.len(),
             FloodMsg::Flood { .. } => cfg.base_msg_bytes + 4,
-            FloodMsg::Response { .. } => cfg.base_msg_bytes + cfg.response_bytes,
+            FloodMsg::Response(_) => cfg.base_msg_bytes + cfg.response_bytes,
         }
     }
 }
@@ -98,7 +91,7 @@ pub struct Flood {
     outcomes: Vec<QueryOutcome>,
     merged: BTreeMap<u32, (CandidateSet, u32, SimTime)>,
     seen_flood: BTreeSet<(u32, u32)>,
-    pending: BTreeMap<(u32, u32), FloodSpec>,
+    pending: BTreeMap<(u32, u32), QuerySpec>,
     radio_range: f64,
 }
 
@@ -122,112 +115,51 @@ impl Flood {
     }
 
     fn issue(&mut self, ctx: &mut Ctx<FloodMsg>, idx: usize) {
-        let req = self.requests[idx];
         let qid = self.outcomes.len() as u32;
-        let spec = FloodSpec {
-            qid,
-            sink: req.sink,
-            sink_pos: ctx.position(req.sink),
-            q: req.q,
-            k: req.k.max(1) as u32,
-            issued_at: ctx.now(),
-        };
-        self.outcomes.push(QueryOutcome {
-            qid,
-            sink: req.sink,
-            q: req.q,
-            k: req.k,
-            issued_at: ctx.now(),
-            completed_at: None,
-            answer: Vec::new(),
-            boundary_radius: 0.0,
-            final_radius: 0.0,
-            routing_hops: 0,
-            parts_expected: 0,
-            parts_returned: 0,
-            explored_nodes: 0,
-            status: QueryStatus::Pending,
-        });
+        let outcome = QueryOutcome::pending(qid, &self.requests[idx], ctx.now(), 0);
+        let spec = QuerySpec::issue(ctx, &outcome, 0);
+        self.outcomes.push(outcome);
         self.merged
-            .insert(qid, (CandidateSet::new(req.k.max(1)), 0, ctx.now()));
+            .insert(qid, (CandidateSet::new(spec.k as usize), 0, ctx.now()));
         ctx.set_timer(
-            req.sink,
+            spec.sink,
             SimDuration::from_secs_f64(self.cfg.close_after),
             pack_timer_key(K_CLOSE, qid, 0),
         );
-        let msg = FloodMsg::Query {
+        let msg = QueryMsg {
             spec,
-            gpsr: GpsrHeader::new(req.q),
+            gpsr: GpsrHeader::new(spec.q),
             list: Vec::new(),
         };
-        self.query_arrival(ctx, req.sink, msg, None);
+        self.query_arrival(ctx, spec.sink, msg, None);
     }
 
     fn query_arrival(
         &mut self,
         ctx: &mut Ctx<FloodMsg>,
         at: NodeId,
-        msg: FloodMsg,
+        mut msg: QueryMsg,
         from: Option<NodeId>,
     ) {
-        let FloodMsg::Query {
-            spec,
-            gpsr,
-            mut list,
-        } = msg
-        else {
-            unreachable!()
-        };
-        let neighbors = reliable(ctx, at);
-        let prev = list.last().map(|h| h.loc);
-        let enc = match prev {
-            None => neighbors.len() as u32,
-            Some(p) => neighbors
-                .iter()
-                .filter(|n| n.position.dist(p) > self.radio_range)
-                .count() as u32,
-        };
-        list.push(HopRecord {
-            loc: ctx.position(at),
-            enc,
-        });
-        let prev_pos = from.map(|f| (f, ctx.position(f)));
-        match plan_next_hop(
-            at,
-            ctx.position(at),
-            &gpsr,
-            &neighbors,
-            prev_pos,
-            &[],
-            1.5 * self.radio_range, // home node = closest to q; skip face walks
-        ) {
-            RouteStep::Forward { next, header } => {
-                self.send(
-                    ctx,
-                    at,
-                    next,
-                    FloodMsg::Query {
-                        spec,
-                        gpsr: header,
-                        list,
-                    },
-                );
-            }
-            RouteStep::Arrived | RouteStep::NoRoute => {
-                let radius = knnb(&list, spec.q, self.radio_range, spec.k as usize)
-                    .radius
-                    .max(self.radio_range * 0.5);
-                if let Some(o) = self.outcomes.get_mut(spec.qid as usize) {
-                    o.boundary_radius = radius;
-                    o.final_radius = radius;
-                    o.routing_hops = list.len().saturating_sub(1) as u32;
-                }
-                self.flood_arrival(ctx, at, spec, radius);
-            }
+        msg.record_hop(ctx, at, self.radio_range);
+        // The home node is the one closest to q: skip face walks.
+        let home_radius = 1.5 * self.radio_range;
+        if let Some(next) = next_hop(ctx, at, None, &mut msg.gpsr, from, &[], home_radius) {
+            return self.send(ctx, at, next, FloodMsg::Query(msg));
         }
+        let spec = msg.spec;
+        let radius = knnb(&msg.list, spec.q, self.radio_range, spec.k as usize)
+            .radius
+            .max(self.radio_range * 0.5);
+        if let Some(o) = self.outcomes.get_mut(spec.qid as usize) {
+            o.boundary_radius = radius;
+            o.final_radius = radius;
+            o.routing_hops = msg.list.len().saturating_sub(1) as u32;
+        }
+        self.flood_arrival(ctx, at, spec, radius);
     }
 
-    fn flood_arrival(&mut self, ctx: &mut Ctx<FloodMsg>, at: NodeId, spec: FloodSpec, radius: f64) {
+    fn flood_arrival(&mut self, ctx: &mut Ctx<FloodMsg>, at: NodeId, spec: QuerySpec, radius: f64) {
         if !self.seen_flood.insert((spec.qid, at.0)) {
             return;
         }
@@ -257,7 +189,7 @@ impl Flood {
         let Some(spec) = self.pending.remove(&(qid, at.0)) else {
             return;
         };
-        let resp = FloodMsg::Response {
+        let resp = FloodResponse {
             spec,
             gpsr: GpsrHeader::new(spec.sink_pos),
             node: at,
@@ -266,76 +198,28 @@ impl Flood {
         self.route_response(ctx, at, resp, None);
     }
 
+    /// Route a response one hop on toward the sink, or merge it there. A
+    /// dead end loses it.
     fn route_response(
         &mut self,
         ctx: &mut Ctx<FloodMsg>,
         at: NodeId,
-        msg: FloodMsg,
+        mut r: FloodResponse,
         from: Option<NodeId>,
     ) {
-        let FloodMsg::Response { spec, gpsr, .. } = &msg else {
-            unreachable!()
-        };
-        let spec = *spec;
-        if at == spec.sink {
-            return self.absorb_response(ctx, msg);
-        }
-        let neighbors = reliable(ctx, at);
-        if neighbors.iter().any(|n| n.id == spec.sink) {
-            return self.send(ctx, at, spec.sink, msg);
-        }
-        let gpsr = *gpsr;
-        let prev_pos = from.map(|f| (f, ctx.position(f)));
-        match plan_next_hop(
-            at,
-            ctx.position(at),
-            &gpsr,
-            &neighbors,
-            prev_pos,
-            &[],
-            self.radio_range,
-        ) {
-            RouteStep::Forward { next, header } => {
-                let FloodMsg::Response {
-                    spec,
-                    node,
-                    position,
-                    ..
-                } = msg
-                else {
-                    unreachable!()
-                };
-                self.send(
-                    ctx,
-                    at,
-                    next,
-                    FloodMsg::Response {
-                        spec,
-                        gpsr: header,
-                        node,
-                        position,
-                    },
-                );
+        let sink = r.spec.sink;
+        if at != sink {
+            let range = self.radio_range;
+            if let Some(next) = next_hop(ctx, at, Some(sink), &mut r.gpsr, from, &[], range) {
+                self.send(ctx, at, next, FloodMsg::Response(r));
             }
-            RouteStep::Arrived | RouteStep::NoRoute => {}
+            return;
         }
-    }
-
-    fn absorb_response(&mut self, ctx: &mut Ctx<FloodMsg>, msg: FloodMsg) {
-        let FloodMsg::Response {
-            spec,
-            node,
-            position,
-            ..
-        } = msg
-        else {
-            unreachable!()
-        };
-        if let Some((set, count, last)) = self.merged.get_mut(&spec.qid) {
+        if let Some((set, count, last)) = self.merged.get_mut(&r.spec.qid) {
             set.insert(Candidate {
-                id: node,
-                position,
-                dist: position.dist(spec.q),
+                id: r.node,
+                position: r.position,
+                dist: r.position.dist(r.spec.q),
             });
             *count += 1;
             *last = ctx.now();
@@ -363,13 +247,7 @@ impl Protocol for Flood {
 
     fn on_start(&mut self, ctx: &mut Ctx<FloodMsg>) {
         self.radio_range = ctx.config().radio_range;
-        for (i, req) in self.requests.clone().into_iter().enumerate() {
-            ctx.set_timer(
-                req.sink,
-                SimDuration::from_secs_f64(req.at),
-                pack_timer_key(K_ISSUE, 0, i as u32),
-            );
-        }
+        schedule_issues(ctx, 0, &self.requests);
     }
 
     fn on_timer(&mut self, at: NodeId, timer_key: u64, ctx: &mut Ctx<FloodMsg>) {
@@ -384,9 +262,9 @@ impl Protocol for Flood {
 
     fn on_message(&mut self, at: NodeId, from: NodeId, msg: &FloodMsg, ctx: &mut Ctx<FloodMsg>) {
         match msg {
-            FloodMsg::Query { .. } => self.query_arrival(ctx, at, msg.clone(), Some(from)),
+            FloodMsg::Query(m) => self.query_arrival(ctx, at, m.clone(), Some(from)),
             FloodMsg::Flood { spec, radius } => self.flood_arrival(ctx, at, *spec, *radius),
-            FloodMsg::Response { .. } => self.route_response(ctx, at, msg.clone(), Some(from)),
+            FloodMsg::Response(r) => self.route_response(ctx, at, r.clone(), Some(from)),
         }
     }
 }

@@ -20,16 +20,19 @@
 //! partial aggregate — the "forwarded again and again" overhead the paper
 //! describes.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use diknn_geom::Point;
-use diknn_routing::{plan_next_hop, reliable, GpsrHeader, RouteStep};
-use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
+use diknn_routing::{next_hop, reliable, GpsrHeader};
+use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration};
 
 use diknn_core::knnb::{knnb, kpt_conservative_radius, HopRecord};
-use diknn_core::{Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, QueryStatus};
+use diknn_core::messages::{QueryMsg, QuerySpec};
+use diknn_core::{
+    schedule_issues, Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, K_ISSUE,
+};
 
-const K_ISSUE: u8 = 1;
+use crate::Answer;
+
 const K_REPORT: u8 = 2;
 const K_SINK_TIMEOUT: u8 = 3;
 const K_FINALIZE: u8 = 4;
@@ -83,28 +86,14 @@ impl Default for KptConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KptSpec {
-    pub qid: u32,
-    pub sink: NodeId,
-    pub sink_pos: Point,
-    pub q: Point,
-    pub k: u32,
-    pub issued_at: SimTime,
-}
-
 #[derive(Debug, Clone, PartialEq)]
 pub enum KptMsg {
-    /// Routing phase (same hop-record gathering as DIKNN when the KNNB
-    /// boundary mode is active).
-    Query {
-        spec: KptSpec,
-        gpsr: GpsrHeader,
-        list: Vec<HopRecord>,
-    },
+    /// Routing phase: DIKNN's own query message, gathering the KNNB hop
+    /// records the `Knnb` boundary mode estimates from.
+    Query(QueryMsg),
     /// Tree-construction flood inside the boundary.
     TreeBuild {
-        spec: KptSpec,
+        spec: QuerySpec,
         radius: f64,
         parent: NodeId,
         depth: u32,
@@ -117,13 +106,7 @@ pub enum KptMsg {
         explored: u32,
     },
     /// Final result routed home → sink.
-    Result {
-        spec: KptSpec,
-        gpsr: GpsrHeader,
-        candidates: CandidateSet,
-        explored: u32,
-        radius: f64,
-    },
+    Result(Answer),
 }
 
 impl KptMsg {
@@ -131,21 +114,18 @@ impl KptMsg {
     /// query-scoped).
     fn qid(&self) -> Option<u32> {
         match self {
-            KptMsg::Query { spec, .. }
+            KptMsg::Query(QueryMsg { spec, .. })
             | KptMsg::TreeBuild { spec, .. }
-            | KptMsg::Result { spec, .. } => Some(spec.qid),
+            | KptMsg::Result(Answer { spec, .. }) => Some(spec.qid),
             KptMsg::Report { qid, .. } => Some(*qid),
         }
     }
 
     fn wire_bytes(&self, cfg: &KptConfig) -> usize {
         match self {
-            KptMsg::Query { list, .. } => cfg.base_msg_bytes + 10 * list.len(),
+            KptMsg::Query(m) => cfg.base_msg_bytes + 10 * m.list.len(),
             KptMsg::TreeBuild { .. } => cfg.base_msg_bytes + 8,
-            KptMsg::Report { candidates, .. } => {
-                cfg.base_msg_bytes + candidates.wire_bytes(cfg.response_bytes)
-            }
-            KptMsg::Result { candidates, .. } => {
+            KptMsg::Report { candidates, .. } | KptMsg::Result(Answer { candidates, .. }) => {
                 cfg.base_msg_bytes + candidates.wire_bytes(cfg.response_bytes)
             }
         }
@@ -154,7 +134,7 @@ impl KptMsg {
 
 /// Per-node, per-query tree membership.
 struct TreeNode {
-    spec: KptSpec,
+    spec: QuerySpec,
     parent: NodeId,
     /// Aggregate of own data + children reports received so far.
     agg: CandidateSet,
@@ -171,7 +151,7 @@ struct TreeNode {
 }
 
 struct HomeState {
-    spec: KptSpec,
+    spec: QuerySpec,
     node: NodeId,
     radius: f64,
     merged: CandidateSet,
@@ -187,7 +167,6 @@ pub struct Kpt {
     /// (qid, node) → tree membership.
     trees: BTreeMap<(u32, u32), TreeNode>,
     homes: BTreeMap<u32, HomeState>,
-    sink_done: BTreeSet<u32>,
     query_excludes: BTreeMap<u32, Vec<NodeId>>,
     result_excludes: BTreeMap<u32, Vec<NodeId>>,
     radio_range: f64,
@@ -201,7 +180,6 @@ impl Kpt {
             outcomes: Vec::new(),
             trees: BTreeMap::new(),
             homes: BTreeMap::new(),
-            sink_done: BTreeSet::new(),
             query_excludes: BTreeMap::new(),
             result_excludes: BTreeMap::new(),
             radio_range: 0.0,
@@ -221,121 +199,61 @@ impl Kpt {
     }
 
     fn issue(&mut self, ctx: &mut Ctx<KptMsg>, idx: usize) {
-        let req = self.requests[idx];
         let qid = self.outcomes.len() as u32;
-        let spec = KptSpec {
-            qid,
-            sink: req.sink,
-            sink_pos: ctx.position(req.sink),
-            q: req.q,
-            k: req.k.max(1) as u32,
-            issued_at: ctx.now(),
-        };
-        self.outcomes.push(QueryOutcome {
-            qid,
-            sink: req.sink,
-            q: req.q,
-            k: req.k,
-            issued_at: ctx.now(),
-            completed_at: None,
-            answer: Vec::new(),
-            boundary_radius: 0.0,
-            final_radius: 0.0,
-            routing_hops: 0,
-            parts_expected: 1,
-            parts_returned: 0,
-            explored_nodes: 0,
-            status: QueryStatus::Pending,
-        });
+        let outcome = QueryOutcome::pending(qid, &self.requests[idx], ctx.now(), 1);
+        let spec = QuerySpec::issue(ctx, &outcome, 0);
+        self.outcomes.push(outcome);
         ctx.set_timer(
-            req.sink,
+            spec.sink,
             SimDuration::from_secs_f64(self.cfg.sink_timeout),
             pack_timer_key(K_SINK_TIMEOUT, qid, 0),
         );
-        let msg = KptMsg::Query {
+        let msg = QueryMsg {
             spec,
-            gpsr: GpsrHeader::new(req.q),
+            gpsr: GpsrHeader::new(spec.q),
             list: Vec::new(),
         };
-        self.query_arrival(ctx, req.sink, msg, None);
+        self.query_arrival(ctx, spec.sink, msg, None);
     }
 
     fn query_arrival(
         &mut self,
         ctx: &mut Ctx<KptMsg>,
         at: NodeId,
-        msg: KptMsg,
+        mut msg: QueryMsg,
         from: Option<NodeId>,
     ) {
-        let KptMsg::Query {
-            spec,
-            gpsr,
-            mut list,
-        } = msg
-        else {
-            unreachable!()
-        };
-        self.query_excludes.remove(&spec.qid);
-        let neighbors = reliable(ctx, at);
-        let prev = list.last().map(|h| h.loc);
-        let enc = match prev {
-            None => neighbors.len() as u32,
-            Some(p) => neighbors
-                .iter()
-                .filter(|n| n.position.dist(p) > self.radio_range)
-                .count() as u32,
-        };
-        list.push(HopRecord {
-            loc: ctx.position(at),
-            enc,
-        });
-        self.forward_query(ctx, at, spec, gpsr, list, from);
+        self.query_excludes.remove(&msg.spec.qid);
+        msg.record_hop(ctx, at, self.radio_range);
+        self.forward_query(ctx, at, msg, from);
     }
 
     fn forward_query(
         &mut self,
         ctx: &mut Ctx<KptMsg>,
         at: NodeId,
-        spec: KptSpec,
-        gpsr: GpsrHeader,
-        list: Vec<HopRecord>,
+        mut msg: QueryMsg,
         from: Option<NodeId>,
     ) {
-        let neighbors = reliable(ctx, at);
         let exclude = self
             .query_excludes
-            .get(&spec.qid)
-            .cloned()
-            .unwrap_or_default();
-        let prev_pos = from.map(|f| (f, ctx.position(f)));
-        match plan_next_hop(
-            at,
-            ctx.position(at),
-            &gpsr,
-            &neighbors,
-            prev_pos,
-            &exclude,
-            1.5 * self.radio_range, // home node = closest to q; skip face walks
-        ) {
-            RouteStep::Forward { next, header } => {
-                self.send(
-                    ctx,
-                    at,
-                    next,
-                    KptMsg::Query {
-                        spec,
-                        gpsr: header,
-                        list,
-                    },
-                );
-            }
-            RouteStep::Arrived | RouteStep::NoRoute => {
-                self.become_home(ctx, at, spec, &list);
-            }
+            .get(&msg.spec.qid)
+            .map_or(&[][..], Vec::as_slice);
+        // The home node is the one closest to q: skip face walks.
+        let home_radius = 1.5 * self.radio_range;
+        match next_hop(ctx, at, None, &mut msg.gpsr, from, exclude, home_radius) {
+            Some(next) => self.send(ctx, at, next, KptMsg::Query(msg)),
+            None => self.become_home(ctx, at, msg.spec, &msg.list),
         }
     }
 
-    fn become_home(&mut self, ctx: &mut Ctx<KptMsg>, home: NodeId, spec: KptSpec, l: &[HopRecord]) {
+    fn become_home(
+        &mut self,
+        ctx: &mut Ctx<KptMsg>,
+        home: NodeId,
+        spec: QuerySpec,
+        l: &[HopRecord],
+    ) {
         let field = ctx.config().field;
         let diag = (field.width().powi(2) + field.height().powi(2)).sqrt();
         let radius = match self.cfg.boundary {
@@ -410,7 +328,7 @@ impl Kpt {
         &mut self,
         ctx: &mut Ctx<KptMsg>,
         at: NodeId,
-        spec: KptSpec,
+        spec: QuerySpec,
         radius: f64,
         parent: NodeId,
         depth: u32,
@@ -580,107 +498,36 @@ impl Kpt {
             return;
         }
         home.done = true;
-        let spec = home.spec;
-        let radius = home.radius;
+        let (spec, radius, explored) = (home.spec, home.radius, home.explored);
         let mut merged = home.merged.clone();
-        let explored = home.explored;
         if let Some(own) = self.trees.get(&(qid, at.0)) {
             merged.merge(&own.agg);
         }
-        let msg = KptMsg::Result {
-            spec,
-            gpsr: GpsrHeader::new(spec.sink_pos),
-            candidates: merged,
-            explored,
-            radius,
-        };
-        self.route_result(ctx, at, msg, None);
+        let answer = Answer::new(spec, merged, explored, radius);
+        self.route_result(ctx, at, answer, None);
     }
 
+    /// Route the final answer one hop on toward the sink. A dead end loses
+    /// it; the sink timeout then closes the query empty.
     fn route_result(
         &mut self,
         ctx: &mut Ctx<KptMsg>,
         at: NodeId,
-        msg: KptMsg,
+        mut answer: Answer,
         from: Option<NodeId>,
     ) {
-        let KptMsg::Result { ref spec, .. } = msg else {
-            unreachable!()
-        };
-        let spec = *spec;
-        if at == spec.sink {
-            return self.sink_receive(ctx, msg);
+        let sink = answer.spec.sink;
+        if at == sink {
+            return answer.complete(&mut self.outcomes, ctx.now());
         }
-        let neighbors = reliable(ctx, at);
-        if neighbors.iter().any(|n| n.id == spec.sink) {
-            return self.send(ctx, at, spec.sink, msg);
-        }
-        let KptMsg::Result {
-            spec,
-            gpsr,
-            candidates,
-            explored,
-            radius,
-        } = msg
-        else {
-            unreachable!()
-        };
         let exclude = self
             .result_excludes
-            .get(&spec.qid)
-            .cloned()
-            .unwrap_or_default();
-        let prev_pos = from.map(|f| (f, ctx.position(f)));
-        match plan_next_hop(
-            at,
-            ctx.position(at),
-            &gpsr,
-            &neighbors,
-            prev_pos,
-            &exclude,
-            self.radio_range,
-        ) {
-            RouteStep::Forward { next, header } => {
-                self.send(
-                    ctx,
-                    at,
-                    next,
-                    KptMsg::Result {
-                        spec,
-                        gpsr: header,
-                        candidates,
-                        explored,
-                        radius,
-                    },
-                );
-            }
-            RouteStep::Arrived | RouteStep::NoRoute => {
-                // Result lost; the sink timeout will close the query empty.
-            }
+            .get(&answer.spec.qid)
+            .map_or(&[][..], Vec::as_slice);
+        let r = self.radio_range;
+        if let Some(next) = next_hop(ctx, at, Some(sink), &mut answer.gpsr, from, exclude, r) {
+            self.send(ctx, at, next, KptMsg::Result(answer));
         }
-    }
-
-    fn sink_receive(&mut self, ctx: &mut Ctx<KptMsg>, msg: KptMsg) {
-        let KptMsg::Result {
-            spec,
-            candidates,
-            explored,
-            radius,
-            ..
-        } = msg
-        else {
-            unreachable!()
-        };
-        if !self.sink_done.insert(spec.qid) {
-            return;
-        }
-        let o = &mut self.outcomes[spec.qid as usize];
-        o.completed_at = Some(ctx.now());
-        o.answer = candidates.ids();
-        o.answer.truncate(o.k);
-        o.parts_returned = 1;
-        o.explored_nodes = explored;
-        o.final_radius = radius;
     }
 }
 
@@ -689,13 +536,7 @@ impl Protocol for Kpt {
 
     fn on_start(&mut self, ctx: &mut Ctx<KptMsg>) {
         self.radio_range = ctx.config().radio_range;
-        for (i, req) in self.requests.clone().into_iter().enumerate() {
-            ctx.set_timer(
-                req.sink,
-                SimDuration::from_secs_f64(req.at),
-                pack_timer_key(K_ISSUE, 0, i as u32),
-            );
-        }
+        schedule_issues(ctx, 0, &self.requests);
     }
 
     fn on_timer(&mut self, at: NodeId, timer_key: u64, ctx: &mut Ctx<KptMsg>) {
@@ -714,7 +555,7 @@ impl Protocol for Kpt {
 
     fn on_message(&mut self, at: NodeId, from: NodeId, msg: &KptMsg, ctx: &mut Ctx<KptMsg>) {
         match msg {
-            KptMsg::Query { .. } => self.query_arrival(ctx, at, msg.clone(), Some(from)),
+            KptMsg::Query(m) => self.query_arrival(ctx, at, m.clone(), Some(from)),
             KptMsg::TreeBuild {
                 spec,
                 radius,
@@ -727,16 +568,17 @@ impl Protocol for Kpt {
                 candidates,
                 explored,
             } => self.absorb_report(ctx, at, *qid, candidates, *explored),
-            KptMsg::Result { .. } => self.route_result(ctx, at, msg.clone(), Some(from)),
+            KptMsg::Result(a) => self.route_result(ctx, at, a.clone(), Some(from)),
         }
     }
 
     fn on_send_failed(&mut self, at: NodeId, to: NodeId, msg: &KptMsg, ctx: &mut Ctx<KptMsg>) {
         match msg {
-            KptMsg::Query { spec, gpsr, list } => {
-                self.query_excludes.entry(spec.qid).or_default().push(to);
-                if self.query_excludes[&spec.qid].len() <= 8 {
-                    self.forward_query(ctx, at, *spec, *gpsr, list.clone(), None);
+            KptMsg::Query(m) => {
+                let e = self.query_excludes.entry(m.spec.qid).or_default();
+                e.push(to);
+                if e.len() <= 8 {
+                    self.forward_query(ctx, at, m.clone(), None);
                 }
             }
             KptMsg::Report {
@@ -771,11 +613,11 @@ impl Protocol for Kpt {
                     }
                 }
             }
-            KptMsg::Result { spec, .. } => {
-                let e = self.result_excludes.entry(spec.qid).or_default();
+            KptMsg::Result(a) => {
+                let e = self.result_excludes.entry(a.spec.qid).or_default();
                 e.push(to);
                 if e.len() <= 8 {
-                    self.route_result(ctx, at, msg.clone(), None);
+                    self.route_result(ctx, at, a.clone(), None);
                 }
             }
             KptMsg::TreeBuild { .. } => {}

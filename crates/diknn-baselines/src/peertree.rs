@@ -25,16 +25,20 @@
 //! [`PeerTree::clusterhead_positions`]). They never answer queries
 //! themselves.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use diknn_geom::{Point, Rect};
-use diknn_routing::{plan_next_hop, reliable, GpsrHeader, RouteStep};
+use diknn_routing::{next_hop, GpsrHeader};
 use diknn_rtree::RTree;
 use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
-use diknn_core::{Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, QueryStatus};
+use diknn_core::messages::QuerySpec;
+use diknn_core::{
+    schedule_issues, Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, K_ISSUE,
+};
 
-const K_ISSUE: u8 = 1;
+use crate::Answer;
+
 const K_NOTIFY: u8 = 2;
 const K_SINK_TIMEOUT: u8 = 3;
 const K_COLLECT_DONE: u8 = 4;
@@ -89,23 +93,13 @@ impl Default for PeerTreeConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PtSpec {
-    pub qid: u32,
-    pub sink: NodeId,
-    pub sink_pos: Point,
-    pub q: Point,
-    pub k: u32,
-    pub issued_at: SimTime,
-}
-
 #[derive(Debug, Clone, PartialEq)]
 pub enum PtMsg {
     /// Membership notification node → clusterhead.
     Notify { node: NodeId, position: Point },
     /// Query riding the hierarchy (gpsr-routed between heads).
     Query {
-        spec: PtSpec,
+        spec: QuerySpec,
         gpsr: GpsrHeader,
         /// Hierarchy stage: 0 = to own head, 1 = to root, 2 = to target head.
         stage: u8,
@@ -147,12 +141,7 @@ pub enum PtMsg {
         gpsr: GpsrHeader,
     },
     /// Aggregate result head → sink.
-    Result {
-        spec: PtSpec,
-        gpsr: GpsrHeader,
-        candidates: CandidateSet,
-        explored: u32,
-    },
+    Result(Answer),
 }
 
 impl PtMsg {
@@ -161,7 +150,7 @@ impl PtMsg {
     fn qid(&self) -> Option<u32> {
         match self {
             PtMsg::Notify { .. } => None,
-            PtMsg::Query { spec, .. } | PtMsg::Result { spec, .. } => Some(spec.qid),
+            PtMsg::Query { spec, .. } | PtMsg::Result(Answer { spec, .. }) => Some(spec.qid),
             PtMsg::SubQuery { qid, .. }
             | PtMsg::SubReply { qid, .. }
             | PtMsg::Collect { qid, .. }
@@ -177,9 +166,21 @@ impl PtMsg {
             PtMsg::SubReply { members, .. } => cfg.base_msg_bytes + 10 * members.len(),
             PtMsg::Collect { .. } => cfg.base_msg_bytes,
             PtMsg::CollectReply { .. } => cfg.base_msg_bytes + cfg.response_bytes,
-            PtMsg::Result { candidates, .. } => {
-                cfg.base_msg_bytes + candidates.wire_bytes(cfg.response_bytes)
-            }
+            PtMsg::Result(a) => cfg.base_msg_bytes + a.candidates.wire_bytes(cfg.response_bytes),
+        }
+    }
+
+    /// The GPSR header of a routed frame; `Notify` goes one hop to its
+    /// clusterhead and has none.
+    fn gpsr_mut(&mut self) -> Option<&mut GpsrHeader> {
+        match self {
+            PtMsg::Notify { .. } => None,
+            PtMsg::Query { gpsr, .. }
+            | PtMsg::SubQuery { gpsr, .. }
+            | PtMsg::SubReply { gpsr, .. }
+            | PtMsg::Collect { gpsr, .. }
+            | PtMsg::CollectReply { gpsr, .. } => Some(gpsr),
+            PtMsg::Result(a) => Some(&mut a.gpsr),
         }
     }
 }
@@ -193,7 +194,7 @@ struct Member {
 
 /// An in-progress candidate collection at a query head.
 struct Collection {
-    spec: PtSpec,
+    spec: QuerySpec,
     head: NodeId,
     candidates: CandidateSet,
     pending_subqueries: u32,
@@ -227,7 +228,6 @@ pub struct PeerTree {
     /// Subreplies scheduled at neighbouring heads, staggered to avoid
     /// colliding at the query head.
     pending_subreplies: BTreeMap<(u32, u32), PtMsg>,
-    sink_done: BTreeSet<u32>,
     route_excludes: BTreeMap<(u32, u8), Vec<NodeId>>,
     radio_range: f64,
     field: Rect,
@@ -278,7 +278,6 @@ impl PeerTree {
             collections: BTreeMap::new(),
             pending_replies: BTreeMap::new(),
             pending_subreplies: BTreeMap::new(),
-            sink_done: BTreeSet::new(),
             ask_stats: Vec::new(),
             route_excludes: BTreeMap::new(),
             radio_range: 0.0,
@@ -317,47 +316,54 @@ impl PeerTree {
         ctx.unicast_flow(from, to, bytes, msg, flow);
     }
 
-    /// Geo-route `msg` toward `dest_pos`, delivering when `dest` is
-    /// adjacent or we run out of route. `route_key` identifies the flow for
-    /// failure exclusions.
-    #[allow(clippy::too_many_arguments)]
-    fn geo_forward(
+    /// The node a routed frame is bound for, and the key its failed next
+    /// hops are excluded under.
+    fn route_of(&self, msg: &PtMsg) -> (NodeId, (u32, u8)) {
+        match msg {
+            // Never routed: a notification goes one hop to its cell's head.
+            PtMsg::Notify { node, position } => {
+                (self.head_id(self.cell_of(*position)), (node.0, 0))
+            }
+            PtMsg::Query { spec, gpsr, stage } => {
+                let cell = match stage {
+                    0 => self.cell_of(gpsr.dest), // dest is the issuing head's position
+                    1 => self.root_cell(),
+                    _ => self.cell_of(spec.q),
+                };
+                (self.head_id(cell), (spec.qid, 10 + stage))
+            }
+            PtMsg::SubQuery { qid, gpsr, .. } => {
+                (self.head_id(self.cell_of(gpsr.dest)), (*qid, 20))
+            }
+            PtMsg::SubReply { qid, to, .. } => (*to, (*qid, 21)),
+            PtMsg::Result(a) => (a.spec.sink, (a.spec.qid, 30)),
+            PtMsg::Collect { qid, target, .. } => (*target, (*qid, 40)),
+            PtMsg::CollectReply { qid, to, .. } => (*to, (*qid, 41)),
+        }
+    }
+
+    /// Send routed frame `msg` one GPSR hop on from `at` toward its
+    /// destination, around next hops that already failed it. Hands the
+    /// frame back when the route ends here.
+    fn send_routed(
         &mut self,
         ctx: &mut Ctx<PtMsg>,
         at: NodeId,
-        dest: NodeId,
-        gpsr: &GpsrHeader,
-        route_key: (u32, u8),
+        mut msg: PtMsg,
         from: Option<NodeId>,
-        rebuild: impl FnOnce(GpsrHeader) -> PtMsg,
-    ) -> bool {
-        let neighbors = reliable(ctx, at);
-        if neighbors.iter().any(|n| n.id == dest) {
-            let msg = rebuild(*gpsr);
-            self.send(ctx, at, dest, msg);
-            return true;
-        }
-        let exclude = self
-            .route_excludes
-            .get(&route_key)
-            .cloned()
-            .unwrap_or_default();
-        let prev_pos = from.map(|f| (f, ctx.position(f)));
-        match plan_next_hop(
-            at,
-            ctx.position(at),
-            gpsr,
-            &neighbors,
-            prev_pos,
-            &exclude,
-            self.radio_range,
-        ) {
-            RouteStep::Forward { next, header } => {
-                let msg = rebuild(header);
+    ) -> Option<PtMsg> {
+        let (dest, key) = self.route_of(&msg);
+        let exclude = self.route_excludes.get(&key).map_or(&[][..], Vec::as_slice);
+        let r = self.radio_range;
+        match msg
+            .gpsr_mut()
+            .and_then(|gpsr| next_hop(ctx, at, Some(dest), gpsr, from, exclude, r))
+        {
+            Some(next) => {
                 self.send(ctx, at, next, msg);
-                true
+                None
             }
-            RouteStep::Arrived | RouteStep::NoRoute => false,
+            None => Some(msg),
         }
     }
 
@@ -432,49 +438,22 @@ impl PeerTree {
     // ---------- query path ---------------------------------------------
 
     fn issue(&mut self, ctx: &mut Ctx<PtMsg>, idx: usize) {
-        let req = self.requests[idx];
         let qid = self.outcomes.len() as u32;
-        let spec = PtSpec {
-            qid,
-            sink: req.sink,
-            sink_pos: ctx.position(req.sink),
-            q: req.q,
-            k: req.k.max(1) as u32,
-            issued_at: ctx.now(),
-        };
-        self.outcomes.push(QueryOutcome {
-            qid,
-            sink: req.sink,
-            q: req.q,
-            k: req.k,
-            issued_at: ctx.now(),
-            completed_at: None,
-            answer: Vec::new(),
-            boundary_radius: 0.0,
-            final_radius: 0.0,
-            routing_hops: 0,
-            parts_expected: 1,
-            parts_returned: 0,
-            explored_nodes: 0,
-            status: QueryStatus::Pending,
-        });
+        let outcome = QueryOutcome::pending(qid, &self.requests[idx], ctx.now(), 1);
+        let spec = QuerySpec::issue(ctx, &outcome, 0);
+        self.outcomes.push(outcome);
         ctx.set_timer(
-            req.sink,
+            spec.sink,
             SimDuration::from_secs_f64(self.cfg.sink_timeout),
             pack_timer_key(K_SINK_TIMEOUT, qid, 0),
         );
         // Stage 0: to my clusterhead.
-        let my_head = self.head_id(self.cell_of(ctx.position(req.sink)));
+        let my_head = self.head_id(self.cell_of(ctx.position(spec.sink)));
         let gpsr = GpsrHeader::new(self.head_positions[my_head.index() - self.data_nodes]);
-        let msg = PtMsg::Query {
-            spec,
-            gpsr,
-            stage: 0,
-        };
-        if req.sink == my_head {
+        if spec.sink == my_head {
             self.query_at_head(ctx, my_head, spec, 0);
         } else {
-            self.forward_query(ctx, req.sink, msg, None);
+            self.forward_query(ctx, spec.sink, spec, 0, gpsr, None);
         }
     }
 
@@ -482,32 +461,13 @@ impl PeerTree {
         &mut self,
         ctx: &mut Ctx<PtMsg>,
         at: NodeId,
-        msg: PtMsg,
+        spec: QuerySpec,
+        stage: u8,
+        gpsr: GpsrHeader,
         from: Option<NodeId>,
     ) {
-        let PtMsg::Query { spec, gpsr, stage } = msg else {
-            unreachable!()
-        };
-        let dest_cell = match stage {
-            0 => self.cell_of(gpsr.dest), // dest is the issuing head's position
-            1 => self.root_cell(),
-            _ => self.cell_of(spec.q),
-        };
-        let dest = self.head_id(dest_cell);
-        let delivered = self.geo_forward(
-            ctx,
-            at,
-            dest,
-            &gpsr,
-            (spec.qid, 10 + stage),
-            from,
-            move |h| PtMsg::Query {
-                spec,
-                gpsr: h,
-                stage,
-            },
-        );
-        if !delivered && self.is_head(at) && stage < 2 {
+        let msg = PtMsg::Query { spec, gpsr, stage };
+        if self.send_routed(ctx, at, msg, from).is_some() && self.is_head(at) && stage < 2 {
             // We are a head already; short-circuit the hierarchy locally.
             // Stage 2 has no further level to escalate to: `query_at_head`
             // would route right back here (mutual recursion until stack
@@ -518,7 +478,7 @@ impl PeerTree {
     }
 
     /// A query reached a clusterhead at hierarchy `stage`.
-    fn query_at_head(&mut self, ctx: &mut Ctx<PtMsg>, at: NodeId, spec: PtSpec, stage: u8) {
+    fn query_at_head(&mut self, ctx: &mut Ctx<PtMsg>, at: NodeId, spec: QuerySpec, stage: u8) {
         let q_cell = self.cell_of(spec.q);
         let target_head = self.head_id(q_cell);
         if at == target_head {
@@ -535,17 +495,12 @@ impl PeerTree {
             return self.query_at_head(ctx, at, spec, next_stage);
         }
         let gpsr = GpsrHeader::new(self.head_positions[dest.index() - self.data_nodes]);
-        let msg = PtMsg::Query {
-            spec,
-            gpsr,
-            stage: next_stage,
-        };
-        self.forward_query(ctx, at, msg, None);
+        self.forward_query(ctx, at, spec, next_stage, gpsr, None);
     }
 
     /// The head covering `q` runs the KNN: local members plus subqueries to
     /// neighbouring heads whose MBR may hold closer members.
-    fn execute_knn_at_head(&mut self, ctx: &mut Ctx<PtMsg>, at: NodeId, spec: PtSpec) {
+    fn execute_knn_at_head(&mut self, ctx: &mut Ctx<PtMsg>, at: NodeId, spec: QuerySpec) {
         let own_cell = at.index() - self.data_nodes;
         let k = spec.k as usize;
         let mut coll = Collection {
@@ -584,8 +539,6 @@ impl PeerTree {
             .filter(|&c| c != own_cell)
             .collect();
         for cell in subcells {
-            let head = self.head_id(cell);
-            let gpsr = GpsrHeader::new(self.head_positions[cell]);
             coll.pending_subqueries += 1;
             let msg = PtMsg::SubQuery {
                 qid: spec.qid,
@@ -593,10 +546,9 @@ impl PeerTree {
                 k: spec.k,
                 reply_to: at,
                 reply_pos: ctx.position(at),
-                gpsr,
+                gpsr: GpsrHeader::new(self.head_positions[cell]),
             };
-            let dest = head;
-            self.forward_subquery(ctx, at, dest, msg, None);
+            self.send_routed(ctx, at, msg, None);
         }
         let no_subqueries = coll.pending_subqueries == 0;
         self.collections.insert(spec.qid, coll);
@@ -676,113 +628,57 @@ impl PeerTree {
         );
     }
 
-    fn forward_subquery(
-        &mut self,
-        ctx: &mut Ctx<PtMsg>,
-        at: NodeId,
-        dest: NodeId,
-        msg: PtMsg,
-        from: Option<NodeId>,
-    ) {
-        let (qid, gpsr) = match &msg {
-            PtMsg::SubQuery { qid, gpsr, .. } => (*qid, *gpsr),
-            _ => unreachable!(),
-        };
-        let m2 = msg.clone();
-        self.geo_forward(ctx, at, dest, &gpsr, (qid, 20), from, move |h| match m2 {
-            PtMsg::SubQuery {
-                qid,
-                q,
-                k,
-                reply_to,
-                reply_pos,
-                ..
-            } => PtMsg::SubQuery {
-                qid,
-                q,
-                k,
-                reply_to,
-                reply_pos,
-                gpsr: h,
-            },
-            _ => unreachable!(),
-        });
-    }
-
     /// Collection window over: return the aggregate to the sink.
     fn finish_collection(&mut self, ctx: &mut Ctx<PtMsg>, at: NodeId, qid: u32) {
         let Some(coll) = self.collections.remove(&qid) else {
             return;
         };
-        let spec = coll.spec;
-        let msg = PtMsg::Result {
-            spec,
-            gpsr: GpsrHeader::new(spec.sink_pos),
-            candidates: coll.candidates,
-            explored: coll.collected,
-        };
-        self.route_result(ctx, at, msg, None);
+        let answer = Answer::new(coll.spec, coll.candidates, coll.collected, 0.0);
+        self.route_result(ctx, at, answer, None);
     }
 
-    fn route_result(&mut self, ctx: &mut Ctx<PtMsg>, at: NodeId, msg: PtMsg, from: Option<NodeId>) {
-        let PtMsg::Result { spec, gpsr, .. } = &msg else {
-            unreachable!()
-        };
-        let spec = *spec;
-        if at == spec.sink {
-            return self.sink_receive(ctx, msg);
+    /// Route the aggregate one hop on toward the sink, or complete the
+    /// query there. A dead end loses it; the sink timeout then closes the
+    /// query empty.
+    fn route_result(
+        &mut self,
+        ctx: &mut Ctx<PtMsg>,
+        at: NodeId,
+        answer: Answer,
+        from: Option<NodeId>,
+    ) {
+        if at == answer.spec.sink {
+            answer.complete(&mut self.outcomes, ctx.now());
+        } else {
+            self.send_routed(ctx, at, PtMsg::Result(answer), from);
         }
-        let gpsr = *gpsr;
-        let m2 = msg.clone();
-        let delivered = self.geo_forward(
-            ctx,
-            at,
-            spec.sink,
-            &gpsr,
-            (spec.qid, 30),
-            from,
-            move |h| match m2 {
-                PtMsg::Result {
-                    spec,
-                    candidates,
-                    explored,
-                    ..
-                } => PtMsg::Result {
-                    spec,
-                    gpsr: h,
-                    candidates,
-                    explored,
-                },
-                _ => unreachable!(),
-            },
-        );
-        let _ = delivered;
     }
 
-    fn sink_receive(&mut self, ctx: &mut Ctx<PtMsg>, msg: PtMsg) {
-        let PtMsg::Result {
-            spec,
-            candidates,
-            explored,
-            ..
-        } = msg
-        else {
-            unreachable!()
-        };
-        if !self.sink_done.insert(spec.qid) {
-            return;
+    /// Route a Collect toward its target's believed position.
+    fn forward_collect(
+        &mut self,
+        ctx: &mut Ctx<PtMsg>,
+        at: NodeId,
+        msg: PtMsg,
+        from: Option<NodeId>,
+    ) {
+        let (target, _) = self.route_of(&msg);
+        if let Some(msg) = self.send_routed(ctx, at, msg, from) {
+            // Arrived at the believed position but the member is not in the
+            // local table (it moved since its last notification). Last
+            // resort: transmit to it directly — MAC retries reach it if it
+            // is still within radio range; otherwise the candidate is lost,
+            // which is exactly the staleness cost of the index.
+            self.send(ctx, at, target, msg);
         }
-        let o = &mut self.outcomes[spec.qid as usize];
-        o.completed_at = Some(ctx.now());
-        o.answer = candidates.ids();
-        o.answer.truncate(o.k);
-        o.parts_returned = 1;
-        o.explored_nodes = explored;
     }
 }
 
-/// Row-major grid of cell centres (kept free of the mobility crate to avoid
-/// a dependency cycle; mirrors `diknn_mobility::placement::grid`).
+/// Row-major centres of a `g×g` partition of `field`: the cells of
+/// `diknn_mobility::placement::grid(field, g, g)`. That crate is only a
+/// dev-dependency here; making it a normal one changes the dependency list
+/// recorded in `e2ebench/Cargo.lock`, which is refreshed together with the
+/// benchmark package.
 fn diknn_mobility_grid(field: Rect, g: usize) -> Vec<Point> {
     let dx = field.width() / g as f64;
     let dy = field.height() / g as f64;
@@ -827,13 +723,7 @@ impl Protocol for PeerTree {
                 pack_timer_key(K_CROSSING, 0, 0),
             );
         }
-        for (i, req) in self.requests.clone().into_iter().enumerate() {
-            ctx.set_timer(
-                req.sink,
-                SimDuration::from_secs_f64(req.at),
-                pack_timer_key(K_ISSUE, 0, i as u32),
-            );
-        }
+        schedule_issues(ctx, 0, &self.requests);
     }
 
     fn on_timer(&mut self, at: NodeId, timer_key: u64, ctx: &mut Ctx<PtMsg>) {
@@ -855,7 +745,7 @@ impl Protocol for PeerTree {
             K_ASK_STEP => self.ask_step(ctx, at, qid),
             K_SUBREPLY => {
                 if let Some(reply) = self.pending_subreplies.remove(&(qid, at.0)) {
-                    self.forward_subreply(ctx, at, reply, None);
+                    self.send_routed(ctx, at, reply, None);
                 }
             }
             K_COLLECT_REPLY => {
@@ -867,7 +757,7 @@ impl Protocol for PeerTree {
                         to: head,
                         gpsr: GpsrHeader::new(head_pos),
                     };
-                    self.forward_collect_reply(ctx, at, reply, None);
+                    self.send_routed(ctx, at, reply, None);
                 }
             }
             K_SINK_TIMEOUT => { /* outcome stays incomplete */ }
@@ -883,19 +773,13 @@ impl Protocol for PeerTree {
                     self.head_record_member(at, *node, *position, ctx.now());
                 }
             }
-            PtMsg::Query { spec, stage, .. } => {
-                let q_dest = match stage {
-                    0 => self.head_id(self.cell_of(ctx.position(at))),
-                    1 => self.head_id(self.root_cell()),
-                    _ => self.head_id(self.cell_of(spec.q)),
-                };
-                if self.is_head(at) && at == q_dest {
-                    self.query_at_head(ctx, at, *spec, *stage);
-                } else if self.is_head(at) {
-                    // A head on the path: climb the hierarchy from here.
+            PtMsg::Query { spec, gpsr, stage } => {
+                if self.is_head(at) {
+                    // The stage's head, or a head on the path: climb the
+                    // hierarchy from here.
                     self.query_at_head(ctx, at, *spec, *stage);
                 } else {
-                    self.forward_query(ctx, at, msg.clone(), Some(from));
+                    self.forward_query(ctx, at, *spec, *stage, *gpsr, Some(from));
                 }
             }
             PtMsg::SubQuery {
@@ -904,7 +788,7 @@ impl Protocol for PeerTree {
                 k,
                 reply_to,
                 reply_pos,
-                gpsr,
+                ..
             } => {
                 if self.is_head(at) {
                     // Answer with my members nearest q, after a random
@@ -936,9 +820,7 @@ impl Protocol for PeerTree {
                     );
                 } else {
                     // Relay toward the target head.
-                    let dest_cell = self.cell_of(gpsr.dest);
-                    let dest = self.head_id(dest_cell);
-                    self.forward_subquery(ctx, at, dest, msg.clone(), Some(from));
+                    self.send_routed(ctx, at, msg.clone(), Some(from));
                 }
             }
             PtMsg::SubReply {
@@ -951,7 +833,7 @@ impl Protocol for PeerTree {
                         coll.pending_subqueries = coll.pending_subqueries.saturating_sub(1);
                     }
                 } else {
-                    self.forward_subreply(ctx, at, msg.clone(), Some(from));
+                    self.send_routed(ctx, at, msg.clone(), Some(from));
                 }
             }
             PtMsg::Collect {
@@ -972,7 +854,7 @@ impl Protocol for PeerTree {
                             to: *head,
                             gpsr: GpsrHeader::new(*head_pos),
                         };
-                        self.forward_collect_reply(ctx, at, reply, None);
+                        self.send_routed(ctx, at, reply, None);
                     } else {
                         // Burst collects: answer after a random share of
                         // the reply window.
@@ -1011,136 +893,30 @@ impl Protocol for PeerTree {
                         }
                     }
                 } else {
-                    self.forward_collect_reply(ctx, at, msg.clone(), Some(from));
+                    self.send_routed(ctx, at, msg.clone(), Some(from));
                 }
             }
-            PtMsg::Result { .. } => self.route_result(ctx, at, msg.clone(), Some(from)),
+            PtMsg::Result(a) => self.route_result(ctx, at, a.clone(), Some(from)),
         }
     }
 
     fn on_send_failed(&mut self, at: NodeId, to: NodeId, msg: &PtMsg, ctx: &mut Ctx<PtMsg>) {
-        match msg {
-            PtMsg::Query { spec, stage, .. } => {
-                let e = self
-                    .route_excludes
-                    .entry((spec.qid, 10 + stage))
-                    .or_default();
-                e.push(to);
-                if e.len() <= 8 {
-                    self.forward_query(ctx, at, msg.clone(), None);
-                }
-            }
-            PtMsg::Result { spec, .. } => {
-                let e = self.route_excludes.entry((spec.qid, 30)).or_default();
-                e.push(to);
-                if e.len() <= 8 {
-                    self.route_result(ctx, at, msg.clone(), None);
-                }
-            }
-            // Lost notifications/collects are the staleness cost.
-            _ => {}
+        // Queries and results route around the failed hop, up to 8 times
+        // per flow; any other lost frame is the index's staleness cost.
+        if !matches!(msg, PtMsg::Query { .. } | PtMsg::Result(_)) {
+            return;
         }
-    }
-}
-
-impl PeerTree {
-    fn forward_collect(
-        &mut self,
-        ctx: &mut Ctx<PtMsg>,
-        at: NodeId,
-        msg: PtMsg,
-        from: Option<NodeId>,
-    ) {
-        let PtMsg::Collect {
-            qid, target, gpsr, ..
-        } = &msg
-        else {
-            unreachable!()
-        };
-        let (qid, target, gpsr) = (*qid, *target, *gpsr);
-        let m2 = msg.clone();
-        let delivered =
-            self.geo_forward(ctx, at, target, &gpsr, (qid, 40), from, move |h| match m2 {
-                PtMsg::Collect {
-                    qid,
-                    head,
-                    head_pos,
-                    target,
-                    window,
-                    ..
-                } => PtMsg::Collect {
-                    qid,
-                    head,
-                    head_pos,
-                    target,
-                    gpsr: h,
-                    window,
-                },
-                _ => unreachable!(),
-            });
-        if !delivered {
-            // Arrived at the believed position but the member is not in the
-            // local table (it moved since its last notification). Last
-            // resort: transmit to it directly — MAC retries reach it if it
-            // is still within radio range; otherwise the candidate is lost,
-            // which is exactly the staleness cost of the index.
-            self.send(ctx, at, target, msg);
+        let (_, key) = self.route_of(msg);
+        let e = self.route_excludes.entry(key).or_default();
+        e.push(to);
+        if e.len() > 8 {
+            return;
         }
-    }
-
-    fn forward_collect_reply(
-        &mut self,
-        ctx: &mut Ctx<PtMsg>,
-        at: NodeId,
-        msg: PtMsg,
-        from: Option<NodeId>,
-    ) {
-        let PtMsg::CollectReply { qid, to, gpsr, .. } = &msg else {
-            unreachable!()
-        };
-        let (qid, to, gpsr) = (*qid, *to, *gpsr);
-        let m2 = msg.clone();
-        self.geo_forward(ctx, at, to, &gpsr, (qid, 41), from, move |h| match m2 {
-            PtMsg::CollectReply {
-                qid,
-                node,
-                position,
-                to,
-                ..
-            } => PtMsg::CollectReply {
-                qid,
-                node,
-                position,
-                to,
-                gpsr: h,
-            },
-            _ => unreachable!(),
-        });
-    }
-
-    fn forward_subreply(
-        &mut self,
-        ctx: &mut Ctx<PtMsg>,
-        at: NodeId,
-        msg: PtMsg,
-        from: Option<NodeId>,
-    ) {
-        let PtMsg::SubReply { qid, gpsr, to, .. } = &msg else {
-            unreachable!()
-        };
-        let (qid, gpsr, to) = (*qid, *gpsr, *to);
-        let m2 = msg.clone();
-        self.geo_forward(ctx, at, to, &gpsr, (qid, 21), from, move |h| match m2 {
-            PtMsg::SubReply {
-                qid, members, to, ..
-            } => PtMsg::SubReply {
-                qid,
-                members,
-                gpsr: h,
-                to,
-            },
-            _ => unreachable!(),
-        });
+        if let PtMsg::Query { spec, gpsr, stage } = msg {
+            self.forward_query(ctx, at, *spec, *stage, *gpsr, None);
+        } else {
+            self.send_routed(ctx, at, msg.clone(), None);
+        }
     }
 }
 
@@ -1178,6 +954,24 @@ mod tests {
         assert_eq!(pos.len(), 25);
         assert_eq!(pos[0], Point::new(10.0, 10.0));
         assert_eq!(pos[24], Point::new(90.0, 90.0));
+        // A subquery is addressed by its head's position alone: each head
+        // must sit in its own cell.
+        for field in [field, Rect::new(3.0, 7.0, 118.0, 122.0)] {
+            for grid in [3, 5, 7] {
+                let cfg = PeerTreeConfig {
+                    grid,
+                    ..PeerTreeConfig::default()
+                };
+                let pt = PeerTree::new(cfg, field, 10, vec![]);
+                for (cell, &p) in pt.head_positions.iter().enumerate() {
+                    assert_eq!(pt.cell_of(p), cell, "grid {grid}, field {field:?}");
+                }
+                assert_eq!(
+                    pt.head_positions,
+                    diknn_mobility::placement::grid(field, grid, grid)
+                );
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,9 @@ use diknn_bench::report::{gate, write_results, Json};
 use diknn_bench::{base_seed, env_f64, env_usize};
 use diknn_core::{KnnProtocol, QueryStatus, ServingConfig};
 use diknn_sim::FaultPlan;
-use diknn_workloads::{invariants, RateSchedule, ScenarioConfig, ServiceConfig, ServiceRun};
+use diknn_workloads::{
+    invariants, RateSchedule, ScenarioConfig, ServiceConfig, ServiceMetrics, ServiceRun,
+};
 
 fn service_cfg(
     nodes: usize,
@@ -73,11 +75,14 @@ fn service_cfg(
     cfg
 }
 
-fn metrics_finite(m: &diknn_workloads::ServiceMetrics) -> bool {
+/// Every rolling metric is finite, except the latency percentiles, which
+/// are both NaN while the latency window is empty (no query has finished).
+fn metrics_finite(m: &ServiceMetrics) -> bool {
+    let (p50, p95) = (m.latency_p50_s, m.latency_p95_s);
+    let empty_window = p50.is_nan() && p95.is_nan();
     m.sim_time_s.is_finite()
         && m.completion_rate.is_finite()
-        && m.latency_p50_s.is_finite()
-        && m.latency_p95_s.is_finite()
+        && (empty_window || (p50.is_finite() && p95.is_finite()))
         && m.joules_per_query.is_finite()
 }
 
@@ -262,4 +267,27 @@ fn main() {
             final_metrics.issued
         ),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_empty_latency_window_is_not_a_non_finite_metric() {
+        let run = ServiceRun::new(service_cfg(30, 20.0, 0.5, 5.0, 0.0, 0.0, 5), 1);
+        let empty = run.metrics();
+        assert!(empty.latency_p50_s.is_nan(), "{empty:?}");
+        assert!(metrics_finite(&empty), "{empty:?}");
+        let half = ServiceMetrics {
+            latency_p95_s: 1.0,
+            ..empty.clone()
+        };
+        assert!(!metrics_finite(&half), "{half:?}");
+        let energy = ServiceMetrics {
+            joules_per_query: f64::NAN,
+            ..empty
+        };
+        assert!(!metrics_finite(&energy), "{energy:?}");
+    }
 }

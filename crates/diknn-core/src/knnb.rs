@@ -11,6 +11,7 @@
 //! home node. The algorithm is O(hops).
 
 use diknn_geom::Point;
+use diknn_sim::Neighbor;
 
 /// One routing-phase hop record: the entry appended to list `L`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,6 +24,27 @@ pub struct HopRecord {
 }
 
 diknn_snap::snap_struct!(HopRecord { loc, enc });
+
+impl HopRecord {
+    /// The record a node at `loc` appends to `L`, given its `neighbors`,
+    /// the last record so far (`prev`, `None` at the first hop) and the
+    /// radio range `r`: a neighbour is newly encountered when it lies
+    /// farther than `r` from the previous hop's node, and every neighbour
+    /// is new at the first hop (§4.1).
+    pub fn new(loc: Point, neighbors: &[Neighbor], prev: Option<&HopRecord>, r: f64) -> Self {
+        let enc = match prev {
+            None => neighbors.len(),
+            Some(p) => neighbors
+                .iter()
+                .filter(|n| n.position.dist(p.loc) > r)
+                .count(),
+        };
+        HopRecord {
+            loc,
+            enc: enc as u32,
+        }
+    }
+}
 
 /// Result of boundary estimation.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -70,6 +70,6 @@ pub use continuous::{ContinuousKnn, MonitorRequest, RoundDelta};
 pub use itinerary::ItinerarySpec;
 pub use knnb::{knnb, kpt_conservative_radius, Boundary, HopRecord};
 pub use messages::DiknnMsg;
-pub use outcome::{KnnProtocol, QueryOutcome, QueryRequest, QueryStatus};
+pub use outcome::{schedule_issues, KnnProtocol, QueryOutcome, QueryRequest, QueryStatus, K_ISSUE};
 pub use protocol::{Diknn, TokenHop};
 pub use window::{WindowOutcome, WindowQuery, WindowRequest};

@@ -8,10 +8,11 @@
 use crate::candidates::CandidateSet;
 use crate::config::DiknnConfig;
 use crate::knnb::HopRecord;
+use crate::outcome::QueryOutcome;
 use crate::token::SectorToken;
 use diknn_geom::Point;
-use diknn_routing::GpsrHeader;
-use diknn_sim::{NodeId, SimTime};
+use diknn_routing::{reliable, GpsrHeader};
+use diknn_sim::{Ctx, NodeId, SimTime};
 
 /// Immutable query description established at issue time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,6 +125,33 @@ pub enum DiknnMsg {
     Poll(PollMsg),
     Rendezvous(RendezvousMsg),
     Result(ResultMsg),
+}
+
+impl QuerySpec {
+    /// The descriptor of attempt `attempt` at query `o`, issued now from its
+    /// sink's current position (a `k` of 0 asks for one neighbour). The
+    /// baselines never retry a query; their specs are attempt 0.
+    pub fn issue<M: Clone>(ctx: &Ctx<M>, o: &QueryOutcome, attempt: u8) -> Self {
+        QuerySpec {
+            qid: o.qid,
+            sink: o.sink,
+            sink_pos: ctx.position(o.sink),
+            q: o.q,
+            k: o.k.max(1) as u32,
+            issued_at: ctx.now(),
+            attempt,
+        }
+    }
+}
+
+impl QueryMsg {
+    /// Append node `at`'s hop record to the list `L` (§4.1), counting its
+    /// reliable neighbours against the previous hop with radio range `r`.
+    pub fn record_hop<M: Clone>(&mut self, ctx: &mut Ctx<M>, at: NodeId, r: f64) {
+        let neighbors = reliable(ctx, at);
+        let hop = HopRecord::new(ctx.position(at), &neighbors, self.list.last(), r);
+        self.list.push(hop);
+    }
 }
 
 diknn_snap::snap_struct!(QuerySpec {

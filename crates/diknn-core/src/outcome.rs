@@ -3,7 +3,7 @@
 //! baselines crate so every protocol is measured identically.
 
 use diknn_geom::Point;
-use diknn_sim::{NodeId, SimTime};
+use diknn_sim::{pack_timer_key, Ctx, NodeId, SimDuration, SimTime};
 
 /// A KNN query to be issued during a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,6 +19,26 @@ pub struct QueryRequest {
 }
 
 diknn_snap::snap_struct!(QueryRequest { at, sink, q, k });
+
+/// Timer kind of a request's issue timer. Every KNN protocol's `on_timer`
+/// matches it and numbers its own timer kinds from 2.
+pub const K_ISSUE: u8 = 1;
+
+/// Arm the issue timer of each of `reqs` at its sink, keyed
+/// `(K_ISSUE, 0, i)` where `i` is the request's index in the protocol's
+/// request list (`reqs` starts at index `first`). A request fires at its
+/// `at`, or at once when that time has already passed (requests streamed
+/// into a running protocol).
+pub fn schedule_issues<M: Clone>(ctx: &mut Ctx<M>, first: usize, reqs: &[QueryRequest]) {
+    let now_s = ctx.now().as_secs_f64();
+    for (i, req) in reqs.iter().enumerate() {
+        ctx.set_timer(
+            req.sink,
+            SimDuration::from_secs_f64((req.at - now_s).max(0.0)),
+            pack_timer_key(K_ISSUE, 0, (first + i) as u32),
+        );
+    }
+}
 
 /// How a query terminated, declared beside the trace vocabulary in
 /// `diknn-sim` so [`diknn_sim::ProtoEvent::QueryDone`] carries the same
@@ -73,6 +93,64 @@ diknn_snap::snap_struct!(QueryOutcome {
 });
 
 impl QueryOutcome {
+    /// The outcome of query `qid` for `req`, issued at `issued_at`, still
+    /// `Pending` and expecting `parts_expected` partial results.
+    pub fn pending(qid: u32, req: &QueryRequest, issued_at: SimTime, parts_expected: u32) -> Self {
+        QueryOutcome {
+            qid,
+            sink: req.sink,
+            q: req.q,
+            k: req.k,
+            issued_at,
+            completed_at: None,
+            answer: Vec::new(),
+            boundary_radius: 0.0,
+            final_radius: 0.0,
+            routing_hops: 0,
+            parts_expected,
+            parts_returned: 0,
+            explored_nodes: 0,
+            status: QueryStatus::Pending,
+        }
+    }
+
+    /// First-answer-wins completion at the sink: `answer`, cut to `k`,
+    /// becomes the query's single returned part as of `now`, unless an
+    /// earlier answer already completed the query. Returns whether this
+    /// answer was taken.
+    pub fn complete(&mut self, now: SimTime, mut answer: Vec<NodeId>) -> bool {
+        if self.completed_at.is_some() {
+            return false;
+        }
+        answer.truncate(self.k);
+        self.completed_at = Some(now);
+        self.answer = answer;
+        self.parts_returned = 1;
+        true
+    }
+
+    /// Classify a still-`Pending` outcome after the run ended (`sink_alive`:
+    /// the sink is up at the end). Outcomes already stamped with a status
+    /// are left alone.
+    pub fn settle(&mut self, sink_alive: bool) {
+        if self.status != QueryStatus::Pending {
+            return;
+        }
+        self.status = if self.completed_at.is_some() {
+            if self.parts_returned >= self.parts_expected {
+                QueryStatus::Completed
+            } else {
+                QueryStatus::PartialTimeout
+            }
+        } else if !sink_alive {
+            QueryStatus::SinkUnreachable
+        } else if self.parts_returned > 0 {
+            QueryStatus::PartialTimeout
+        } else {
+            QueryStatus::TokenLost
+        };
+    }
+
     /// Latency in seconds, if the query completed.
     pub fn latency(&self) -> Option<f64> {
         self.completed_at
@@ -93,24 +171,9 @@ pub trait KnnProtocol: diknn_sim::Protocol {
     /// that finalise eagerly (a timer fired at a live sink) have already
     /// stamped a status; this covers queries whose sink died or whose
     /// timeout never fired before the time limit.
-    fn finish(&mut self, ctx: &diknn_sim::Ctx<Self::Msg>) {
+    fn finish(&mut self, ctx: &Ctx<Self::Msg>) {
         for o in self.outcomes_mut() {
-            if o.status != QueryStatus::Pending {
-                continue;
-            }
-            o.status = if o.completed_at.is_some() {
-                if o.parts_returned >= o.parts_expected {
-                    QueryStatus::Completed
-                } else {
-                    QueryStatus::PartialTimeout
-                }
-            } else if !ctx.is_alive(o.sink) {
-                QueryStatus::SinkUnreachable
-            } else if o.parts_returned > 0 {
-                QueryStatus::PartialTimeout
-            } else {
-                QueryStatus::TokenLost
-            };
+            o.settle(ctx.is_alive(o.sink));
         }
     }
 }
@@ -121,24 +184,34 @@ mod tests {
 
     #[test]
     fn latency_requires_completion() {
-        let mut o = QueryOutcome {
-            qid: 1,
+        let req = QueryRequest {
+            at: 2.0,
             sink: NodeId(0),
             q: Point::ORIGIN,
             k: 5,
-            issued_at: SimTime::from_secs_f64(2.0),
-            completed_at: None,
-            answer: vec![],
-            boundary_radius: 10.0,
-            final_radius: 10.0,
-            routing_hops: 3,
-            parts_expected: 8,
-            parts_returned: 0,
-            explored_nodes: 0,
-            status: QueryStatus::Pending,
         };
+        let mut o = QueryOutcome::pending(1, &req, SimTime::from_secs_f64(2.0), 8);
         assert_eq!(o.latency(), None);
         o.completed_at = Some(SimTime::from_secs_f64(2.5));
         assert!((o.latency().unwrap() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn first_answer_wins_at_the_sink() {
+        let req = QueryRequest {
+            at: 1.0,
+            sink: NodeId(0),
+            q: Point::ORIGIN,
+            k: 2,
+        };
+        let mut o = QueryOutcome::pending(0, &req, SimTime::from_secs_f64(1.0), 1);
+        let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        assert!(o.complete(SimTime::from_secs_f64(1.5), ids(&[4, 5, 6])));
+        assert!(!o.complete(SimTime::from_secs_f64(1.7), ids(&[7])));
+        assert_eq!(o.answer, ids(&[4, 5]), "cut to k, later answers ignored");
+        assert_eq!(o.completed_at, Some(SimTime::from_secs_f64(1.5)));
+        assert_eq!(o.parts_returned, 1);
+        o.settle(true);
+        assert_eq!(o.status, QueryStatus::Completed);
     }
 }

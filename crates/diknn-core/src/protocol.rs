@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use diknn_geom::{angle, Point, Polyline};
-use diknn_routing::{plan_next_hop, reliable, GpsrHeader, RouteStep};
+use diknn_routing::{next_hop, plan_next_hop, reliable, GpsrHeader, RouteStep};
 use diknn_sim::{
     pack_timer_key, unpack_timer_key, Ctx, LoadSignal, NodeId, ProtoEvent, Protocol, SimDuration,
     SimTime, TimerId,
@@ -30,13 +30,14 @@ use rand::Rng;
 use crate::candidates::{Candidate, CandidateSet};
 use crate::config::{CollectionScheme, DiknnConfig};
 use crate::itinerary::{sub_itinerary, ItinerarySpec};
-use crate::knnb::{knnb, HopRecord};
+use crate::knnb::knnb;
 use crate::messages::*;
-use crate::outcome::{KnnProtocol, QueryOutcome, QueryRequest, QueryStatus};
+use crate::outcome::{
+    schedule_issues, KnnProtocol, QueryOutcome, QueryRequest, QueryStatus, K_ISSUE,
+};
 use crate::token::{ExtendReason, SectorToken, TokenDecision};
 
-/// Timer kinds (high byte of the timer key).
-const K_ISSUE: u8 = 1;
+/// Timer kinds (high byte of the timer key) after the shared `K_ISSUE`.
 const K_COLLECT: u8 = 2;
 const K_REPLY: u8 = 3;
 const K_SINK_TIMEOUT: u8 = 4;
@@ -285,20 +286,8 @@ impl Diknn {
     /// time has already passed fire immediately. The simulator must have
     /// been started (`Simulator::start` / `run_until`) first.
     pub fn inject_requests(&mut self, ctx: &mut Ctx<DiknnMsg>, reqs: &[QueryRequest]) {
-        let now_s = ctx.now().as_secs_f64();
-        for req in reqs {
-            assert!(
-                req.sink.index() < ctx.node_count(),
-                "request sink out of range"
-            );
-            let idx = self.requests.len();
-            self.requests.push(*req);
-            ctx.set_timer(
-                req.sink,
-                SimDuration::from_secs_f64((req.at - now_s).max(0.0)),
-                pack_timer_key(K_ISSUE, 0, idx as u32),
-            );
-        }
+        schedule_issues(ctx, self.requests.len(), reqs);
+        self.requests.extend_from_slice(reqs);
     }
 
     fn width(&self) -> f64 {
@@ -391,24 +380,14 @@ impl Diknn {
     // ---------- phase 1: routing --------------------------------------
 
     fn issue_query(&mut self, ctx: &mut Ctx<DiknnMsg>, req_idx: usize) {
-        let req = self.requests[req_idx];
         let qid = self.outcomes.len() as u32;
-        self.outcomes.push(QueryOutcome {
+        let outcome = QueryOutcome::pending(
             qid,
-            sink: req.sink,
-            q: req.q,
-            k: req.k,
-            issued_at: ctx.now(),
-            completed_at: None,
-            answer: Vec::new(),
-            boundary_radius: 0.0,
-            final_radius: 0.0,
-            routing_hops: 0,
-            parts_expected: self.cfg.sectors as u32,
-            parts_returned: 0,
-            explored_nodes: 0,
-            status: QueryStatus::Pending,
-        });
+            &self.requests[req_idx],
+            ctx.now(),
+            self.cfg.sectors as u32,
+        );
+        self.outcomes.push(outcome);
         if self.cfg.serving.enabled {
             self.serve_query(ctx, qid);
         } else {
@@ -420,19 +399,8 @@ impl Diknn {
     /// serving layer on this runs only after admission; otherwise it is the
     /// unconditional continuation of `issue_query`.
     fn launch_query(&mut self, ctx: &mut Ctx<DiknnMsg>, qid: u32) {
-        let (sink, q, k) = {
-            let o = &self.outcomes[qid as usize];
-            (o.sink, o.q, o.k)
-        };
-        let spec = QuerySpec {
-            qid,
-            sink,
-            sink_pos: ctx.position(sink),
-            q,
-            k: k.max(1) as u32,
-            issued_at: ctx.now(),
-            attempt: 0,
-        };
+        let spec = QuerySpec::issue(ctx, &self.outcomes[qid as usize], 0);
+        let (sink, q) = (spec.sink, spec.q);
         self.sinks.insert(
             qid,
             SinkState {
@@ -714,18 +682,6 @@ impl Diknn {
         }
     }
 
-    /// Count neighbours newly encountered relative to the previous hop:
-    /// those farther than `r` from the previous hop's location (§4.1).
-    fn encounter_count(&self, neighbors: &[diknn_sim::Neighbor], prev: Option<Point>) -> u32 {
-        match prev {
-            None => neighbors.len() as u32,
-            Some(p) => neighbors
-                .iter()
-                .filter(|n| n.position.dist(p) > self.radio_range)
-                .count() as u32,
-        }
-    }
-
     /// A node (sink or intermediate) has the query: append its hop record
     /// and either forward it or, as home node, start dissemination.
     fn handle_query_arrival(
@@ -736,12 +692,7 @@ impl Diknn {
         from: Option<NodeId>,
     ) {
         self.query_excludes.remove(&msg.spec.qid);
-        let neighbors = reliable(ctx, at);
-        let prev_loc = msg.list.last().map(|h| h.loc);
-        msg.list.push(HopRecord {
-            loc: ctx.position(at),
-            enc: self.encounter_count(&neighbors, prev_loc),
-        });
+        msg.record_hop(ctx, at, self.radio_range);
         self.forward_query(ctx, at, msg, from);
     }
 
@@ -749,41 +700,25 @@ impl Diknn {
         &mut self,
         ctx: &mut Ctx<DiknnMsg>,
         at: NodeId,
-        msg: QueryMsg,
+        mut msg: QueryMsg,
         from: Option<NodeId>,
     ) {
-        let neighbors = reliable(ctx, at);
         let exclude = self
             .query_excludes
             .get(&msg.spec.qid)
-            .cloned()
-            .unwrap_or_default();
-        let prev_pos = from.map(|f| (f, ctx.position(f)));
+            .map_or(&[][..], Vec::as_slice);
         // A local minimum within 1.5 radio ranges of q is accepted as the
         // home node: the paper's home node is merely the node closest to q,
         // and probing a small void with a perimeter walk can circle the
         // whole outer face for no accuracy gain.
-        match plan_next_hop(
-            at,
-            ctx.position(at),
-            &msg.gpsr,
-            &neighbors,
-            prev_pos,
-            &exclude,
-            1.5 * self.radio_range,
-        ) {
-            RouteStep::Forward { next, header } => {
+        let home_radius = 1.5 * self.radio_range;
+        match next_hop(ctx, at, None, &mut msg.gpsr, from, exclude, home_radius) {
+            Some(next) => {
                 self.route_trace.push((msg.spec.qid, ctx.position(at)));
-                let fwd = QueryMsg {
-                    gpsr: header,
-                    ..msg
-                };
-                self.send(ctx, at, next, DiknnMsg::Query(fwd));
+                self.send(ctx, at, next, DiknnMsg::Query(msg));
             }
-            RouteStep::Arrived | RouteStep::NoRoute => {
-                // This node is the home node (or the best we can do).
-                self.begin_dissemination(ctx, at, msg);
-            }
+            // This node is the home node (or the best we can do).
+            None => self.begin_dissemination(ctx, at, msg),
         }
     }
 
@@ -1249,49 +1184,32 @@ impl Diknn {
         &mut self,
         ctx: &mut Ctx<DiknnMsg>,
         at: NodeId,
-        msg: ResultMsg,
+        mut msg: ResultMsg,
         from: Option<NodeId>,
     ) {
-        if at == msg.spec.sink {
+        let sink = msg.spec.sink;
+        if at == sink {
             return self.sink_merge(ctx, at, msg);
-        }
-        let neighbors = reliable(ctx, at);
-        // If the sink is a direct neighbour, short-circuit.
-        if neighbors.iter().any(|n| n.id == msg.spec.sink) {
-            let sink = msg.spec.sink;
-            return self.send(ctx, at, sink, DiknnMsg::Result(msg));
         }
         let exclude = self
             .result_excludes
             .get(&(msg.spec.qid, msg.sector))
-            .cloned()
-            .unwrap_or_default();
-        let prev_pos = from.map(|f| (f, ctx.position(f)));
-        match plan_next_hop(
+            .map_or(&[][..], Vec::as_slice);
+        // A dead end was routed to the sink's last known position but the
+        // sink is not in the local table (it moved, or its beacon was
+        // missed). Last resort: transmit to it directly — the MAC retries
+        // deliver it if it is still within radio reach.
+        let next = next_hop(
+            ctx,
             at,
-            ctx.position(at),
-            &msg.gpsr,
-            &neighbors,
-            prev_pos,
-            &exclude,
+            Some(sink),
+            &mut msg.gpsr,
+            from,
+            exclude,
             self.radio_range,
-        ) {
-            RouteStep::Forward { next, header } => {
-                let fwd = ResultMsg {
-                    gpsr: header,
-                    ..msg
-                };
-                self.send(ctx, at, next, DiknnMsg::Result(fwd));
-            }
-            RouteStep::Arrived | RouteStep::NoRoute => {
-                // Routed to the sink's last known position but the sink is
-                // not in the local table (it moved, or its beacon was
-                // missed). Last resort: transmit to it directly — the MAC
-                // retries deliver it if it is still within radio reach.
-                let sink = msg.spec.sink;
-                self.send(ctx, at, sink, DiknnMsg::Result(msg));
-            }
-        }
+        )
+        .unwrap_or(sink);
+        self.send(ctx, at, next, DiknnMsg::Result(msg));
     }
 
     fn sink_merge(&mut self, ctx: &mut Ctx<DiknnMsg>, at: NodeId, msg: ResultMsg) {
@@ -1423,19 +1341,7 @@ impl Diknn {
         self.token_excludes.retain(|&(q, _), _| q != qid);
         self.result_excludes.retain(|&(q, _), _| q != qid);
         self.query_excludes.remove(&qid);
-        let (sink, q, k) = {
-            let o = &self.outcomes[qid as usize];
-            (o.sink, o.q, o.k)
-        };
-        let spec = QuerySpec {
-            qid,
-            sink,
-            sink_pos: ctx.position(sink),
-            q,
-            k: k.max(1) as u32,
-            issued_at: ctx.now(),
-            attempt,
-        };
+        let spec = QuerySpec::issue(ctx, &self.outcomes[qid as usize], attempt);
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(self.cfg.sink_timeout),
@@ -1451,7 +1357,7 @@ impl Diknn {
         );
         let msg = QueryMsg {
             spec,
-            gpsr: GpsrHeader::new(q),
+            gpsr: GpsrHeader::new(spec.q),
             list: Vec::new(),
         };
         self.handle_query_arrival(ctx, at, msg, None);
@@ -1525,17 +1431,7 @@ impl Protocol for Diknn {
 
     fn on_start(&mut self, ctx: &mut Ctx<DiknnMsg>) {
         self.radio_range = ctx.config().radio_range;
-        for (i, req) in self.requests.clone().into_iter().enumerate() {
-            assert!(
-                req.sink.index() < ctx.node_count(),
-                "request sink out of range"
-            );
-            ctx.set_timer(
-                req.sink,
-                SimDuration::from_secs_f64(req.at),
-                pack_timer_key(K_ISSUE, 0, i as u32),
-            );
-        }
+        schedule_issues(ctx, 0, &self.requests);
     }
 
     fn on_timer(&mut self, at: NodeId, timer_key: u64, ctx: &mut Ctx<DiknnMsg>) {
@@ -1800,25 +1696,10 @@ impl KnnProtocol for Diknn {
             }
             self.serving.defers.clear();
         }
-        // Default classification for everything still pending (mirrors the
+        // Default classification for everything still pending (the
         // trait's fallback, which an override cannot delegate to).
-        for o in self.outcomes_mut() {
-            if o.status != QueryStatus::Pending {
-                continue;
-            }
-            o.status = if o.completed_at.is_some() {
-                if o.parts_returned >= o.parts_expected {
-                    QueryStatus::Completed
-                } else {
-                    QueryStatus::PartialTimeout
-                }
-            } else if !ctx.is_alive(o.sink) {
-                QueryStatus::SinkUnreachable
-            } else if o.parts_returned > 0 {
-                QueryStatus::PartialTimeout
-            } else {
-                QueryStatus::TokenLost
-            };
+        for o in &mut self.outcomes {
+            o.settle(ctx.is_alive(o.sink));
         }
     }
 }

@@ -1,17 +1,21 @@
 //! GPSR — Greedy Perimeter Stateless Routing (Karp & Kung, MOBICOM 2000).
 //!
-//! All three protocols in this reproduction route query messages
-//! geographically: DIKNN's routing phase sends the query from the sink
-//! toward the query point `q` (§4.1), KPT routes to the home node, Peer-tree
-//! unicasts between clusterheads, and every protocol routes results back to
-//! the sink. The paper states "any geographic face routing protocol is
-//! compatible with DIKNN" and uses GPSR in the evaluation.
+//! Every protocol in this reproduction routes geographically: DIKNN's
+//! routing phase sends the query from the sink toward the query point `q`
+//! (§4.1), KPT and Flood route to the home node the same way, Peer-tree
+//! unicasts between clusterheads, Centralized reports to its base station,
+//! and every protocol routes results back to the sink. The paper states
+//! "any geographic face routing protocol is compatible with DIKNN" and uses
+//! GPSR in the evaluation.
 //!
 //! This implementation is a *pure routing planner*: [`plan_next_hop`] maps
 //! (my position, my neighbour table, packet header) to a routing decision,
 //! with all mutable state carried in the [`GpsrHeader`] that travels inside
 //! protocol messages. That keeps GPSR stateless at the nodes (its defining
 //! property) and makes the planner unit-testable without a simulator.
+//! [`next_hop`] is the one forwarding step the protocols call: it reads the
+//! node's reliable neighbours, delivers to an adjacent destination node and
+//! otherwise plans the hop, advancing the header in place.
 //!
 //! Covered:
 //! * greedy forwarding to the neighbour closest to the destination;
@@ -58,6 +62,52 @@ pub fn reliable<M: Clone>(ctx: &mut Ctx<M>, at: NodeId) -> Vec<Neighbor> {
         &raw,
         ctx.config().radio_range,
     )
+}
+
+/// One GPSR forwarding step at node `at`, over its [`reliable`] neighbours.
+/// Every protocol in this reproduction routes its frames through here.
+///
+/// * `dest` — the node a node-addressed frame is bound for (a result going
+///   back to its sink): when `dest` is a neighbour the frame goes straight
+///   to it with `gpsr` untouched. `None` for a location-addressed frame,
+///   such as a query bound for `q`.
+/// * `from` — the node the frame arrived from (`None` at the originator
+///   and on a retry after a failed send); [`plan_next_hop`] takes its
+///   position as `prev`.
+/// * `exclude`, `home_radius` — as for [`plan_next_hop`].
+///
+/// Returns the neighbour to hand the frame to, with `gpsr` advanced in
+/// place when it was routed. `None` means the route ends here (arrived, or
+/// no usable neighbour); what that dead end means is the caller's policy.
+pub fn next_hop<M: Clone>(
+    ctx: &mut Ctx<M>,
+    at: NodeId,
+    dest: Option<NodeId>,
+    gpsr: &mut GpsrHeader,
+    from: Option<NodeId>,
+    exclude: &[NodeId],
+    home_radius: f64,
+) -> Option<NodeId> {
+    let neighbors = reliable(ctx, at);
+    if let Some(dest) = dest.filter(|d| neighbors.iter().any(|n| n.id == *d)) {
+        return Some(dest);
+    }
+    let prev = from.map(|f| (f, ctx.position(f)));
+    match plan_next_hop(
+        at,
+        ctx.position(at),
+        gpsr,
+        &neighbors,
+        prev,
+        exclude,
+        home_radius,
+    ) {
+        RouteStep::Forward { next, header } => {
+            *gpsr = header;
+            Some(next)
+        }
+        RouteStep::Arrived | RouteStep::NoRoute => None,
+    }
 }
 
 /// The predictor behind [`reliable`], on explicit inputs.
@@ -493,6 +543,78 @@ mod tests {
             0.0,
         );
         assert_eq!(step, RouteStep::Arrived);
+    }
+}
+
+#[cfg(test)]
+mod next_hop_tests {
+    use super::*;
+    use diknn_mobility::StaticMobility;
+    use diknn_sim::{Protocol, SharedMobility, SimConfig, Simulator};
+    use std::sync::Arc;
+
+    struct Idle;
+
+    impl Protocol for Idle {
+        type Msg = ();
+        fn on_message(&mut self, _: NodeId, _: NodeId, _: &(), _: &mut Ctx<()>) {}
+    }
+
+    /// Nodes 0–3 on a line 15 m apart (radio range 20 m) plus node 4 far
+    /// off on its own, neighbour tables warm.
+    fn line() -> Simulator<Idle> {
+        let mut pts: Vec<Point> = (0..4)
+            .map(|i| Point::new(10.0 + 15.0 * i as f64, 50.0))
+            .collect();
+        pts.push(Point::new(90.0, 90.0));
+        let plans: Vec<SharedMobility> = pts
+            .into_iter()
+            .map(|p| Arc::new(StaticMobility::new(p)) as SharedMobility)
+            .collect();
+        let cfg = SimConfig {
+            field: diknn_geom::Rect::new(0.0, 0.0, 100.0, 100.0),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(cfg, plans, Idle, 1);
+        sim.warm_neighbor_tables();
+        sim
+    }
+
+    #[test]
+    fn adjacent_destination_is_taken_with_the_header_untouched() {
+        let mut sim = line();
+        let mut gpsr = GpsrHeader::new(Point::new(25.0, 50.0));
+        let before = gpsr;
+        let next = sim
+            .drive(|_, ctx| next_hop(ctx, NodeId(0), Some(NodeId(1)), &mut gpsr, None, &[], 20.0));
+        assert_eq!(next, Some(NodeId(1)));
+        assert_eq!(gpsr, before);
+    }
+
+    #[test]
+    fn routed_hop_advances_the_header_in_place() {
+        let mut sim = line();
+        let mut gpsr = GpsrHeader::new(Point::new(55.0, 50.0));
+        let next = sim
+            .drive(|_, ctx| next_hop(ctx, NodeId(0), Some(NodeId(3)), &mut gpsr, None, &[], 20.0));
+        assert_eq!(next, Some(NodeId(1)));
+        assert_eq!(gpsr.hops, 1);
+        assert_eq!(gpsr.ttl, 127);
+        // With its only neighbour excluded, node 0 is a dead end.
+        let mut fresh = GpsrHeader::new(Point::new(25.0, 50.0));
+        let next = sim
+            .drive(|_, ctx| next_hop(ctx, NodeId(0), None, &mut fresh, None, &[NodeId(1)], 20.0));
+        assert_eq!(next, None);
+        assert_eq!(fresh.hops, 0, "a dead end leaves the header alone");
+    }
+
+    #[test]
+    fn isolated_node_has_no_next_hop() {
+        let mut sim = line();
+        let mut gpsr = GpsrHeader::new(Point::new(10.0, 50.0));
+        let next = sim
+            .drive(|_, ctx| next_hop(ctx, NodeId(4), Some(NodeId(0)), &mut gpsr, None, &[], 20.0));
+        assert_eq!(next, None);
     }
 }
 

@@ -63,7 +63,7 @@ pub use invariants::{assert_clean, check, Violation};
 pub use metrics::{Aggregate, QueryRecord, RunMetrics, Stat};
 pub use oracle::GroundTruth;
 pub use parallel::ParallelSweep;
-pub use runner::{run_protocol_once, run_protocol_once_faulted, Experiment, ProtocolKind};
+pub use runner::{run_protocol_once_faulted, Experiment, ProtocolKind};
 pub use scenario::{HerdSetup, PlacementKind, ScenarioConfig};
 pub use service::{ServiceConfig, ServiceMetrics, ServiceRun, SERVICE_SNAP_VERSION};
 pub use workload::{epoch_arrivals, QueryLoad, RateSchedule, WorkloadConfig};

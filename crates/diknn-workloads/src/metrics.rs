@@ -72,8 +72,10 @@ pub struct RunMetrics {
     pub per_query: Vec<QueryRecord>,
 }
 
-/// Interpolated percentile of pre-sorted ascending values (p in [0, 1]).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// Interpolated percentile of pre-sorted ascending values (p in [0, 1]);
+/// NaN without samples. Every latency percentile the crate reports is this
+/// one: [`RunMetrics`] and the resident service's rolling window.
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }

@@ -4,8 +4,8 @@
 use diknn_baselines::{
     Centralized, CentralizedConfig, Flood, FloodConfig, Kpt, KptConfig, PeerTree, PeerTreeConfig,
 };
-use diknn_core::{Diknn, DiknnConfig, KnnProtocol, QueryRequest};
-use diknn_sim::{Protocol, SimConfig, Simulator, TraceConfig};
+use diknn_core::{Diknn, DiknnConfig, KnnProtocol, QueryOutcome, QueryRequest};
+use diknn_sim::{FlowLedger, SharedMobility, SimConfig, SimStats, Simulator, TraceConfig};
 
 use crate::invariants;
 use crate::metrics::{Aggregate, RunMetrics};
@@ -71,17 +71,7 @@ impl Experiment {
 
     /// Run one seeded simulation and return its metrics.
     pub fn run_once(&self, seed: u64) -> RunMetrics {
-        let mut scenario = self.scenario.clone();
-        // Index-based protocols need their infrastructure nodes appended.
-        match &self.protocol {
-            ProtocolKind::PeerTree(cfg) => {
-                scenario.infrastructure = PeerTree::clusterhead_positions(scenario.field, cfg.grid);
-            }
-            ProtocolKind::Centralized(_) => {
-                scenario.infrastructure = vec![Centralized::base_position(scenario.field)];
-            }
-            _ => scenario.infrastructure.clear(),
-        }
+        let scenario = with_infrastructure(&self.protocol, &self.scenario);
         let plans = scenario.build(seed);
         let oracle = GroundTruth::new(plans.clone(), scenario.nodes);
         let requests = workload::generate(&scenario, &self.workload, seed);
@@ -95,49 +85,20 @@ impl Experiment {
         if self.check_invariants {
             sim_cfg.trace = TraceConfig::enabled();
         }
-        let check = self.check_invariants;
-        match &self.protocol {
-            ProtocolKind::Diknn(cfg) => execute(
-                sim_cfg,
-                plans,
-                Diknn::new(cfg.clone(), requests),
-                seed,
-                &oracle,
-                check,
-            ),
-            ProtocolKind::Kpt(cfg) => execute(
-                sim_cfg,
-                plans,
-                Kpt::new(cfg.clone(), requests),
-                seed,
-                &oracle,
-                check,
-            ),
-            ProtocolKind::PeerTree(cfg) => execute(
-                sim_cfg,
-                plans,
-                PeerTree::new(cfg.clone(), scenario.field, scenario.nodes, requests),
-                seed,
-                &oracle,
-                check,
-            ),
-            ProtocolKind::Flood(cfg) => execute(
-                sim_cfg,
-                plans,
-                Flood::new(cfg.clone(), requests),
-                seed,
-                &oracle,
-                check,
-            ),
-            ProtocolKind::Centralized(cfg) => execute(
-                sim_cfg,
-                plans,
-                Centralized::new(cfg.clone(), scenario.field, scenario.nodes, requests),
-                seed,
-                &oracle,
-                check,
-            ),
+        let run = Run {
+            sim_cfg,
+            plans,
+            seed,
+            check: self.check_invariants,
         }
+        .dispatch(&self.protocol, &scenario, requests);
+        RunMetrics::compute(
+            &run.outcomes,
+            &run.stats,
+            run.energy_j,
+            &run.flow_energy_j,
+            &oracle,
+        )
     }
 
     /// The seed of the `i`-th run of a sweep starting at `base_seed`.
@@ -167,103 +128,109 @@ impl Experiment {
     }
 }
 
-fn execute<P>(
+/// `scenario` with the infrastructure nodes `protocol` needs appended after
+/// the data nodes: Peer-tree's clusterheads, Centralized's base station, and
+/// none for the infrastructure-free protocols.
+fn with_infrastructure(protocol: &ProtocolKind, scenario: &ScenarioConfig) -> ScenarioConfig {
+    let mut scenario = scenario.clone();
+    scenario.infrastructure = match protocol {
+        ProtocolKind::PeerTree(cfg) => PeerTree::clusterhead_positions(scenario.field, cfg.grid),
+        ProtocolKind::Centralized(_) => vec![Centralized::base_position(scenario.field)],
+        ProtocolKind::Diknn(_) | ProtocolKind::Kpt(_) | ProtocolKind::Flood(_) => Vec::new(),
+    };
+    scenario
+}
+
+/// One simulation ready to start: its config, node plans and seed, and
+/// whether to check the invariants once it has run.
+struct Run {
     sim_cfg: SimConfig,
-    plans: Vec<diknn_sim::SharedMobility>,
-    protocol: P,
+    plans: Vec<SharedMobility>,
     seed: u64,
-    oracle: &GroundTruth,
     check: bool,
-) -> RunMetrics
-where
-    P: Protocol + KnnProtocol,
-{
-    let mut sim = Simulator::new(sim_cfg, plans, protocol, seed);
-    // Nodes have been in place before t=0: start with a warm beacon round,
-    // as a long-running network would be.
-    sim.warm_neighbor_tables();
-    sim.run();
-    let (mut protocol, ctx) = sim.into_parts();
-    // Classify queries that never finalised (dead sink, suppressed timer).
-    protocol.finish(&ctx);
-    if check {
-        invariants::assert_clean(ctx.trace(), protocol.outcomes());
+}
+
+/// What a finished run leaves behind.
+struct Finished {
+    outcomes: Vec<QueryOutcome>,
+    stats: SimStats,
+    energy_j: f64,
+    flow_energy_j: FlowLedger,
+}
+
+impl Run {
+    /// [`Run::execute`] the protocol `kind` names, serving `requests` on
+    /// `scenario`.
+    fn dispatch(
+        self,
+        kind: &ProtocolKind,
+        scenario: &ScenarioConfig,
+        requests: Vec<QueryRequest>,
+    ) -> Finished {
+        let (field, nodes) = (scenario.field, scenario.nodes);
+        match kind {
+            ProtocolKind::Diknn(cfg) => self.execute(Diknn::new(cfg.clone(), requests)),
+            ProtocolKind::Kpt(cfg) => self.execute(Kpt::new(cfg.clone(), requests)),
+            ProtocolKind::PeerTree(cfg) => {
+                self.execute(PeerTree::new(cfg.clone(), field, nodes, requests))
+            }
+            ProtocolKind::Flood(cfg) => self.execute(Flood::new(cfg.clone(), requests)),
+            ProtocolKind::Centralized(cfg) => {
+                self.execute(Centralized::new(cfg.clone(), field, nodes, requests))
+            }
+        }
     }
-    let energy = ctx.total_protocol_energy_j();
-    let stats = *ctx.stats();
-    RunMetrics::compute(
-        protocol.outcomes(),
-        &stats,
-        energy,
-        ctx.flow_energy_j(),
-        oracle,
-    )
+
+    /// Run `protocol` from a warm start, classify the queries that never
+    /// finalised (dead sink, suppressed timer) and, with `check`, replay the
+    /// recorded trace against the invariants, panicking on any violation.
+    fn execute<P: KnnProtocol>(self, protocol: P) -> Finished {
+        let mut sim = Simulator::new(self.sim_cfg, self.plans, protocol, self.seed);
+        // Nodes have been in place before t=0: start with a warm beacon
+        // round, as a long-running network would be.
+        sim.warm_neighbor_tables();
+        sim.run();
+        let (mut protocol, ctx) = sim.into_parts();
+        protocol.finish(&ctx);
+        if self.check {
+            invariants::assert_clean(ctx.trace(), protocol.outcomes());
+        }
+        Finished {
+            outcomes: protocol.outcomes().to_vec(),
+            stats: *ctx.stats(),
+            energy_j: ctx.total_protocol_energy_j(),
+            flow_energy_j: ctx.flow_energy_j().clone(),
+        }
+    }
 }
 
-/// Convenience used by tests and benches: run all requests and return the
-/// raw outcomes (single seed).
-pub fn run_protocol_once(
-    protocol: ProtocolKind,
-    scenario: &ScenarioConfig,
-    requests: Vec<QueryRequest>,
-    seed: u64,
-) -> (Vec<diknn_core::QueryOutcome>, f64) {
-    run_protocol_once_faulted(protocol, scenario, requests, seed, None)
-}
-
-/// [`run_protocol_once`] with a fault plan installed into the simulation.
+/// Run `requests` once under `protocol` on `scenario` (with the protocol's
+/// infrastructure) and return the raw outcomes and the total protocol
+/// energy, with `fault_plan` installed when given. Every such run is also
+/// an invariant check: it records a trace and replays it against the
+/// outcomes before handing them back.
 pub fn run_protocol_once_faulted(
     protocol: ProtocolKind,
     scenario: &ScenarioConfig,
     requests: Vec<QueryRequest>,
     seed: u64,
     fault_plan: Option<diknn_sim::FaultPlan>,
-) -> (Vec<diknn_core::QueryOutcome>, f64) {
-    let mut scenario = scenario.clone();
-    match &protocol {
-        ProtocolKind::PeerTree(cfg) => {
-            scenario.infrastructure = PeerTree::clusterhead_positions(scenario.field, cfg.grid);
-        }
-        ProtocolKind::Centralized(_) => {
-            scenario.infrastructure = vec![Centralized::base_position(scenario.field)];
-        }
-        _ => {}
-    }
+) -> (Vec<QueryOutcome>, f64) {
+    let scenario = with_infrastructure(&protocol, scenario);
     let plans = scenario.build(seed);
     let mut sim_cfg = scenario.sim_config();
     if let Some(plan) = fault_plan {
         sim_cfg.faults = plan;
     }
-    // Every one-shot run is also an invariant check: record a trace and
-    // replay it against the outcomes before handing them back.
     sim_cfg.trace = TraceConfig::enabled();
-    macro_rules! go {
-        ($p:expr) => {{
-            let mut sim = Simulator::new(sim_cfg, plans, $p, seed);
-            sim.warm_neighbor_tables();
-            sim.run();
-            let (mut proto, ctx) = sim.into_parts();
-            proto.finish(&ctx);
-            invariants::assert_clean(ctx.trace(), proto.outcomes());
-            let e = ctx.total_protocol_energy_j();
-            (proto.outcomes().to_vec(), e)
-        }};
+    let run = Run {
+        sim_cfg,
+        plans,
+        seed,
+        check: true,
     }
-    match protocol {
-        ProtocolKind::Diknn(cfg) => go!(Diknn::new(cfg, requests)),
-        ProtocolKind::Kpt(cfg) => go!(Kpt::new(cfg, requests)),
-        ProtocolKind::PeerTree(cfg) => {
-            let field = scenario.field;
-            let n = scenario.nodes;
-            go!(PeerTree::new(cfg, field, n, requests))
-        }
-        ProtocolKind::Flood(cfg) => go!(Flood::new(cfg, requests)),
-        ProtocolKind::Centralized(cfg) => {
-            let field = scenario.field;
-            let n = scenario.nodes;
-            go!(Centralized::new(cfg, field, n, requests))
-        }
-    }
+    .dispatch(&protocol, &scenario, requests);
+    (run.outcomes, run.energy_j)
 }
 
 #[cfg(test)]
@@ -332,6 +299,23 @@ mod tests {
             assert!(m.queries >= 1, "{name}: no queries");
             assert!(m.completed >= 1, "{name}: no query completed ({m:?})");
         }
+    }
+
+    #[test]
+    fn infrastructure_follows_the_protocol() {
+        let stale = ScenarioConfig {
+            infrastructure: vec![diknn_geom::Point::new(1.0, 1.0)],
+            ..small_scenario()
+        };
+        let infra = |p: ProtocolKind| with_infrastructure(&p, &stale).infrastructure.len();
+        assert_eq!(infra(ProtocolKind::Diknn(DiknnConfig::default())), 0);
+        assert_eq!(infra(ProtocolKind::Kpt(KptConfig::default())), 0);
+        assert_eq!(infra(ProtocolKind::Flood(FloodConfig::default())), 0);
+        assert_eq!(infra(ProtocolKind::PeerTree(PeerTreeConfig::default())), 25);
+        assert_eq!(
+            infra(ProtocolKind::Centralized(CentralizedConfig::default())),
+            1
+        );
     }
 
     #[test]

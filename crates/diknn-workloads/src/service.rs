@@ -43,6 +43,7 @@ use diknn_core::{Diknn, DiknnConfig, DiknnMsg, KnnProtocol, QueryOutcome, QueryS
 use diknn_sim::{Ctx, FaultPlan, NeighborIndex, SimTime, Simulator, TraceConfig};
 use diknn_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
+use crate::metrics::percentile;
 use crate::scenario::ScenarioConfig;
 use crate::workload::{epoch_arrivals, RateSchedule};
 
@@ -109,7 +110,11 @@ impl ServiceConfig {
 
 /// Rolling operational metrics of a [`ServiceRun`], exported in a
 /// scrape-friendly text format by [`ServiceRun::metrics_export`].
-#[derive(Debug, Clone, PartialEq)]
+/// Equality compares the `Debug` rendering, which is exact for every field
+/// (an `f64` prints as the shortest text that reads back to it), so two
+/// bit-identical runs compare equal also while the latency window is empty
+/// and the percentiles are NaN.
+#[derive(Debug, Clone)]
 pub struct ServiceMetrics {
     /// Epochs completed so far.
     pub epoch: u64,
@@ -132,15 +137,23 @@ pub struct ServiceMetrics {
     /// Fraction of terminal requests that ended with an answer
     /// (`Completed`, `Merged` or `CacheHit`); 0 while nothing is terminal.
     pub completion_rate: f64,
-    /// Median sink latency over the rolling window, seconds.
+    /// Median sink latency over the rolling window, seconds, interpolated
+    /// as [`crate::RunMetrics`] does; NaN while the window is empty.
     pub latency_p50_s: f64,
-    /// 95th-percentile sink latency over the rolling window, seconds.
+    /// 95th-percentile sink latency over the rolling window, seconds (same
+    /// statistic as `latency_p50_s`).
     pub latency_p95_s: f64,
     /// Total per-query (flow-attributed) radio energy divided by terminal
     /// queries, joules.
     pub joules_per_query: f64,
     /// Nodes currently up.
     pub nodes_alive: u64,
+}
+
+impl PartialEq for ServiceMetrics {
+    fn eq(&self, other: &Self) -> bool {
+        format!("{self:?}") == format!("{other:?}")
+    }
 }
 
 impl ServiceMetrics {
@@ -272,12 +285,6 @@ impl ServiceRun {
     pub fn metrics(&self) -> ServiceMetrics {
         let mut sorted: Vec<f64> = self.latencies.iter().copied().collect();
         sorted.sort_by(f64::total_cmp);
-        let pct = |q: f64| -> f64 {
-            if sorted.is_empty() {
-                return 0.0;
-            }
-            sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-        };
         let energy: f64 = self.sim.ctx().flow_energy_j().total();
         let issued = self.sim.protocol().outcomes().len() as u64;
         ServiceMetrics {
@@ -289,8 +296,8 @@ impl ServiceRun {
             terminal: self.terminal,
             pending: issued - self.terminal,
             completion_rate: self.completed as f64 / self.terminal.max(1) as f64,
-            latency_p50_s: pct(0.50),
-            latency_p95_s: pct(0.95),
+            latency_p50_s: percentile(&sorted, 0.50),
+            latency_p95_s: percentile(&sorted, 0.95),
             joules_per_query: energy / self.terminal.max(1) as f64,
             nodes_alive: self.sim.ctx().alive_count() as u64,
         }
@@ -442,6 +449,33 @@ mod tests {
         assert!(m.latency_p50_s.is_finite() && m.latency_p50_s >= 0.0);
         let (protocol, ctx) = run.finish();
         invariants::assert_clean(ctx.trace(), protocol.outcomes());
+    }
+
+    #[test]
+    fn latency_percentiles_are_the_batch_statistic() {
+        let mut run = ServiceRun::new(small_cfg(), 11);
+        let empty = run.metrics();
+        assert!(empty.latency_p50_s.is_nan() && empty.latency_p95_s.is_nan());
+        // An empty window still compares equal to itself, and only to itself.
+        assert_eq!(empty, run.metrics());
+        let moved = ServiceMetrics {
+            latency_p95_s: 0.0,
+            ..empty.clone()
+        };
+        assert_ne!(empty, moved);
+        run.run_epochs(10);
+        let mut window: Vec<f64> = run.latencies.iter().copied().collect();
+        assert!(window.len() > 2, "window too small to tell: {window:?}");
+        window.sort_by(f64::total_cmp);
+        let m = run.metrics();
+        assert_eq!(
+            m.latency_p50_s.to_bits(),
+            percentile(&window, 0.50).to_bits()
+        );
+        assert_eq!(
+            m.latency_p95_s.to_bits(),
+            percentile(&window, 0.95).to_bits()
+        );
     }
 
     #[test]

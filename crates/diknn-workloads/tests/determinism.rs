@@ -14,8 +14,8 @@
 use diknn_baselines::PeerTreeConfig;
 use diknn_core::{DiknnConfig, QueryOutcome, QueryStatus};
 use diknn_workloads::{
-    fault_sweep, run_protocol_once, run_protocol_once_faulted, Experiment, ProtocolKind,
-    ScenarioConfig, WorkloadConfig,
+    fault_sweep, run_protocol_once_faulted, Experiment, ProtocolKind, ScenarioConfig,
+    WorkloadConfig,
 };
 
 /// A mobile scenario: movement exercises the RNG-driven waypoint picks,
@@ -74,8 +74,8 @@ fn double_run(kind: ProtocolKind, seed: u64) {
         !requests.is_empty(),
         "{name}: workload generated no queries"
     );
-    let (o1, e1) = run_protocol_once(kind.clone(), &scenario, requests.clone(), seed);
-    let (o2, e2) = run_protocol_once(kind, &scenario, requests, seed);
+    let (o1, e1) = run_protocol_once_faulted(kind.clone(), &scenario, requests.clone(), seed, None);
+    let (o2, e2) = run_protocol_once_faulted(kind, &scenario, requests, seed, None);
     assert!(
         o1.iter().any(|o| o.completed_at.is_some()),
         "{name}: no query completed, run is vacuous"
