@@ -7,7 +7,7 @@
 //! networks: "pulling data from a large number of data sources is generally
 //! infeasible due to high energy consumption, high communication cost, or
 //! long latency". Every node pays a multi-hop report every
-//! `report_interval` seconds whether anyone queries or not, and the answers
+//! `REPORT_INTERVAL` seconds whether anyone queries or not, and the answers
 //! are as stale as the last report.
 //!
 //! The base station is one extra stationary infrastructure node (appended
@@ -21,31 +21,23 @@ use diknn_rtree::RTree;
 use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
 use diknn_core::messages::QuerySpec;
-use diknn_core::{schedule_issues, KnnProtocol, QueryOutcome, QueryRequest, K_ISSUE};
+use diknn_core::{
+    schedule_issues, KnnProtocol, QueryOutcome, QueryRequest, BASE_MSG_BYTES, K_ISSUE,
+    RESPONSE_BYTES,
+};
 
 const K_REPORT: u8 = 2;
 
-/// Centralized-index configuration.
-#[derive(Debug, Clone)]
-pub struct CentralizedConfig {
-    /// Position report interval in seconds.
-    pub report_interval: f64,
-    /// Index entries older than this are dropped.
-    pub entry_timeout: f64,
-    pub base_msg_bytes: usize,
-    pub response_bytes: usize,
-}
+/// Position report interval in seconds.
+const REPORT_INTERVAL: f64 = 2.0;
 
-impl Default for CentralizedConfig {
-    fn default() -> Self {
-        CentralizedConfig {
-            report_interval: 2.0,
-            entry_timeout: 6.0,
-            base_msg_bytes: 24,
-            response_bytes: 10,
-        }
-    }
-}
+/// Index entries older than this many seconds are dropped.
+const ENTRY_TIMEOUT: f64 = 6.0;
+
+/// Centralized-index configuration: nothing to set. The type stays so
+/// every protocol is named by its config alike.
+#[derive(Debug, Clone, Default)]
+pub struct CentralizedConfig {}
 
 #[derive(Debug, Clone, PartialEq)]
 pub enum CentralMsg {
@@ -84,20 +76,17 @@ impl CentralMsg {
         }
     }
 
-    fn wire_bytes(&self, cfg: &CentralizedConfig) -> usize {
+    fn wire_bytes(&self) -> usize {
         match self {
-            CentralMsg::Report { .. } => cfg.base_msg_bytes,
-            CentralMsg::Query { .. } => cfg.base_msg_bytes + 8,
-            CentralMsg::Answer { answer, .. } => {
-                cfg.base_msg_bytes + cfg.response_bytes * answer.len()
-            }
+            CentralMsg::Report { .. } => BASE_MSG_BYTES,
+            CentralMsg::Query { .. } => BASE_MSG_BYTES + 8,
+            CentralMsg::Answer { answer, .. } => BASE_MSG_BYTES + RESPONSE_BYTES * answer.len(),
         }
     }
 }
 
 /// The centralized-index protocol.
 pub struct Centralized {
-    cfg: CentralizedConfig,
     requests: Vec<QueryRequest>,
     outcomes: Vec<QueryOutcome>,
     data_nodes: usize,
@@ -116,14 +105,13 @@ impl Centralized {
     }
 
     pub fn new(
-        cfg: CentralizedConfig,
+        _: CentralizedConfig,
         field: Rect,
         data_nodes: usize,
         requests: Vec<QueryRequest>,
     ) -> Self {
         Centralized {
             base_pos: Self::base_position(field),
-            cfg,
             requests,
             outcomes: Vec::new(),
             data_nodes,
@@ -138,7 +126,7 @@ impl Centralized {
     }
 
     fn send(&self, ctx: &mut Ctx<CentralMsg>, from: NodeId, to: NodeId, msg: CentralMsg) {
-        let bytes = msg.wire_bytes(&self.cfg);
+        let bytes = msg.wire_bytes();
         let flow = msg.qid();
         ctx.unicast_flow(from, to, bytes, msg, flow);
     }
@@ -192,7 +180,7 @@ impl Centralized {
         self.deliver(ctx, at, msg, None);
         ctx.set_timer(
             at,
-            SimDuration::from_secs_f64(self.cfg.report_interval),
+            SimDuration::from_secs_f64(REPORT_INTERVAL),
             pack_timer_key(K_REPORT, 0, 0),
         );
     }
@@ -212,9 +200,8 @@ impl Centralized {
     /// The base station answers from its index.
     fn answer_query(&mut self, ctx: &mut Ctx<CentralMsg>, spec: QuerySpec) {
         let now = ctx.now();
-        let timeout = self.cfg.entry_timeout;
         self.index
-            .retain(|_, (_, t)| (now - *t).as_secs_f64() <= timeout);
+            .retain(|_, (_, t)| (now - *t).as_secs_f64() <= ENTRY_TIMEOUT);
         let tree =
             RTree::bulk_load_points(self.index.iter().map(|(&id, &(pos, _))| (pos, NodeId(id))));
         let answer: Vec<NodeId> = tree
@@ -247,7 +234,7 @@ impl Protocol for Centralized {
         );
         use rand::Rng;
         for i in 0..self.data_nodes {
-            let phase: f64 = ctx.rng().gen_range(0.0..self.cfg.report_interval);
+            let phase: f64 = ctx.rng().gen_range(0.0..REPORT_INTERVAL);
             ctx.set_timer(
                 NodeId(i as u32),
                 SimDuration::from_secs_f64(phase),

@@ -14,35 +14,20 @@ use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDura
 use diknn_core::knnb::knnb;
 use diknn_core::messages::{QueryMsg, QuerySpec};
 use diknn_core::{
-    schedule_issues, Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, K_ISSUE,
+    schedule_issues, Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest,
+    BASE_MSG_BYTES, COLLECTION_UNIT, K_ISSUE, RESPONSE_BYTES,
 };
 
 const K_CLOSE: u8 = 2;
 const K_RESPOND: u8 = 3;
 
-/// Flooding baseline configuration.
-#[derive(Debug, Clone)]
-pub struct FloodConfig {
-    /// The sink closes the query this many seconds after issuing.
-    pub close_after: f64,
-    /// Per-expected-responder jitter budget in seconds: each responder
-    /// delays uniformly in `[0, k × per_response_slot)` so the flood of
-    /// independent responses does not leave as one burst.
-    pub per_response_slot: f64,
-    pub response_bytes: usize,
-    pub base_msg_bytes: usize,
-}
+/// The sink closes the query this many seconds after issuing.
+const CLOSE_AFTER: f64 = 10.0;
 
-impl Default for FloodConfig {
-    fn default() -> Self {
-        FloodConfig {
-            close_after: 10.0,
-            per_response_slot: 0.018,
-            response_bytes: 10,
-            base_msg_bytes: 24,
-        }
-    }
-}
+/// Flooding baseline configuration: nothing to set. The type stays so
+/// every protocol is named by its config alike.
+#[derive(Debug, Clone, Default)]
+pub struct FloodConfig {}
 
 /// One in-boundary node's own answer, routed end-to-end to the sink.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,18 +60,17 @@ impl FloodMsg {
         }
     }
 
-    fn wire_bytes(&self, cfg: &FloodConfig) -> usize {
+    fn wire_bytes(&self) -> usize {
         match self {
-            FloodMsg::Query(m) => cfg.base_msg_bytes + 10 * m.list.len(),
-            FloodMsg::Flood { .. } => cfg.base_msg_bytes + 4,
-            FloodMsg::Response(_) => cfg.base_msg_bytes + cfg.response_bytes,
+            FloodMsg::Query(m) => BASE_MSG_BYTES + 10 * m.list.len(),
+            FloodMsg::Flood { .. } => BASE_MSG_BYTES + 4,
+            FloodMsg::Response(_) => BASE_MSG_BYTES + RESPONSE_BYTES,
         }
     }
 }
 
 /// The naive flooding protocol.
 pub struct Flood {
-    cfg: FloodConfig,
     requests: Vec<QueryRequest>,
     outcomes: Vec<QueryOutcome>,
     merged: BTreeMap<u32, (CandidateSet, u32, SimTime)>,
@@ -96,9 +80,8 @@ pub struct Flood {
 }
 
 impl Flood {
-    pub fn new(cfg: FloodConfig, requests: Vec<QueryRequest>) -> Self {
+    pub fn new(_: FloodConfig, requests: Vec<QueryRequest>) -> Self {
         Flood {
-            cfg,
             requests,
             outcomes: Vec::new(),
             merged: BTreeMap::new(),
@@ -109,7 +92,7 @@ impl Flood {
     }
 
     fn send(&self, ctx: &mut Ctx<FloodMsg>, from: NodeId, to: NodeId, msg: FloodMsg) {
-        let bytes = msg.wire_bytes(&self.cfg);
+        let bytes = msg.wire_bytes();
         let flow = msg.qid();
         ctx.unicast_flow(from, to, bytes, msg, flow);
     }
@@ -123,7 +106,7 @@ impl Flood {
             .insert(qid, (CandidateSet::new(spec.k as usize), 0, ctx.now()));
         ctx.set_timer(
             spec.sink,
-            SimDuration::from_secs_f64(self.cfg.close_after),
+            SimDuration::from_secs_f64(CLOSE_AFTER),
             pack_timer_key(K_CLOSE, qid, 0),
         );
         let msg = QueryMsg {
@@ -168,15 +151,17 @@ impl Flood {
             return;
         }
         // Rebroadcast, then route our own response independently to the
-        // sink after a random share of the jitter budget.
+        // sink after a random share of a jitter budget of one collection
+        // unit per expected responder, so the flood of independent
+        // responses does not leave as one burst.
         let flood = FloodMsg::Flood { spec, radius };
-        let bytes = flood.wire_bytes(&self.cfg);
+        let bytes = flood.wire_bytes();
         ctx.broadcast_flow(at, bytes, flood, Some(spec.qid));
         self.pending.insert((spec.qid, at.0), spec);
         let jitter: f64 = {
             use rand::Rng;
             ctx.rng()
-                .gen_range(0.0..self.cfg.per_response_slot * spec.k as f64 + 1e-6)
+                .gen_range(0.0..COLLECTION_UNIT * spec.k as f64 + 1e-6)
         };
         ctx.set_timer(
             at,

@@ -28,14 +28,24 @@ use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDura
 use diknn_core::knnb::{knnb, kpt_conservative_radius, HopRecord};
 use diknn_core::messages::{QueryMsg, QuerySpec};
 use diknn_core::{
-    schedule_issues, Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, K_ISSUE,
+    schedule_issues, Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest,
+    BASE_MSG_BYTES, K_ISSUE,
 };
 
 use crate::Answer;
 
 const K_REPORT: u8 = 2;
-const K_SINK_TIMEOUT: u8 = 3;
 const K_FINALIZE: u8 = 4;
+
+/// Per-depth aggregation slot in seconds: a node at depth `d` in a tree of
+/// estimated height `H` reports at a random moment within its level slot,
+/// `[(H − d − 1) × AGG_SLOT, (H − d) × AGG_SLOT)`.
+///
+/// This fixed per-level schedule is what the paper's KPT uses — the
+/// reporters of one level contend within their slot, which is exactly the
+/// "serious degree of collision and large retransmissions of data in the
+/// tree" the paper observes at large k.
+const AGG_SLOT: f64 = 0.4;
 
 /// Boundary estimation mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,38 +60,12 @@ pub enum KptBoundary {
 #[derive(Debug, Clone)]
 pub struct KptConfig {
     pub boundary: KptBoundary,
-    /// Per-depth aggregation slot in seconds: a node at depth `d` in a tree
-    /// of estimated height `H` reports at a random moment within its level
-    /// slot, `[(H − d − 1) × agg_slot, (H − d) × agg_slot)`.
-    ///
-    /// This fixed per-level schedule is what the paper's KPT uses — the
-    /// reporters of one level contend within their slot, which is exactly
-    /// the "serious degree of collision and large retransmissions of data
-    /// in the tree" the paper observes at large k.
-    pub agg_slot: f64,
-    /// Optional k-scaled contention budget (seconds per expected reporter).
-    /// 0 (default) reproduces the paper's fixed schedule; a positive value
-    /// (e.g. DIKNN's 0.018) spreads reports over `k × per_report_slot`,
-    /// trading latency for fewer collisions — the "KPT with collection
-    /// scheduling" ablation.
-    pub per_report_slot: f64,
-    /// Per-node response payload (10 bytes in the paper).
-    pub response_bytes: usize,
-    /// Fixed message overhead in bytes.
-    pub base_msg_bytes: usize,
-    /// Sink gives up after this many seconds.
-    pub sink_timeout: f64,
 }
 
 impl Default for KptConfig {
     fn default() -> Self {
         KptConfig {
             boundary: KptBoundary::Knnb,
-            agg_slot: 0.4,
-            per_report_slot: 0.0,
-            response_bytes: 10,
-            base_msg_bytes: 24,
-            sink_timeout: 20.0,
         }
     }
 }
@@ -121,12 +105,12 @@ impl KptMsg {
         }
     }
 
-    fn wire_bytes(&self, cfg: &KptConfig) -> usize {
+    fn wire_bytes(&self) -> usize {
         match self {
-            KptMsg::Query(m) => cfg.base_msg_bytes + 10 * m.list.len(),
-            KptMsg::TreeBuild { .. } => cfg.base_msg_bytes + 8,
+            KptMsg::Query(m) => BASE_MSG_BYTES + 10 * m.list.len(),
+            KptMsg::TreeBuild { .. } => BASE_MSG_BYTES + 8,
             KptMsg::Report { candidates, .. } | KptMsg::Result(Answer { candidates, .. }) => {
-                cfg.base_msg_bytes + candidates.wire_bytes(cfg.response_bytes)
+                BASE_MSG_BYTES + candidates.wire_bytes()
             }
         }
     }
@@ -187,13 +171,13 @@ impl Kpt {
     }
 
     fn send(&self, ctx: &mut Ctx<KptMsg>, from: NodeId, to: NodeId, msg: KptMsg) {
-        let bytes = msg.wire_bytes(&self.cfg);
+        let bytes = msg.wire_bytes();
         let flow = msg.qid();
         ctx.unicast_flow(from, to, bytes, msg, flow);
     }
 
     fn broadcast(&self, ctx: &mut Ctx<KptMsg>, from: NodeId, msg: KptMsg) {
-        let bytes = msg.wire_bytes(&self.cfg);
+        let bytes = msg.wire_bytes();
         let flow = msg.qid();
         ctx.broadcast_flow(from, bytes, msg, flow);
     }
@@ -203,11 +187,6 @@ impl Kpt {
         let outcome = QueryOutcome::pending(qid, &self.requests[idx], ctx.now(), 1);
         let spec = QuerySpec::issue(ctx, &outcome, 0);
         self.outcomes.push(outcome);
-        ctx.set_timer(
-            spec.sink,
-            SimDuration::from_secs_f64(self.cfg.sink_timeout),
-            pack_timer_key(K_SINK_TIMEOUT, qid, 0),
-        );
         let msg = QueryMsg {
             spec,
             gpsr: GpsrHeader::new(spec.q),
@@ -312,10 +291,8 @@ impl Kpt {
                 height,
             },
         );
-        // The home node finalises after the full aggregation schedule:
-        // all depth slots plus any k-scaled contention budget.
-        let spread = self.cfg.per_report_slot * spec.k as f64;
-        let wait = self.cfg.agg_slot * (height as f64 + 1.0) + spread + 0.15;
+        // The home node finalises after the full aggregation schedule.
+        let wait = AGG_SLOT * (height as f64 + 1.0) + 0.15;
         ctx.set_timer(
             home,
             SimDuration::from_secs_f64(wait),
@@ -373,15 +350,13 @@ impl Kpt {
             },
         );
         // Schedule this node's upward report: deeper nodes report earlier,
-        // jittered within the level slot (plus the optional k-scaled
-        // budget of the improved-KPT ablation).
+        // jittered within the level slot.
         let slots = (height.saturating_sub(depth + 1)) as f64;
-        let spread = self.cfg.per_report_slot * spec.k as f64;
         let jitter: f64 = {
             use rand::Rng;
-            ctx.rng().gen_range(0.0..self.cfg.agg_slot.max(spread))
+            ctx.rng().gen_range(0.0..AGG_SLOT)
         };
-        let wait = self.cfg.agg_slot * slots + jitter;
+        let wait = AGG_SLOT * slots + jitter;
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(wait),
@@ -545,10 +520,6 @@ impl Protocol for Kpt {
             K_ISSUE => self.issue(ctx, aux as usize),
             K_REPORT => self.report_up(ctx, at, qid),
             K_FINALIZE => self.finalize_home(ctx, at, qid),
-            K_SINK_TIMEOUT => {
-                // Query closes with whatever the sink got (possibly
-                // nothing); outcomes already reflect it.
-            }
             _ => unreachable!("unknown timer kind"),
         }
     }
@@ -603,7 +574,7 @@ impl Protocol for Kpt {
                         node.explored_sent = node.explored_sent.saturating_sub(*explored);
                         let jitter: f64 = {
                             use rand::Rng;
-                            ctx.rng().gen_range(0.0..self.cfg.agg_slot)
+                            ctx.rng().gen_range(0.0..AGG_SLOT)
                         };
                         ctx.set_timer(
                             at,
@@ -645,7 +616,6 @@ mod tests {
             boundary: KptBoundary::Conservative {
                 mean_hop_distance: 15.0,
             },
-            ..KptConfig::default()
         })
         .boundary
         {

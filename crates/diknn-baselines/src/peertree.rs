@@ -34,13 +34,13 @@ use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDura
 
 use diknn_core::messages::QuerySpec;
 use diknn_core::{
-    schedule_issues, Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest, K_ISSUE,
+    schedule_issues, Candidate, CandidateSet, KnnProtocol, QueryOutcome, QueryRequest,
+    BASE_MSG_BYTES, COLLECTION_UNIT, K_ISSUE, RESPONSE_BYTES,
 };
 
 use crate::Answer;
 
 const K_NOTIFY: u8 = 2;
-const K_SINK_TIMEOUT: u8 = 3;
 const K_COLLECT_DONE: u8 = 4;
 const K_COLLECT_REPLY: u8 = 5;
 const K_ASK: u8 = 6;
@@ -48,48 +48,37 @@ const K_ASK_STEP: u8 = 7;
 const K_SUBREPLY: u8 = 8;
 const K_CROSSING: u8 = 9;
 
-/// Peer-tree configuration.
+/// Periodic membership notification interval in seconds.
+const NOTIFY_INTERVAL: f64 = 2.0;
+
+/// How often a node checks whether it crossed into a new cell (a crossing
+/// triggers an immediate notification to the new head).
+const CROSSING_CHECK_INTERVAL: f64 = 0.5;
+
+/// Member entries older than this many seconds are deleted by their
+/// clusterhead.
+const MEMBER_TIMEOUT: f64 = 5.0;
+
+/// Window in seconds for gathering sub-replies from neighbouring heads
+/// before the k nearest candidates are determined and informed.
+const SUBQUERY_WINDOW: f64 = 0.8;
+
+/// Fixed slack in seconds a query head adds on top of the k-scaled reply
+/// window before returning the aggregate (routing time for the collect
+/// round-trips).
+const COLLECT_SLACK: f64 = 0.6;
+
+/// Peer-tree configuration. Only the grid is configurable: it is part of
+/// the scenario, since the caller appends `grid²` clusterheads.
 #[derive(Debug, Clone)]
 pub struct PeerTreeConfig {
     /// Grid dimension `g` (the paper partitions into 5×5).
     pub grid: usize,
-    /// Periodic membership notification interval in seconds.
-    pub notify_interval: f64,
-    /// How often a node checks whether it crossed into a new cell (a
-    /// crossing triggers an immediate notification to the new head).
-    pub crossing_check_interval: f64,
-    /// Member entries older than this are deleted by their clusterhead.
-    pub member_timeout: f64,
-    /// Window for gathering sub-replies from neighbouring heads before the
-    /// k nearest candidates are determined and informed.
-    pub subquery_window: f64,
-    /// Fixed slack a query head adds on top of the k-scaled reply window
-    /// before returning the aggregate (routing time for the collect
-    /// round-trips).
-    pub collect_slack: f64,
-    /// Per-candidate reply jitter slot in seconds (the reply window is
-    /// `k × per_collect_slot`).
-    pub per_collect_slot: f64,
-    pub response_bytes: usize,
-    pub base_msg_bytes: usize,
-    /// Sink gives up after this many seconds.
-    pub sink_timeout: f64,
 }
 
 impl Default for PeerTreeConfig {
     fn default() -> Self {
-        PeerTreeConfig {
-            grid: 5,
-            notify_interval: 2.0,
-            crossing_check_interval: 0.5,
-            member_timeout: 5.0,
-            subquery_window: 0.8,
-            collect_slack: 0.6,
-            per_collect_slot: 0.018,
-            response_bytes: 10,
-            base_msg_bytes: 24,
-            sink_timeout: 20.0,
-        }
+        PeerTreeConfig { grid: 5 }
     }
 }
 
@@ -158,15 +147,15 @@ impl PtMsg {
         }
     }
 
-    fn wire_bytes(&self, cfg: &PeerTreeConfig) -> usize {
+    fn wire_bytes(&self) -> usize {
         match self {
-            PtMsg::Notify { .. } => cfg.base_msg_bytes,
-            PtMsg::Query { .. } => cfg.base_msg_bytes + 8,
-            PtMsg::SubQuery { .. } => cfg.base_msg_bytes + 8,
-            PtMsg::SubReply { members, .. } => cfg.base_msg_bytes + 10 * members.len(),
-            PtMsg::Collect { .. } => cfg.base_msg_bytes,
-            PtMsg::CollectReply { .. } => cfg.base_msg_bytes + cfg.response_bytes,
-            PtMsg::Result(a) => cfg.base_msg_bytes + a.candidates.wire_bytes(cfg.response_bytes),
+            PtMsg::Notify { .. } => BASE_MSG_BYTES,
+            PtMsg::Query { .. } => BASE_MSG_BYTES + 8,
+            PtMsg::SubQuery { .. } => BASE_MSG_BYTES + 8,
+            PtMsg::SubReply { members, .. } => BASE_MSG_BYTES + 10 * members.len(),
+            PtMsg::Collect { .. } => BASE_MSG_BYTES,
+            PtMsg::CollectReply { .. } => BASE_MSG_BYTES + RESPONSE_BYTES,
+            PtMsg::Result(a) => BASE_MSG_BYTES + a.candidates.wire_bytes(),
         }
     }
 
@@ -231,9 +220,6 @@ pub struct PeerTree {
     route_excludes: BTreeMap<(u32, u8), Vec<NodeId>>,
     radio_range: f64,
     field: Rect,
-    /// Diagnostics: per-query (pool size, asked, subreplies pending at ask
-    /// time).
-    pub ask_stats: Vec<(u32, usize, u32, u32)>,
 }
 
 impl PeerTree {
@@ -278,16 +264,16 @@ impl PeerTree {
             collections: BTreeMap::new(),
             pending_replies: BTreeMap::new(),
             pending_subreplies: BTreeMap::new(),
-            ask_stats: Vec::new(),
             route_excludes: BTreeMap::new(),
             radio_range: 0.0,
             field,
         }
     }
 
-    /// Reply-jitter window for a query of `k` candidates.
-    fn reply_window(&self, k: u32) -> f64 {
-        (self.cfg.per_collect_slot * k as f64).clamp(0.05, 2.0)
+    /// Reply window for a query of `k` candidates: one collection unit per
+    /// candidate, clamped.
+    fn reply_window(k: u32) -> f64 {
+        (COLLECTION_UNIT * k as f64).clamp(0.05, 2.0)
     }
 
     fn cell_of(&self, p: Point) -> usize {
@@ -311,7 +297,7 @@ impl PeerTree {
     }
 
     fn send(&self, ctx: &mut Ctx<PtMsg>, from: NodeId, to: NodeId, msg: PtMsg) {
-        let bytes = msg.wire_bytes(&self.cfg);
+        let bytes = msg.wire_bytes();
         let flow = msg.qid();
         ctx.unicast_flow(from, to, bytes, msg, flow);
     }
@@ -387,7 +373,7 @@ impl PeerTree {
         }
         ctx.set_timer(
             at,
-            SimDuration::from_secs_f64(self.cfg.notify_interval),
+            SimDuration::from_secs_f64(NOTIFY_INTERVAL),
             pack_timer_key(K_NOTIFY, 0, 0),
         );
         // Crossing detection piggybacks on a fast sub-timer: rather than a
@@ -431,8 +417,7 @@ impl PeerTree {
             },
         );
         // Expire stale members ("deletes the node and updates the MBR").
-        let timeout = self.cfg.member_timeout;
-        table.retain(|_, m| (now - m.heard_at).as_secs_f64() <= timeout);
+        table.retain(|_, m| (now - m.heard_at).as_secs_f64() <= MEMBER_TIMEOUT);
     }
 
     // ---------- query path ---------------------------------------------
@@ -442,11 +427,6 @@ impl PeerTree {
         let outcome = QueryOutcome::pending(qid, &self.requests[idx], ctx.now(), 1);
         let spec = QuerySpec::issue(ctx, &outcome, 0);
         self.outcomes.push(outcome);
-        ctx.set_timer(
-            spec.sink,
-            SimDuration::from_secs_f64(self.cfg.sink_timeout),
-            pack_timer_key(K_SINK_TIMEOUT, qid, 0),
-        );
         // Stage 0: to my clusterhead.
         let my_head = self.head_id(self.cell_of(ctx.position(spec.sink)));
         let gpsr = GpsrHeader::new(self.head_positions[my_head.index() - self.data_nodes]);
@@ -554,11 +534,7 @@ impl PeerTree {
         self.collections.insert(spec.qid, coll);
         // Once the subreplies are in (or immediately if none were needed),
         // determine the k nearest believed candidates and inform them.
-        let gather = if no_subqueries {
-            0.0
-        } else {
-            self.cfg.subquery_window
-        };
+        let gather = if no_subqueries { 0.0 } else { SUBQUERY_WINDOW };
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(gather),
@@ -576,11 +552,8 @@ impl PeerTree {
         // Dedup the pool by node id (a node may appear in two heads'
         // tables around a border), keeping the freshest entry order.
         let mut pool = std::mem::take(&mut coll.pool);
-        let pending = coll.pending_subqueries;
         let mut seen = std::collections::BTreeSet::new();
         pool.retain(|(id, _)| seen.insert(*id));
-        self.ask_stats
-            .push((qid, pool.len(), spec.k.min(pool.len() as u32), pending));
         // Keep only the k best by believed distance and inform them one per
         // collect slot (bursting k unicasts at once collides their replies).
         pool.sort_by(|a, b| {
@@ -594,7 +567,7 @@ impl PeerTree {
             coll.to_ask = pool;
         }
         self.ask_step(ctx, at, qid);
-        let wait = self.cfg.collect_slack + self.reply_window(spec.k);
+        let wait = COLLECT_SLACK + Self::reply_window(spec.k);
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(wait),
@@ -623,7 +596,7 @@ impl PeerTree {
         self.forward_collect(ctx, at, msg, None);
         ctx.set_timer(
             at,
-            SimDuration::from_secs_f64(self.cfg.per_collect_slot),
+            SimDuration::from_secs_f64(COLLECTION_UNIT),
             pack_timer_key(K_ASK_STEP, qid, 0),
         );
     }
@@ -710,13 +683,13 @@ impl Protocol for PeerTree {
         // excessive information updates", §5.4).
         use rand::Rng;
         for i in 0..self.data_nodes {
-            let phase: f64 = ctx.rng().gen_range(0.0..self.cfg.notify_interval);
+            let phase: f64 = ctx.rng().gen_range(0.0..NOTIFY_INTERVAL);
             ctx.set_timer(
                 NodeId(i as u32),
                 SimDuration::from_secs_f64(phase),
                 pack_timer_key(K_NOTIFY, 0, 0),
             );
-            let cphase: f64 = ctx.rng().gen_range(0.0..self.cfg.crossing_check_interval);
+            let cphase: f64 = ctx.rng().gen_range(0.0..CROSSING_CHECK_INTERVAL);
             ctx.set_timer(
                 NodeId(i as u32),
                 SimDuration::from_secs_f64(cphase),
@@ -733,10 +706,9 @@ impl Protocol for PeerTree {
             K_NOTIFY => self.notify_tick(ctx, at),
             K_CROSSING => {
                 self.maybe_crossing_notify(ctx, at);
-                let interval = self.cfg.crossing_check_interval;
                 ctx.set_timer(
                     at,
-                    SimDuration::from_secs_f64(interval),
+                    SimDuration::from_secs_f64(CROSSING_CHECK_INTERVAL),
                     pack_timer_key(K_CROSSING, 0, 0),
                 );
             }
@@ -760,7 +732,6 @@ impl Protocol for PeerTree {
                     self.send_routed(ctx, at, reply, None);
                 }
             }
-            K_SINK_TIMEOUT => { /* outcome stays incomplete */ }
             _ => unreachable!("unknown timer kind"),
         }
     }
@@ -811,7 +782,7 @@ impl Protocol for PeerTree {
                     self.pending_subreplies.insert((*qid, at.0), reply);
                     let jitter: f64 = {
                         use rand::Rng;
-                        ctx.rng().gen_range(0.0..self.cfg.subquery_window * 0.6)
+                        ctx.rng().gen_range(0.0..SUBQUERY_WINDOW * 0.6)
                     };
                     ctx.set_timer(
                         at,
@@ -958,10 +929,7 @@ mod tests {
         // must sit in its own cell.
         for field in [field, Rect::new(3.0, 7.0, 118.0, 122.0)] {
             for grid in [3, 5, 7] {
-                let cfg = PeerTreeConfig {
-                    grid,
-                    ..PeerTreeConfig::default()
-                };
+                let cfg = PeerTreeConfig { grid };
                 let pt = PeerTree::new(cfg, field, 10, vec![]);
                 for (cell, &p) in pt.head_positions.iter().enumerate() {
                     assert_eq!(pt.cell_of(p), cell, "grid {grid}, field {field:?}");

@@ -119,7 +119,6 @@ fn kpt_conservative_boundary_floods_more_than_knnb() {
                 boundary: KptBoundary::Conservative {
                     mean_hop_distance: 15.0,
                 },
-                ..KptConfig::default()
             },
             vec![mk_req()],
         ),

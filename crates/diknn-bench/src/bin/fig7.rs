@@ -9,12 +9,13 @@
 //! field: 400 nodes, 6 herds, k = 120.
 //!
 //! Output: an ASCII map of the field (nodes `.`, itinerary hops per sector
-//! `0..7`, query point `Q`), followed by void/isolation statistics.
+//! `0..7`, query point `Q`), followed by void/isolation statistics. The
+//! itinerary is rebuilt from the flight recorder's token handoffs.
 
 use diknn_core::{Diknn, DiknnConfig, KnnProtocol, QueryRequest};
 use diknn_geom::{Point, Rect};
 use diknn_mobility::GroupConfig;
-use diknn_sim::{NodeId, Simulator};
+use diknn_sim::{NodeId, SimConfig, Simulator, TraceConfig};
 use diknn_workloads::{GroundTruth, HerdSetup, PlacementKind, ScenarioConfig};
 
 const COLS: usize = 76;
@@ -72,8 +73,12 @@ fn main() {
         q,
         k,
     };
+    let sim_cfg = SimConfig {
+        trace: TraceConfig::enabled(),
+        ..scenario.sim_config()
+    };
     let mut sim = Simulator::new(
-        scenario.sim_config(),
+        sim_cfg,
         plans,
         Diknn::new(DiknnConfig::default(), vec![request]),
         seed,
@@ -82,14 +87,14 @@ fn main() {
     sim.run();
 
     let outcome = &sim.protocol().outcomes()[0];
-    let trace = &sim.protocol().token_trace;
+    let hops = oracle.itinerary_hops(sim.ctx().trace());
     if std::env::var("FIG7_DEBUG").is_ok() {
-        if let Some(h) = trace.first() {
+        if let Some(&(from, _, _)) = hops.values().next().and_then(|h| h.first()) {
             eprintln!(
                 "debug: first Q-node at ({:.1},{:.1}), dist to q {:.1}",
-                h.from.x,
-                h.from.y,
-                h.from.dist(q)
+                from.x,
+                from.y,
+                from.dist(q)
             );
         }
         eprintln!(
@@ -113,10 +118,12 @@ fn main() {
             grid[y][x] = b'.';
         }
     }
-    for hop in trace {
-        for p in [hop.from, hop.to] {
-            let (x, y) = cell(p);
-            grid[y][x] = b'0' + hop.sector.min(9);
+    for (&(_, sector), list) in &hops {
+        for &(from, to, _) in list {
+            for p in [from, to] {
+                let (x, y) = cell(p);
+                grid[y][x] = b'0' + sector.min(9);
+            }
         }
     }
     let (qx, qy) = cell(q);
@@ -139,15 +146,16 @@ fn main() {
     // targets).
     let mut voids = 0usize;
     let mut per_sector: Vec<u32> = vec![0; 8];
-    let mut last_frontier = [0.0f64; 8];
-    for hop in trace {
-        let s = hop.sector as usize % 8;
-        per_sector[s] = per_sector[s].max(hop.hop);
-        let jump = hop.frontier - last_frontier[s];
-        if jump > 2.0 * 12.0 {
-            voids += 1;
+    for (&(_, sector), list) in &hops {
+        let s = sector as usize % 8;
+        per_sector[s] = per_sector[s].max(list.len() as u32);
+        let mut last_frontier = 0.0;
+        for &(_, _, frontier) in list {
+            if frontier - last_frontier > 2.0 * 12.0 {
+                voids += 1;
+            }
+            last_frontier = frontier;
         }
-        last_frontier[s] = hop.frontier;
     }
 
     // Isolated nodes: inside the final boundary but never explored.
@@ -184,7 +192,7 @@ fn main() {
     let svg = diknn_bench::svg::render(
         field,
         &oracle.positions_at(t0),
-        trace,
+        &hops,
         q,
         outcome.final_radius,
     );

@@ -1,7 +1,8 @@
-//! Table 1 (§5.1): the simulation settings table. Prints the defaults this
-//! reproduction uses next to the paper's values, and asserts they match.
+//! Table 1 (§5.1): the simulation settings table. Prints the defaults and
+//! protocol constants this reproduction uses next to the paper's values, and
+//! asserts they match.
 
-use diknn_core::DiknnConfig;
+use diknn_core::{DiknnConfig, COLLECTION_UNIT, RESPONSE_BYTES};
 use diknn_sim::SimConfig;
 use diknn_workloads::{ScenarioConfig, WorkloadConfig};
 
@@ -35,7 +36,7 @@ fn main() {
         (
             "response size",
             "10 bytes".into(),
-            format!("{} bytes", dk.response_bytes),
+            format!("{RESPONSE_BYTES} bytes"),
         ),
         (
             "channel rate",
@@ -57,7 +58,7 @@ fn main() {
         (
             "collection unit m",
             "0.018 s".into(),
-            format!("{} s", dk.collection_unit),
+            format!("{COLLECTION_UNIT} s"),
         ),
         (
             "query interval",
@@ -80,15 +81,15 @@ fn main() {
         println!("{name:<28} {paper:>14} {ours:>14}");
     }
 
-    // Hard assertions: the defaults ARE the paper settings.
+    // Hard assertions: the defaults and constants ARE the paper settings.
     assert_eq!(sc.nodes, 200);
     assert_eq!(sim.radio_range, 20.0);
     assert_eq!(sim.bits_per_sec, 250_000);
     assert_eq!(dk.sectors, 8);
-    assert_eq!(dk.response_bytes, 10);
+    assert_eq!(RESPONSE_BYTES, 10);
     assert!((sc.max_speed - 10.0).abs() < 1e-12);
     assert!((sim.beacon_interval.as_secs_f64() - 0.5).abs() < 1e-12);
-    assert!((dk.collection_unit - 0.018).abs() < 1e-12);
+    assert!((COLLECTION_UNIT - 0.018).abs() < 1e-12);
     assert!((wl.mean_interval - 4.0).abs() < 1e-12);
     assert!((dk.assurance_gain - 0.1).abs() < 1e-12);
     assert!(dk.rendezvous);

@@ -1,8 +1,8 @@
 //! Minimal SVG writer for the Figure 7 style visualisations: node dots,
 //! per-sector itinerary polylines, the query point and boundary circle.
 
-use diknn_core::TokenHop;
 use diknn_geom::{Point, Rect};
+use diknn_workloads::ItineraryHops;
 use std::fmt::Write as _;
 
 /// Per-sector stroke colours (8 sectors, colour-blind-tolerant).
@@ -14,9 +14,11 @@ const SECTOR_COLORS: [&str; 8] = [
 ///
 /// * `field` — world rectangle, mapped to a 800-px-wide canvas.
 /// * `nodes` — node positions (grey dots).
-/// * `trace` — Q-node hops, drawn per sector.
+/// * `hops` — Q-node hops per `(qid, sector)`, as
+///   [`diknn_workloads::GroundTruth::itinerary_hops`] rebuilds them; drawn
+///   per sector.
 /// * `q`, `radius` — query point and final boundary circle.
-pub fn render(field: Rect, nodes: &[Point], trace: &[TokenHop], q: Point, radius: f64) -> String {
+pub fn render(field: Rect, nodes: &[Point], hops: &ItineraryHops, q: Point, radius: f64) -> String {
     let scale = 800.0 / field.width();
     let w = 800.0;
     let h = field.height() * scale;
@@ -51,22 +53,24 @@ pub fn render(field: Rect, nodes: &[Point], trace: &[TokenHop], q: Point, radius
     }
 
     // Itinerary hops, one polyline segment per hop, coloured by sector.
-    for hop in trace {
-        let color = SECTOR_COLORS[hop.sector as usize % SECTOR_COLORS.len()];
-        let _ = writeln!(
-            s,
-            r#"<line x1="{:.1}" y1="{:.1}" x2="{:.1}" y2="{:.1}" stroke="{color}" stroke-width="1.6"/>"#,
-            tx(hop.from),
-            ty(hop.from),
-            tx(hop.to),
-            ty(hop.to)
-        );
-        let _ = writeln!(
-            s,
-            r#"<circle cx="{:.1}" cy="{:.1}" r="3" fill="{color}"/>"#,
-            tx(hop.to),
-            ty(hop.to)
-        );
+    for (&(_, sector), list) in hops {
+        let color = SECTOR_COLORS[sector as usize % SECTOR_COLORS.len()];
+        for &(from, to, _) in list {
+            let _ = writeln!(
+                s,
+                r#"<line x1="{:.1}" y1="{:.1}" x2="{:.1}" y2="{:.1}" stroke="{color}" stroke-width="1.6"/>"#,
+                tx(from),
+                ty(from),
+                tx(to),
+                ty(to)
+            );
+            let _ = writeln!(
+                s,
+                r#"<circle cx="{:.1}" cy="{:.1}" r="3" fill="{color}"/>"#,
+                tx(to),
+                ty(to)
+            );
+        }
     }
 
     // Query point.
@@ -94,16 +98,11 @@ mod tests {
     fn renders_wellformed_svg() {
         let field = Rect::new(0.0, 0.0, 100.0, 100.0);
         let nodes = vec![Point::new(10.0, 10.0), Point::new(90.0, 90.0)];
-        let trace = vec![TokenHop {
-            qid: 0,
-            sector: 3,
-            hop: 1,
-            from: Point::new(50.0, 50.0),
-            to: Point::new(60.0, 55.0),
-            frontier: 12.0,
-            radius: 30.0,
-        }];
-        let svg = render(field, &nodes, &trace, Point::new(50.0, 50.0), 30.0);
+        let hops = ItineraryHops::from([(
+            (0, 3),
+            vec![(Point::new(50.0, 50.0), Point::new(60.0, 55.0), 12.0)],
+        )]);
+        let svg = render(field, &nodes, &hops, Point::new(50.0, 50.0), 30.0);
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         assert_eq!(svg.matches("<circle").count(), 1 + 2 + 1 + 1); // boundary + nodes + hop + q

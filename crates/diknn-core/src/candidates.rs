@@ -4,6 +4,8 @@
 use diknn_geom::Point;
 use diknn_sim::NodeId;
 
+use crate::config::RESPONSE_BYTES;
+
 /// One KNN candidate: a sensor node that answered a probe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
@@ -102,9 +104,9 @@ impl CandidateSet {
         self.items.iter().map(|c| c.id).collect()
     }
 
-    /// Wire size of this set in a message, at `response_bytes` per entry.
-    pub fn wire_bytes(&self, response_bytes: usize) -> usize {
-        self.items.len() * response_bytes
+    /// Wire size of this set in a message, at [`RESPONSE_BYTES`] per entry.
+    pub fn wire_bytes(&self) -> usize {
+        self.items.len() * RESPONSE_BYTES
     }
 }
 
@@ -197,6 +199,6 @@ mod tests {
         let mut s = CandidateSet::new(5);
         s.insert(cand(1, 1.0));
         s.insert(cand(2, 2.0));
-        assert_eq!(s.wire_bytes(10), 20);
+        assert_eq!(s.wire_bytes(), 20);
     }
 }

@@ -1,6 +1,24 @@
 //! DIKNN protocol parameters (defaults = the paper's settings table, §5.1).
+//!
+//! The settings every protocol of the evaluation shares are constants here;
+//! the config structs hold only what an experiment varies.
 
 use diknn_sim::ConfigError;
+
+/// Data-collection time unit `m` in seconds (0.018 s in the paper): how
+/// long a collector budgets per expected replier. DIKNN's Q-nodes,
+/// Peer-tree's query heads and the flooding baseline's responders all pace
+/// collection by it.
+pub const COLLECTION_UNIT: f64 = 0.018;
+
+/// Per-node query response payload in bytes (10 bytes in the paper).
+pub const RESPONSE_BYTES: usize = 10;
+
+/// Fixed per-message overhead in bytes that every protocol assumes for
+/// bookkeeping fields (ids, radii, counters) when sizing packets.
+pub const BASE_MSG_BYTES: usize = 24;
+
+const _: () = assert!(COLLECTION_UNIT > 0.0, "collection unit must be positive");
 
 /// How a Q-node collects responses from the D-nodes that heard its probe
 /// (§3.3 "data collection scheme" and footnote 1).
@@ -31,17 +49,6 @@ pub struct ServingConfig {
     /// terminal) across all sinks. Arrivals beyond it are deferred, then
     /// rejected. Must be nonzero.
     pub max_in_flight: u32,
-    /// Base retry-after for a deferred query, in seconds. The actual quote
-    /// comes from the load signal ([`diknn_sim::LoadSignal::retry_after`])
-    /// and is bounded to `[retry_after_s, max_retry_after_s]`.
-    pub retry_after_s: f64,
-    /// Hard cap on a single retry-after quote, in seconds.
-    pub max_retry_after_s: f64,
-    /// How many deferrals a query may suffer before it is terminally
-    /// rejected (status `rejected`, never executed).
-    pub max_admission_defers: u32,
-    /// Sliding window (seconds) of the load signal's completion rate.
-    pub load_window_s: f64,
     /// Spatial merge radius in metres: a new arrival whose query point lies
     /// within this distance of an in-flight query's point (and whose `k`
     /// does not exceed the host's) rides the host's itinerary instead of
@@ -51,15 +58,9 @@ pub struct ServingConfig {
     /// a fresh completed query's point (with `k` not exceeding the cached
     /// `k`) is answered from the cache. `0.0` disables caching.
     pub cache_radius_m: f64,
-    /// Cache TTL in seconds. Entries older than this are never served.
-    /// Must be positive.
+    /// Cache TTL in seconds. Entries older than this are never served;
+    /// the mobility-drift bound can retire them sooner. Must be positive.
     pub cache_ttl_s: f64,
-    /// Mobility-staleness bound: the assumed worst-case node speed used to
-    /// account cached answers against drift.
-    pub drift_rate_mps: f64,
-    /// Maximum tolerated drift in metres: a cache entry is stale once
-    /// `age × drift_rate_mps` exceeds this, even inside the TTL.
-    pub cache_drift_m: f64,
 }
 
 impl Default for ServingConfig {
@@ -67,15 +68,9 @@ impl Default for ServingConfig {
         ServingConfig {
             enabled: false,
             max_in_flight: 8,
-            retry_after_s: 0.5,
-            max_retry_after_s: 4.0,
-            max_admission_defers: 6,
-            load_window_s: 5.0,
             merge_radius_m: 10.0,
             cache_radius_m: 10.0,
             cache_ttl_s: 2.0,
-            drift_rate_mps: 5.0,
-            cache_drift_m: 10.0,
         }
     }
 }
@@ -106,15 +101,6 @@ impl ServingConfig {
         if self.cache_radius_m < 0.0 || self.cache_radius_m.is_nan() {
             return Err(ConfigError::NegativeMergeRadius(self.cache_radius_m));
         }
-        assert!(
-            self.retry_after_s > 0.0 && self.max_retry_after_s >= self.retry_after_s,
-            "retry-after bounds must satisfy 0 < base <= max"
-        );
-        assert!(self.load_window_s > 0.0, "load window must be positive");
-        assert!(
-            self.drift_rate_mps >= 0.0 && self.cache_drift_m >= 0.0,
-            "drift accounting must be non-negative"
-        );
         Ok(())
     }
 }
@@ -127,33 +113,10 @@ pub struct DiknnConfig {
     /// Itinerary width as a fraction of the radio range; the default is the
     /// paper's `w = √3·r/2`.
     pub width_factor: f64,
-    /// Data-collection time unit `m` in seconds (default 0.018 s): how long
-    /// the Q-node budgets per expected replier.
-    pub collection_unit: f64,
-    /// Upper bound on repliers assumed when sizing the contention window
-    /// (the window is `collection_unit × contention_slots`).
-    pub contention_slots: f64,
     /// Mobility assurance gain `g ∈ [0, 1]` (§4.3; default 0.1).
     pub assurance_gain: f64,
     /// Enable rendezvous-based dynamic boundary adjustment (§4.3).
     pub rendezvous: bool,
-    /// Early-stop margin: a sector may truncate its traversal once the
-    /// estimated number of explored nodes reaches `margin × k`.
-    pub early_stop_margin: f64,
-    /// Extension target: sectors keep growing the boundary until the
-    /// estimated explored total reaches `extend_target × k` (KNNB aims at
-    /// *exactly* k expected nodes, so without headroom roughly half the
-    /// true KNNs near the rim would be missed). Must be below
-    /// `early_stop_margin`.
-    pub extend_target: f64,
-    /// Boundary-extension cap: `R` may grow to at most `cap × R₀` through
-    /// rendezvous under-count extension plus mobility assurance.
-    pub max_radius_growth: f64,
-    /// Per-node query response payload (10 bytes in the paper).
-    pub response_bytes: usize,
-    /// Fixed per-message overhead assumed for protocol bookkeeping fields
-    /// (ids, radii, counters) when sizing packets.
-    pub base_msg_bytes: usize,
     /// Data collection scheme.
     pub collection: CollectionScheme,
     /// Give up on a query at the sink after this many seconds without all
@@ -164,14 +127,6 @@ pub struct DiknnConfig {
     /// token on silence (fail-stop crashes and deep fades otherwise kill
     /// the whole sector).
     pub token_watchdog: bool,
-    /// Seconds without durable sector progress (next handoff, sector
-    /// finish, or sink merge) before the watchdog re-issues the token. Must
-    /// comfortably exceed one collection round (contention window + polls)
-    /// so a busy-but-alive successor is not doubled.
-    pub watchdog_timeout: f64,
-    /// Re-issue budget per sector token; when exhausted the watchdog holder
-    /// salvages the token's partial result and reports it to the sink.
-    pub max_token_reissues: u32,
     /// Whole-query retries the sink may launch when `sink_timeout` expires
     /// with *zero* results merged (fresh dissemination, rotated itinerary
     /// origin). Partial results are kept and never retried.
@@ -186,20 +141,11 @@ impl Default for DiknnConfig {
         DiknnConfig {
             sectors: 8,
             width_factor: 3.0_f64.sqrt() / 2.0,
-            collection_unit: 0.018,
-            contention_slots: 8.0,
             assurance_gain: 0.1,
             rendezvous: true,
-            early_stop_margin: 1.25,
-            extend_target: 1.15,
-            max_radius_growth: 2.0,
-            response_bytes: 10,
-            base_msg_bytes: 24,
             collection: CollectionScheme::Combined,
             sink_timeout: 20.0,
             token_watchdog: true,
-            watchdog_timeout: 0.75,
-            max_token_reissues: 2,
             max_query_retries: 1,
             serving: ServingConfig::default(),
         }
@@ -217,17 +163,6 @@ impl DiknnConfig {
             (0.0..=1.0).contains(&self.assurance_gain),
             "assurance gain must be in [0, 1]"
         );
-        assert!(self.collection_unit > 0.0);
-        assert!(self.max_radius_growth >= 1.0);
-        assert!(self.early_stop_margin >= 1.0);
-        assert!(
-            self.extend_target >= 1.0 && self.extend_target <= self.early_stop_margin,
-            "extend target must be in [1, early_stop_margin]"
-        );
-        assert!(
-            self.watchdog_timeout > 0.0 && self.watchdog_timeout.is_finite(),
-            "watchdog timeout must be positive and finite"
-        );
         assert!(self.sink_timeout > 0.0, "sink timeout must be positive");
         if let Err(e) = self.serving.validate() {
             panic!("serving config: {e}");
@@ -244,10 +179,10 @@ mod tests {
         let c = DiknnConfig::default();
         assert_eq!(c.sectors, 8);
         assert!((c.width_factor - 0.866_025_403_784_438_6).abs() < 1e-12);
-        assert!((c.collection_unit - 0.018).abs() < 1e-12);
+        assert!((COLLECTION_UNIT - 0.018).abs() < 1e-12);
         assert!((c.assurance_gain - 0.1).abs() < 1e-12);
         assert!(c.rendezvous);
-        assert_eq!(c.response_bytes, 10);
+        assert_eq!(RESPONSE_BYTES, 10);
         c.validate();
     }
 

@@ -65,11 +65,13 @@ pub mod token;
 pub mod window;
 
 pub use candidates::{Candidate, CandidateSet};
-pub use config::{CollectionScheme, DiknnConfig, ServingConfig};
+pub use config::{
+    CollectionScheme, DiknnConfig, ServingConfig, BASE_MSG_BYTES, COLLECTION_UNIT, RESPONSE_BYTES,
+};
 pub use continuous::{ContinuousKnn, MonitorRequest, RoundDelta};
 pub use itinerary::ItinerarySpec;
 pub use knnb::{knnb, kpt_conservative_radius, Boundary, HopRecord};
 pub use messages::DiknnMsg;
 pub use outcome::{schedule_issues, KnnProtocol, QueryOutcome, QueryRequest, QueryStatus, K_ISSUE};
-pub use protocol::{Diknn, TokenHop};
+pub use protocol::Diknn;
 pub use window::{WindowOutcome, WindowQuery, WindowRequest};

@@ -6,7 +6,7 @@
 //! (positions as 2×4 B, ids/counters 2–4 B, per-candidate responses 10 B).
 
 use crate::candidates::CandidateSet;
-use crate::config::DiknnConfig;
+use crate::config::{BASE_MSG_BYTES, RESPONSE_BYTES};
 use crate::knnb::HopRecord;
 use crate::outcome::QueryOutcome;
 use crate::token::SectorToken;
@@ -229,19 +229,17 @@ impl DiknnMsg {
     }
 
     /// Approximate on-air payload size in bytes.
-    pub fn wire_bytes(&self, cfg: &DiknnConfig) -> usize {
-        let base = cfg.base_msg_bytes;
+    pub fn wire_bytes(&self) -> usize {
+        let base = BASE_MSG_BYTES;
         match self {
             // loc (8) + enc (2) per hop record.
             DiknnMsg::Query(m) => base + 10 * m.list.len(),
-            DiknnMsg::Token(t) => {
-                base + t.candidates.wire_bytes(cfg.response_bytes) + 5 * t.sector_counts.len()
-            }
+            DiknnMsg::Token(t) => base + t.candidates.wire_bytes() + 5 * t.sector_counts.len(),
             DiknnMsg::Probe(m) => base + 16 + 5 * m.counts.len(),
-            DiknnMsg::Reply(m) => base + cfg.response_bytes + 5 * m.cached_counts.len(),
+            DiknnMsg::Reply(m) => base + RESPONSE_BYTES + 5 * m.cached_counts.len(),
             DiknnMsg::Poll(_) => base,
             DiknnMsg::Rendezvous(m) => base + 5 * m.counts.len(),
-            DiknnMsg::Result(m) => base + m.candidates.wire_bytes(cfg.response_bytes),
+            DiknnMsg::Result(m) => base + m.candidates.wire_bytes(),
         }
     }
 }
@@ -265,24 +263,22 @@ mod tests {
 
     #[test]
     fn query_size_grows_with_hop_list() {
-        let cfg = DiknnConfig::default();
         let mut m = QueryMsg {
             spec: spec(),
             gpsr: GpsrHeader::new(Point::new(50.0, 50.0)),
             list: Vec::new(),
         };
-        let empty = DiknnMsg::Query(m.clone()).wire_bytes(&cfg);
+        let empty = DiknnMsg::Query(m.clone()).wire_bytes();
         m.list.push(HopRecord {
             loc: Point::ORIGIN,
             enc: 5,
         });
-        let one = DiknnMsg::Query(m).wire_bytes(&cfg);
+        let one = DiknnMsg::Query(m).wire_bytes();
         assert_eq!(one - empty, 10);
     }
 
     #[test]
     fn result_size_grows_with_candidates() {
-        let cfg = DiknnConfig::default();
         let mut cands = CandidateSet::new(10);
         let mk = |c: &CandidateSet| {
             DiknnMsg::Result(ResultMsg {
@@ -294,7 +290,7 @@ mod tests {
                 final_radius: 30.0,
                 itinerary_hops: 0,
             })
-            .wire_bytes(&cfg)
+            .wire_bytes()
         };
         let empty = mk(&cands);
         cands.insert(crate::candidates::Candidate {
@@ -302,19 +298,18 @@ mod tests {
             position: Point::ORIGIN,
             dist: 1.0,
         });
-        assert_eq!(mk(&cands) - empty, cfg.response_bytes);
+        assert_eq!(mk(&cands) - empty, RESPONSE_BYTES);
     }
 
     #[test]
     fn token_size_includes_state() {
-        let cfg = DiknnConfig::default();
         let t = SectorToken::new(
             spec(),
             0,
             ItinerarySpec::new(Point::new(50.0, 50.0), 30.0, 8, 17.0),
             SimTime::ZERO,
         );
-        let sz = DiknnMsg::Token(Box::new(t)).wire_bytes(&cfg);
-        assert!(sz >= cfg.base_msg_bytes);
+        let sz = DiknnMsg::Token(Box::new(t)).wire_bytes();
+        assert!(sz >= BASE_MSG_BYTES);
     }
 }

@@ -28,7 +28,7 @@ use diknn_snap::Snap;
 use rand::Rng;
 
 use crate::candidates::{Candidate, CandidateSet};
-use crate::config::{CollectionScheme, DiknnConfig};
+use crate::config::{CollectionScheme, DiknnConfig, COLLECTION_UNIT};
 use crate::itinerary::{sub_itinerary, ItinerarySpec};
 use crate::knnb::knnb;
 use crate::messages::*;
@@ -51,8 +51,61 @@ const BOOTSTRAP: u8 = u8::MAX;
 /// Safety cap on Q-node hops per sector token.
 const MAX_TOKEN_HOPS: u32 = 400;
 
+/// Upper bound on repliers assumed when sizing the contention window (the
+/// window is `COLLECTION_UNIT × CONTENTION_SLOTS`).
+const CONTENTION_SLOTS: f64 = 8.0;
+
+/// Seconds without durable sector progress (next handoff, sector finish,
+/// or sink merge) before the watchdog re-issues the token. Must comfortably
+/// exceed one collection round (contention window + polls) so a
+/// busy-but-alive successor is not doubled.
+const WATCHDOG_TIMEOUT: f64 = 0.75;
+
+/// Re-issue budget per sector token; when exhausted the watchdog holder
+/// salvages the token's partial result and reports it to the sink.
+const MAX_TOKEN_REISSUES: u32 = 2;
+
+const _: () = assert!(
+    WATCHDOG_TIMEOUT > COLLECTION_UNIT * (CONTENTION_SLOTS + 1.0)
+        && WATCHDOG_TIMEOUT < f64::INFINITY,
+    "watchdog timeout must be finite and outlast a contention round"
+);
+
 /// Upper bound on retained result-cache entries (oldest evicted first).
 const SERVING_CACHE_CAP: usize = 64;
+
+/// Base retry-after for a deferred query, in seconds. The actual quote
+/// comes from the load signal ([`LoadSignal::retry_after`]) and is bounded
+/// to `[RETRY_AFTER_S, MAX_RETRY_AFTER_S]`.
+const RETRY_AFTER_S: f64 = 0.5;
+
+/// Hard cap on a single retry-after quote, in seconds.
+const MAX_RETRY_AFTER_S: f64 = 4.0;
+
+/// How many deferrals a query may suffer before it is terminally rejected
+/// (status `rejected`, never executed).
+const MAX_ADMISSION_DEFERS: u32 = 6;
+
+/// Sliding window (seconds) of the load signal's completion rate.
+const LOAD_WINDOW_S: f64 = 5.0;
+
+/// Mobility-staleness bound: the assumed worst-case node speed used to
+/// account cached answers against drift.
+const DRIFT_RATE_MPS: f64 = 5.0;
+
+/// Maximum tolerated drift in metres: a cache entry is stale once
+/// `age × DRIFT_RATE_MPS` exceeds this, even inside the TTL.
+const CACHE_DRIFT_M: f64 = 10.0;
+
+const _: () = assert!(
+    RETRY_AFTER_S > 0.0 && MAX_RETRY_AFTER_S >= RETRY_AFTER_S,
+    "retry-after bounds must satisfy 0 < base <= max"
+);
+const _: () = assert!(LOAD_WINDOW_S > 0.0, "load window must be positive");
+const _: () = assert!(
+    DRIFT_RATE_MPS > 0.0 && CACHE_DRIFT_M >= 0.0,
+    "drift accounting needs a positive rate and a non-negative bound"
+);
 
 /// An active data collection at a Q-node.
 struct Collecting {
@@ -87,7 +140,7 @@ diknn_snap::snap_struct!(PendingReply { to, sector });
 /// The token-loss watchdog a Q-node arms after handing a token off: it
 /// keeps a copy of the token and, unless the sector makes durable progress
 /// (the successor hands the token on, finishes the sector, or the result
-/// reaches the sink) within `watchdog_timeout`, re-issues it (bumping the
+/// reaches the sink) within [`WATCHDOG_TIMEOUT`], re-issues it (bumping the
 /// duplicate-suppression epoch).
 struct Watchdog {
     /// The node keeping watch (the previous token holder).
@@ -207,47 +260,13 @@ pub struct Diknn {
     /// `cfg.serving.enabled` is false.
     serving: ServingState,
     radio_range: f64,
-    /// Frames sent per message kind: [query, token, probe, reply, poll,
-    /// rendezvous, result]. Diagnostics for benches and tests.
-    pub tx_by_kind: [u64; 7],
-    /// Q-node traversal trace, populated for diagnostics and the Figure 7
-    /// visualisation.
-    pub token_trace: Vec<TokenHop>,
-    /// Routing-phase trace: (qid, hop position) per forward. Diagnostics.
-    pub route_trace: Vec<(u32, Point)>,
 }
-
-/// One Q-node-to-Q-node hop of an itinerary traversal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TokenHop {
-    pub qid: u32,
-    pub sector: u8,
-    pub hop: u32,
-    /// Position of the Q-node that forwarded the token.
-    pub from: Point,
-    /// Position of the chosen next Q-node (as believed at selection time).
-    pub to: Point,
-    /// Itinerary arc-length progress after this hop.
-    pub frontier: f64,
-    /// Sector boundary radius at this hop (grows on extension).
-    pub radius: f64,
-}
-
-diknn_snap::snap_struct!(TokenHop {
-    qid,
-    sector,
-    hop,
-    from,
-    to,
-    frontier,
-    radius
-});
 
 impl Diknn {
     pub fn new(cfg: DiknnConfig, requests: Vec<QueryRequest>) -> Self {
         cfg.validate();
         let serving = ServingState {
-            load: LoadSignal::new(cfg.serving.load_window_s),
+            load: LoadSignal::new(LOAD_WINDOW_S),
             active: BTreeSet::new(),
             members: BTreeMap::new(),
             host_of: BTreeMap::new(),
@@ -270,9 +289,6 @@ impl Diknn {
             watchdogs: BTreeMap::new(),
             token_epochs: BTreeMap::new(),
             radio_range: 0.0,
-            tx_by_kind: [0; 7],
-            token_trace: Vec::new(),
-            route_trace: Vec::new(),
         }
     }
 
@@ -304,28 +320,14 @@ impl Diknn {
         )
     }
 
-    fn kind_index(msg: &DiknnMsg) -> usize {
-        match msg {
-            DiknnMsg::Query(_) => 0,
-            DiknnMsg::Token(_) => 1,
-            DiknnMsg::Probe(_) => 2,
-            DiknnMsg::Reply(_) => 3,
-            DiknnMsg::Poll(_) => 4,
-            DiknnMsg::Rendezvous(_) => 5,
-            DiknnMsg::Result(_) => 6,
-        }
-    }
-
-    fn send(&mut self, ctx: &mut Ctx<DiknnMsg>, from: NodeId, to: NodeId, msg: DiknnMsg) {
-        self.tx_by_kind[Self::kind_index(&msg)] += 1;
-        let bytes = msg.wire_bytes(&self.cfg);
+    fn send(&self, ctx: &mut Ctx<DiknnMsg>, from: NodeId, to: NodeId, msg: DiknnMsg) {
+        let bytes = msg.wire_bytes();
         let flow = Some(msg.qid());
         ctx.unicast_flow(from, to, bytes, msg, flow);
     }
 
-    fn broadcast(&mut self, ctx: &mut Ctx<DiknnMsg>, from: NodeId, msg: DiknnMsg) {
-        self.tx_by_kind[Self::kind_index(&msg)] += 1;
-        let bytes = msg.wire_bytes(&self.cfg);
+    fn broadcast(&self, ctx: &mut Ctx<DiknnMsg>, from: NodeId, msg: DiknnMsg) {
+        let bytes = msg.wire_bytes();
         let flow = Some(msg.qid());
         ctx.broadcast_flow(from, bytes, msg, flow);
     }
@@ -346,7 +348,7 @@ impl Diknn {
         if self.cfg.token_watchdog {
             let timer = ctx.set_timer(
                 from,
-                SimDuration::from_secs_f64(self.cfg.watchdog_timeout),
+                SimDuration::from_secs_f64(WATCHDOG_TIMEOUT),
                 pack_timer_key(K_WATCHDOG, token.spec.qid, token.sector as u32),
             );
             let old = self.watchdogs.insert(
@@ -466,11 +468,7 @@ impl Diknn {
         // the same point, inside both the TTL and the mobility-drift bound.
         if self.cfg.serving.cache_radius_m > 0.0 {
             let ttl = self.cfg.serving.cache_ttl_s;
-            let max_age = if self.cfg.serving.drift_rate_mps > 0.0 {
-                ttl.min(self.cfg.serving.cache_drift_m / self.cfg.serving.drift_rate_mps)
-            } else {
-                ttl
-            };
+            let max_age = ttl.min(CACHE_DRIFT_M / DRIFT_RATE_MPS);
             self.serving
                 .cache
                 .retain(|e| (now - e.completed_at).as_secs_f64() <= max_age);
@@ -557,7 +555,7 @@ impl Diknn {
         let depth = self.serving.load.depth();
         if depth >= self.cfg.serving.max_in_flight {
             let defers = self.serving.defers.get(&qid).copied().unwrap_or(0);
-            if defers >= self.cfg.serving.max_admission_defers {
+            if defers >= MAX_ADMISSION_DEFERS {
                 // Out of patience: terminal rejection, never executed.
                 self.serving.defers.remove(&qid);
                 let o = &mut self.outcomes[qid as usize];
@@ -588,11 +586,10 @@ impl Diknn {
                         terminal: false,
                     },
                 );
-                let wait = self.serving.load.retry_after(
-                    now,
-                    self.cfg.serving.retry_after_s,
-                    self.cfg.serving.max_retry_after_s,
-                );
+                let wait = self
+                    .serving
+                    .load
+                    .retry_after(now, RETRY_AFTER_S, MAX_RETRY_AFTER_S);
                 ctx.set_timer(
                     sink,
                     SimDuration::from_secs_f64(wait),
@@ -713,10 +710,7 @@ impl Diknn {
         // whole outer face for no accuracy gain.
         let home_radius = 1.5 * self.radio_range;
         match next_hop(ctx, at, None, &mut msg.gpsr, from, exclude, home_radius) {
-            Some(next) => {
-                self.route_trace.push((msg.spec.qid, ctx.position(at)));
-                self.send(ctx, at, next, DiknnMsg::Query(msg));
-            }
+            Some(next) => self.send(ctx, at, next, DiknnMsg::Query(msg)),
             // This node is the home node (or the best we can do).
             None => self.begin_dissemination(ctx, at, msg),
         }
@@ -757,7 +751,7 @@ impl Diknn {
     fn start_collection(&mut self, ctx: &mut Ctx<DiknnMsg>, at: NodeId, token: SectorToken) {
         let window = match self.cfg.collection {
             CollectionScheme::TokenRing => 0.0,
-            _ => self.cfg.collection_unit * self.cfg.contention_slots,
+            _ => COLLECTION_UNIT * CONTENTION_SLOTS,
         };
         let probe = ProbeMsg {
             qid: token.spec.qid,
@@ -790,7 +784,7 @@ impl Diknn {
             },
         );
         // Collection window plus slack for the last reply's airtime.
-        let wait = window + self.cfg.collection_unit;
+        let wait = window + COLLECTION_UNIT;
         ctx.set_timer(
             at,
             SimDuration::from_secs_f64(wait),
@@ -848,7 +842,7 @@ impl Diknn {
                     self.send(ctx, at, t, DiknnMsg::Poll(poll));
                 }
                 coll.polled = true;
-                let wait = self.cfg.collection_unit * (targets.len() as f64 + 1.0);
+                let wait = COLLECTION_UNIT * (targets.len() as f64 + 1.0);
                 self.collecting.insert((qid, sector), coll);
                 ctx.set_timer(
                     at,
@@ -975,15 +969,6 @@ impl Diknn {
                     RouteStep::Forward { next, header } => {
                         token.detour = Some((detour_arclen, header));
                         token.hops += 1;
-                        self.token_trace.push(TokenHop {
-                            qid: token.spec.qid,
-                            sector: token.sector,
-                            hop: token.hops,
-                            from: my_pos,
-                            to: poly.point_at(detour_arclen),
-                            frontier: token.frontier,
-                            radius: token.itin.radius,
-                        });
                         self.send_token(ctx, at, next, token);
                         return;
                     }
@@ -1041,15 +1026,6 @@ impl Diknn {
                     token.frontier = token.frontier.max(ta);
                 }
                 token.hops += 1;
-                self.token_trace.push(TokenHop {
-                    qid: token.spec.qid,
-                    sector: token.sector,
-                    hop: token.hops,
-                    from: my_pos,
-                    to: n.position,
-                    frontier: token.frontier,
-                    radius: token.itin.radius,
-                });
                 self.send_token(ctx, at, n.id, token);
                 return;
             }
@@ -1160,7 +1136,7 @@ impl Diknn {
             if pending {
                 let timer = ctx.set_timer(
                     at,
-                    SimDuration::from_secs_f64(self.cfg.watchdog_timeout),
+                    SimDuration::from_secs_f64(WATCHDOG_TIMEOUT),
                     pack_timer_key(K_WATCHDOG, token.spec.qid, token.sector as u32),
                 );
                 self.watchdogs.insert(
@@ -1391,14 +1367,14 @@ impl Diknn {
             // The sector finished but its result never reached the sink —
             // the carrier likely died en route. Re-send it while the
             // re-issue budget lasts (finish_sector re-arms this watch).
-            if token.reissues >= self.cfg.max_token_reissues {
+            if token.reissues >= MAX_TOKEN_REISSUES {
                 return; // budget gone: the sector stays partial
             }
             token.reissues += 1;
             ctx.stats_mut().tokens_reissued += 1;
             return self.finish_sector(ctx, at, token);
         }
-        if token.reissues >= self.cfg.max_token_reissues {
+        if token.reissues >= MAX_TOKEN_REISSUES {
             // Budget exhausted: report what the sector had at the handoff
             // rather than losing it outright.
             return self.finish_sector(ctx, at, token);
@@ -1508,7 +1484,7 @@ impl Protocol for Diknn {
                 // Contention timer ordered by the angle α from the probe's
                 // reference line (§3.3).
                 let alpha = angle::ccw_sweep(p.ref_angle, p.qnode_pos.angle_to(my_pos));
-                let jitter: f64 = ctx.rng().gen_range(0.0..self.cfg.collection_unit * 0.25);
+                let jitter: f64 = ctx.rng().gen_range(0.0..COLLECTION_UNIT * 0.25);
                 let delay = p.window * (alpha / diknn_geom::TAU) + jitter;
                 self.pending_replies.insert(
                     (p.qid, at.0),
@@ -1725,11 +1701,6 @@ impl diknn_snap::SnapState for Diknn {
         self.token_epochs.snap(w);
         self.serving.snap(w);
         self.radio_range.snap(w);
-        for v in &self.tx_by_kind {
-            w.put_u64(*v);
-        }
-        self.token_trace.snap(w);
-        self.route_trace.snap(w);
     }
 
     fn restore_state(
@@ -1750,11 +1721,6 @@ impl diknn_snap::SnapState for Diknn {
         self.token_epochs = Snap::unsnap(r)?;
         self.serving = Snap::unsnap(r)?;
         self.radio_range = Snap::unsnap(r)?;
-        for v in &mut self.tx_by_kind {
-            *v = r.take_u64()?;
-        }
-        self.token_trace = Snap::unsnap(r)?;
-        self.route_trace = Snap::unsnap(r)?;
         Ok(())
     }
 }
@@ -1839,8 +1805,9 @@ mod tests {
 
     #[test]
     fn cache_hit_at_exact_ttl_expiry() {
+        // The drift bound (10 m at 5 m/s) is 2 s too, so the age bound is
+        // exactly the TTL.
         let serving = ServingConfig {
-            drift_rate_mps: 0.0, // age bound is exactly the TTL
             cache_ttl_s: 2.0,
             ..ServingConfig::enabled()
         };
@@ -1888,7 +1855,6 @@ mod tests {
     #[test]
     fn cache_entry_one_nanosecond_past_ttl_is_stale() {
         let serving = ServingConfig {
-            drift_rate_mps: 0.0,
             cache_ttl_s: 2.0,
             ..ServingConfig::enabled()
         };

@@ -8,6 +8,26 @@ use crate::itinerary::ItinerarySpec;
 use crate::messages::QuerySpec;
 use diknn_sim::SimTime;
 
+/// Early-stop margin: a sector may truncate its traversal once the
+/// estimated number of explored nodes reaches `EARLY_STOP_MARGIN × k`.
+const EARLY_STOP_MARGIN: f64 = 1.25;
+
+/// Extension target: sectors keep growing the boundary until the estimated
+/// explored total reaches `EXTEND_TARGET × k` (KNNB aims at *exactly* k
+/// expected nodes, so without headroom roughly half the true KNNs near the
+/// rim would be missed). Must not exceed [`EARLY_STOP_MARGIN`].
+const EXTEND_TARGET: f64 = 1.15;
+
+/// Boundary-extension cap: `R` may grow to at most `MAX_RADIUS_GROWTH × R₀`
+/// through rendezvous under-count extension plus mobility assurance.
+pub const MAX_RADIUS_GROWTH: f64 = 2.0;
+
+const _: () = assert!(MAX_RADIUS_GROWTH >= 1.0, "the growth cap cannot shrink R");
+const _: () = assert!(
+    EXTEND_TARGET >= 1.0 && EXTEND_TARGET <= EARLY_STOP_MARGIN,
+    "extend target must be in [1, EARLY_STOP_MARGIN]"
+);
+
 /// State travelling along one sub-itinerary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SectorToken {
@@ -187,14 +207,14 @@ impl SectorToken {
         // cannot silence the others.
         if cfg.rendezvous
             && !self.sector_counts.is_empty()
-            && self.estimated_total_explored(cfg.sectors) >= cfg.early_stop_margin * k
+            && self.estimated_total_explored(cfg.sectors) >= EARLY_STOP_MARGIN * k
         {
             return TokenDecision::FinishEarly;
         }
         if !at_end {
             return TokenDecision::Continue;
         }
-        let cap = self.initial_radius * cfg.max_radius_growth;
+        let cap = self.initial_radius * MAX_RADIUS_GROWTH;
         // A previous extension that discovered nothing new means this
         // sector has run out of nodes (field edge, void): stop.
         let futile = self.explored_at_extend.is_some_and(|e| self.explored <= e);
@@ -212,7 +232,7 @@ impl SectorToken {
         // (unless the previous extension was futile).
         if cfg.rendezvous
             && !futile
-            && self.estimated_total_explored(cfg.sectors) < cfg.extend_target * k
+            && self.estimated_total_explored(cfg.sectors) < EXTEND_TARGET * k
             && self.itin.radius + 1e-9 < cap
         {
             let new_r = (self.itin.radius + self.itin.width).min(cap);
@@ -311,7 +331,7 @@ mod tests {
         let mut t = token(100);
         t.explored = 10;
         t.merge_counts(&[(2, 9), (3, 11)]);
-        // est ≈ 10+10+11 + 5×10.3 ≈ 82 < 1.3 × 100.
+        // est ≈ 10+10+11 + 5×10.3 ≈ 82 < 1.25 × 100.
         assert_eq!(
             t.decide(&cfg, SimTime::ZERO, false),
             TokenDecision::Continue
@@ -355,17 +375,14 @@ mod tests {
 
     #[test]
     fn assurance_respects_growth_cap() {
-        let cfg = DiknnConfig {
-            max_radius_growth: 1.05,
-            ..DiknnConfig::default()
-        };
+        let cfg = DiknnConfig::default();
         let mut t = token(8);
         t.max_speed = 30.0;
         let te = SimTime::from_secs_f64(100.0);
         match t.decide(&cfg, te, true) {
-            // Cap = 31.5 regardless of the huge shift.
+            // Cap = 2 × 30 m = 60 m regardless of the 300 m shift.
             TokenDecision::Extend(r, ExtendReason::Assurance) => {
-                assert!((r - 31.5).abs() < 1e-9)
+                assert!((r - 60.0).abs() < 1e-9)
             }
             other => panic!("expected Extend, got {other:?}"),
         }

@@ -4,7 +4,7 @@
 
 use diknn_core::itinerary::{sub_itinerary, ItinerarySpec};
 use diknn_core::knnb::{knnb, HopRecord};
-use diknn_core::token::{SectorToken, TokenDecision};
+use diknn_core::token::{SectorToken, TokenDecision, MAX_RADIUS_GROWTH};
 use diknn_core::{Candidate, CandidateSet, DiknnConfig};
 use diknn_geom::Point;
 use diknn_sim::{NodeId, SimTime};
@@ -161,10 +161,10 @@ proptest! {
         // Extensions never exceed the cap and never shrink.
         if let TokenDecision::Extend(r, _) = d {
             prop_assert!(r > t.itin.radius);
-            prop_assert!(r <= t.initial_radius * cfg.max_radius_growth + 1e-9);
+            prop_assert!(r <= t.initial_radius * MAX_RADIUS_GROWTH + 1e-9);
         }
         // A capped, assured token at the end must not extend.
-        t.itin.radius = t.initial_radius * cfg.max_radius_growth;
+        t.itin.radius = t.initial_radius * MAX_RADIUS_GROWTH;
         t.assured = true;
         if let TokenDecision::Extend(..) = t.decide(&cfg, now, true) { prop_assert!(false, "extended past the cap") }
     }

@@ -9,12 +9,12 @@
 //!
 //! KNNB is a density *estimate*, not a guarantee — the protocol's dynamic
 //! boundary extension (§4.3) covers underestimates at run time, and
-//! `DiknnConfig::max_radius_growth` (default 1.6) bounds how far a token
-//! may stretch the boundary. So the law checked is the one the protocol
-//! relies on: the estimate, after the same clamp `begin_dissemination`
-//! applies, must put the true k-th neighbour within reach of one extension
-//! budget — and must not degenerate into flooding (the failure mode of the
-//! conservative KPT boundary the paper criticises).
+//! `diknn_core::token::MAX_RADIUS_GROWTH` (2.0) bounds how far a token may
+//! stretch the boundary. So the law checked is the one the protocol relies
+//! on, with margin: the estimate, after the same clamp `begin_dissemination`
+//! applies, must put the true k-th neighbour within 1.6× its radius, inside
+//! the extension budget — and must not degenerate into flooding (the failure
+//! mode of the conservative KPT boundary the paper criticises).
 
 use std::sync::Arc;
 
@@ -142,7 +142,7 @@ proptest! {
             let max_r = field.width().max(field.height());
             let radius = est.clamp(RADIO_RANGE * 0.5, max_r);
 
-            // Containment within one extension budget (growth cap 1.6).
+            // Containment within 1.6× the radius, inside the 2.0 growth cap.
             prop_assert!(
                 radius * 1.6 + 1e-9 >= d_k,
                 "boundary {radius:.2} m cannot reach k-th neighbour at {d_k:.2} m \

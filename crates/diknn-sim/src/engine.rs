@@ -58,7 +58,12 @@ use crate::trace::{EventTrace, ProtoEvent, TraceKind};
 /// Version 4: [`ProtoEvent::QueryDone`] carries its status as a
 /// [`crate::QueryStatus`] tag byte instead of a length-prefixed label, and
 /// [`NodeSoA`] lost its `alive` column (liveness is `phase == Up`).
-pub const SNAP_VERSION: u32 = 4;
+///
+/// Version 5: the DIKNN protocol image lost three diagnostic histories
+/// nothing read (frames sent per message kind, the Q-node hop list and the
+/// routing-hop list); the itinerary is rebuilt from the flight recorder's
+/// token handoffs instead.
+pub const SNAP_VERSION: u32 = 5;
 
 /// A mobility plan shared between the simulator and the ground-truth oracle.
 pub type SharedMobility = Arc<dyn Mobility>;

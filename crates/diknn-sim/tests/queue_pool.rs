@@ -301,7 +301,7 @@ fn snapshot_layout_is_pinned_to_its_version() {
     let bytes = sim.snapshot();
     assert_eq!(
         (SNAP_VERSION, diknn_snap::fingerprint(&bytes)),
-        (4, 0x38bc_db6f_310a_798c),
+        (5, 0xf0b6_75c6_d584_caed),
         "snapshot layout changed: bump SNAP_VERSION and re-pin"
     );
 }

@@ -61,7 +61,7 @@ pub use admission::{admission_experiment, ServingSummary};
 pub use fault_sweep::FaultCell;
 pub use invariants::{assert_clean, check, Violation};
 pub use metrics::{Aggregate, QueryRecord, RunMetrics, Stat};
-pub use oracle::GroundTruth;
+pub use oracle::{GroundTruth, ItineraryHops};
 pub use parallel::ParallelSweep;
 pub use runner::{run_protocol_once_faulted, Experiment, ProtocolKind};
 pub use scenario::{HerdSetup, PlacementKind, ScenarioConfig};

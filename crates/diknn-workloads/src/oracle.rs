@@ -5,9 +5,15 @@
 //! are better") and **post-accuracy** (T = result arrival; "newer results
 //! are better"), §3.1. Mobility plans are analytic, so both are exact.
 
+use std::collections::BTreeMap;
+
 use diknn_geom::Point;
 use diknn_rtree::RTree;
-use diknn_sim::{NodeId, SharedMobility};
+use diknn_sim::{EventTrace, NodeId, ProtoEvent, SharedMobility, TraceKind};
+
+/// A run's itinerary as [`GroundTruth::itinerary_hops`] rebuilds it: per
+/// `(qid, sector)`, the token's hops `(from, to, frontier)` in record order.
+pub type ItineraryHops = BTreeMap<(u32, u8), Vec<(Point, Point, f64)>>;
 
 /// Ground-truth oracle over the shared mobility plans of a run.
 pub struct GroundTruth {
@@ -53,6 +59,46 @@ impl GroundTruth {
         let truth = self.knn_at(q, k, t);
         let hits = answer.iter().filter(|n| truth.contains(n)).count();
         hits as f64 / k as f64
+    }
+
+    /// The itinerary hops a DIKNN run's sector tokens took, rebuilt from
+    /// the flight recorder's `TokenHandoff` records: per `(qid, sector)`,
+    /// one `(from, to, frontier)` per handoff in record order. `from` is
+    /// the handing Q-node's position and `to` the receiver's, both read
+    /// from the plans at the record's time; `frontier` is the itinerary
+    /// arc length the token had covered.
+    ///
+    /// Panics if the recorder is off or evicted events: the map would
+    /// silently miss hops.
+    pub fn itinerary_hops(&self, trace: &EventTrace) -> ItineraryHops {
+        assert!(
+            trace.is_enabled(),
+            "the itinerary is rebuilt from the flight recorder: enable it"
+        );
+        assert_eq!(
+            trace.dropped_events(),
+            0,
+            "the flight recorder evicted events: the itinerary would miss hops"
+        );
+        let mut hops = ItineraryHops::new();
+        for e in trace.events() {
+            if let TraceKind::Proto(ProtoEvent::TokenHandoff {
+                qid,
+                sector,
+                to,
+                frontier,
+                ..
+            }) = e.kind
+            {
+                let t = e.time.as_secs_f64();
+                let from = self.plans[e.node.index()].position_at(t);
+                let to = self.plans[to.index()].position_at(t);
+                hops.entry((qid, sector))
+                    .or_default()
+                    .push((from, to, frontier));
+            }
+        }
+        hops
     }
 }
 
@@ -111,5 +157,67 @@ mod tests {
         let q = Point::new(0.0, 0.0);
         assert_eq!(o.knn_at(q, 1, 0.0), vec![NodeId(0)]);
         assert_eq!(o.knn_at(q, 1, 10.0), vec![NodeId(1)]); // mover at origin
+    }
+
+    #[test]
+    fn itinerary_hops_follow_the_handoff_records() {
+        use diknn_sim::{SimTime, TraceConfig};
+        // Node 2 drives from (100, 0) to the origin at 10 m/s.
+        let mover =
+            WaypointTrace::at_constant_speed(&[Point::new(100.0, 0.0), Point::new(0.0, 0.0)], 10.0);
+        let plans: Vec<SharedMobility> = vec![
+            Arc::new(StaticMobility::new(Point::new(0.0, 10.0))),
+            Arc::new(StaticMobility::new(Point::new(0.0, 20.0))),
+            Arc::new(mover),
+        ];
+        let o = GroundTruth::new(plans, 3);
+        let mut trace = EventTrace::new(&TraceConfig::enabled());
+        let handoff = |sector, to, frontier| {
+            TraceKind::Proto(ProtoEvent::TokenHandoff {
+                qid: 4,
+                attempt: 0,
+                sector,
+                epoch: 0,
+                to: NodeId(to),
+                frontier,
+            })
+        };
+        let at = SimTime::from_secs_f64;
+        trace.record(at(1.0), NodeId(0), handoff(3, 2, 5.0));
+        trace.record(at(2.0), NodeId(1), TraceKind::Crash);
+        trace.record(at(3.0), NodeId(1), handoff(1, 0, 7.0));
+        trace.record(at(5.0), NodeId(2), handoff(3, 1, 9.0));
+        let hops = o.itinerary_hops(&trace);
+        assert_eq!(
+            hops.keys().copied().collect::<Vec<_>>(),
+            vec![(4, 1), (4, 3)]
+        );
+        assert_eq!(
+            hops[&(4, 1)],
+            vec![(Point::new(0.0, 20.0), Point::new(0.0, 10.0), 7.0)]
+        );
+        // Sector 3 in record order; the mover is read where it was at
+        // each record's time (90 m out at 1 s, 50 m out at 5 s).
+        assert_eq!(
+            hops[&(4, 3)],
+            vec![
+                (Point::new(0.0, 10.0), Point::new(90.0, 0.0), 5.0),
+                (Point::new(50.0, 0.0), Point::new(0.0, 20.0), 9.0),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "evicted events")]
+    fn itinerary_hops_refuse_a_trace_with_evictions() {
+        use diknn_sim::{SimTime, TraceConfig};
+        let o = static_oracle(&[(0.0, 0.0)]);
+        let mut trace = EventTrace::new(&TraceConfig {
+            enabled: true,
+            capacity: 1,
+        });
+        trace.record(SimTime::ZERO, NodeId(0), TraceKind::Crash);
+        trace.record(SimTime::ZERO, NodeId(0), TraceKind::Recover);
+        o.itinerary_hops(&trace);
     }
 }

@@ -13,6 +13,7 @@
 
 use diknn_repro::mobility::GroupConfig;
 use diknn_repro::prelude::*;
+use diknn_repro::sim::TraceConfig;
 use diknn_repro::workloads::{GroundTruth, HerdSetup};
 
 fn main() {
@@ -73,7 +74,13 @@ fn main() {
         .collect();
 
     let protocol = Diknn::new(DiknnConfig::default(), requests);
-    let mut sim = Simulator::new(scenario.sim_config(), plans, protocol, seed);
+    // The flight recorder logs every token handoff; the void count below
+    // reads the itinerary back from it.
+    let sim_cfg = SimConfig {
+        trace: TraceConfig::enabled(),
+        ..scenario.sim_config()
+    };
+    let mut sim = Simulator::new(sim_cfg, plans, protocol, seed);
     sim.warm_neighbor_tables();
     sim.run();
 
@@ -82,7 +89,6 @@ fn main() {
         "{:>5} {:>10} {:>10} {:>9} {:>9} {:>9}",
         "query", "R_knnb(m)", "R_final(m)", "latency", "pre-acc", "post-acc"
     );
-    let mut voids = 0usize;
     for o in sim.protocol().outcomes() {
         let (lat, pre, post) = match o.completed_at {
             Some(done) => (
@@ -102,14 +108,16 @@ fn main() {
             post * 100.0
         );
     }
-    // Count void detours observed in the traversal trace.
-    let mut last = std::collections::BTreeMap::new();
-    for hop in &sim.protocol().token_trace {
-        let prev = last
-            .insert((hop.qid, hop.sector), hop.frontier)
-            .unwrap_or(0.0);
-        if hop.frontier - prev > 24.0 {
-            voids += 1;
+    // Count void detours: handoffs whose itinerary frontier jumped by
+    // more than two probe steps.
+    let mut voids = 0usize;
+    for list in oracle.itinerary_hops(sim.ctx().trace()).values() {
+        let mut prev = 0.0;
+        for &(_, _, frontier) in list {
+            if frontier - prev > 24.0 {
+                voids += 1;
+            }
+            prev = frontier;
         }
     }
     println!("\nitinerary void bypasses across all queries: {voids}");

@@ -3,7 +3,9 @@
 //! stays fast — the `fig8`/`fig9` binaries are the full-scale versions).
 
 use diknn_repro::core::itinerary::{coverage_worst_distance, total_length};
-use diknn_repro::core::{knnb, kpt_conservative_radius, HopRecord, ItinerarySpec};
+use diknn_repro::core::{
+    knnb, kpt_conservative_radius, CollectionScheme, HopRecord, ItinerarySpec,
+};
 use diknn_repro::prelude::*;
 
 /// §4.2: "radius lengths returned by KNNB are generally 1/√(kπ) of the
@@ -90,6 +92,46 @@ fn headline_latency_and_accuracy_vs_kpt() {
         diknn.pre_accuracy.mean > 0.8,
         "DIKNN pre-accuracy {:.3} too low at k=40/µ=10",
         diknn.pre_accuracy.mean
+    );
+}
+
+/// §3.3 footnote 1: the data collection scheme "combines both the token
+/// ring based and contention based scheme to achieve higher performance".
+///
+/// Reduced-scale check on the headline cell (k = 40, µmax = 10 m/s): the
+/// combined scheme has the best pre-accuracy, and clearly beats the
+/// token ring, whose one poll per candidate crowds the channel.
+#[test]
+fn combined_collection_gives_the_best_accuracy() {
+    let scenario = ScenarioConfig {
+        duration: 50.0,
+        ..ScenarioConfig::default()
+    };
+    let wl = WorkloadConfig {
+        k: 40,
+        last_at: 30.0,
+        ..WorkloadConfig::default()
+    };
+    let accuracy = |collection: CollectionScheme| {
+        let cfg = DiknnConfig {
+            collection,
+            ..DiknnConfig::default()
+        };
+        Experiment::new(ProtocolKind::Diknn(cfg), scenario.clone(), wl)
+            .run(2, 1234)
+            .pre_accuracy
+            .mean
+    };
+    let combined = accuracy(CollectionScheme::Combined);
+    let contention = accuracy(CollectionScheme::Contention);
+    let token_ring = accuracy(CollectionScheme::TokenRing);
+    assert!(
+        combined > contention && combined > token_ring,
+        "combined {combined:.3} must beat contention {contention:.3} and token ring {token_ring:.3}"
+    );
+    assert!(
+        combined - token_ring >= 0.05,
+        "combined {combined:.3} beats token ring {token_ring:.3} by less than 0.05"
     );
 }
 
