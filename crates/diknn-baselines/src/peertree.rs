@@ -42,7 +42,6 @@ use crate::Answer;
 
 const K_NOTIFY: u8 = 2;
 const K_COLLECT_DONE: u8 = 4;
-const K_COLLECT_REPLY: u8 = 5;
 const K_ASK: u8 = 6;
 const K_ASK_STEP: u8 = 7;
 const K_SUBREPLY: u8 = 8;
@@ -117,9 +116,6 @@ pub enum PtMsg {
         head_pos: Point,
         target: NodeId,
         gpsr: GpsrHeader,
-        /// Reply-jitter window in seconds: the candidate delays its reply
-        /// uniformly within it so bursts of replies do not collide.
-        window: f64,
     },
     /// Candidate node → query head (geo-routed back).
     CollectReply {
@@ -213,7 +209,6 @@ pub struct PeerTree {
     /// Each data node's last known cell (for crossing-triggered notifies).
     last_cell: Vec<Option<usize>>,
     collections: BTreeMap<u32, Collection>,
-    pending_replies: BTreeMap<(u32, u32), (NodeId, Point)>,
     /// Subreplies scheduled at neighbouring heads, staggered to avoid
     /// colliding at the query head.
     pending_subreplies: BTreeMap<(u32, u32), PtMsg>,
@@ -262,7 +257,6 @@ impl PeerTree {
             data_nodes,
             head_positions,
             collections: BTreeMap::new(),
-            pending_replies: BTreeMap::new(),
             pending_subreplies: BTreeMap::new(),
             route_excludes: BTreeMap::new(),
             radio_range: 0.0,
@@ -591,7 +585,6 @@ impl PeerTree {
             head_pos,
             target: node,
             gpsr: GpsrHeader::new(believed_pos),
-            window: 0.0,
         };
         self.forward_collect(ctx, at, msg, None);
         ctx.set_timer(
@@ -720,18 +713,6 @@ impl Protocol for PeerTree {
                     self.send_routed(ctx, at, reply, None);
                 }
             }
-            K_COLLECT_REPLY => {
-                if let Some((head, head_pos)) = self.pending_replies.remove(&(qid, at.0)) {
-                    let reply = PtMsg::CollectReply {
-                        qid,
-                        node: at,
-                        position: ctx.position(at),
-                        to: head,
-                        gpsr: GpsrHeader::new(head_pos),
-                    };
-                    self.send_routed(ctx, at, reply, None);
-                }
-            }
             _ => unreachable!("unknown timer kind"),
         }
     }
@@ -812,35 +793,19 @@ impl Protocol for PeerTree {
                 head,
                 head_pos,
                 target,
-                window,
                 ..
             } => {
                 if at == *target {
-                    if *window <= 0.0 {
-                        // Staggered collects: reply immediately.
-                        let reply = PtMsg::CollectReply {
-                            qid: *qid,
-                            node: at,
-                            position: ctx.position(at),
-                            to: *head,
-                            gpsr: GpsrHeader::new(*head_pos),
-                        };
-                        self.send_routed(ctx, at, reply, None);
-                    } else {
-                        // Burst collects: answer after a random share of
-                        // the reply window.
-                        self.pending_replies
-                            .insert((*qid, at.0), (*head, *head_pos));
-                        let jitter: f64 = {
-                            use rand::Rng;
-                            ctx.rng().gen_range(0.0..*window)
-                        };
-                        ctx.set_timer(
-                            at,
-                            SimDuration::from_secs_f64(jitter),
-                            pack_timer_key(K_COLLECT_REPLY, *qid, 0),
-                        );
-                    }
+                    // Collects are staggered by the query head, so the
+                    // target replies immediately.
+                    let reply = PtMsg::CollectReply {
+                        qid: *qid,
+                        node: at,
+                        position: ctx.position(at),
+                        to: *head,
+                        gpsr: GpsrHeader::new(*head_pos),
+                    };
+                    self.send_routed(ctx, at, reply, None);
                 } else {
                     self.forward_collect(ctx, at, msg.clone(), Some(from));
                 }

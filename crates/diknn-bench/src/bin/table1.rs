@@ -3,6 +3,7 @@
 //! asserts they match.
 
 use diknn_core::{DiknnConfig, COLLECTION_UNIT, RESPONSE_BYTES};
+use diknn_sim::config::BITS_PER_SEC;
 use diknn_sim::SimConfig;
 use diknn_workloads::{ScenarioConfig, WorkloadConfig};
 
@@ -41,7 +42,7 @@ fn main() {
         (
             "channel rate",
             "250 kbps".into(),
-            format!("{} kbps", sim.bits_per_sec / 1000),
+            format!("{} kbps", BITS_PER_SEC / 1000),
         ),
         ("sector number S", "8".into(), dk.sectors.to_string()),
         (
@@ -84,7 +85,7 @@ fn main() {
     // Hard assertions: the defaults and constants ARE the paper settings.
     assert_eq!(sc.nodes, 200);
     assert_eq!(sim.radio_range, 20.0);
-    assert_eq!(sim.bits_per_sec, 250_000);
+    assert_eq!(BITS_PER_SEC, 250_000);
     assert_eq!(dk.sectors, 8);
     assert_eq!(RESPONSE_BYTES, 10);
     assert!((sc.max_speed - 10.0).abs() < 1e-12);

@@ -11,6 +11,10 @@ use diknn_sim::ConfigError;
 /// collection by it.
 pub const COLLECTION_UNIT: f64 = 0.018;
 
+/// Upper bound on repliers assumed when sizing a contention window (the
+/// window is `COLLECTION_UNIT × CONTENTION_SLOTS`).
+pub(crate) const CONTENTION_SLOTS: f64 = 8.0;
+
 /// Per-node query response payload in bytes (10 bytes in the paper).
 pub const RESPONSE_BYTES: usize = 10;
 

@@ -28,7 +28,7 @@ use diknn_snap::Snap;
 use rand::Rng;
 
 use crate::candidates::{Candidate, CandidateSet};
-use crate::config::{CollectionScheme, DiknnConfig, COLLECTION_UNIT};
+use crate::config::{CollectionScheme, DiknnConfig, COLLECTION_UNIT, CONTENTION_SLOTS};
 use crate::itinerary::{sub_itinerary, ItinerarySpec};
 use crate::knnb::knnb;
 use crate::messages::*;
@@ -50,10 +50,6 @@ const BOOTSTRAP: u8 = u8::MAX;
 
 /// Safety cap on Q-node hops per sector token.
 const MAX_TOKEN_HOPS: u32 = 400;
-
-/// Upper bound on repliers assumed when sizing the contention window (the
-/// window is `COLLECTION_UNIT × CONTENTION_SLOTS`).
-const CONTENTION_SLOTS: f64 = 8.0;
 
 /// Seconds without durable sector progress (next handoff, sector finish,
 /// or sink merge) before the watchdog re-issues the token. Must comfortably

@@ -21,10 +21,14 @@ use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDura
 use rand::Rng;
 
 use crate::candidates::Candidate;
+use crate::config::{BASE_MSG_BYTES, COLLECTION_UNIT, CONTENTION_SLOTS, RESPONSE_BYTES};
 
 const K_ISSUE: u8 = 1;
 const K_COLLECT: u8 = 2;
 const K_REPLY: u8 = 3;
+
+/// How long a Q-node's probe collects replies: one contention window.
+const COLLECTION_WINDOW: f64 = COLLECTION_UNIT * CONTENTION_SLOTS;
 
 /// Build the comb-sweep itinerary over `window` with scanline spacing `w`.
 /// The sweep starts at the bottom-left corner and serpentines upward.
@@ -136,13 +140,16 @@ impl WindowMsg {
         }
     }
 
+    /// Approximate on-air payload size in bytes: the shared base, the
+    /// window (8) or probe fields (16), and a response per member.
     fn wire_bytes(&self) -> usize {
         match self {
-            WindowMsg::Query { .. } => 32,
-            WindowMsg::Token { members, .. } => 32 + 10 * members.len(),
-            WindowMsg::Probe { .. } => 40,
-            WindowMsg::Reply { .. } => 34,
-            WindowMsg::Result { members, .. } => 32 + 10 * members.len(),
+            WindowMsg::Query { .. } => BASE_MSG_BYTES + 8,
+            WindowMsg::Token { members, .. } | WindowMsg::Result { members, .. } => {
+                BASE_MSG_BYTES + 8 + RESPONSE_BYTES * members.len()
+            }
+            WindowMsg::Probe { .. } => BASE_MSG_BYTES + 16,
+            WindowMsg::Reply { .. } => BASE_MSG_BYTES + RESPONSE_BYTES,
         }
     }
 }
@@ -165,7 +172,6 @@ pub struct WindowQuery {
     collecting: BTreeMap<u32, Collecting>,
     responded: BTreeSet<(u32, u32)>,
     pending_replies: BTreeMap<(u32, u32), NodeId>,
-    collection_window: f64,
     /// Neighbours that failed to take the sweep token, per query (cleared
     /// on successful handoff).
     token_excludes: BTreeMap<u32, Vec<NodeId>>,
@@ -183,7 +189,6 @@ impl WindowQuery {
             collecting: BTreeMap::new(),
             responded: BTreeSet::new(),
             pending_replies: BTreeMap::new(),
-            collection_window: 0.144,
             token_excludes: BTreeMap::new(),
             route_retries: BTreeMap::new(),
         }
@@ -273,7 +278,7 @@ impl WindowQuery {
             qid: spec.qid,
             qnode: at,
             window: spec.window,
-            win_secs: self.collection_window,
+            win_secs: COLLECTION_WINDOW,
         };
         let bytes = probe.wire_bytes();
         ctx.broadcast_flow(at, bytes, probe, Some(spec.qid));
@@ -289,7 +294,7 @@ impl WindowQuery {
         );
         ctx.set_timer(
             at,
-            SimDuration::from_secs_f64(self.collection_window + 0.02),
+            SimDuration::from_secs_f64(COLLECTION_WINDOW + 0.02),
             pack_timer_key(K_COLLECT, spec.qid, 0),
         );
     }
@@ -651,6 +656,54 @@ mod tests {
             );
             assert!(poly.dist_to_point(p) <= w / 2.0 + 1e-9, "gap at {p:?}");
         }
+    }
+
+    #[test]
+    fn wire_sizes_and_collection_window_are_pinned() {
+        let o = Point::new(0.0, 0.0);
+        let spec = WSpec {
+            qid: 0,
+            sink: NodeId(0),
+            sink_pos: o,
+            window: Rect::new(0.0, 0.0, 10.0, 10.0),
+        };
+        let member = Candidate {
+            id: NodeId(1),
+            position: o,
+            dist: 0.0,
+        };
+        let sizes = [
+            WindowMsg::Query {
+                spec,
+                gpsr: GpsrHeader::new(o),
+            },
+            WindowMsg::Token {
+                spec,
+                frontier: 0.0,
+                members: vec![member; 3],
+                hops: 0,
+            },
+            WindowMsg::Probe {
+                qid: 0,
+                qnode: NodeId(0),
+                window: spec.window,
+                win_secs: COLLECTION_WINDOW,
+            },
+            WindowMsg::Reply {
+                qid: 0,
+                node: NodeId(1),
+                position: o,
+            },
+            WindowMsg::Result {
+                spec,
+                gpsr: GpsrHeader::new(o),
+                members: vec![member; 2],
+                hops: 0,
+            },
+        ]
+        .map(|m| m.wire_bytes());
+        assert_eq!(sizes, [32, 32 + 10 * 3, 40, 34, 32 + 10 * 2]);
+        assert_eq!(COLLECTION_WINDOW.to_bits(), 0.144_f64.to_bits());
     }
 
     #[test]

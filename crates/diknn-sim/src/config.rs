@@ -3,9 +3,24 @@
 use std::fmt;
 
 use crate::faults::FaultPlan;
+use crate::neighbors::NEIGHBOR_TIMEOUT;
 use crate::time::SimDuration;
 use crate::trace::TraceConfig;
 use diknn_geom::Rect;
+
+/// Channel rate in bits/s (250 kbps, §5.1).
+pub const BITS_PER_SEC: u64 = 250_000;
+
+/// Bytes of PHY+MAC framing added to every packet's payload size.
+pub const HEADER_BYTES: usize = 16;
+
+const _: () = assert!(BITS_PER_SEC > 0, "channel rate must be positive");
+
+/// Airtime of a packet carrying `payload_bytes` plus the framing header.
+#[inline]
+pub fn packet_airtime(payload_bytes: usize) -> SimDuration {
+    SimDuration::airtime(HEADER_BYTES + payload_bytes, BITS_PER_SEC)
+}
 
 /// How the engine answers "which nodes are within radio range?".
 ///
@@ -43,20 +58,16 @@ pub enum ConfigError {
     EmptyField,
     /// The radio range is not positive.
     NonPositiveRadioRange(f64),
-    /// The channel rate is zero.
-    ZeroChannelRate,
     /// `loss_rate` outside `[0, 1)`.
     LossRateOutOfRange(f64),
-    /// A power draw is negative.
-    NegativePower { tx_power_w: f64, rx_power_w: f64 },
     /// `max_backoffs` is zero: no frame could ever be transmitted under
     /// contention.
     ZeroMaxBackoffs,
     /// `time_limit` is zero: the run would end before `on_start`.
     ZeroTimeLimit,
-    /// Beaconing is enabled but `neighbor_timeout <= beacon_interval`:
-    /// every neighbour entry would expire before it can be refreshed,
-    /// leaving tables permanently empty.
+    /// Beaconing is enabled but the beacon interval is not shorter than
+    /// [`NEIGHBOR_TIMEOUT`]: every neighbour entry would expire before it
+    /// can be refreshed, leaving tables permanently empty.
     NeighborTimeoutTooShort {
         neighbor_timeout: SimDuration,
         beacon_interval: SimDuration,
@@ -87,17 +98,9 @@ impl fmt::Display for ConfigError {
             ConfigError::NonPositiveRadioRange(r) => {
                 write!(f, "radio range must be positive, got {r}")
             }
-            ConfigError::ZeroChannelRate => write!(f, "channel rate must be positive"),
             ConfigError::LossRateOutOfRange(l) => {
                 write!(f, "loss rate must be in [0, 1), got {l}")
             }
-            ConfigError::NegativePower {
-                tx_power_w,
-                rx_power_w,
-            } => write!(
-                f,
-                "power draws must be non-negative, got tx={tx_power_w} rx={rx_power_w}"
-            ),
             ConfigError::ZeroMaxBackoffs => {
                 write!(f, "max_backoffs must be nonzero (no frame could ever send)")
             }
@@ -138,27 +141,25 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// All physical/MAC/beacon parameters of a run.
+/// The physical/MAC/beacon parameters an experiment varies.
 ///
 /// Defaults reproduce the settings table of §5.1: 115×115 m² field, 20 m
-/// radio range, 250 kbps channel, RTS/CTS off, 0.5 s beacons.
+/// radio range, RTS/CTS off, 0.5 s beacons. The settings every run shares
+/// are constants beside their readers: [`BITS_PER_SEC`] and
+/// [`HEADER_BYTES`] here, [`NEIGHBOR_TIMEOUT`] in [`crate::neighbors`],
+/// [`crate::energy::TX_POWER_W`] and [`crate::energy::RX_POWER_W`] in
+/// [`crate::energy`], and the engine's `BACKOFF_WINDOW` and `BEACON_BYTES`.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Simulation field boundary.
     pub field: Rect,
     /// Radio range `r` in metres (unit-disc model).
     pub radio_range: f64,
-    /// Channel rate in bits/s.
-    pub bits_per_sec: u64,
-    /// Bytes of PHY+MAC framing added to every packet's payload size.
-    pub header_bytes: usize,
     /// MAC mode (contention vs. contention-free).
     pub mac: MacMode,
     /// Maximum number of MAC (re)transmission attempts when the channel is
     /// busy before the packet is dropped.
     pub max_backoffs: u32,
-    /// Base backoff window; the n-th retry waits uniform(0, window·2ⁿ).
-    pub backoff_window: SimDuration,
     /// Link-layer (ARQ) retransmissions for unicast frames whose addressee
     /// did not receive them; models the 802.11 retry behaviour.
     pub unicast_retries: u32,
@@ -172,20 +173,10 @@ pub struct SimConfig {
     /// `Simulator::warm_neighbor_tables` seeded at t = 0. Beacons are the
     /// only way a node learns its neighbours during a run (§3.1, §5.1).
     pub beacon_interval: SimDuration,
-    /// Beacon payload size in bytes (id + position + speed).
-    pub beacon_bytes: usize,
-    /// Neighbour entries older than this are ignored; defaults to 2.2×
-    /// the beacon interval so one lost beacon does not evict a neighbour.
-    pub neighbor_timeout: SimDuration,
     /// Spatial index behind the engine's one in-range query (frame
     /// receivers and table warm-up). [`NeighborIndex::Grid`] by default;
     /// [`NeighborIndex::BruteForce`] keeps the O(n) scan as an oracle.
     pub neighbor_index: NeighborIndex,
-    /// Transmit power draw in watts (energy = power × airtime).
-    pub tx_power_w: f64,
-    /// Receive power draw in watts; every audible node pays reception
-    /// energy (overhearing is how itinerary probes reach D-nodes).
-    pub rx_power_w: f64,
     /// Hard stop: no event later than this is processed.
     pub time_limit: SimDuration,
     /// Fault injection plan (crashes, bursty loss, jamming, energy
@@ -199,23 +190,15 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
-        let beacon_interval = SimDuration::from_millis(500);
         SimConfig {
             field: Rect::new(0.0, 0.0, 115.0, 115.0),
             radio_range: 20.0,
-            bits_per_sec: 250_000,
-            header_bytes: 16,
             mac: MacMode::Contention,
             max_backoffs: 6,
-            backoff_window: SimDuration::from_micros(640),
             unicast_retries: 3,
             loss_rate: 0.0,
-            beacon_interval,
-            beacon_bytes: 20,
-            neighbor_timeout: beacon_interval.mul_f64(2.2),
+            beacon_interval: SimDuration::from_millis(500),
             neighbor_index: NeighborIndex::default(),
-            tx_power_w: 0.0522,
-            rx_power_w: 0.0564,
             time_limit: SimDuration::from_secs_f64(100.0),
             faults: FaultPlan::default(),
             trace: TraceConfig::default(),
@@ -224,12 +207,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Airtime of a protocol packet carrying `payload_bytes`.
-    #[inline]
-    pub fn packet_airtime(&self, payload_bytes: usize) -> SimDuration {
-        SimDuration::airtime(self.header_bytes + payload_bytes, self.bits_per_sec)
-    }
-
     /// Validate invariants; returns the first violation found.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.field.is_empty() {
@@ -238,17 +215,8 @@ impl SimConfig {
         if self.radio_range <= 0.0 || self.radio_range.is_nan() {
             return Err(ConfigError::NonPositiveRadioRange(self.radio_range));
         }
-        if self.bits_per_sec == 0 {
-            return Err(ConfigError::ZeroChannelRate);
-        }
         if !(0.0..1.0).contains(&self.loss_rate) {
             return Err(ConfigError::LossRateOutOfRange(self.loss_rate));
-        }
-        if self.tx_power_w < 0.0 || self.rx_power_w < 0.0 {
-            return Err(ConfigError::NegativePower {
-                tx_power_w: self.tx_power_w,
-                rx_power_w: self.rx_power_w,
-            });
         }
         if self.max_backoffs == 0 {
             return Err(ConfigError::ZeroMaxBackoffs);
@@ -256,10 +224,9 @@ impl SimConfig {
         if self.time_limit == SimDuration::ZERO {
             return Err(ConfigError::ZeroTimeLimit);
         }
-        if self.beacon_interval > SimDuration::ZERO && self.neighbor_timeout <= self.beacon_interval
-        {
+        if self.beacon_interval > SimDuration::ZERO && NEIGHBOR_TIMEOUT <= self.beacon_interval {
             return Err(ConfigError::NeighborTimeoutTooShort {
-                neighbor_timeout: self.neighbor_timeout,
+                neighbor_timeout: NEIGHBOR_TIMEOUT,
                 beacon_interval: self.beacon_interval,
             });
         }
@@ -279,7 +246,6 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(c.field, Rect::new(0.0, 0.0, 115.0, 115.0));
         assert_eq!(c.radio_range, 20.0);
-        assert_eq!(c.bits_per_sec, 250_000);
         assert_eq!(c.beacon_interval, SimDuration::from_millis(500));
         assert_eq!(c.mac, MacMode::Contention);
         assert_eq!(c.neighbor_index, NeighborIndex::Grid);
@@ -288,10 +254,24 @@ mod tests {
     }
 
     #[test]
+    fn radio_constants_keep_the_former_defaults() {
+        use crate::energy::{RX_POWER_W, TX_POWER_W};
+        use crate::engine::{BACKOFF_WINDOW, BEACON_BYTES};
+        assert_eq!(BITS_PER_SEC, 250_000);
+        assert_eq!(HEADER_BYTES, 16);
+        assert_eq!(BACKOFF_WINDOW, SimDuration::from_micros(640));
+        assert_eq!(BEACON_BYTES, 20);
+        // 2.2 × the 0.5 s beacon interval.
+        assert_eq!(NEIGHBOR_TIMEOUT, SimDuration::from_millis(500).mul_f64(2.2));
+        assert_eq!(NEIGHBOR_TIMEOUT.as_nanos(), 1_100_000_000);
+        assert_eq!(TX_POWER_W.to_bits(), 0.0522_f64.to_bits());
+        assert_eq!(RX_POWER_W.to_bits(), 0.0564_f64.to_bits());
+    }
+
+    #[test]
     fn airtime_includes_header() {
-        let c = SimConfig::default();
         // (16 + 109) bytes = 1000 bits at 250 kbps -> 4 ms.
-        assert_eq!(c.packet_airtime(109), SimDuration::from_millis(4));
+        assert_eq!(packet_airtime(109), SimDuration::from_millis(4));
     }
 
     #[test]
@@ -324,17 +304,19 @@ mod tests {
     #[test]
     fn validate_rejects_short_neighbor_timeout() {
         let c = SimConfig {
-            neighbor_timeout: SimDuration::from_millis(400),
+            beacon_interval: NEIGHBOR_TIMEOUT,
             ..SimConfig::default()
         };
-        assert!(matches!(
+        assert_eq!(
             c.validate(),
-            Err(ConfigError::NeighborTimeoutTooShort { .. })
-        ));
+            Err(ConfigError::NeighborTimeoutTooShort {
+                neighbor_timeout: NEIGHBOR_TIMEOUT,
+                beacon_interval: NEIGHBOR_TIMEOUT,
+            })
+        );
         // A disabled beacon (zero interval) lifts the constraint.
         let c = SimConfig {
             beacon_interval: SimDuration::ZERO,
-            neighbor_timeout: SimDuration::ZERO,
             ..SimConfig::default()
         };
         assert_eq!(c.validate(), Ok(()));

@@ -9,6 +9,18 @@
 
 use crate::time::SimDuration;
 
+/// Transmit power draw in watts (energy = power × airtime).
+pub const TX_POWER_W: f64 = 0.0522;
+
+/// Receive power draw in watts; every audible node pays reception energy
+/// (overhearing is how itinerary probes reach D-nodes).
+pub const RX_POWER_W: f64 = 0.0564;
+
+const _: () = assert!(
+    TX_POWER_W >= 0.0 && RX_POWER_W >= 0.0,
+    "power draws must be non-negative"
+);
+
 /// Traffic category for energy attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficClass {

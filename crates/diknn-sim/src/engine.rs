@@ -25,13 +25,13 @@ use rand::{Rng, SeedableRng};
 
 use diknn_snap::{Snap, SnapError, SnapReader, SnapState, SnapWriter};
 
-use crate::config::{MacMode, NeighborIndex, SimConfig};
-use crate::energy::{EnergyMeter, TrafficClass};
+use crate::config::{packet_airtime, MacMode, NeighborIndex, SimConfig, HEADER_BYTES};
+use crate::energy::{EnergyMeter, TrafficClass, RX_POWER_W, TX_POWER_W};
 use crate::faults::LinkLossModel;
 use crate::grid::SpatialGrid;
 use crate::ids::{NodeId, TimerId};
 use crate::lifecycle::NodePhase;
-use crate::neighbors::{Neighbor, NeighborTable};
+use crate::neighbors::{Neighbor, NeighborTable, NEIGHBOR_TIMEOUT};
 use crate::queue::{EventQueue, FramePool, Handle};
 use crate::soa::{FlowLedger, NodeSoA};
 use crate::stats::{PerfCounters, SimStats};
@@ -63,7 +63,16 @@ use crate::trace::{EventTrace, ProtoEvent, TraceKind};
 /// nothing read (frames sent per message kind, the Q-node hop list and the
 /// routing-hop list); the itinerary is rebuilt from the flight recorder's
 /// token handoffs instead.
-pub const SNAP_VERSION: u32 = 5;
+///
+/// Version 6: a neighbour-table entry is `(sender, heard_at)`; the
+/// advertised position and speed are rebuilt from the sender's plan.
+pub const SNAP_VERSION: u32 = 6;
+
+/// Base MAC backoff window; the n-th retry waits uniform(0, window·2ⁿ).
+pub(crate) const BACKOFF_WINDOW: SimDuration = SimDuration::from_micros(640);
+
+/// Beacon payload size in bytes (id + position + speed).
+pub(crate) const BEACON_BYTES: usize = 20;
 
 /// A mobility plan shared between the simulator and the ground-truth oracle.
 pub type SharedMobility = Arc<dyn Mobility>;
@@ -353,27 +362,34 @@ impl<M: Clone> Ctx<M> {
 
     /// Snapshot of `node`'s neighbour table (stale entries pruned). The
     /// table holds what the node heard in beacons (plus the t = 0 warm-up
-    /// round, see [`Simulator::warm_neighbor_tables`]), never ground truth.
+    /// round, see [`Simulator::warm_neighbor_tables`]), never ground truth:
+    /// each entry is the sender's position and speed as advertised at
+    /// `heard_at`, evaluated from its plan at that time.
     ///
     /// Takes `&mut self` because pruning is a behavioural side effect: it
     /// decides where a later-re-heard neighbour lands in the table's
     /// insertion order.
     pub fn neighbors(&mut self, node: NodeId) -> Vec<Neighbor> {
-        let cutoff = self.neighbor_cutoff();
         let table = &mut self.tables[node.index()];
-        if self.now > SimTime::ZERO + self.cfg.neighbor_timeout {
-            table.expire(cutoff);
+        if self.now > SimTime::ZERO + NEIGHBOR_TIMEOUT {
+            table.expire(SimTime::from_nanos(
+                self.now.as_nanos() - NEIGHBOR_TIMEOUT.as_nanos(),
+            ));
         }
-        table.entries().to_vec()
-    }
-
-    /// Beacon entries heard at or before this time are stale.
-    fn neighbor_cutoff(&self) -> SimTime {
-        if self.now.as_nanos() > self.cfg.neighbor_timeout.as_nanos() {
-            SimTime::from_nanos(self.now.as_nanos() - self.cfg.neighbor_timeout.as_nanos())
-        } else {
-            SimTime::ZERO
-        }
+        table
+            .entries()
+            .iter()
+            .map(|&(id, heard_at)| {
+                let plan = &self.mobility[id.index()];
+                let t = heard_at.as_secs_f64();
+                Neighbor {
+                    id,
+                    position: plan.position_at(t),
+                    speed: plan.speed_at(t),
+                    heard_at,
+                }
+            })
+            .collect()
     }
 
     /// Engine counters so far.
@@ -601,7 +617,7 @@ impl<M: Clone> Ctx<M> {
     }
 
     fn random_backoff(&mut self, exponent: u32) -> SimDuration {
-        let window = self.cfg.backoff_window.as_nanos() << exponent.min(6);
+        let window = BACKOFF_WINDOW.as_nanos() << exponent.min(6);
         SimDuration::from_nanos(self.rng.gen_range(0..=window.max(1)))
     }
 
@@ -729,7 +745,7 @@ impl<M: Clone> Ctx<M> {
             p.on_air = true;
             (
                 p.from,
-                self.cfg.packet_airtime(p.payload_bytes),
+                packet_airtime(p.payload_bytes),
                 p.dest,
                 matches!(p.frame, Frame::Beacon),
             )
@@ -977,9 +993,9 @@ impl<P: Protocol> Simulator<P> {
     /// Seed every neighbour table from ground truth as if one clean beacon
     /// round had already happened at t = 0. Protocols can then route
     /// immediately instead of being blind for the first beacon interval.
-    /// Call before the run: each hit is recorded with its position and
-    /// speed now, heard at t = 0. Membership comes from the delivery path's
-    /// own receiver query, `Ctx::fill_receivers`.
+    /// Call before the run: each hit is recorded as heard now. Membership
+    /// comes from the delivery path's own receiver query,
+    /// `Ctx::fill_receivers`.
     pub fn warm_neighbor_tables(&mut self) {
         let ctx = &mut self.ctx;
         let mut hits = Vec::new();
@@ -987,13 +1003,7 @@ impl<P: Protocol> Simulator<P> {
             hits.clear();
             ctx.fill_receivers(NodeId(i as u32), &mut hits);
             for &(j, _) in &hits {
-                let entry = Neighbor {
-                    id: j,
-                    position: ctx.position(j),
-                    speed: ctx.speed(j),
-                    heard_at: SimTime::ZERO,
-                };
-                ctx.tables[i].record(entry);
+                ctx.tables[i].record(j, ctx.now);
             }
         }
     }
@@ -1169,7 +1179,7 @@ impl<P: Protocol> Simulator<P> {
                         node,
                         Destination::Broadcast,
                         Frame::Beacon,
-                        ctx.cfg.beacon_bytes,
+                        BEACON_BYTES,
                         None,
                     );
                     ctx.stats.beacons_sent += 1;
@@ -1281,11 +1291,9 @@ impl<P: Protocol> Simulator<P> {
         // after decoding the MAC header (standard 802.15.4 address
         // filtering), so they pay header airtime only. Broadcasts and
         // corrupted copies are received in full — the radio cannot know.
-        let (tx_p, rx_p) = (ctx.cfg.tx_power_w, ctx.cfg.rx_power_w);
-        let mut flow_j = ctx.energy[from.index()].charge_tx(tx_p, airtime, class);
+        let mut flow_j = ctx.energy[from.index()].charge_tx(TX_POWER_W, airtime, class);
         ctx.trace_energy(from);
-        let header_airtime =
-            SimDuration::airtime(ctx.cfg.header_bytes, ctx.cfg.bits_per_sec).min(airtime);
+        let header_airtime = packet_airtime(0).min(airtime);
         for &(r, corrupted) in &receivers {
             if !ctx.is_alive(r) {
                 continue; // died mid-reception: radio already off
@@ -1294,14 +1302,14 @@ impl<P: Protocol> Simulator<P> {
                 Destination::Unicast(to) if r != to && !corrupted => header_airtime,
                 _ => airtime,
             };
-            flow_j += ctx.energy[r.index()].charge_rx(rx_p, rx_time, class);
+            flow_j += ctx.energy[r.index()].charge_rx(RX_POWER_W, rx_time, class);
             ctx.trace_energy(r);
         }
         if let Some(flow) = flow {
             ctx.flow_energy.charge(flow, flow_j);
         }
         ctx.stats.tx_frames += 1;
-        ctx.stats.tx_bytes += (ctx.cfg.header_bytes + payload_bytes) as u64;
+        ctx.stats.tx_bytes += (HEADER_BYTES + payload_bytes) as u64;
         if class == TrafficClass::Protocol {
             ctx.stats.tx_protocol_frames += 1;
         }
@@ -1394,19 +1402,12 @@ impl<P: Protocol> Simulator<P> {
 
         match frame {
             Frame::Beacon => {
-                // Beacons refresh the receivers' neighbour tables with the
-                // sender's position at *transmission end* (≈ start; airtime
-                // is sub-millisecond).
-                let entry_pos = ctx.position(from);
-                let entry_speed = ctx.speed(from);
+                // A beacon advertises the sender's plan at *transmission
+                // end* (≈ start; airtime is sub-millisecond), so receivers
+                // record only who was heard and when.
                 ctx.stats.rx_deliveries += successes.len() as u64;
                 for &r in &successes {
-                    ctx.tables[r.index()].record(Neighbor {
-                        id: from,
-                        position: entry_pos,
-                        speed: entry_speed,
-                        heard_at: ctx.now,
-                    });
+                    ctx.tables[r.index()].record(from, ctx.now);
                 }
                 successes.clear();
                 ctx.scratch.succ.push(successes);
@@ -1601,6 +1602,17 @@ impl<M: Clone> Ctx<M> {
             return Err(SnapError::Corrupt(
                 "snapshot node count disagrees with the supplied mobility plans",
             ));
+        }
+        // Reads index the plans by a table entry's id, at its time.
+        for &(id, heard_at) in self.tables.iter().flat_map(NeighborTable::entries) {
+            if id.index() >= n {
+                return Err(SnapError::Corrupt("neighbour table entry names no node"));
+            }
+            if heard_at > self.now {
+                return Err(SnapError::Corrupt(
+                    "neighbour table entry heard after the snapshot time",
+                ));
+            }
         }
         // Derived state: the audible cache is rebuilt lazily (epoch
         // sentinel never matches a fresh grid), and perf counters restart.

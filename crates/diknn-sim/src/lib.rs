@@ -10,10 +10,12 @@
 //!   exponential backoff, a collision model that destroys overlapping
 //!   receptions (including hidden-terminal cases), optional uniform packet
 //!   loss, and link-layer retries for unicast frames.
-//! * Periodic location beacons feeding per-node [`neighbors::NeighborTable`]s
-//!   — the "table enrolling IDs and locations of neighbor nodes" of §3.1.
-//!   Tables are *stale under mobility*, which is the effect the paper's
-//!   evaluation stresses.
+//! * Periodic location beacons feeding per-node
+//!   [`NeighborTable`](neighbors::NeighborTable)s — the "table enrolling IDs
+//!   and locations of neighbor nodes" of §3.1. A table keeps who was heard
+//!   and when; a read rebuilds each location from the sender's plan at that
+//!   time, so tables are *stale under mobility*, which is the effect the
+//!   paper's evaluation stresses.
 //! * Per-node [`energy::EnergyMeter`]s: energy = power × airtime, split
 //!   between beacon and protocol traffic.
 //!

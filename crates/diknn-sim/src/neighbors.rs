@@ -7,8 +7,13 @@
 //! degrades the fixed-infrastructure baselines.
 
 use crate::ids::NodeId;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use diknn_geom::Point;
+
+/// Neighbour entries heard this long ago or earlier are stale: 2.2× the
+/// paper's 0.5 s beacon interval, so one lost beacon does not evict a
+/// neighbour.
+pub const NEIGHBOR_TIMEOUT: SimDuration = SimDuration::from_nanos(1_100_000_000);
 
 /// What one node knows about one neighbour, from its last beacon.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,103 +28,53 @@ pub struct Neighbor {
     pub heard_at: SimTime,
 }
 
-/// A node's neighbour table.
+/// A node's neighbour table: who was heard, and when.
 ///
-/// Storage is two parallel vectors: `ids[i] == entries[i].id` always. The
-/// id column exists purely so the per-beacon upsert scan in
-/// [`NeighborTable::record`] walks a dense 4-byte-per-entry array (one or
-/// two cache lines at typical node degrees) instead of striding across
-/// full 40-byte [`Neighbor`] records — `record` runs once per receiver per
-/// beacon, which makes it the single hottest write in the simulator.
-/// Entries keep strict insertion order; observable behaviour is identical
-/// to a plain `Vec<Neighbor>` scan.
+/// A beacon's payload is exactly its sender's mobility plan evaluated at
+/// send time, so the table stores only `(sender, heard_at)`;
+/// `Ctx::neighbors` rebuilds each [`Neighbor`] from the sender's plan at
+/// `heard_at`. Entries keep strict insertion order: a re-heard sender is
+/// updated in place, and expiry preserves the order of the survivors.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborTable {
-    ids: Vec<NodeId>,
-    entries: Vec<Neighbor>,
+    entries: Vec<(NodeId, SimTime)>,
 }
 
 impl NeighborTable {
-    /// Record a heard beacon, replacing any previous entry for the sender.
-    pub fn record(&mut self, n: Neighbor) {
-        match self.ids.iter().position(|&id| id == n.id) {
-            Some(i) => self.entries[i] = n,
-            None => {
-                self.ids.push(n.id);
-                self.entries.push(n);
-            }
+    /// Record a beacon from `id` heard at `heard_at`, replacing any
+    /// previous entry for the sender in place.
+    pub fn record(&mut self, id: NodeId, heard_at: SimTime) {
+        match self.entries.iter_mut().find(|e| e.0 == id) {
+            Some(e) => e.1 = heard_at,
+            None => self.entries.push((id, heard_at)),
         }
     }
 
     /// Drop entries heard at or before `cutoff`; called lazily on reads.
     pub fn expire(&mut self, cutoff: SimTime) {
-        self.retain_in_place(|e| e.heard_at > cutoff);
+        self.entries.retain(|e| e.1 > cutoff);
     }
 
     /// Current (non-expired) entries, in insertion order.
-    pub fn entries(&self) -> &[Neighbor] {
+    pub fn entries(&self) -> &[(NodeId, SimTime)] {
         &self.entries
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn get(&self, id: NodeId) -> Option<&Neighbor> {
-        self.ids
-            .iter()
-            .position(|&i| i == id)
-            .map(|i| &self.entries[i])
-    }
-
-    pub fn remove(&mut self, id: NodeId) {
-        self.retain_in_place(|e| e.id != id);
-    }
-
     pub fn clear(&mut self) {
-        self.ids.clear();
         self.entries.clear();
-    }
-
-    /// `retain` over both columns in lockstep, preserving order.
-    fn retain_in_place<F: Fn(&Neighbor) -> bool>(&mut self, keep: F) {
-        let mut w = 0;
-        for i in 0..self.entries.len() {
-            if keep(&self.entries[i]) {
-                if w != i {
-                    self.entries[w] = self.entries[i];
-                    self.ids[w] = self.ids[i];
-                }
-                w += 1;
-            }
-        }
-        self.entries.truncate(w);
-        self.ids.truncate(w);
     }
 }
 
-diknn_snap::snap_struct!(Neighbor {
-    id,
-    position,
-    speed,
-    heard_at
-});
-
-// Wire format: the entry list only (byte-identical to the former
-// single-vector layout); the id column is derived state and is rebuilt on
-// decode.
+// Wire format: the `(id, heard_at)` list. `Simulator::restore` checks every
+// id names a node and every time is no later than the snapshot's clock.
 impl diknn_snap::Snap for NeighborTable {
     fn snap(&self, w: &mut diknn_snap::SnapWriter) {
         diknn_snap::Snap::snap(&self.entries, w);
     }
     fn unsnap(r: &mut diknn_snap::SnapReader<'_>) -> Result<Self, diknn_snap::SnapError> {
-        let entries: Vec<Neighbor> = diknn_snap::Snap::unsnap(r)?;
-        let ids = entries.iter().map(|e| e.id).collect();
-        Ok(NeighborTable { ids, entries })
+        Ok(NeighborTable {
+            entries: diknn_snap::Snap::unsnap(r)?,
+        })
     }
 }
 
@@ -127,43 +82,33 @@ impl diknn_snap::Snap for NeighborTable {
 mod tests {
     use super::*;
 
-    fn nb(id: u32, x: f64, t: f64) -> Neighbor {
-        Neighbor {
-            id: NodeId(id),
-            position: Point::new(x, 0.0),
-            speed: 1.0,
-            heard_at: SimTime::from_secs_f64(t),
-        }
+    fn at(t: f64) -> SimTime {
+        SimTime::from_secs_f64(t)
     }
 
     #[test]
-    fn record_replaces_same_id() {
+    fn record_replaces_in_place() {
         let mut t = NeighborTable::default();
-        t.record(nb(1, 0.0, 0.0));
-        t.record(nb(2, 5.0, 0.0));
-        t.record(nb(1, 3.0, 1.0));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(NodeId(1)).unwrap().position, Point::new(3.0, 0.0));
+        t.record(NodeId(1), at(0.0));
+        t.record(NodeId(2), at(0.5));
+        t.record(NodeId(1), at(1.0));
+        assert_eq!(
+            t.entries(),
+            &[(NodeId(1), at(1.0)), (NodeId(2), at(0.5))],
+            "a re-heard sender keeps its slot"
+        );
     }
 
     #[test]
-    fn expire_drops_stale_entries() {
+    fn expire_keeps_order() {
         let mut t = NeighborTable::default();
-        t.record(nb(1, 0.0, 0.0));
-        t.record(nb(2, 0.0, 2.0));
-        t.expire(SimTime::from_secs_f64(1.0));
-        assert_eq!(t.len(), 1);
-        assert!(t.get(NodeId(2)).is_some());
-    }
-
-    #[test]
-    fn remove_and_clear() {
-        let mut t = NeighborTable::default();
-        t.record(nb(1, 0.0, 0.0));
-        t.record(nb(2, 0.0, 0.0));
-        t.remove(NodeId(1));
-        assert!(t.get(NodeId(1)).is_none());
+        t.record(NodeId(3), at(2.0));
+        t.record(NodeId(1), at(0.0));
+        t.record(NodeId(4), at(1.0));
+        t.record(NodeId(2), at(3.0));
+        t.expire(at(1.0));
+        assert_eq!(t.entries(), &[(NodeId(3), at(2.0)), (NodeId(2), at(3.0))]);
         t.clear();
-        assert!(t.is_empty());
+        assert!(t.entries().is_empty());
     }
 }

@@ -59,12 +59,12 @@ impl SimDuration {
     }
 
     #[inline]
-    pub fn from_micros(micros: u64) -> Self {
+    pub const fn from_micros(micros: u64) -> Self {
         SimDuration(micros * 1_000)
     }
 
     #[inline]
-    pub fn from_millis(millis: u64) -> Self {
+    pub const fn from_millis(millis: u64) -> Self {
         SimDuration(millis * 1_000_000)
     }
 
@@ -79,7 +79,7 @@ impl SimDuration {
     }
 
     #[inline]
-    pub fn from_nanos(nanos: u64) -> Self {
+    pub const fn from_nanos(nanos: u64) -> Self {
         SimDuration(nanos)
     }
 

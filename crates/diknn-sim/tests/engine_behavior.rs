@@ -477,6 +477,74 @@ fn warm_neighbor_tables_gives_immediate_neighbors() {
     }
 }
 
+/// A table entry is the sender's beacon as heard: its plan evaluated at the
+/// entry's `heard_at`, not at read time. Moving nodes beacon for a few
+/// seconds, and the tables are read from a timer between beacon instants,
+/// so some entries must be stale (heard earlier, sender since moved).
+#[test]
+fn neighbor_entries_are_the_senders_plan_when_heard() {
+    struct Inspect {
+        plans: Vec<SharedMobility>,
+        checked: usize,
+        stale: usize,
+    }
+    impl Protocol for Inspect {
+        type Msg = ();
+        fn on_start(&mut self, ctx: &mut Ctx<()>) {
+            ctx.set_timer(NodeId(0), SimDuration::from_nanos(3_237_100_003), 0);
+        }
+        fn on_message(&mut self, _: NodeId, _: NodeId, _: &(), _: &mut Ctx<()>) {}
+        fn on_timer(&mut self, _: NodeId, _: u64, ctx: &mut Ctx<()>) {
+            let now = ctx.now();
+            for n in 0..ctx.node_count() {
+                for e in ctx.neighbors(NodeId(n as u32)) {
+                    let plan = &self.plans[e.id.index()];
+                    let t = e.heard_at.as_secs_f64();
+                    assert_eq!(
+                        (e.position, e.speed),
+                        (plan.position_at(t), plan.speed_at(t)),
+                        "n{n}'s entry for {} must be its plan at {t} s",
+                        e.id
+                    );
+                    self.checked += 1;
+                    if e.heard_at < now && e.position != plan.position_at(now.as_secs_f64()) {
+                        self.stale += 1;
+                    }
+                }
+            }
+            ctx.stop();
+        }
+    }
+    let field = Rect::new(0.0, 0.0, 60.0, 60.0);
+    let mut rng = SmallRng::seed_from_u64(11);
+    let mut placement_rng = SmallRng::seed_from_u64(12);
+    let starts = diknn_mobility::placement::uniform(field, 15, &mut placement_rng);
+    let rwp = RwpConfig::new(field, 10.0, 20.0);
+    let plans: Vec<SharedMobility> = starts
+        .into_iter()
+        .map(|p| Arc::new(RandomWaypoint::new(p, &rwp, &mut rng)) as SharedMobility)
+        .collect();
+    let cfg = SimConfig {
+        field,
+        ..SimConfig::default()
+    };
+    let inspect = Inspect {
+        plans: plans.clone(),
+        checked: 0,
+        stale: 0,
+    };
+    let mut sim = Simulator::new(cfg, plans, inspect, 5);
+    sim.warm_neighbor_tables();
+    sim.run();
+    let p = sim.protocol();
+    assert!(p.checked > 0, "the tables were read");
+    assert!(
+        p.stale > 0,
+        "no stale entry among {} read: the read must come between beacons",
+        p.checked
+    );
+}
+
 /// A caller-supplied id that names no node panics at the call that
 /// supplied it, naming the node and the network size: for timers and for
 /// both ends of a frame.

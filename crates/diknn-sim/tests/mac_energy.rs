@@ -5,6 +5,8 @@ use std::sync::Arc;
 
 use diknn_geom::Point;
 use diknn_mobility::StaticMobility;
+use diknn_sim::config::{BITS_PER_SEC, HEADER_BYTES};
+use diknn_sim::energy::RX_POWER_W;
 use diknn_sim::{
     Ctx, MacMode, NodeId, Protocol, SharedMobility, SimConfig, SimDuration, Simulator,
 };
@@ -58,9 +60,8 @@ fn address_filtering_charges_overhearers_header_only() {
         1,
     );
     sim.run();
-    let cfg = SimConfig::default();
-    let full = cfg.rx_power_w * ((cfg.header_bytes + payload) * 8) as f64 / cfg.bits_per_sec as f64;
-    let header = cfg.rx_power_w * (cfg.header_bytes * 8) as f64 / cfg.bits_per_sec as f64;
+    let full = RX_POWER_W * ((HEADER_BYTES + payload) * 8) as f64 / BITS_PER_SEC as f64;
+    let header = RX_POWER_W * (HEADER_BYTES * 8) as f64 / BITS_PER_SEC as f64;
     let e1 = sim.ctx().energy(NodeId(1)).rx_protocol_j;
     let e2 = sim.ctx().energy(NodeId(2)).rx_protocol_j;
     assert!((e1 - full).abs() < 1e-12, "addressee pays full rx: {e1}");
@@ -187,9 +188,8 @@ fn collision_destruction_charges_rx_airtime_exactly_once() {
         0,
         "corrupted frames must not deliver"
     );
-    let cfg = SimConfig::default();
-    let airtime = ((cfg.header_bytes + 900) * 8) as f64 / cfg.bits_per_sec as f64;
-    let expected = cfg.rx_power_w * 2.0 * airtime;
+    let airtime = ((HEADER_BYTES + 900) * 8) as f64 / BITS_PER_SEC as f64;
+    let expected = RX_POWER_W * 2.0 * airtime;
     let e1 = sim.ctx().energy(NodeId(1)).rx_protocol_j;
     assert!(
         (e1 - expected).abs() < 1e-12,

@@ -301,8 +301,55 @@ fn snapshot_layout_is_pinned_to_its_version() {
     let bytes = sim.snapshot();
     assert_eq!(
         (SNAP_VERSION, diknn_snap::fingerprint(&bytes)),
-        (5, 0xf0b6_75c6_d584_caed),
+        (6, 0xaa7a_1c14_f713_31f4),
         "snapshot layout changed: bump SNAP_VERSION and re-pin"
+    );
+}
+
+/// A neighbour-table entry is an index into the mobility plans plus the
+/// time to evaluate them at, so a restore must refuse, with a typed error
+/// rather than a panic, an entry that names no node or that was heard after
+/// the snapshot's own clock.
+#[test]
+fn restore_refuses_corrupt_neighbor_entries() {
+    let nodes: Vec<SharedMobility> = [(10.0, 10.0), (25.0, 10.0), (10.0, 25.0)]
+        .into_iter()
+        .map(|(x, y)| Arc::new(StaticMobility::new(Point::new(x, y))) as SharedMobility)
+        .collect();
+    let cfg = SimConfig {
+        time_limit: SimDuration::from_secs_f64(1.3),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(cfg.clone(), nodes.clone(), Chatter { heard: 0 }, 7);
+    sim.warm_neighbor_tables();
+    sim.run();
+    let bytes = sim.snapshot();
+    // Layout: magic and version (8 bytes), config fingerprint, clock and
+    // mobility fingerprint (8 each), then the table list: its length, the
+    // first table's length, and that table's first `(u32 id, u64 time)`.
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    assert_eq!(word(16), sim.ctx().now().as_nanos(), "the snapshot clock");
+    assert_eq!(word(32), 3, "one table per node");
+    assert!(word(40) > 0, "node 0 heard its neighbours");
+    let (id_at, time_at) = (48, 52);
+    let restore = |bytes: &[u8]| {
+        Simulator::restore(bytes, cfg.clone(), nodes.clone(), Chatter { heard: 0 }).map(|_| ())
+    };
+    assert_eq!(restore(&bytes), Ok(()));
+
+    let mut bad_id = bytes.clone();
+    bad_id[id_at..id_at + 4].copy_from_slice(&3u32.to_le_bytes());
+    assert!(
+        matches!(restore(&bad_id), Err(diknn_snap::SnapError::Corrupt(_))),
+        "an entry naming node 3 of 3 must be refused"
+    );
+
+    let late = word(16) + 1;
+    let mut bad_time = bytes.clone();
+    bad_time[time_at..time_at + 8].copy_from_slice(&late.to_le_bytes());
+    assert!(
+        matches!(restore(&bad_time), Err(diknn_snap::SnapError::Corrupt(_))),
+        "an entry heard after the snapshot time must be refused"
     );
 }
 
