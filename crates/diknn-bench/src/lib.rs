@@ -26,11 +26,7 @@ pub mod svg;
 
 use std::str::FromStr;
 
-use diknn_core::ServingConfig;
-use diknn_workloads::{
-    admission_experiment, Aggregate, Experiment, ProtocolKind, QueryLoad, RunMetrics,
-    ScenarioConfig, WorkloadConfig,
-};
+use diknn_workloads::{Aggregate, Experiment, ProtocolKind, ScenarioConfig, WorkloadConfig};
 
 fn env<T: FromStr>(name: &str) -> Option<T> {
     std::env::var(name).ok()?.parse().ok()
@@ -88,39 +84,6 @@ pub fn threads() -> usize {
     env("DIKNN_THREADS")
         .unwrap_or_else(|| diknn_workloads::ParallelSweep::available().threads())
         .max(1)
-}
-
-/// The DIKNN cell that `query_load` and `admission` sweep: a seeded
-/// Poisson-like stream of `rate_qps` k-NN queries from t = 2 s until ten
-/// seconds before the end (at least half the run), with the sink-side
-/// serving layer configured by `serving`.
-pub fn load_experiment(
-    nodes: usize,
-    duration: f64,
-    rate_qps: f64,
-    k: usize,
-    max_speed: f64,
-    serving: ServingConfig,
-) -> Experiment {
-    let load = QueryLoad {
-        rate_qps,
-        k,
-        first_at: 2.0,
-        last_at: (duration - 10.0).max(duration * 0.5),
-    };
-    admission_experiment(nodes, duration, max_speed, &load, serving)
-}
-
-/// Whether running `exp` over the sweep seeds `0..parallel.len()` of
-/// `seed` one after another reproduces the `ParallelSweep` metrics
-/// `parallel`, per-query rows included. `Debug` text round-trips `f64`
-/// exactly and renders NaN (a never-completed query's latency) equal to
-/// itself, unlike `PartialEq`.
-pub fn matches_sequential(exp: &Experiment, seed: u64, parallel: &[RunMetrics]) -> bool {
-    let sequential: Vec<RunMetrics> = (0..parallel.len())
-        .map(|i| exp.run_once(Experiment::sweep_seed(seed, i)))
-        .collect();
-    format!("{sequential:?}") == format!("{parallel:?}")
 }
 
 /// The paper's default scenario with the configured duration.
@@ -195,15 +158,15 @@ pub fn print_csv_header() {
 }
 
 /// Print one row of a fault-sweep table: the usual metrics plus the
-/// degradation taxonomy (degraded rate, watchdog re-issues, sink retries,
+/// degradation taxonomy (unanswered rate, watchdog re-issues, sink retries,
 /// nodes lost).
 pub fn print_fault_row(figure: &str, x_name: &str, x: f64, proto: &str, agg: &Aggregate) {
     println!(
-        "{figure} {x_name}={x:<5} {proto:10} completion={:.2} degraded={:.2} \
+        "{figure} {x_name}={x:<5} {proto:10} completion={:.2} unanswered={:.2} \
          latency={:.3}±{:.3}s energy={:.3}±{:.3}J post={:.3} \
          reissues={:.1} retries={:.1} lost_nodes={:.1}",
         agg.completion_rate.mean,
-        agg.degraded_rate.mean,
+        agg.unanswered_rate.mean,
         agg.latency_s.mean,
         agg.latency_s.std,
         agg.energy_j.mean,
@@ -216,7 +179,7 @@ pub fn print_fault_row(figure: &str, x_name: &str, x: f64, proto: &str, agg: &Ag
     println!(
         "csv,{figure},{x_name},{x},{proto},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}",
         agg.completion_rate.mean,
-        agg.degraded_rate.mean,
+        agg.unanswered_rate.mean,
         agg.latency_s.mean,
         agg.latency_s.std,
         agg.energy_j.mean,
@@ -231,7 +194,7 @@ pub fn print_fault_row(figure: &str, x_name: &str, x: f64, proto: &str, agg: &Ag
 /// Header for the fault-sweep csv columns, printed once per binary.
 pub fn print_fault_csv_header() {
     println!(
-        "csv,figure,x_name,x,protocol,completion_rate,degraded_rate,latency_mean,latency_std,\
+        "csv,figure,x_name,x,protocol,completion_rate,unanswered_rate,latency_mean,latency_std,\
          energy_mean,energy_std,post_accuracy,tokens_reissued,query_retries,nodes_failed"
     );
 }

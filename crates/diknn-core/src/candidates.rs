@@ -36,6 +36,22 @@ impl CandidateSet {
         }
     }
 
+    /// The `k` of `nodes` nearest to `q`, ranked by distance with ties
+    /// broken by id. At the cut, a node tied with the k-th kept one is
+    /// dropped, so the set is the first k by `(distance, id)` whenever
+    /// `nodes` come in ascending id order.
+    pub fn nearest(q: Point, k: usize, nodes: impl IntoIterator<Item = (NodeId, Point)>) -> Self {
+        let mut best = CandidateSet::new(k);
+        for (id, position) in nodes {
+            best.insert(Candidate {
+                id,
+                position,
+                dist: position.dist(q),
+            });
+        }
+        best
+    }
+
     pub fn k(&self) -> usize {
         self.k
     }
@@ -132,6 +148,21 @@ mod tests {
         assert_eq!(ids, vec![5, 2, 4]);
         assert_eq!(s.kth_dist(), 2.0);
         assert!(s.is_full());
+    }
+
+    #[test]
+    fn nearest_ranks_by_distance_then_id() {
+        // Three nodes 5 m out and one 1 m out, in ascending id order: the
+        // first three by (distance, id).
+        let nodes = [
+            (2, (-5.0, 0.0)),
+            (4, (0.0, 5.0)),
+            (7, (3.0, 4.0)),
+            (9, (1.0, 0.0)),
+        ]
+        .map(|(id, (x, y))| (NodeId(id), Point::new(x, y)));
+        let best = CandidateSet::nearest(Point::new(0.0, 0.0), 3, nodes);
+        assert_eq!(best.ids(), [NodeId(9), NodeId(2), NodeId(4)]);
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //! One [`Diknn`] instance drives *all* nodes; per-node protocol state is
 //! kept in maps keyed by `(query, node)`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use diknn_geom::{angle, Point, Polyline};
 use diknn_routing::{next_hop, plan_next_hop, reliable, GpsrHeader, RouteStep};
 use diknn_sim::{
-    pack_timer_key, unpack_timer_key, Ctx, LoadSignal, NodeId, ProtoEvent, Protocol, SimDuration,
-    SimTime, TimerId,
+    pack_timer_key, unpack_timer_key, Ctx, NodeId, ProtoEvent, Protocol, SimDuration, SimTime,
+    TimerId,
 };
 use diknn_snap::Snap;
 use rand::Rng;
@@ -71,18 +71,41 @@ const _: () = assert!(
 const SERVING_CACHE_CAP: usize = 64;
 
 /// Base retry-after for a deferred query, in seconds. The actual quote
-/// comes from the load signal ([`LoadSignal::retry_after`]) and is bounded
-/// to `[RETRY_AFTER_S, MAX_RETRY_AFTER_S]`.
+/// comes from [`retry_after`] and is bounded to
+/// `[RETRY_AFTER_S, MAX_RETRY_AFTER_S]`.
 const RETRY_AFTER_S: f64 = 0.5;
 
 /// Hard cap on a single retry-after quote, in seconds.
 const MAX_RETRY_AFTER_S: f64 = 4.0;
 
+/// Bounded retry-after quote, in seconds, for a query deferred at `now`
+/// while `depth` admitted queries are in flight and `completions` holds
+/// the times admitted queries finished. If the sink is observably
+/// draining (completions inside the last [`LOAD_WINDOW_S`]), quote the
+/// time for one in-flight slot to free at that rate; otherwise fall back
+/// to a depth-proportional penalty. Only simulation time feeds the quote,
+/// so replays agree bit for bit.
+fn retry_after(completions: &VecDeque<SimTime>, depth: usize, now: SimTime) -> f64 {
+    let cutoff = now.as_secs_f64() - LOAD_WINDOW_S;
+    let recent = completions
+        .iter()
+        .filter(|t| t.as_secs_f64() >= cutoff)
+        .count();
+    let rate = recent as f64 / LOAD_WINDOW_S;
+    let quote = if rate > 0.0 {
+        depth as f64 / rate
+    } else {
+        RETRY_AFTER_S * (1 + depth) as f64
+    };
+    quote.clamp(RETRY_AFTER_S, MAX_RETRY_AFTER_S)
+}
+
 /// How many deferrals a query may suffer before it is terminally rejected
 /// (status `rejected`, never executed).
 const MAX_ADMISSION_DEFERS: u32 = 6;
 
-/// Sliding window (seconds) of the load signal's completion rate.
+/// Sliding window (seconds) over which completions set the drain rate
+/// [`retry_after`] quotes from.
 const LOAD_WINDOW_S: f64 = 5.0;
 
 /// Mobility-staleness bound: the assumed worst-case node speed used to
@@ -183,9 +206,11 @@ diknn_snap::snap_struct!(CacheEntry {
 /// when [`crate::ServingConfig::enabled`] — with serving off the protocol is
 /// bit-identical to the pre-serving build.
 struct ServingState {
-    /// Deterministic load signal: in-flight depth + recent completion rate.
-    load: LoadSignal,
-    /// Admitted queries that have not yet finalised (candidate merge hosts).
+    /// Finish times of admitted queries, oldest first; those older than
+    /// [`LOAD_WINDOW_S`] are dropped at each completion.
+    completions: VecDeque<SimTime>,
+    /// Admitted queries that have not yet finalised (candidate merge
+    /// hosts). Its size is the admission depth.
     active: BTreeSet<u32>,
     /// Host qid → member qids answered from the host's return leg.
     members: BTreeMap<u32, Vec<u32>>,
@@ -198,7 +223,7 @@ struct ServingState {
 }
 
 diknn_snap::snap_struct!(ServingState {
-    load,
+    completions,
     active,
     members,
     host_of,
@@ -262,7 +287,7 @@ impl Diknn {
     pub fn new(cfg: DiknnConfig, requests: Vec<QueryRequest>) -> Self {
         cfg.validate();
         let serving = ServingState {
-            load: LoadSignal::new(LOAD_WINDOW_S),
+            completions: VecDeque::new(),
             active: BTreeSet::new(),
             members: BTreeMap::new(),
             host_of: BTreeMap::new(),
@@ -440,15 +465,7 @@ impl Diknn {
     /// and keep the best `k` — the exact per-query attribution step for
     /// merged itineraries and cache hits.
     fn rank_for(pool: &[Candidate], q: Point, k: usize) -> Vec<NodeId> {
-        let mut best = CandidateSet::new(k.max(1));
-        for c in pool {
-            best.insert(Candidate {
-                id: c.id,
-                position: c.position,
-                dist: c.position.dist(q),
-            });
-        }
-        best.ids()
+        CandidateSet::nearest(q, k.max(1), pool.iter().map(|c| (c.id, c.position))).ids()
     }
 
     /// The serving decision for an arrived (or deferral-retried) query, in
@@ -546,9 +563,9 @@ impl Diknn {
             }
         }
 
-        // 3. Admission: bounded-deferral concurrency ceiling fed by the
-        // deterministic load signal.
-        let depth = self.serving.load.depth();
+        // 3. Admission: bounded-deferral concurrency ceiling on the
+        // admitted queries still in flight.
+        let depth = self.serving.active.len() as u32;
         if depth >= self.cfg.serving.max_in_flight {
             let defers = self.serving.defers.get(&qid).copied().unwrap_or(0);
             if defers >= MAX_ADMISSION_DEFERS {
@@ -582,10 +599,7 @@ impl Diknn {
                         terminal: false,
                     },
                 );
-                let wait = self
-                    .serving
-                    .load
-                    .retry_after(now, RETRY_AFTER_S, MAX_RETRY_AFTER_S);
+                let wait = retry_after(&self.serving.completions, depth as usize, now);
                 ctx.set_timer(
                     sink,
                     SimDuration::from_secs_f64(wait),
@@ -595,13 +609,12 @@ impl Diknn {
             return;
         }
         self.serving.defers.remove(&qid);
-        self.serving.load.admit(now);
         self.serving.active.insert(qid);
         ctx.record_proto(
             sink,
             ProtoEvent::QueryAdmitted {
                 qid,
-                depth: self.serving.load.depth(),
+                depth: self.serving.active.len() as u32,
             },
         );
         self.launch_query(ctx, qid);
@@ -620,14 +633,19 @@ impl Diknn {
     }
 
     /// Settle serving-layer bookkeeping when admitted query `qid`
-    /// finalises: feed the load signal, split the merged candidate pool to
-    /// every member with exact per-query re-ranking, and (for complete
-    /// answers) publish a cache entry.
+    /// finalises: record its completion time, split the merged candidate
+    /// pool to every member with exact per-query re-ranking, and (for
+    /// complete answers) publish a cache entry.
     fn settle_serving(&mut self, ctx: &mut Ctx<DiknnMsg>, qid: u32) {
         if !self.cfg.serving.enabled || !self.serving.active.remove(&qid) {
             return;
         }
-        self.serving.load.complete(ctx.now());
+        let now = ctx.now();
+        let cutoff = now.as_secs_f64() - LOAD_WINDOW_S;
+        self.serving
+            .completions
+            .retain(|t| t.as_secs_f64() >= cutoff);
+        self.serving.completions.push_back(now);
         let (pool, completed_at, host_completed) = {
             let state = &self.sinks[&qid];
             let o = &self.outcomes[qid as usize];
@@ -1742,6 +1760,32 @@ mod tests {
             diknn_geom::angle::diff(a, b) > 0.5,
             "retry must take a different itinerary"
         );
+    }
+
+    #[test]
+    fn retry_after_quotes_are_bounded_and_follow_the_drain_rate() {
+        let at = SimTime::from_secs_f64;
+        let none = VecDeque::new();
+        // Stalled sink: 0.5 s × (1 + depth), capped at 4 s.
+        assert_eq!(retry_after(&none, 2, at(1.0)), 1.5);
+        assert_eq!(retry_after(&none, 22, at(1.0)), MAX_RETRY_AFTER_S);
+        // Draining sink: five completions in the 5 s window are 1 per
+        // second, so two in flight free a slot in depth ÷ rate = 2 s.
+        let recent: VecDeque<SimTime> = [2.0, 2.5, 3.0, 4.0, 6.0].map(at).into();
+        assert_eq!(retry_after(&recent, 2, at(6.0)), 2.0);
+        // A completion older than the window does not count.
+        let mut with_old = recent.clone();
+        with_old.push_front(at(0.5));
+        assert_eq!(
+            retry_after(&with_old, 2, at(6.0)),
+            retry_after(&recent, 2, at(6.0))
+        );
+        // A completion exactly one window old still counts: two in the
+        // window are 0.4 per second, so one in flight frees in 2.5 s.
+        let edge: VecDeque<SimTime> = [1.0, 6.0].map(at).into();
+        assert_eq!(retry_after(&edge, 1, at(6.0)), 2.5);
+        // Never below the base quote, even with nothing in flight.
+        assert_eq!(retry_after(&recent, 0, at(6.0)), RETRY_AFTER_S);
     }
 
     // ---------- serving-layer edge cases ------------------------------

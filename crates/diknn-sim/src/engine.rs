@@ -66,7 +66,11 @@ use crate::trace::{EventTrace, ProtoEvent, TraceKind};
 ///
 /// Version 6: a neighbour-table entry is `(sender, heard_at)`; the
 /// advertised position and speed are rebuilt from the sender's plan.
-pub const SNAP_VERSION: u32 = 6;
+///
+/// Version 7: the DIKNN serving layer keeps only its recent completion
+/// times; its admission depth is the size of its admitted set, so the
+/// separate in-flight counter and the constant rate window are gone.
+pub const SNAP_VERSION: u32 = 7;
 
 /// Base MAC backoff window; the n-th retry waits uniform(0, window·2ⁿ).
 pub(crate) const BACKOFF_WINDOW: SimDuration = SimDuration::from_micros(640);

@@ -70,7 +70,6 @@ pub mod faults;
 pub mod grid;
 mod ids;
 pub mod lifecycle;
-pub mod load;
 pub mod neighbors;
 pub mod queue;
 pub mod soa;
@@ -87,7 +86,6 @@ pub use faults::{
 pub use grid::SpatialGrid;
 pub use ids::{pack_timer_key, unpack_timer_key, NodeId, TimerId};
 pub use lifecycle::NodePhase;
-pub use load::LoadSignal;
 pub use neighbors::Neighbor;
 pub use queue::{EventQueue, FramePool, Handle};
 pub use soa::{FlowLedger, NodeSoA};

@@ -301,7 +301,7 @@ fn snapshot_layout_is_pinned_to_its_version() {
     let bytes = sim.snapshot();
     assert_eq!(
         (SNAP_VERSION, diknn_snap::fingerprint(&bytes)),
-        (6, 0xaa7a_1c14_f713_31f4),
+        (7, 0x5f00_10ec_0bbf_e211),
         "snapshot layout changed: bump SNAP_VERSION and re-pin"
     );
 }

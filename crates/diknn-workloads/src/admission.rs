@@ -7,7 +7,7 @@
 //! every query launches a full itinerary into an already saturated channel.
 //! The serving layer sheds and coalesces that load *at the sink*, before
 //! any radio traffic exists. This module packages the experiment plumbing
-//! shared by the `admission` bench binary and the overload tests:
+//! shared by the `query_load` bench binary and the overload tests:
 //! [`admission_experiment`] builds a [`QueryLoad`]-driven DIKNN experiment
 //! with a given [`ServingConfig`], and [`ServingSummary`] folds run metrics
 //! into the serving ledger (admitted / rejected / merged / cache-hit).
@@ -69,7 +69,7 @@ pub struct ServingSummary {
 }
 
 /// A degraded status: the query was executed but got no answer. Narrower
-/// than [`RunMetrics::degraded_rate`], which also counts rejected and
+/// than [`RunMetrics::unanswered_rate`], which also counts rejected and
 /// pending queries.
 fn is_degraded(status: QueryStatus) -> bool {
     !status.is_answered() && !matches!(status, QueryStatus::Pending | QueryStatus::Rejected)
@@ -111,26 +111,6 @@ impl ServingSummary {
         self.status_counts[QueryStatus::Pending as usize] == 0
             && self.queries == self.status_counts.iter().sum::<usize>()
     }
-
-    /// The serving ledger in report order as `(key, count)` rows: each
-    /// status under its label with `-` → `_`, except that the degraded
-    /// statuses share one `degraded` row, placed where the first of them
-    /// stands.
-    pub fn ledger(&self) -> Vec<(String, usize)> {
-        let mut rows: Vec<(String, usize)> = Vec::new();
-        for s in QueryStatus::ALL {
-            let key = if is_degraded(s) {
-                "degraded".to_string()
-            } else {
-                s.label().replace('-', "_")
-            };
-            match rows.iter_mut().find(|(k, _)| *k == key) {
-                Some(row) => row.1 += self.status_counts[s as usize],
-                None => rows.push((key, self.status_counts[s as usize])),
-            }
-        }
-        rows
-    }
 }
 
 #[cfg(test)]
@@ -159,25 +139,6 @@ mod tests {
         assert_eq!(s.answered(), 14);
         assert!((s.answered_rate() - 0.7).abs() < 1e-12);
         assert!(s.all_terminal());
-    }
-
-    #[test]
-    fn ledger_folds_the_degraded_statuses_into_one_row() {
-        let s = ServingSummary::from_counts(36, [1, 2, 3, 4, 5, 6, 7, 8]);
-        let ledger = s.ledger();
-        let rows: Vec<(&str, usize)> = ledger.iter().map(|(k, n)| (k.as_str(), *n)).collect();
-        assert_eq!(
-            rows,
-            [
-                ("completed", 1),
-                ("degraded", 9),
-                ("pending", 5),
-                ("rejected", 6),
-                ("merged", 7),
-                ("cache_hit", 8),
-            ]
-        );
-        assert_eq!(s.degraded, 9);
     }
 
     #[test]

@@ -186,12 +186,14 @@ impl RunMetrics {
     }
 
     /// Fraction of queries that ended without an answer (see
-    /// [`QueryStatus::is_answered`]). Merged and cache-hit queries are
-    /// answered (via a host itinerary or a fresh cached result), so they
-    /// do not count as degraded.
-    pub fn degraded_rate(&self) -> f64 {
-        let degraded = count_statuses(&self.status_counts, |s| !s.is_answered());
-        degraded as f64 / self.queries.max(1) as f64
+    /// [`QueryStatus::is_answered`]): rejected and pending queries count,
+    /// merged and cache-hit ones (answered via a host itinerary or a fresh
+    /// cached result) do not. Wider than
+    /// [`crate::ServingSummary::degraded`], which counts only queries that
+    /// ran and got no answer.
+    pub fn unanswered_rate(&self) -> f64 {
+        let unanswered = count_statuses(&self.status_counts, |s| !s.is_answered());
+        unanswered as f64 / self.queries.max(1) as f64
     }
 }
 
@@ -248,8 +250,8 @@ pub struct Aggregate {
     pub boundary_radius_m: Stat,
     pub explored: Stat,
     /// Fraction of queries per run that ended without an answer (see
-    /// [`QueryStatus::is_answered`]).
-    pub degraded_rate: Stat,
+    /// [`RunMetrics::unanswered_rate`]).
+    pub unanswered_rate: Stat,
     /// Watchdog token re-issues per run.
     pub tokens_reissued: Stat,
     /// Sink-side whole-query retries per run.
@@ -280,7 +282,7 @@ impl Aggregate {
             ),
             boundary_radius_m: stat(runs.iter().map(|r| r.boundary_radius_m)),
             explored: stat(runs.iter().map(|r| r.explored)),
-            degraded_rate: stat(runs.iter().map(|r| r.degraded_rate())),
+            unanswered_rate: stat(runs.iter().map(|r| r.unanswered_rate())),
             tokens_reissued: stat(runs.iter().map(|r| r.tokens_reissued as f64)),
             query_retries: stat(runs.iter().map(|r| r.query_retries as f64)),
             nodes_failed: stat(runs.iter().map(|r| r.nodes_failed as f64)),
@@ -322,19 +324,19 @@ mod tests {
     }
 
     #[test]
-    fn degraded_rate_counts_non_completed() {
+    fn unanswered_rate_counts_non_completed() {
         let mut m = rm(1.0, 0.4);
         m.status_counts = [6, 2, 1, 1, 0, 0, 0, 0];
-        assert!((m.degraded_rate() - 0.4).abs() < 1e-12);
+        assert!((m.unanswered_rate() - 0.4).abs() < 1e-12);
     }
 
     #[test]
-    fn degraded_rate_counts_rejected_but_not_merged_or_cached() {
+    fn unanswered_rate_counts_rejected_but_not_merged_or_cached() {
         let mut m = rm(1.0, 0.4);
         // 5 completed, 2 rejected, 2 merged, 1 cache-hit: only the
-        // rejections are degraded — merged/cached queries were answered.
+        // rejections are unanswered — merged/cached queries were answered.
         m.status_counts = [5, 0, 0, 0, 0, 2, 2, 1];
-        assert!((m.degraded_rate() - 0.2).abs() < 1e-12);
+        assert!((m.unanswered_rate() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -346,7 +348,7 @@ mod tests {
         // Sample std of {1, 2} = 0.7071…
         assert!((agg.latency_s.std - 0.707).abs() < 1e-3);
         assert!((agg.completion_rate.mean - 0.9).abs() < 1e-12);
-        assert!((agg.degraded_rate.mean - 0.1).abs() < 1e-12);
+        assert!((agg.unanswered_rate.mean - 0.1).abs() < 1e-12);
         assert_eq!(agg.tokens_reissued.mean, 0.0);
     }
 

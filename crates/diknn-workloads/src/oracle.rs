@@ -7,8 +7,8 @@
 
 use std::collections::BTreeMap;
 
+use diknn_core::CandidateSet;
 use diknn_geom::Point;
-use diknn_rtree::RTree;
 use diknn_sim::{EventTrace, NodeId, ProtoEvent, SharedMobility, TraceKind};
 
 /// A run's itinerary as [`GroundTruth::itinerary_hops`] rebuilds it: per
@@ -37,16 +37,14 @@ impl GroundTruth {
             .collect()
     }
 
-    /// The exact k nearest data nodes to `q` at time `t` (ascending by
-    /// distance; ties by id). Uses the R-tree substrate.
+    /// The exact k nearest data nodes to `q` at time `t`, ascending by
+    /// distance with ties broken by id (the ranking DIKNN's sink uses).
     pub fn knn_at(&self, q: Point, k: usize, t: f64) -> Vec<NodeId> {
-        let tree = RTree::bulk_load_points(
-            self.positions_at(t)
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| (p, NodeId(i as u32))),
-        );
-        tree.knn(q, k).into_iter().map(|e| e.item).collect()
+        if k == 0 {
+            return Vec::new();
+        }
+        let nodes = self.positions_at(t).into_iter().enumerate();
+        CandidateSet::nearest(q, k, nodes.map(|(i, p)| (NodeId(i as u32), p))).ids()
     }
 
     /// Fraction of `answer` entries that are within the exact k nearest at
@@ -122,6 +120,21 @@ mod tests {
         let o = static_oracle(&[(0.0, 0.0), (1.0, 0.0), (5.0, 0.0), (2.0, 0.0)]);
         let knn = o.knn_at(Point::new(0.9, 0.0), 2, 0.0);
         assert_eq!(knn, vec![NodeId(1), NodeId(0)]);
+    }
+
+    #[test]
+    fn equidistant_nodes_rank_by_id() {
+        // Nodes 0 and 1 lie 10 m either side of the query point. The eight
+        // far fillers make the set big enough that an STR-packed R-tree
+        // puts the pair in one leaf in x order, node 1 first, and ranks
+        // node 1 first on the tie; the oracle must rank by id.
+        let mut pts = vec![(60.0, 50.0), (40.0, 50.0)];
+        pts.extend((0..8).map(|i| (100.0 + f64::from(i), 0.0)));
+        let o = static_oracle(&pts);
+        let q = Point::new(50.0, 50.0);
+        assert_eq!(o.knn_at(q, 1, 0.0), vec![NodeId(0)]);
+        assert_eq!(o.knn_at(q, 2, 0.0), vec![NodeId(0), NodeId(1)]);
+        assert!(o.knn_at(q, 0, 0.0).is_empty());
     }
 
     #[test]

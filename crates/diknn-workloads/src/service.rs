@@ -37,7 +37,7 @@
 //! serialized: the caller re-supplies [`ServiceConfig`], and a fingerprint
 //! of it (plus the seed) is checked against the stream.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use diknn_core::{Diknn, DiknnConfig, DiknnMsg, KnnProtocol, QueryOutcome, QueryStatus};
 use diknn_sim::{Ctx, FaultPlan, NeighborIndex, SimTime, Simulator, TraceConfig};
@@ -50,7 +50,10 @@ use crate::workload::{epoch_arrivals, RateSchedule};
 /// Version of the service-layer snapshot framing. Bump on any change to
 /// the byte layout written by [`ServiceRun::snapshot`] (the embedded
 /// engine stream is versioned separately by [`diknn_sim::SNAP_VERSION`]).
-pub const SERVICE_SNAP_VERSION: u32 = 1;
+///
+/// Version 2: the driver keeps the visited qids still pending instead of
+/// every qid it ever counted.
+pub const SERVICE_SNAP_VERSION: u32 = 2;
 
 /// Rolling window (number of recent terminal queries) for the latency
 /// percentiles in [`ServiceMetrics`].
@@ -194,8 +197,11 @@ pub struct ServiceRun {
     epoch: u64,
     /// Requests injected so far.
     injected: u64,
-    /// Qids already counted into the rolling metrics.
-    counted: BTreeSet<u32>,
+    /// Visited qids still pending, ascending. Every visited outcome is
+    /// either counted in `terminal` or kept here, so the first
+    /// `terminal + waiting.len()` qids have been visited; each epoch visits
+    /// these again before the outcomes issued since.
+    waiting: Vec<u32>,
     /// Rolling window of recent terminal-query latencies, seconds.
     latencies: VecDeque<f64>,
     terminal: u64,
@@ -230,7 +236,7 @@ impl ServiceRun {
             sim,
             epoch: 0,
             injected: 0,
-            counted: BTreeSet::new(),
+            waiting: Vec::new(),
             latencies: VecDeque::new(),
             terminal: 0,
             completed: 0,
@@ -261,10 +267,17 @@ impl ServiceRun {
         }
     }
 
-    /// Fold newly-terminal outcomes into the rolling metrics.
+    /// Fold newly-terminal outcomes into the rolling metrics, each once,
+    /// in ascending qid order: the still-waiting qids, then the outcomes
+    /// issued since the last epoch.
     fn absorb_outcomes(&mut self) {
-        for o in self.sim.protocol().outcomes() {
-            if o.status == QueryStatus::Pending || !self.counted.insert(o.qid) {
+        let outcomes = self.sim.protocol().outcomes();
+        let visited = self.terminal as u32 + self.waiting.len() as u32;
+        let waiting = std::mem::take(&mut self.waiting);
+        for qid in waiting.into_iter().chain(visited..outcomes.len() as u32) {
+            let o = &outcomes[qid as usize];
+            if o.status == QueryStatus::Pending {
+                self.waiting.push(qid);
                 continue;
             }
             self.terminal += 1;
@@ -318,7 +331,7 @@ impl ServiceRun {
         w.put_u64(self.seed);
         w.put_u64(self.epoch);
         w.put_u64(self.injected);
-        self.counted.snap(&mut w);
+        self.waiting.snap(&mut w);
         self.latencies.snap(&mut w);
         w.put_u64(self.terminal);
         w.put_u64(self.completed);
@@ -340,7 +353,7 @@ impl ServiceRun {
         }
         let epoch = r.take_u64()?;
         let injected = r.take_u64()?;
-        let counted: BTreeSet<u32> = Snap::unsnap(&mut r)?;
+        let waiting: Vec<u32> = Snap::unsnap(&mut r)?;
         let latencies: VecDeque<f64> = Snap::unsnap(&mut r)?;
         let terminal = r.take_u64()?;
         let completed = r.take_u64()?;
@@ -357,13 +370,21 @@ impl ServiceRun {
             plans,
             Diknn::new(cfg.diknn.clone(), Vec::new()),
         )?;
+        // The next epoch indexes outcomes by these qids and resumes after
+        // the first `terminal + waiting.len()` of them.
+        let issued = sim.protocol().outcomes().len() as u64;
+        let ascending = waiting.windows(2).all(|w| w[0] < w[1]);
+        let in_range = waiting.iter().all(|&q| u64::from(q) < issued);
+        if !ascending || !in_range || terminal > issued - waiting.len() as u64 {
+            return Err(SnapError::Corrupt("service waiting list"));
+        }
         Ok(ServiceRun {
             cfg,
             seed,
             sim,
             epoch,
             injected,
-            counted,
+            waiting,
             latencies,
             terminal,
             completed,
@@ -452,6 +473,18 @@ mod tests {
     }
 
     #[test]
+    fn only_pending_qids_are_kept_between_epochs() {
+        let mut run = ServiceRun::new(small_cfg(), 11);
+        let mut kept_some = false;
+        for _ in 0..10 {
+            run.run_epochs(1);
+            assert_eq!(run.waiting.len() as u64, run.metrics().pending);
+            kept_some |= !run.waiting.is_empty();
+        }
+        assert!(kept_some, "no epoch ended with a query in flight");
+    }
+
+    #[test]
     fn latency_percentiles_are_the_batch_statistic() {
         let mut run = ServiceRun::new(small_cfg(), 11);
         let empty = run.metrics();
@@ -511,6 +544,33 @@ mod tests {
             Err(e) => panic!("expected config fingerprint mismatch, got {e:?}"),
             Ok(_) => panic!("restore accepted a mismatched config"),
         }
+    }
+
+    #[test]
+    fn restore_refuses_corrupt_waiting_list() {
+        let cfg = small_cfg();
+        let mut run = ServiceRun::new(cfg.clone(), 11);
+        run.run_epochs(3);
+        assert!(run.waiting.len() >= 2, "kept {:?}", run.waiting);
+        assert!(ServiceRun::restore(&run.snapshot(), cfg.clone()).is_ok());
+        let refused = |run: &ServiceRun| {
+            matches!(
+                ServiceRun::restore(&run.snapshot(), cfg.clone()),
+                Err(SnapError::Corrupt(_))
+            )
+        };
+        let (waiting, terminal) = (run.waiting.clone(), run.terminal);
+        run.waiting.reverse();
+        assert!(refused(&run), "a waiting list out of order must be refused");
+        run.waiting = waiting.clone();
+        *run.waiting.last_mut().unwrap() = run.outcomes().len() as u32;
+        assert!(refused(&run), "a qid past the outcomes must be refused");
+        run.waiting = waiting;
+        run.terminal = terminal + 1;
+        assert!(
+            refused(&run),
+            "more visited qids than outcomes must be refused"
+        );
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! suffix always replays real work (arrivals, itineraries, churn events)
 //! through the restored state.
 
-use diknn_workloads::{RateSchedule, ScenarioConfig, ServiceConfig, ServiceRun};
+use diknn_workloads::{
+    RateSchedule, ScenarioConfig, ServiceConfig, ServiceRun, SERVICE_SNAP_VERSION,
+};
 
-use diknn_sim::{FaultPlan, NeighborIndex};
+use diknn_core::ServingConfig;
+use diknn_sim::{FaultPlan, NeighborIndex, ProtoEvent, TraceKind, SNAP_VERSION};
 use proptest::prelude::*;
 
 const TOTAL_EPOCHS: u64 = 6;
@@ -80,4 +83,44 @@ proptest! {
         prop_assert_eq!(tail.metrics(), full.metrics());
         prop_assert_eq!(tail.outcomes(), full.outcomes());
     }
+}
+
+/// The service snapshot layout is pinned to both version constants: a
+/// change to what the service driver or the DIKNN image holds, or to how
+/// either is encoded, must bump `SERVICE_SNAP_VERSION` or `SNAP_VERSION`
+/// and re-pin the hash. The run is fixed and tiny, with the serving layer
+/// on and overloaded, so the image holds admitted, deferred, merged,
+/// cached and still-pending queries and recent completion times.
+#[test]
+fn service_snapshot_layout_is_pinned_to_its_versions() {
+    let mut cfg = service_cfg(60, 0.0, false, false);
+    cfg.schedule = RateSchedule::constant(4.0);
+    cfg.diknn.serving = ServingConfig {
+        max_in_flight: 2,
+        cache_radius_m: 30.0,
+        ..ServingConfig::enabled()
+    };
+    let mut run = ServiceRun::new(cfg, 7);
+    run.run_epochs(3);
+    let m = run.metrics();
+    assert!(m.terminal > 0 && m.pending > 0, "{m:?}");
+    let served = |pick: fn(&ProtoEvent) -> bool| {
+        run.sim().ctx().trace().events().any(|e| match &e.kind {
+            TraceKind::Proto(p) => pick(p),
+            _ => false,
+        })
+    };
+    assert!(served(|p| matches!(p, ProtoEvent::QueryRejected { .. })));
+    assert!(served(|p| matches!(p, ProtoEvent::QueryMerged { .. })));
+    assert!(served(|p| matches!(p, ProtoEvent::CacheServed { .. })));
+    let bytes = run.snapshot();
+    assert_eq!(
+        (
+            SNAP_VERSION,
+            SERVICE_SNAP_VERSION,
+            diknn_snap::fingerprint(&bytes)
+        ),
+        (7, 2, 0xf8e1_a683_0c32_f2bc),
+        "service snapshot layout changed: bump the version and re-pin"
+    );
 }
