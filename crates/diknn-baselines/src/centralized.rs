@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use diknn_geom::{Point, Rect};
-use diknn_routing::{next_hop, GpsrHeader};
+use diknn_routing::{next_hop, reliable, GpsrHeader};
 use diknn_rtree::RTree;
 use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
@@ -152,9 +152,10 @@ impl Centralized {
     ) {
         let (dest, key) = self.route_of(&msg);
         if at != dest {
+            let neighbors = reliable(ctx, at);
             let exclude = self.route_excludes.get(&key).map_or(&[][..], Vec::as_slice);
-            let r = self.radio_range;
-            if let Some(next) = next_hop(ctx, at, Some(dest), msg.gpsr_mut(), from, exclude, r) {
+            let gpsr = msg.gpsr_mut();
+            if let Some(next) = next_hop(ctx, at, &neighbors, Some(dest), gpsr, from, exclude) {
                 self.send(ctx, at, next, msg);
             }
             return;

@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use diknn_geom::Point;
-use diknn_routing::{next_hop, GpsrHeader};
+use diknn_routing::{next_hop, reliable, GpsrHeader};
 use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
 use diknn_core::knnb::knnb;
@@ -124,10 +124,9 @@ impl Flood {
         mut msg: QueryMsg,
         from: Option<NodeId>,
     ) {
-        msg.record_hop(ctx, at, self.radio_range);
-        // The home node is the one closest to q: skip face walks.
-        let home_radius = 1.5 * self.radio_range;
-        if let Some(next) = next_hop(ctx, at, None, &mut msg.gpsr, from, &[], home_radius) {
+        let neighbors = reliable(ctx, at);
+        msg.record_hop(ctx.position(at), &neighbors, self.radio_range);
+        if let Some(next) = next_hop(ctx, at, &neighbors, None, &mut msg.gpsr, from, &[]) {
             return self.send(ctx, at, next, FloodMsg::Query(msg));
         }
         let spec = msg.spec;
@@ -194,8 +193,8 @@ impl Flood {
     ) {
         let sink = r.spec.sink;
         if at != sink {
-            let range = self.radio_range;
-            if let Some(next) = next_hop(ctx, at, Some(sink), &mut r.gpsr, from, &[], range) {
+            let neighbors = reliable(ctx, at);
+            if let Some(next) = next_hop(ctx, at, &neighbors, Some(sink), &mut r.gpsr, from, &[]) {
                 self.send(ctx, at, next, FloodMsg::Response(r));
             }
             return;

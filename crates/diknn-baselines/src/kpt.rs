@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use diknn_routing::{next_hop, reliable, GpsrHeader};
-use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration};
+use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, Neighbor, NodeId, Protocol, SimDuration};
 
 use diknn_core::knnb::{knnb, kpt_conservative_radius, HopRecord};
 use diknn_core::messages::{QueryMsg, QuerySpec};
@@ -203,14 +203,16 @@ impl Kpt {
         from: Option<NodeId>,
     ) {
         self.query_excludes.remove(&msg.spec.qid);
-        msg.record_hop(ctx, at, self.radio_range);
-        self.forward_query(ctx, at, msg, from);
+        let neighbors = reliable(ctx, at);
+        msg.record_hop(ctx.position(at), &neighbors, self.radio_range);
+        self.forward_query(ctx, at, &neighbors, msg, from);
     }
 
     fn forward_query(
         &mut self,
         ctx: &mut Ctx<KptMsg>,
         at: NodeId,
+        neighbors: &[Neighbor],
         mut msg: QueryMsg,
         from: Option<NodeId>,
     ) {
@@ -218,9 +220,7 @@ impl Kpt {
             .query_excludes
             .get(&msg.spec.qid)
             .map_or(&[][..], Vec::as_slice);
-        // The home node is the one closest to q: skip face walks.
-        let home_radius = 1.5 * self.radio_range;
-        match next_hop(ctx, at, None, &mut msg.gpsr, from, exclude, home_radius) {
+        match next_hop(ctx, at, neighbors, None, &mut msg.gpsr, from, exclude) {
             Some(next) => self.send(ctx, at, next, KptMsg::Query(msg)),
             None => self.become_home(ctx, at, msg.spec, &msg.list),
         }
@@ -495,12 +495,13 @@ impl Kpt {
         if at == sink {
             return answer.complete(&mut self.outcomes, ctx.now());
         }
+        let neighbors = reliable(ctx, at);
         let exclude = self
             .result_excludes
             .get(&answer.spec.qid)
             .map_or(&[][..], Vec::as_slice);
-        let r = self.radio_range;
-        if let Some(next) = next_hop(ctx, at, Some(sink), &mut answer.gpsr, from, exclude, r) {
+        let gpsr = &mut answer.gpsr;
+        if let Some(next) = next_hop(ctx, at, &neighbors, Some(sink), gpsr, from, exclude) {
             self.send(ctx, at, next, KptMsg::Result(answer));
         }
     }
@@ -549,7 +550,8 @@ impl Protocol for Kpt {
                 let e = self.query_excludes.entry(m.spec.qid).or_default();
                 e.push(to);
                 if e.len() <= 8 {
-                    self.forward_query(ctx, at, m.clone(), None);
+                    let neighbors = reliable(ctx, at);
+                    self.forward_query(ctx, at, &neighbors, m.clone(), None);
                 }
             }
             KptMsg::Report {

@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 
 use diknn_geom::{Point, Rect};
-use diknn_routing::{next_hop, GpsrHeader};
+use diknn_routing::{next_hop, reliable, GpsrHeader};
 use diknn_rtree::RTree;
 use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
@@ -334,11 +334,10 @@ impl PeerTree {
     ) -> Option<PtMsg> {
         let (dest, key) = self.route_of(&msg);
         let exclude = self.route_excludes.get(&key).map_or(&[][..], Vec::as_slice);
-        let r = self.radio_range;
-        match msg
-            .gpsr_mut()
-            .and_then(|gpsr| next_hop(ctx, at, Some(dest), gpsr, from, exclude, r))
-        {
+        match msg.gpsr_mut().and_then(|gpsr| {
+            let neighbors = reliable(ctx, at);
+            next_hop(ctx, at, &neighbors, Some(dest), gpsr, from, exclude)
+        }) {
             Some(next) => {
                 self.send(ctx, at, next, msg);
                 None

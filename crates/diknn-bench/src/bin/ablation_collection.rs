@@ -5,7 +5,9 @@
 //! Compares the three collection schemes, plus the contention-free-period
 //! (CFP) MAC mode the paper mentions for LR-WPAN, at the default workload.
 
-use diknn_bench::{default_scenario, default_workload, print_csv_header, print_row};
+use diknn_bench::{
+    default_scenario, default_workload, print_csv_header, print_row, run_experiment,
+};
 use diknn_core::{CollectionScheme, DiknnConfig};
 use diknn_sim::MacMode;
 use diknn_workloads::{Experiment, ProtocolKind, WorkloadConfig};
@@ -33,7 +35,7 @@ fn main() {
                 ..default_workload()
             },
         );
-        let agg = exp.run(diknn_bench::runs(), diknn_bench::base_seed());
+        let agg = run_experiment(&exp);
         print_row("ablation_collection", "scheme", 0.0, label, &agg);
     }
 
@@ -48,6 +50,6 @@ fn main() {
         },
     );
     exp.sim_tweak = Some(|cfg| cfg.mac = MacMode::ContentionFree);
-    let agg = exp.run(diknn_bench::runs(), diknn_bench::base_seed());
+    let agg = run_experiment(&exp);
     print_row("ablation_collection", "scheme", 1.0, "combined+CFP", &agg);
 }

@@ -26,7 +26,9 @@ pub mod svg;
 
 use std::str::FromStr;
 
-use diknn_workloads::{Aggregate, Experiment, ProtocolKind, ScenarioConfig, WorkloadConfig};
+use diknn_workloads::{
+    Aggregate, Experiment, ParallelSweep, ProtocolKind, ScenarioConfig, WorkloadConfig,
+};
 
 fn env<T: FromStr>(name: &str) -> Option<T> {
     std::env::var(name).ok()?.parse().ok()
@@ -82,7 +84,7 @@ pub fn duration() -> f64 {
 /// see `diknn_workloads::parallel` — so this is purely a wall-time knob.
 pub fn threads() -> usize {
     env("DIKNN_THREADS")
-        .unwrap_or_else(|| diknn_workloads::ParallelSweep::available().threads())
+        .unwrap_or_else(|| ParallelSweep::available().threads())
         .max(1)
 }
 
@@ -103,13 +105,19 @@ pub fn default_workload() -> WorkloadConfig {
     }
 }
 
+/// Run `exp`'s [`runs`] seeds from [`base_seed`] on [`threads`] workers.
+/// The aggregate is bit-identical to the sequential `Experiment::run`.
+pub fn run_experiment(exp: &Experiment) -> Aggregate {
+    exp.run_parallel(runs(), base_seed(), &ParallelSweep::new(threads()))
+}
+
 /// Run one experiment cell and return the aggregate.
 pub fn run_cell(
     protocol: ProtocolKind,
     scenario: ScenarioConfig,
     workload: WorkloadConfig,
 ) -> Aggregate {
-    Experiment::new(protocol, scenario, workload).run(runs(), base_seed())
+    run_experiment(&Experiment::new(protocol, scenario, workload))
 }
 
 /// Run one experiment cell with a fault plan installed.
@@ -121,7 +129,7 @@ pub fn run_cell_faulted(
 ) -> Aggregate {
     let mut exp = Experiment::new(protocol, scenario, workload);
     exp.fault_plan = Some(plan);
-    exp.run(runs(), base_seed())
+    run_experiment(&exp)
 }
 
 /// Print one row of an experiment table (human text + a `csv,` line).

@@ -36,10 +36,9 @@ impl CandidateSet {
         }
     }
 
-    /// The `k` of `nodes` nearest to `q`, ranked by distance with ties
-    /// broken by id. At the cut, a node tied with the k-th kept one is
-    /// dropped, so the set is the first k by `(distance, id)` whenever
-    /// `nodes` come in ascending id order.
+    /// The `k` of `nodes` nearest to `q`: the first k by `(distance, id)`,
+    /// whatever order `nodes` come in (a tie at the cut keeps the lower
+    /// id).
     pub fn nearest(q: Point, k: usize, nodes: impl IntoIterator<Item = (NodeId, Point)>) -> Self {
         let mut best = CandidateSet::new(k);
         for (id, position) in nodes {
@@ -79,15 +78,17 @@ impl CandidateSet {
         }
     }
 
-    /// Insert, keeping only the best `k`; replaces a stale entry for the
-    /// same node. Returns true if the set changed.
+    /// Insert, keeping only the best `k` by `(distance, id)`; replaces a
+    /// stale entry for the same node. Returns true if the set changed.
     pub fn insert(&mut self, c: Candidate) -> bool {
         debug_assert!(c.dist.is_finite());
         if let Some(old) = self.items.iter().position(|x| x.id == c.id) {
             // Keep the fresher report for the same node.
             self.items.remove(old);
-        } else if self.is_full() && c.dist >= self.kth_dist() {
-            return false;
+        } else if let Some(kth) = self.items.last().filter(|_| self.is_full()) {
+            if (c.dist, c.id) >= (kth.dist, kth.id) {
+                return false;
+            }
         }
         let at = self
             .items
@@ -159,6 +160,21 @@ mod tests {
             (4, (0.0, 5.0)),
             (7, (3.0, 4.0)),
             (9, (1.0, 0.0)),
+        ]
+        .map(|(id, (x, y))| (NodeId(id), Point::new(x, y)));
+        let best = CandidateSet::nearest(Point::new(0.0, 0.0), 3, nodes);
+        assert_eq!(best.ids(), [NodeId(9), NodeId(2), NodeId(4)]);
+    }
+
+    #[test]
+    fn a_tie_at_the_cut_keeps_the_lower_id_whatever_the_order() {
+        // Nodes 7, 2, 9, 4 at 5, 5, 1 and 5 m: node 4 ties node 7, the
+        // k-th kept one, when it arrives, and wins on id.
+        let nodes = [
+            (7, (3.0, 4.0)),
+            (2, (-5.0, 0.0)),
+            (9, (1.0, 0.0)),
+            (4, (0.0, 5.0)),
         ]
         .map(|(id, (x, y))| (NodeId(id), Point::new(x, y)));
         let best = CandidateSet::nearest(Point::new(0.0, 0.0), 3, nodes);

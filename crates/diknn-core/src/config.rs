@@ -103,7 +103,7 @@ impl ServingConfig {
             return Err(ConfigError::NegativeMergeRadius(self.merge_radius_m));
         }
         if self.cache_radius_m < 0.0 || self.cache_radius_m.is_nan() {
-            return Err(ConfigError::NegativeMergeRadius(self.cache_radius_m));
+            return Err(ConfigError::NegativeCacheRadius(self.cache_radius_m));
         }
         Ok(())
     }
@@ -228,11 +228,15 @@ mod tests {
             ..ServingConfig::default()
         };
         assert_eq!(s.validate(), Err(ConfigError::NegativeMergeRadius(-0.1)));
+    }
+
+    #[test]
+    fn serving_rejects_negative_cache_radius() {
         let s = ServingConfig {
             cache_radius_m: -2.0,
             ..ServingConfig::default()
         };
-        assert_eq!(s.validate(), Err(ConfigError::NegativeMergeRadius(-2.0)));
+        assert_eq!(s.validate(), Err(ConfigError::NegativeCacheRadius(-2.0)));
     }
 
     #[test]

@@ -8,19 +8,18 @@
 //! re-issue the snapshot query every `period` seconds and report the
 //! *delta* of the answer set.
 //!
-//! [`ContinuousKnn`] wraps [`crate::Diknn`]: it schedules the rounds,
-//! forwards all protocol events to the inner instance, and derives per-round
-//! membership changes (joined/left) at the sink. This stays true to the
-//! paper's architecture (no infrastructure persists between rounds) while
-//! quantifying what a standing query costs under mobility.
+//! [`ContinuousKnn`] is the monitors' round plan: it expands each monitor
+//! into its snapshot rounds, in issue order, for a plain [`crate::Diknn`]
+//! run (`Diknn::new(cfg, plan.requests().to_vec())`), and afterwards
+//! derives per-round membership changes (joined/left) from that run's
+//! outcomes. This stays true to the paper's architecture (no
+//! infrastructure persists between rounds) while quantifying what a
+//! standing query costs under mobility.
 
 use diknn_geom::Point;
-use diknn_sim::{Ctx, NodeId, Protocol, SimTime};
+use diknn_sim::{NodeId, SimTime};
 
-use crate::config::DiknnConfig;
-use crate::messages::DiknnMsg;
-use crate::outcome::{KnnProtocol, QueryRequest};
-use crate::protocol::Diknn;
+use crate::outcome::{QueryOutcome, QueryRequest};
 
 /// A standing KNN interest.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,92 +52,57 @@ pub struct RoundDelta {
     pub answer: Vec<NodeId>,
 }
 
-/// Continuous KNN monitoring protocol (periodic snapshot DIKNN).
+/// The round plan of a set of monitors (periodic snapshot DIKNN).
 pub struct ContinuousKnn {
-    inner: Diknn,
     monitors: Vec<MonitorRequest>,
-    /// Map from inner query index → (monitor, round).
+    /// Every round's query, in issue (time) order.
+    requests: Vec<QueryRequest>,
+    /// `(monitor, round)` of each request.
     schedule: Vec<(usize, usize)>,
-    deltas: Vec<RoundDelta>,
 }
 
 impl ContinuousKnn {
-    pub fn new(cfg: DiknnConfig, monitors: Vec<MonitorRequest>) -> Self {
-        let mut requests = Vec::new();
-        let mut schedule = Vec::new();
+    pub fn new(monitors: Vec<MonitorRequest>) -> Self {
+        let mut paired: Vec<(QueryRequest, (usize, usize))> = Vec::new();
         for (mi, m) in monitors.iter().enumerate() {
             assert!(m.period > 0.0, "monitor period must be positive");
             assert!(m.rounds > 0, "monitor needs at least one round");
             for round in 0..m.rounds {
-                requests.push(QueryRequest {
+                let req = QueryRequest {
                     at: m.start_at + round as f64 * m.period,
                     sink: m.sink,
                     q: m.q,
                     k: m.k,
-                });
-                schedule.push((mi, round));
+                };
+                paired.push((req, (mi, round)));
             }
         }
-        // The inner protocol assigns qids in *issue* (time) order, so sort
-        // requests and schedule jointly by time — otherwise interleaved
-        // rounds of different monitors would be misattributed. Stable sort
-        // keeps same-time requests in declaration order, matching the
-        // engine's timer tie-breaking.
-        let mut paired: Vec<(QueryRequest, (usize, usize))> =
-            requests.into_iter().zip(schedule).collect();
+        // DIKNN assigns qids in *issue* (time) order, so sort the rounds by
+        // time: request `i` then becomes query `i`. The stable sort keeps
+        // same-time rounds in declaration order, matching the engine's
+        // timer tie-breaking.
         paired.sort_by(|a, b| a.0.at.total_cmp(&b.0.at));
-        let (requests, schedule): (Vec<_>, Vec<_>) = paired.into_iter().unzip();
+        let (requests, schedule) = paired.into_iter().unzip();
         ContinuousKnn {
-            inner: Diknn::new(cfg, requests),
             monitors,
+            requests,
             schedule,
-            deltas: Vec::new(),
         }
     }
 
-    /// The monitors being served.
-    pub fn monitors(&self) -> &[MonitorRequest] {
-        &self.monitors
+    /// Every round's query, in issue order: the request list of the
+    /// [`crate::Diknn`] run that serves the monitors.
+    pub fn requests(&self) -> &[QueryRequest] {
+        &self.requests
     }
 
-    /// Per-round membership deltas computed so far (completed rounds only;
-    /// call after the run).
-    pub fn deltas(&mut self) -> &[RoundDelta] {
-        self.recompute_deltas();
-        &self.deltas
-    }
-
-    /// Mean churn (|joined| + |left|) / k per round transition, a measure of
-    /// how fast the true KNN set rotates under mobility.
-    pub fn mean_churn(&mut self) -> f64 {
-        self.recompute_deltas();
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for d in &self.deltas {
-            if d.round == 0 || d.completed_at.is_none() {
-                continue;
-            }
-            let m = &self.monitors[d.monitor];
-            sum += (d.joined.len() + d.left.len()) as f64 / m.k.max(1) as f64;
-            n += 1;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
-    fn recompute_deltas(&mut self) {
-        self.deltas.clear();
-        let outcomes = self.inner.outcomes();
-        // Outcomes appear in issue order (qid == request index), so rounds
-        // of one monitor are naturally ordered.
+    /// Per-round membership deltas from that run's `outcomes`, ordered by
+    /// monitor and round. Rounds not yet issued are left out; a round
+    /// without an answer is diffed against nothing in the next one.
+    pub fn deltas(&self, outcomes: &[QueryOutcome]) -> Vec<RoundDelta> {
         let mut prev: Vec<Option<&[NodeId]>> = vec![None; self.monitors.len()];
-        for (qid, &(mi, round)) in self.schedule.iter().enumerate() {
-            let Some(o) = outcomes.get(qid) else {
-                continue;
-            };
+        let mut deltas = Vec::new();
+        for (o, &(mi, round)) in outcomes.iter().zip(&self.schedule) {
             let answer: &[NodeId] = &o.answer;
             let (joined, left) = match prev[mi] {
                 None => (answer.to_vec(), Vec::new()),
@@ -147,7 +111,7 @@ impl ContinuousKnn {
                     p.iter().filter(|n| !answer.contains(n)).copied().collect(),
                 ),
             };
-            self.deltas.push(RoundDelta {
+            deltas.push(RoundDelta {
                 monitor: mi,
                 round,
                 completed_at: o.completed_at,
@@ -159,38 +123,27 @@ impl ContinuousKnn {
                 prev[mi] = Some(answer);
             }
         }
-        self.deltas
-            .sort_by_key(|d: &RoundDelta| (d.monitor, d.round));
-    }
-}
-
-impl Protocol for ContinuousKnn {
-    type Msg = DiknnMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<DiknnMsg>) {
-        self.inner.on_start(ctx);
+        deltas.sort_by_key(|d| (d.monitor, d.round));
+        deltas
     }
 
-    fn on_message(&mut self, at: NodeId, from: NodeId, msg: &DiknnMsg, ctx: &mut Ctx<DiknnMsg>) {
-        self.inner.on_message(at, from, msg, ctx);
-    }
-
-    fn on_timer(&mut self, at: NodeId, key: u64, ctx: &mut Ctx<DiknnMsg>) {
-        self.inner.on_timer(at, key, ctx);
-    }
-
-    fn on_send_failed(&mut self, at: NodeId, to: NodeId, msg: &DiknnMsg, ctx: &mut Ctx<DiknnMsg>) {
-        self.inner.on_send_failed(at, to, msg, ctx);
-    }
-}
-
-impl KnnProtocol for ContinuousKnn {
-    fn outcomes(&self) -> &[crate::QueryOutcome] {
-        self.inner.outcomes()
-    }
-
-    fn outcomes_mut(&mut self) -> &mut [crate::QueryOutcome] {
-        self.inner.outcomes_mut()
+    /// Mean churn (|joined| + |left|) / k per completed round transition
+    /// in `deltas`, a measure of how fast the true KNN set rotates under
+    /// mobility.
+    pub fn mean_churn(&self, deltas: &[RoundDelta]) -> f64 {
+        let churn: Vec<f64> = deltas
+            .iter()
+            .filter(|d| d.round > 0 && d.completed_at.is_some())
+            .map(|d| {
+                let k = self.monitors[d.monitor].k.max(1);
+                (d.joined.len() + d.left.len()) as f64 / k as f64
+            })
+            .collect();
+        if churn.is_empty() {
+            0.0
+        } else {
+            churn.iter().sum::<f64>() / churn.len() as f64
+        }
     }
 }
 
@@ -208,9 +161,11 @@ mod tests {
             q: Point::new(50.0, 50.0),
             k: 5,
         };
-        let c = ContinuousKnn::new(DiknnConfig::default(), vec![m]);
+        let c = ContinuousKnn::new(vec![m]);
         assert_eq!(c.schedule.len(), 3);
         assert_eq!(c.schedule[2], (0, 2));
+        let at: Vec<f64> = c.requests().iter().map(|r| r.at).collect();
+        assert_eq!(at, [1.0, 6.0, 11.0]);
     }
 
     #[test]
@@ -235,8 +190,10 @@ mod tests {
                 k: 3,
             },
         ];
-        let c = ContinuousKnn::new(DiknnConfig::default(), monitors);
+        let c = ContinuousKnn::new(monitors);
         assert_eq!(c.schedule, vec![(0, 0), (1, 0), (1, 1), (1, 2), (0, 1)]);
+        let at: Vec<f64> = c.requests().iter().map(|r| r.at).collect();
+        assert_eq!(at, [1.0, 2.0, 4.0, 6.0, 11.0]);
     }
 
     #[test]
@@ -250,6 +207,6 @@ mod tests {
             q: Point::ORIGIN,
             k: 5,
         };
-        ContinuousKnn::new(DiknnConfig::default(), vec![m]);
+        ContinuousKnn::new(vec![m]);
     }
 }

@@ -24,8 +24,12 @@
 //! [`ItinerarySpec`] carried in the query message. The geometry is monotone
 //! in `R`: enlarging the radius only *appends* waypoints (the mobility-
 //! assurance expansion of §4.3 relies on this).
+//!
+//! A Q-node picks its successor with a [`Walk`]: the probe loop DIKNN's
+//! sector tokens and the window query's sweep share.
 
 use diknn_geom::{angle, Point, Polyline, TAU};
+use diknn_sim::{Neighbor, NodeId};
 
 /// Compact description of a query's itinerary structure; travels inside
 /// query messages (a few bytes).
@@ -219,6 +223,137 @@ pub fn coverage_worst_distance(spec: &ItinerarySpec, samples: usize) -> f64 {
     worst
 }
 
+/// Probe targets sit `PROBE_STEP · r` apart along the itinerary.
+const PROBE_STEP: f64 = 0.6;
+
+/// A successor must be at least this many metres closer to the probe
+/// target than the current Q-node.
+const MIN_PROGRESS_M: f64 = 0.5;
+
+/// Unreachable targets running more than `VOID_GAP · r` past the frontier
+/// make a void.
+const VOID_GAP: f64 = 3.0;
+
+/// Probe targets one walk tries before it is stuck.
+const MAX_PROBES: u32 = 200;
+
+/// What a Q-node does with the token, as [`Walk::step`] answers it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WalkStep {
+    /// Hand the token to this neighbour; the frontier has advanced.
+    Handoff(NodeId),
+    /// The itinerary end lies inside my radio disc; the frontier is there.
+    End,
+    /// No neighbour gets closer to any target for more than `VOID_GAP`
+    /// radio ranges past the frontier: a void, reported at the arc length
+    /// of the last unreachable target (the itinerary length when the void
+    /// runs to the end).
+    Void(f64),
+    /// The probe cap ran out.
+    Stuck,
+}
+
+/// One Q-node's walk along an itinerary (§3.3): probe targets every
+/// `0.6·r` ahead of the frontier and hand the token to the neighbour
+/// closest to the first target it gets at least 0.5 m closer to than this
+/// node, ties broken by id. The walk is pure: it reads the polyline, this
+/// node's position and its neighbours, and moves only its own frontier.
+/// What a void or the end means is the caller's policy.
+pub struct Walk<'a> {
+    poly: &'a Polyline,
+    me: Point,
+    range: f64,
+    width: f64,
+    frontier: f64,
+    /// Arc length of the next probe target.
+    target: f64,
+    probes: u32,
+}
+
+impl<'a> Walk<'a> {
+    /// A walk along `poly` from a Q-node at `me`, resuming at arc length
+    /// `frontier`, for radio range `range` and itinerary width `width`.
+    pub fn new(poly: &'a Polyline, me: Point, frontier: f64, range: f64, width: f64) -> Self {
+        Walk {
+            poly,
+            me,
+            range,
+            width,
+            frontier,
+            target: frontier + range * PROBE_STEP,
+            probes: 0,
+        }
+    }
+
+    /// The arc length up to which the itinerary counts as covered.
+    pub fn frontier(&self) -> f64 {
+        self.frontier
+    }
+
+    /// Probe ahead until a neighbour not in `exclude` can take the token,
+    /// the end or a void is reached, or the probe cap runs out. The cap
+    /// counts every probe of the walk, across [`Walk::skip_to`].
+    pub fn step(&mut self, neighbors: &[Neighbor], exclude: &[NodeId]) -> WalkStep {
+        let len = self.poly.length();
+        let step = self.range * PROBE_STEP;
+        loop {
+            self.probes += 1;
+            if self.probes > MAX_PROBES {
+                return WalkStep::Stuck;
+            }
+            let end_reached = self.target >= len;
+            let ta = self.target.min(len);
+            let target = self.poly.point_at(ta);
+            let my_d = self.me.dist(target);
+            let next = neighbors
+                .iter()
+                .filter(|n| !exclude.contains(&n.id))
+                .filter(|n| n.position.dist(target) < my_d - MIN_PROGRESS_M)
+                .min_by(|a, b| {
+                    a.position
+                        .dist(target)
+                        .total_cmp(&b.position.dist(target))
+                        .then(a.id.cmp(&b.id))
+                });
+            if let Some(n) = next {
+                // Record the targets skipped while probing ahead, so the
+                // successor does not restart at one already proven
+                // unreachable here (which would ping-pong the token).
+                self.frontier = self.frontier.max(ta - step);
+                // Advance further: to the successor's projection when it
+                // sits on the itinerary, else to the target when my own
+                // probe covers it.
+                let proj = self.poly.project_from(n.position, self.frontier);
+                if proj.dist <= self.width {
+                    self.frontier = self.frontier.max(proj.arclen);
+                } else if my_d <= self.range {
+                    self.frontier = self.frontier.max(ta);
+                }
+                return WalkStep::Handoff(n.id);
+            }
+            if my_d <= self.range {
+                // Nobody better, but my probe covers the target: skip ahead.
+                self.frontier = ta;
+                if end_reached {
+                    return WalkStep::End;
+                }
+                self.target = self.frontier + step;
+                continue;
+            }
+            self.target += step;
+            if self.target - self.frontier > VOID_GAP * self.range || end_reached {
+                return WalkStep::Void(ta);
+            }
+        }
+    }
+
+    /// Resume probing past arc length `arclen` (a void the caller skips).
+    pub fn skip_to(&mut self, arclen: f64) {
+        self.frontier = self.frontier.max(arclen);
+        self.target = self.frontier + self.range * PROBE_STEP;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,5 +518,104 @@ mod tests {
         // Just q -> bisector point.
         assert!(poly.length() <= 3.0 + 1e-9);
         assert!(!s.arc_radii().is_empty() || poly.length() > 0.0);
+    }
+
+    fn nb(id: u32, x: f64, y: f64) -> Neighbor {
+        Neighbor {
+            id: NodeId(id),
+            position: Point::new(x, y),
+            speed: 0.0,
+            heard_at: diknn_sim::SimTime::ZERO,
+        }
+    }
+
+    /// A straight itinerary along the x axis, `len` metres long.
+    fn line(len: f64) -> Polyline {
+        Polyline::new([Point::ORIGIN, Point::new(len, 0.0)])
+    }
+
+    #[test]
+    fn walk_hands_off_to_the_closest_neighbour_ties_by_id() {
+        // r = 20: the first target sits 12 m along, 12 m from me.
+        let poly = line(100.0);
+        let mut walk = Walk::new(&poly, Point::ORIGIN, 0.0, 20.0, 17.0);
+        let neighbors = [
+            nb(5, 12.0, 3.0),  // 3 m from the target
+            nb(3, 12.0, -3.0), // tied with 5, lower id
+            nb(1, 2.0, 0.0),   // progress, but farther from the target
+            nb(9, 12.0, 0.0),  // on the target, but excluded
+        ];
+        assert_eq!(
+            walk.step(&neighbors, &[NodeId(9)]),
+            WalkStep::Handoff(NodeId(3))
+        );
+        // A neighbour only 0.4 m closer to every target makes no progress.
+        let mut walk = Walk::new(&poly, Point::ORIGIN, 0.0, 20.0, 17.0);
+        assert!(matches!(
+            walk.step(&[nb(7, 0.4, 0.0)], &[]),
+            WalkStep::Void(_)
+        ));
+    }
+
+    #[test]
+    fn walk_frontier_follows_the_successor_or_the_target() {
+        let poly = line(100.0);
+        // A successor within w of the itinerary: its projection.
+        let mut walk = Walk::new(&poly, Point::ORIGIN, 0.0, 20.0, 17.0);
+        let on = [nb(1, 15.0, 4.0)];
+        assert_eq!(walk.step(&on, &[]), WalkStep::Handoff(NodeId(1)));
+        assert!((walk.frontier() - 15.0).abs() < 1e-9);
+        // A successor 18 m off the itinerary while the target (12, 0) is
+        // inside my disc: the target.
+        let me = Point::new(0.0, -15.0);
+        let off = [nb(2, 12.0, 18.0)];
+        let mut walk = Walk::new(&poly, me, 0.0, 20.0, 17.0);
+        assert_eq!(walk.step(&off, &[]), WalkStep::Handoff(NodeId(2)));
+        assert!((walk.frontier() - 12.0).abs() < 1e-9);
+        // The same successor with the target out of my reach: the frontier
+        // stays put.
+        let mut walk = Walk::new(&poly, Point::new(0.0, -25.0), 0.0, 20.0, 17.0);
+        assert_eq!(walk.step(&off, &[]), WalkStep::Handoff(NodeId(2)));
+        assert_eq!(walk.frontier(), 0.0);
+    }
+
+    #[test]
+    fn walk_ends_when_the_end_is_inside_my_disc() {
+        let poly = line(30.0);
+        let mut walk = Walk::new(&poly, Point::new(20.0, 0.0), 10.0, 20.0, 17.0);
+        assert_eq!(walk.step(&[], &[]), WalkStep::End);
+        assert_eq!(walk.frontier(), poly.length());
+    }
+
+    #[test]
+    fn walk_reports_a_void_past_three_ranges_at_the_last_unreachable_target() {
+        // r = 10, probes every 6 m. The target at 6 m is in my disc; those
+        // at 12..36 m are not, and the next one (42 m) lies more than 3 r
+        // past the frontier.
+        let poly = line(500.0);
+        let mut walk = Walk::new(&poly, Point::ORIGIN, 0.0, 10.0, 8.0);
+        assert_eq!(walk.step(&[], &[]), WalkStep::Void(36.0));
+        assert_eq!(walk.frontier(), 6.0);
+        walk.skip_to(36.0);
+        assert_eq!(walk.frontier(), 36.0);
+    }
+
+    #[test]
+    fn walk_probe_cap_is_shared_across_skipped_voids() {
+        // Nothing in reach anywhere: each void takes 5 probes, so the
+        // 200-probe cap allows exactly 40 skips before the walk is stuck.
+        let poly = line(10_000.0);
+        let mut walk = Walk::new(&poly, Point::new(0.0, 1000.0), 0.0, 10.0, 8.0);
+        let mut voids = 0;
+        let last = loop {
+            match walk.step(&[], &[]) {
+                WalkStep::Void(at) => {
+                    voids += 1;
+                    walk.skip_to(at);
+                }
+                other => break other,
+            }
+        };
+        assert_eq!((voids, last), (40, WalkStep::Stuck));
     }
 }

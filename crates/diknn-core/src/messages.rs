@@ -11,8 +11,8 @@ use crate::knnb::HopRecord;
 use crate::outcome::QueryOutcome;
 use crate::token::SectorToken;
 use diknn_geom::Point;
-use diknn_routing::{reliable, GpsrHeader};
-use diknn_sim::{Ctx, NodeId, SimTime};
+use diknn_routing::GpsrHeader;
+use diknn_sim::{Ctx, Neighbor, NodeId, SimTime};
 
 /// Immutable query description established at issue time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,11 +145,11 @@ impl QuerySpec {
 }
 
 impl QueryMsg {
-    /// Append node `at`'s hop record to the list `L` (§4.1), counting its
-    /// reliable neighbours against the previous hop with radio range `r`.
-    pub fn record_hop<M: Clone>(&mut self, ctx: &mut Ctx<M>, at: NodeId, r: f64) {
-        let neighbors = reliable(ctx, at);
-        let hop = HopRecord::new(ctx.position(at), &neighbors, self.list.last(), r);
+    /// Append the hop record of a node at `pos` to the list `L` (§4.1),
+    /// counting its reliable `neighbors` against the previous hop with
+    /// radio range `r`.
+    pub fn record_hop(&mut self, pos: Point, neighbors: &[Neighbor], r: f64) {
+        let hop = HopRecord::new(pos, neighbors, self.list.last(), r);
         self.list.push(hop);
     }
 }

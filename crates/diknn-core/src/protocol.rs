@@ -21,15 +21,15 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use diknn_geom::{angle, Point, Polyline};
 use diknn_routing::{next_hop, plan_next_hop, reliable, GpsrHeader, RouteStep};
 use diknn_sim::{
-    pack_timer_key, unpack_timer_key, Ctx, NodeId, ProtoEvent, Protocol, SimDuration, SimTime,
-    TimerId,
+    pack_timer_key, unpack_timer_key, Ctx, Neighbor, NodeId, ProtoEvent, Protocol, SimDuration,
+    SimTime, TimerId,
 };
 use diknn_snap::Snap;
 use rand::Rng;
 
 use crate::candidates::{Candidate, CandidateSet};
 use crate::config::{CollectionScheme, DiknnConfig, COLLECTION_UNIT, CONTENTION_SLOTS};
-use crate::itinerary::{sub_itinerary, ItinerarySpec};
+use crate::itinerary::{sub_itinerary, ItinerarySpec, Walk, WalkStep};
 use crate::knnb::knnb;
 use crate::messages::*;
 use crate::outcome::{
@@ -238,7 +238,6 @@ struct SinkState {
     explored: u32,
     max_final_radius: f64,
     last_merge_at: SimTime,
-    done: bool,
     /// Current retry attempt (0 = the original issue).
     attempt: u8,
     /// `(attempt, sector)` partials already counted toward completion;
@@ -253,7 +252,6 @@ diknn_snap::snap_struct!(SinkState {
     explored,
     max_final_radius,
     last_merge_at,
-    done,
     attempt,
     counted
 });
@@ -433,7 +431,6 @@ impl Diknn {
                 explored: 0,
                 max_final_radius: 0.0,
                 last_merge_at: ctx.now(),
-                done: false,
                 attempt: 0,
                 counted: BTreeSet::new(),
             },
@@ -537,7 +534,6 @@ impl Diknn {
                 .active
                 .iter()
                 .copied()
-                .filter(|&h| self.sinks.get(&h).is_some_and(|s| !s.done))
                 .filter(|&h| {
                     let ho = &self.outcomes[h as usize];
                     ho.k >= k && ho.q.dist(q) <= radius
@@ -703,14 +699,16 @@ impl Diknn {
         from: Option<NodeId>,
     ) {
         self.query_excludes.remove(&msg.spec.qid);
-        msg.record_hop(ctx, at, self.radio_range);
-        self.forward_query(ctx, at, msg, from);
+        let neighbors = reliable(ctx, at);
+        msg.record_hop(ctx.position(at), &neighbors, self.radio_range);
+        self.forward_query(ctx, at, &neighbors, msg, from);
     }
 
     fn forward_query(
         &mut self,
         ctx: &mut Ctx<DiknnMsg>,
         at: NodeId,
+        neighbors: &[Neighbor],
         mut msg: QueryMsg,
         from: Option<NodeId>,
     ) {
@@ -718,12 +716,7 @@ impl Diknn {
             .query_excludes
             .get(&msg.spec.qid)
             .map_or(&[][..], Vec::as_slice);
-        // A local minimum within 1.5 radio ranges of q is accepted as the
-        // home node: the paper's home node is merely the node closest to q,
-        // and probing a small void with a perimeter walk can circle the
-        // whole outer face for no accuracy gain.
-        let home_radius = 1.5 * self.radio_range;
-        match next_hop(ctx, at, None, &mut msg.gpsr, from, exclude, home_radius) {
+        match next_hop(ctx, at, neighbors, None, &mut msg.gpsr, from, exclude) {
             Some(next) => self.send(ctx, at, next, DiknnMsg::Query(msg)),
             // This node is the home node (or the best we can do).
             None => self.begin_dissemination(ctx, at, msg),
@@ -967,8 +960,6 @@ impl Diknn {
             .get(&(qid, sector))
             .cloned()
             .unwrap_or_default();
-        let step = self.radio_range * 0.6;
-        let w = token.itin.width;
 
         // An active void detour (perimeter forwarding mode) continues until
         // the target comes within radio reach.
@@ -1001,77 +992,33 @@ impl Diknn {
             }
         }
 
-        let mut target_arclen = token.frontier + step;
-        let mut attempts = 0u32;
+        let w = token.itin.width;
+        let mut walk = Walk::new(&poly, my_pos, token.frontier, self.radio_range, w);
         loop {
-            attempts += 1;
-            if attempts > 200 {
-                return self.finish_sector(ctx, at, token);
-            }
-            let end_reached = target_arclen >= poly.length();
-            let ta = target_arclen.min(poly.length());
-            let target = poly.point_at(ta);
-            let my_d = my_pos.dist(target);
-
-            // Choose the neighbour closest to the target that makes real
-            // progress toward it.
-            let next = neighbors
-                .iter()
-                .filter(|n| !exclude.contains(&n.id))
-                .filter(|n| n.position.dist(target) < my_d - 0.5)
-                .min_by(|a, b| {
-                    a.position
-                        .dist(target)
-                        .total_cmp(&b.position.dist(target))
-                        .then(a.id.cmp(&b.id))
-                });
-
-            if let Some(n) = next {
-                // Record any targets skipped while probing ahead, so the
-                // next Q-node does not restart at a target already proven
-                // unreachable here (which would ping-pong the token).
-                token.frontier = token.frontier.max(ta - step);
-                // Advance further: fully when the chosen Q-node sits on the
-                // itinerary, conservatively while detouring around a void.
-                let proj = poly.project_from(n.position, token.frontier);
-                if proj.dist <= w {
-                    token.frontier = token.frontier.max(proj.arclen);
-                } else if my_d <= self.radio_range {
-                    token.frontier = token.frontier.max(ta);
+            let step = walk.step(&neighbors, &exclude);
+            token.frontier = walk.frontier();
+            match step {
+                WalkStep::Handoff(next) => {
+                    token.hops += 1;
+                    return self.send_token(ctx, at, next, token);
                 }
-                token.hops += 1;
-                self.send_token(ctx, at, n.id, token);
-                return;
-            }
-
-            if my_d <= self.radio_range {
-                // Nobody better but the target is inside my own radio disc:
-                // my probe already covered it; skip ahead.
-                token.frontier = ta;
-                if end_reached {
-                    // Reached the end standing here: re-run the decision.
-                    return self.advance_token(ctx, at, token);
+                // Reached the end standing here: re-run the decision.
+                WalkStep::End => return self.advance_token(ctx, at, token),
+                // Switch to perimeter forwarding mode: geo-route the token
+                // around the vacancy toward the far target (§5.2). Targets
+                // outside the field hold no nodes: skip them instead.
+                WalkStep::Void(arclen) => {
+                    let target = poly.point_at(arclen);
+                    if ctx.config().field.contains(target) {
+                        token.detour = Some((arclen, GpsrHeader::with_ttl(target, 24)));
+                        return self.advance_token(ctx, at, token);
+                    }
+                    if arclen >= poly.length() {
+                        return self.finish_sector(ctx, at, token);
+                    }
+                    walk.skip_to(arclen);
                 }
-                target_arclen = token.frontier + step;
-                continue;
-            }
-
-            // Itinerary void: probe farther along, bounded; then switch to
-            // perimeter forwarding mode (geo-route the token around the
-            // vacancy toward the far target, §5.2). Targets outside the
-            // field hold no nodes — skip them instead of detouring.
-            target_arclen += step;
-            if target_arclen - token.frontier > 3.0 * self.radio_range || end_reached {
-                if ctx.config().field.contains(target) {
-                    token.detour = Some((ta, diknn_routing::GpsrHeader::with_ttl(target, 24)));
-                    return self.advance_token(ctx, at, token);
-                }
-                if end_reached {
-                    return self.finish_sector(ctx, at, token);
-                }
-                // Skip the out-of-field stretch and keep probing.
-                token.frontier = token.frontier.max(ta);
-                target_arclen = token.frontier + step;
+                WalkStep::Stuck => return self.finish_sector(ctx, at, token),
             }
         }
     }
@@ -1144,9 +1091,10 @@ impl Diknn {
         // `sink_merge` disarms; armed before routing so a synchronous
         // merge (sink is `at` or a direct neighbour) cleans up naturally.
         if self.cfg.token_watchdog {
-            let pending = self.sinks.get(&token.spec.qid).is_some_and(|s| {
-                !s.done && !s.counted.contains(&(token.spec.attempt, token.sector))
-            });
+            let pending = self
+                .sinks
+                .get(&token.spec.qid)
+                .is_some_and(|s| !s.counted.contains(&(token.spec.attempt, token.sector)));
             if pending {
                 let timer = ctx.set_timer(
                     at,
@@ -1181,6 +1129,7 @@ impl Diknn {
         if at == sink {
             return self.sink_merge(ctx, at, msg);
         }
+        let neighbors = reliable(ctx, at);
         let exclude = self
             .result_excludes
             .get(&(msg.spec.qid, msg.sector))
@@ -1192,11 +1141,11 @@ impl Diknn {
         let next = next_hop(
             ctx,
             at,
+            &neighbors,
             Some(sink),
             &mut msg.gpsr,
             from,
             exclude,
-            self.radio_range,
         )
         .unwrap_or(sink);
         self.send(ctx, at, next, DiknnMsg::Result(msg));
@@ -1212,9 +1161,6 @@ impl Diknn {
         let Some(state) = self.sinks.get_mut(&qid) else {
             return;
         };
-        if state.done {
-            return;
-        }
         // Candidates are merged from any attempt and any duplicate (the
         // set union is idempotent and stale data is still real data), but
         // only the first result per (current attempt, sector) counts
@@ -1241,15 +1187,13 @@ impl Diknn {
         }
     }
 
-    /// Complete a query: all parts arrived, or the sink timeout fired.
+    /// Complete a query: all parts arrived, or the sink timeout fired. The
+    /// query's sink state goes with it; frames that still arrive for a
+    /// finished query find none and are dropped.
     fn finalize(&mut self, ctx: &mut Ctx<DiknnMsg>, qid: u32, timed_out: bool) {
-        let Some(state) = self.sinks.get_mut(&qid) else {
+        let Some(state) = self.sinks.get(&qid) else {
             return;
         };
-        if state.done {
-            return;
-        }
-        state.done = true;
         let outcome = &mut self.outcomes[qid as usize];
         outcome.parts_returned = state.returned;
         outcome.explored_nodes = state.explored;
@@ -1284,6 +1228,7 @@ impl Diknn {
         // watchdog timers become harmless no-ops without their entries.
         self.watchdogs.retain(|&(q, _), _| q != qid);
         self.settle_serving(ctx, qid);
+        self.sinks.remove(&qid);
     }
 
     // ---------- fault recovery ----------------------------------------
@@ -1293,7 +1238,7 @@ impl Diknn {
     /// finalises with whatever partials arrived.
     fn sink_timeout(&mut self, ctx: &mut Ctx<DiknnMsg>, at: NodeId, qid: u32, attempt: u8) {
         let retry = match self.sinks.get(&qid) {
-            Some(s) if !s.done && s.attempt == attempt => {
+            Some(s) if s.attempt == attempt => {
                 s.returned == 0 && (attempt as u32) < self.cfg.max_query_retries
             }
             _ => return,
@@ -1366,7 +1311,7 @@ impl Diknn {
             self.watchdogs.insert((qid, sector), w);
             return;
         }
-        if self.sinks.get(&qid).is_none_or(|s| s.done) {
+        if !self.sinks.contains_key(&qid) {
             return;
         }
         if self.token_is_stale(&w.token) {
@@ -1610,7 +1555,8 @@ impl Protocol for Diknn {
         match msg {
             DiknnMsg::Query(m) => {
                 self.query_excludes.entry(m.spec.qid).or_default().push(to);
-                self.forward_query(ctx, at, m.clone(), None);
+                let neighbors = reliable(ctx, at);
+                self.forward_query(ctx, at, &neighbors, m.clone(), None);
             }
             DiknnMsg::Token(t) => {
                 let k = (t.spec.qid, t.sector);
@@ -1966,7 +1912,6 @@ mod tests {
                     explored: 3,
                     max_final_radius: 30.0,
                     last_merge_at: now,
-                    done: false,
                     attempt: 0,
                     counted: BTreeSet::new(),
                 },

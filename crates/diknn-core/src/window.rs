@@ -10,20 +10,23 @@
 //! This module provides the itinerary geometry plus the [`WindowQuery`]
 //! protocol: route to the window's entry corner, sweep it with a single
 //! Q-node token collecting responses, and route the result back to the
-//! sink. It shares the simulator, GPSR and collection machinery with DIKNN
-//! and serves as the `S = 1`-style ancestor in ablations.
+//! sink. It shares the simulator, the GPSR forwarding step
+//! ([`diknn_routing::next_hop`]) and the itinerary [`Walk`] with DIKNN;
+//! where DIKNN detours around a void, the sweep skips it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use diknn_geom::{Point, Polyline, Rect};
-use diknn_routing::{plan_next_hop, GpsrHeader, RouteStep};
+use diknn_routing::{next_hop, reliable, GpsrHeader};
 use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::candidates::Candidate;
 use crate::config::{BASE_MSG_BYTES, COLLECTION_UNIT, CONTENTION_SLOTS, RESPONSE_BYTES};
+use crate::itinerary::{ItinerarySpec, Walk, WalkStep};
+use crate::outcome::K_ISSUE;
 
-const K_ISSUE: u8 = 1;
+/// Timer kinds after the shared `K_ISSUE`.
 const K_COLLECT: u8 = 2;
 const K_REPLY: u8 = 3;
 
@@ -175,8 +178,9 @@ pub struct WindowQuery {
     /// Neighbours that failed to take the sweep token, per query (cleared
     /// on successful handoff).
     token_excludes: BTreeMap<u32, Vec<NodeId>>,
-    /// Per-query budget for re-routing failed query/result packets.
-    route_retries: BTreeMap<u32, u32>,
+    /// Next hops that failed the query or its result, per query (cleared
+    /// when a hop succeeds).
+    route_excludes: BTreeMap<u32, Vec<NodeId>>,
 }
 
 impl WindowQuery {
@@ -190,7 +194,7 @@ impl WindowQuery {
             responded: BTreeSet::new(),
             pending_replies: BTreeMap::new(),
             token_excludes: BTreeMap::new(),
-            route_retries: BTreeMap::new(),
+            route_excludes: BTreeMap::new(),
         }
     }
 
@@ -227,41 +231,27 @@ impl WindowQuery {
             sweep_hops: 0,
         });
         let entry = self.itinerary(&spec).start();
-        let msg = WindowMsg::Query {
-            spec,
-            gpsr: GpsrHeader::new(entry),
-        };
-        self.route_query(ctx, req.sink, msg, None);
+        self.route_query(ctx, req.sink, spec, GpsrHeader::new(entry), None);
     }
 
+    /// Route the query one hop on toward the sweep's entry point; the node
+    /// where the route ends is the entry Q-node.
     fn route_query(
         &mut self,
         ctx: &mut Ctx<WindowMsg>,
         at: NodeId,
-        msg: WindowMsg,
+        spec: WSpec,
+        mut gpsr: GpsrHeader,
         from: Option<NodeId>,
     ) {
-        let WindowMsg::Query { spec, gpsr } = msg else {
-            unreachable!()
-        };
-        let neighbors = ctx.neighbors(at);
-        let prev = from.map(|f| (f, ctx.position(f)));
-        match plan_next_hop(
-            at,
-            ctx.position(at),
-            &gpsr,
-            &neighbors,
-            prev,
-            &[],
-            1.5 * self.radio_range,
-        ) {
-            RouteStep::Forward { next, header } => {
-                self.send(ctx, at, next, WindowMsg::Query { spec, gpsr: header });
-            }
-            RouteStep::Arrived | RouteStep::NoRoute => {
-                // Entry Q-node: begin the sweep here.
-                self.start_collection(ctx, at, spec, 0.0, Vec::new(), 0);
-            }
+        let neighbors = reliable(ctx, at);
+        let exclude = self
+            .route_excludes
+            .get(&spec.qid)
+            .map_or(&[][..], Vec::as_slice);
+        match next_hop(ctx, at, &neighbors, None, &mut gpsr, from, exclude) {
+            Some(next) => self.send(ctx, at, next, WindowMsg::Query { spec, gpsr }),
+            None => self.start_collection(ctx, at, spec, 0.0, Vec::new(), 0),
         }
     }
 
@@ -299,76 +289,47 @@ impl WindowQuery {
         );
     }
 
-    /// Collection done: advance the sweep or return the result.
-    fn advance(&mut self, ctx: &mut Ctx<WindowMsg>, qid: u32) {
-        let Some(coll) = self.collecting.remove(&qid) else {
-            return;
-        };
-        let at = coll.node;
-        let spec = coll.spec;
+    /// Collection done: hand the sweep on along the itinerary, or return
+    /// the result from here at the end, on a stuck walk, or past 300
+    /// sweep hops. A void is skipped, not detoured around.
+    fn advance(&mut self, ctx: &mut Ctx<WindowMsg>, coll: Collecting) {
+        let Collecting {
+            node: at,
+            spec,
+            frontier,
+            members,
+            hops,
+        } = coll;
         let poly = self.itinerary(&spec);
-        let my_pos = ctx.position(at);
-        let neighbors = ctx.neighbors(at);
-        let step = self.radio_range * 0.6;
-        let mut frontier = coll.frontier;
-        let members = coll.members;
-        let mut hops = coll.hops;
-        let mut target_arclen = frontier + step;
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            if hops > 300 || attempts > 200 {
-                return self.finish(ctx, at, spec, members, hops);
-            }
-            let end_reached = target_arclen >= poly.length();
-            let ta = target_arclen.min(poly.length());
-            let target = poly.point_at(ta);
-            let my_d = my_pos.dist(target);
-            let excludes = self.token_excludes.get(&qid).cloned().unwrap_or_default();
-            let next = neighbors
-                .iter()
-                .filter(|n| !excludes.contains(&n.id))
-                .filter(|n| n.position.dist(target) < my_d - 0.5)
-                .min_by(|a, b| {
-                    a.position
-                        .dist(target)
-                        .total_cmp(&b.position.dist(target))
-                        .then(a.id.cmp(&b.id))
-                });
-            if let Some(n) = next {
-                frontier = frontier.max(ta - step);
-                let proj = poly.project_from(n.position, frontier);
-                if proj.dist <= self.width {
-                    frontier = frontier.max(proj.arclen);
+        let handoff = if hops > 300 {
+            None
+        } else {
+            let neighbors = reliable(ctx, at);
+            let exclude = self
+                .token_excludes
+                .get(&spec.qid)
+                .map_or(&[][..], Vec::as_slice);
+            let me = ctx.position(at);
+            let mut walk = Walk::new(&poly, me, frontier, self.radio_range, self.width);
+            loop {
+                match walk.step(&neighbors, exclude) {
+                    WalkStep::Handoff(next) => break Some((next, walk.frontier())),
+                    WalkStep::Void(arclen) if arclen < poly.length() => walk.skip_to(arclen),
+                    WalkStep::End | WalkStep::Void(_) | WalkStep::Stuck => break None,
                 }
-                hops += 1;
+            }
+        };
+        match handoff {
+            Some((next, frontier)) => {
                 let token = WindowMsg::Token {
                     spec,
                     frontier,
                     members,
-                    hops,
+                    hops: hops + 1,
                 };
-                return self.send(ctx, at, n.id, token);
+                self.send(ctx, at, next, token);
             }
-            if my_d <= self.radio_range {
-                frontier = ta;
-                if end_reached {
-                    return self.finish(ctx, at, spec, members, hops);
-                }
-                target_arclen = frontier + step;
-                continue;
-            }
-            target_arclen += step;
-            if target_arclen - frontier > 3.0 * self.radio_range || end_reached {
-                // Void: the window sweep simply skips (bounded network
-                // realism; the DIKNN crate's detour machinery is the
-                // evolved answer to this).
-                if end_reached {
-                    return self.finish(ctx, at, spec, members, hops);
-                }
-                frontier = ta;
-                target_arclen = frontier + step;
-            }
+            None => self.finish(ctx, at, spec, members, hops),
         }
     }
 
@@ -389,71 +350,27 @@ impl WindowQuery {
         self.route_result(ctx, at, msg, None);
     }
 
+    /// Route the result one hop on toward the sink, or absorb it there. A
+    /// dead end sends it to the sink directly: the MAC retries deliver it
+    /// if the sink is still within radio reach.
     fn route_result(
         &mut self,
         ctx: &mut Ctx<WindowMsg>,
         at: NodeId,
-        msg: WindowMsg,
+        mut msg: WindowMsg,
         from: Option<NodeId>,
     ) {
-        let WindowMsg::Result { spec, .. } = &msg else {
+        let WindowMsg::Result { spec, gpsr, .. } = &mut msg else {
             unreachable!()
         };
-        let spec = *spec;
-        if at == spec.sink {
+        let (qid, sink) = (spec.qid, spec.sink);
+        if at == sink {
             return self.absorb(ctx, msg);
         }
-        let neighbors = ctx.neighbors(at);
-        if neighbors.iter().any(|n| n.id == spec.sink) {
-            return self.send(ctx, at, spec.sink, msg);
-        }
-        let WindowMsg::Result {
-            gpsr,
-            members,
-            hops,
-            ..
-        } = msg
-        else {
-            unreachable!()
-        };
-        let prev = from.map(|f| (f, ctx.position(f)));
-        match plan_next_hop(
-            at,
-            ctx.position(at),
-            &gpsr,
-            &neighbors,
-            prev,
-            &[],
-            self.radio_range,
-        ) {
-            RouteStep::Forward { next, header } => {
-                self.send(
-                    ctx,
-                    at,
-                    next,
-                    WindowMsg::Result {
-                        spec,
-                        gpsr: header,
-                        members,
-                        hops,
-                    },
-                );
-            }
-            RouteStep::Arrived | RouteStep::NoRoute => {
-                let sink = spec.sink;
-                self.send(
-                    ctx,
-                    at,
-                    sink,
-                    WindowMsg::Result {
-                        spec,
-                        gpsr,
-                        members,
-                        hops,
-                    },
-                );
-            }
-        }
+        let neighbors = reliable(ctx, at);
+        let exclude = self.route_excludes.get(&qid).map_or(&[][..], Vec::as_slice);
+        let next = next_hop(ctx, at, &neighbors, Some(sink), gpsr, from, exclude).unwrap_or(sink);
+        self.send(ctx, at, next, msg);
     }
 
     fn absorb(&mut self, ctx: &mut Ctx<WindowMsg>, msg: WindowMsg) {
@@ -480,8 +397,8 @@ impl Protocol for WindowQuery {
 
     fn on_start(&mut self, ctx: &mut Ctx<WindowMsg>) {
         self.radio_range = ctx.config().radio_range;
-        self.width = crate::itinerary::ItinerarySpec::recommended_width(self.radio_range);
-        for (i, req) in self.requests.clone().into_iter().enumerate() {
+        self.width = ItinerarySpec::recommended_width(self.radio_range);
+        for (i, req) in self.requests.iter().enumerate() {
             ctx.set_timer(
                 req.sink,
                 SimDuration::from_secs_f64(req.at),
@@ -494,7 +411,11 @@ impl Protocol for WindowQuery {
         let (kind, qid, aux) = unpack_timer_key(timer_key);
         match kind {
             K_ISSUE => self.issue(ctx, aux as usize),
-            K_COLLECT => self.advance(ctx, qid),
+            K_COLLECT => {
+                if let Some(coll) = self.collecting.remove(&qid) {
+                    self.advance(ctx, coll);
+                }
+            }
             K_REPLY => {
                 if let Some(to) = self.pending_replies.remove(&(qid, at.0)) {
                     let reply = WindowMsg::Reply {
@@ -526,35 +447,30 @@ impl Protocol for WindowQuery {
                 let e = self.token_excludes.entry(spec.qid).or_default();
                 e.push(to);
                 if e.len() <= 12 {
-                    // Re-collect here and pick another next Q-node.
-                    self.collecting.insert(
-                        spec.qid,
-                        Collecting {
-                            node: at,
-                            spec: *spec,
-                            frontier: *frontier,
-                            members: members.clone(),
-                            hops: *hops,
-                        },
-                    );
-                    self.advance(ctx, spec.qid);
+                    // Up to 12 failed successors: pick another from here.
+                    let coll = Collecting {
+                        node: at,
+                        spec: *spec,
+                        frontier: *frontier,
+                        members: members.clone(),
+                        hops: *hops,
+                    };
+                    self.advance(ctx, coll);
                 } else {
                     self.token_excludes.remove(&spec.qid);
                     self.finish(ctx, at, *spec, members.clone(), *hops);
                 }
             }
-            WindowMsg::Result { spec, .. } => {
-                let tries = self.route_retries.entry(spec.qid).or_insert(0);
-                *tries += 1;
-                if *tries <= 10 {
+            WindowMsg::Query { spec, .. } | WindowMsg::Result { spec, .. } => {
+                // Route around the failed hop, up to 8 times per query.
+                let e = self.route_excludes.entry(spec.qid).or_default();
+                e.push(to);
+                if e.len() > 8 {
+                    self.route_excludes.remove(&spec.qid);
+                } else if let WindowMsg::Query { spec, gpsr } = msg {
+                    self.route_query(ctx, at, *spec, *gpsr, None);
+                } else {
                     self.route_result(ctx, at, msg.clone(), None);
-                }
-            }
-            WindowMsg::Query { spec, .. } => {
-                let tries = self.route_retries.entry(spec.qid).or_insert(0);
-                *tries += 1;
-                if *tries <= 10 {
-                    self.route_query(ctx, at, msg.clone(), None);
                 }
             }
             WindowMsg::Probe { .. } | WindowMsg::Reply { .. } => {}
@@ -563,7 +479,10 @@ impl Protocol for WindowQuery {
 
     fn on_message(&mut self, at: NodeId, from: NodeId, msg: &WindowMsg, ctx: &mut Ctx<WindowMsg>) {
         match msg {
-            WindowMsg::Query { .. } => self.route_query(ctx, at, msg.clone(), Some(from)),
+            WindowMsg::Query { spec, gpsr } => {
+                self.route_excludes.remove(&spec.qid);
+                self.route_query(ctx, at, *spec, *gpsr, Some(from));
+            }
             WindowMsg::Token {
                 spec,
                 frontier,
@@ -608,7 +527,10 @@ impl Protocol for WindowQuery {
                     }
                 }
             }
-            WindowMsg::Result { .. } => self.route_result(ctx, at, msg.clone(), Some(from)),
+            WindowMsg::Result { spec, .. } => {
+                self.route_excludes.remove(&spec.qid);
+                self.route_result(ctx, at, msg.clone(), Some(from));
+            }
         }
     }
 }

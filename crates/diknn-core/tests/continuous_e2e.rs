@@ -1,12 +1,19 @@
 //! End-to-end continuous KNN monitoring: periodic rounds complete, deltas
-//! are consistent, and churn scales with mobility.
+//! are consistent, churn scales with mobility, and rounds are classified
+//! exactly as DIKNN classifies its queries.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use diknn_core::{ContinuousKnn, DiknnConfig, KnnProtocol, MonitorRequest};
+use diknn_core::{
+    ContinuousKnn, Diknn, DiknnConfig, KnnProtocol, MonitorRequest, QueryStatus, RoundDelta,
+    ServingConfig,
+};
 use diknn_geom::{Point, Rect};
 use diknn_mobility::{placement, RandomWaypoint, RwpConfig, StaticMobility};
-use diknn_sim::{NodeId, SharedMobility, SimConfig, SimDuration, Simulator, TraceConfig};
+use diknn_sim::{
+    NodeId, ProtoEvent, SharedMobility, SimConfig, SimDuration, Simulator, TraceConfig, TraceKind,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -43,6 +50,28 @@ fn network(speed: f64, seed: u64) -> Vec<SharedMobility> {
         .collect()
 }
 
+/// Run `plan`'s rounds on a plain DIKNN instance, classify and check
+/// them, and return the simulator.
+fn run_plan(
+    plan: &ContinuousKnn,
+    cfg: DiknnConfig,
+    secs: f64,
+    speed: f64,
+    seed: u64,
+) -> Simulator<Diknn> {
+    let sim_cfg = SimConfig {
+        time_limit: SimDuration::from_secs_f64(secs),
+        trace: TraceConfig::enabled(),
+        ..SimConfig::default()
+    };
+    let protocol = Diknn::new(cfg, plan.requests().to_vec());
+    let mut sim = Simulator::new(sim_cfg, network(speed, seed), protocol, seed);
+    sim.warm_neighbor_tables();
+    sim.run();
+    finish_and_check(&mut sim);
+    sim
+}
+
 fn run_monitor(speed: f64, seed: u64) -> (usize, usize, f64) {
     let monitor = MonitorRequest {
         start_at: 2.0,
@@ -52,30 +81,12 @@ fn run_monitor(speed: f64, seed: u64) -> (usize, usize, f64) {
         q: Point::new(57.0, 57.0),
         k: 10,
     };
-    let cfg = SimConfig {
-        time_limit: SimDuration::from_secs_f64(60.0),
-        trace: TraceConfig::enabled(),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(
-        cfg,
-        network(speed, seed),
-        ContinuousKnn::new(DiknnConfig::default(), vec![monitor]),
-        seed,
-    );
-    sim.warm_neighbor_tables();
-    sim.run();
-    finish_and_check(&mut sim);
-    let completed = sim
-        .protocol()
-        .outcomes()
-        .iter()
-        .filter(|o| o.completed_at.is_some())
-        .count();
-    let proto = sim.protocol_mut();
-    let rounds = proto.deltas().len();
-    let churn = proto.mean_churn();
-    (completed, rounds, churn)
+    let plan = ContinuousKnn::new(vec![monitor]);
+    let sim = run_plan(&plan, DiknnConfig::default(), 60.0, speed, seed);
+    let outcomes = sim.protocol().outcomes();
+    let completed = outcomes.iter().filter(|o| o.completed_at.is_some()).count();
+    let deltas = plan.deltas(outcomes);
+    (completed, deltas.len(), plan.mean_churn(&deltas))
 }
 
 #[test]
@@ -116,22 +127,9 @@ fn first_round_delta_is_the_full_answer() {
         q: Point::new(40.0, 70.0),
         k: 8,
     };
-    let cfg = SimConfig {
-        time_limit: SimDuration::from_secs_f64(30.0),
-        trace: TraceConfig::enabled(),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(
-        cfg,
-        network(5.0, 11),
-        ContinuousKnn::new(DiknnConfig::default(), vec![monitor]),
-        11,
-    );
-    sim.warm_neighbor_tables();
-    sim.run();
-    finish_and_check(&mut sim);
-    let proto = sim.protocol_mut();
-    let deltas = proto.deltas().to_vec();
+    let plan = ContinuousKnn::new(vec![monitor]);
+    let sim = run_plan(&plan, DiknnConfig::default(), 30.0, 5.0, 11);
+    let deltas: Vec<RoundDelta> = plan.deltas(sim.protocol().outcomes());
     let first = &deltas[0];
     assert_eq!(first.round, 0);
     assert!(first.left.is_empty());
@@ -145,5 +143,69 @@ fn first_round_delta_is_the_full_answer() {
     for n in &second.left {
         assert!(first.answer.contains(n));
         assert!(!second.answer.contains(n));
+    }
+}
+
+/// With the serving layer on, a monitor's rounds are classified by DIKNN's
+/// own end-of-run rules: rounds still parked behind admission when time
+/// runs out were never executed, so they end `rejected`, not `token-lost`.
+#[test]
+fn rounds_parked_behind_admission_end_rejected() {
+    // One query in flight at a time, and a round every 0.3 s: far closer
+    // together than one query's latency (about 1 s), so rounds queue at
+    // admission. Each deferral waits at least 1.25 s at this drain rate, so
+    // none exhausts its six deferrals in a 6 s run: every round that never
+    // got admitted is still parked at the end.
+    let monitor = MonitorRequest {
+        start_at: 1.0,
+        period: 0.3,
+        rounds: 12,
+        sink: NodeId(0),
+        q: Point::new(57.0, 57.0),
+        k: 10,
+    };
+    let cfg = DiknnConfig {
+        serving: ServingConfig {
+            max_in_flight: 1,
+            merge_radius_m: 0.0,
+            cache_radius_m: 0.0,
+            ..ServingConfig::enabled()
+        },
+        ..DiknnConfig::default()
+    };
+    let plan = ContinuousKnn::new(vec![monitor]);
+    let sim = run_plan(&plan, cfg, 6.0, 0.0, 3);
+    let serving = |pick: fn(&ProtoEvent) -> Option<u32>| -> BTreeSet<u32> {
+        let events = sim.ctx().trace().events();
+        events
+            .filter_map(|e| match &e.kind {
+                TraceKind::Proto(p) => pick(p),
+                _ => None,
+            })
+            .collect()
+    };
+    let admitted = serving(|p| match p {
+        ProtoEvent::QueryAdmitted { qid, .. } => Some(*qid),
+        _ => None,
+    });
+    let terminally_rejected = serving(|p| match p {
+        ProtoEvent::QueryRejected {
+            qid,
+            terminal: true,
+            ..
+        } => Some(*qid),
+        _ => None,
+    });
+    let outcomes = sim.protocol().outcomes();
+    assert_eq!(outcomes.len(), 12);
+    assert!(terminally_rejected.is_empty(), "{terminally_rejected:?}");
+    let parked: Vec<u32> = (0..12).filter(|q| !admitted.contains(q)).collect();
+    assert!(!parked.is_empty(), "every round was admitted");
+    for o in outcomes {
+        if parked.contains(&o.qid) {
+            assert_eq!(o.status, QueryStatus::Rejected, "parked round {}", o.qid);
+        } else {
+            assert_ne!(o.status, QueryStatus::Rejected, "admitted round {}", o.qid);
+        }
     }
 }

@@ -13,9 +13,9 @@
 //! with all mutable state carried in the [`GpsrHeader`] that travels inside
 //! protocol messages. That keeps GPSR stateless at the nodes (its defining
 //! property) and makes the planner unit-testable without a simulator.
-//! [`next_hop`] is the one forwarding step the protocols call: it reads the
-//! node's reliable neighbours, delivers to an adjacent destination node and
-//! otherwise plans the hop, advancing the header in place.
+//! [`next_hop`] is the one forwarding step the protocols call: over the
+//! node's reliable neighbours it delivers to an adjacent destination node
+//! and otherwise plans the hop, advancing the header in place.
 //!
 //! Covered:
 //! * greedy forwarding to the neighbour closest to the destination;
@@ -64,40 +64,48 @@ pub fn reliable<M: Clone>(ctx: &mut Ctx<M>, at: NodeId) -> Vec<Neighbor> {
     )
 }
 
-/// One GPSR forwarding step at node `at`, over its [`reliable`] neighbours.
-/// Every protocol in this reproduction routes its frames through here.
+/// One GPSR forwarding step at node `at` over `neighbors`, its
+/// [`reliable`] neighbours as read once for this hop (a caller that also
+/// records the hop hands both the same list). Every protocol in this
+/// reproduction routes its frames through here.
 ///
 /// * `dest` — the node a node-addressed frame is bound for (a result going
 ///   back to its sink): when `dest` is a neighbour the frame goes straight
-///   to it with `gpsr` untouched. `None` for a location-addressed frame,
-///   such as a query bound for `q`.
+///   to it with `gpsr` untouched, and otherwise the route ends at a greedy
+///   local minimum within one radio range of `gpsr.dest`. `None` for a
+///   location-addressed frame, such as a query bound for `q`, whose route
+///   ends at a local minimum within 1.5 radio ranges of it: the home node
+///   is merely the node closest to `q`, and probing a small void with a
+///   perimeter walk can circle the whole outer face for no accuracy gain.
 /// * `from` — the node the frame arrived from (`None` at the originator
 ///   and on a retry after a failed send); [`plan_next_hop`] takes its
 ///   position as `prev`.
-/// * `exclude`, `home_radius` — as for [`plan_next_hop`].
+/// * `exclude` — as for [`plan_next_hop`].
 ///
 /// Returns the neighbour to hand the frame to, with `gpsr` advanced in
 /// place when it was routed. `None` means the route ends here (arrived, or
 /// no usable neighbour); what that dead end means is the caller's policy.
 pub fn next_hop<M: Clone>(
-    ctx: &mut Ctx<M>,
+    ctx: &Ctx<M>,
     at: NodeId,
+    neighbors: &[Neighbor],
     dest: Option<NodeId>,
     gpsr: &mut GpsrHeader,
     from: Option<NodeId>,
     exclude: &[NodeId],
-    home_radius: f64,
 ) -> Option<NodeId> {
-    let neighbors = reliable(ctx, at);
-    if let Some(dest) = dest.filter(|d| neighbors.iter().any(|n| n.id == *d)) {
-        return Some(dest);
-    }
+    let range = ctx.config().radio_range;
+    let home_radius = match dest {
+        Some(dest) if neighbors.iter().any(|n| n.id == dest) => return Some(dest),
+        Some(_) => range,
+        None => 1.5 * range,
+    };
     let prev = from.map(|f| (f, ctx.position(f)));
     match plan_next_hop(
         at,
         ctx.position(at),
         gpsr,
-        &neighbors,
+        neighbors,
         prev,
         exclude,
         home_radius,
@@ -580,13 +588,34 @@ mod next_hop_tests {
         sim
     }
 
+    /// One [`next_hop`] at `at` over its reliable neighbours.
+    fn hop(
+        sim: &mut Simulator<Idle>,
+        at: u32,
+        dest: Option<u32>,
+        gpsr: &mut GpsrHeader,
+        exclude: &[NodeId],
+    ) -> Option<NodeId> {
+        sim.drive(|_, ctx| {
+            let neighbors = reliable(ctx, NodeId(at));
+            next_hop(
+                ctx,
+                NodeId(at),
+                &neighbors,
+                dest.map(NodeId),
+                gpsr,
+                None,
+                exclude,
+            )
+        })
+    }
+
     #[test]
     fn adjacent_destination_is_taken_with_the_header_untouched() {
         let mut sim = line();
         let mut gpsr = GpsrHeader::new(Point::new(25.0, 50.0));
         let before = gpsr;
-        let next = sim
-            .drive(|_, ctx| next_hop(ctx, NodeId(0), Some(NodeId(1)), &mut gpsr, None, &[], 20.0));
+        let next = hop(&mut sim, 0, Some(1), &mut gpsr, &[]);
         assert_eq!(next, Some(NodeId(1)));
         assert_eq!(gpsr, before);
     }
@@ -595,15 +624,13 @@ mod next_hop_tests {
     fn routed_hop_advances_the_header_in_place() {
         let mut sim = line();
         let mut gpsr = GpsrHeader::new(Point::new(55.0, 50.0));
-        let next = sim
-            .drive(|_, ctx| next_hop(ctx, NodeId(0), Some(NodeId(3)), &mut gpsr, None, &[], 20.0));
+        let next = hop(&mut sim, 0, Some(3), &mut gpsr, &[]);
         assert_eq!(next, Some(NodeId(1)));
         assert_eq!(gpsr.hops, 1);
         assert_eq!(gpsr.ttl, 127);
         // With its only neighbour excluded, node 0 is a dead end.
         let mut fresh = GpsrHeader::new(Point::new(25.0, 50.0));
-        let next = sim
-            .drive(|_, ctx| next_hop(ctx, NodeId(0), None, &mut fresh, None, &[NodeId(1)], 20.0));
+        let next = hop(&mut sim, 0, None, &mut fresh, &[NodeId(1)]);
         assert_eq!(next, None);
         assert_eq!(fresh.hops, 0, "a dead end leaves the header alone");
     }
@@ -612,9 +639,22 @@ mod next_hop_tests {
     fn isolated_node_has_no_next_hop() {
         let mut sim = line();
         let mut gpsr = GpsrHeader::new(Point::new(10.0, 50.0));
-        let next = sim
-            .drive(|_, ctx| next_hop(ctx, NodeId(4), Some(NodeId(0)), &mut gpsr, None, &[], 20.0));
+        let next = hop(&mut sim, 4, Some(0), &mut gpsr, &[]);
         assert_eq!(next, None);
+    }
+
+    #[test]
+    fn home_radius_follows_the_addressing() {
+        // Node 3, the line's east end, is a greedy local minimum 25 m from
+        // (80, 50): inside 1.5 r for a location-addressed frame, which ends
+        // here, but outside r for a node-addressed one, which goes on in
+        // perimeter mode.
+        let mut sim = line();
+        let dest = Point::new(80.0, 50.0);
+        let mut gpsr = GpsrHeader::new(dest);
+        assert_eq!(hop(&mut sim, 3, None, &mut gpsr, &[]), None);
+        let mut gpsr = GpsrHeader::new(dest);
+        assert_eq!(hop(&mut sim, 3, Some(4), &mut gpsr, &[]), Some(NodeId(2)));
     }
 }
 

@@ -86,6 +86,9 @@ pub enum ConfigError {
     /// The serving layer's spatial merge radius is negative (zero disables
     /// merging; negative is meaningless).
     NegativeMergeRadius(f64),
+    /// The serving layer's result-cache radius is negative (zero disables
+    /// the cache; negative is meaningless).
+    NegativeCacheRadius(f64),
     /// The admission controller's concurrency ceiling is zero: no query
     /// could ever be admitted.
     ZeroAdmissionCeiling,
@@ -128,6 +131,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::NegativeMergeRadius(r) => {
                 write!(f, "merge radius must be non-negative, got {r}")
+            }
+            ConfigError::NegativeCacheRadius(r) => {
+                write!(f, "cache radius must be non-negative, got {r}")
             }
             ConfigError::ZeroAdmissionCeiling => {
                 write!(
@@ -353,6 +359,7 @@ mod tests {
             (ConfigError::NonPositiveQueryRate(0.0), "rate"),
             (ConfigError::NonPositiveCacheTtl(-1.0), "TTL"),
             (ConfigError::NegativeMergeRadius(-3.0), "merge radius"),
+            (ConfigError::NegativeCacheRadius(-3.0), "cache radius"),
             (ConfigError::ZeroAdmissionCeiling, "admission ceiling"),
         ] {
             let s = e.to_string();

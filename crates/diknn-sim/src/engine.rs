@@ -70,7 +70,10 @@ use crate::trace::{EventTrace, ProtoEvent, TraceKind};
 /// Version 7: the DIKNN serving layer keeps only its recent completion
 /// times; its admission depth is the size of its admitted set, so the
 /// separate in-flight counter and the constant rate window are gone.
-pub const SNAP_VERSION: u32 = 7;
+///
+/// Version 8: a DIKNN query's sink state is dropped when the query is
+/// finalised, so the state lost its `done` flag.
+pub const SNAP_VERSION: u32 = 8;
 
 /// Base MAC backoff window; the n-th retry waits uniform(0, window·2ⁿ).
 pub(crate) const BACKOFF_WINDOW: SimDuration = SimDuration::from_micros(640);

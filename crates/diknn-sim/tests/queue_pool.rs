@@ -301,7 +301,7 @@ fn snapshot_layout_is_pinned_to_its_version() {
     let bytes = sim.snapshot();
     assert_eq!(
         (SNAP_VERSION, diknn_snap::fingerprint(&bytes)),
-        (7, 0x5f00_10ec_0bbf_e211),
+        (8, 0x16e1_e920_71e0_e30a),
         "snapshot layout changed: bump SNAP_VERSION and re-pin"
     );
 }

@@ -120,7 +120,7 @@ fn service_snapshot_layout_is_pinned_to_its_versions() {
             SERVICE_SNAP_VERSION,
             diknn_snap::fingerprint(&bytes)
         ),
-        (7, 2, 0xf8e1_a683_0c32_f2bc),
+        (8, 2, 0xedab_597a_f93d_0efc),
         "service snapshot layout changed: bump the version and re-pin"
     );
 }

@@ -3,8 +3,8 @@
 //!
 //! A command post keeps a standing interest in the 12 sensors nearest to a
 //! protected asset, re-evaluated every 6 seconds with the infrastructure-
-//! free DIKNN rounds of [`ContinuousKnn`]. The per-round deltas show how
-//! fast the guard set rotates under mobility.
+//! free DIKNN rounds that [`ContinuousKnn`] plans. The per-round deltas
+//! show how fast the guard set rotates under mobility.
 //!
 //! ```sh
 //! cargo run --release --example perimeter_watch
@@ -31,10 +31,11 @@ fn main() {
         q: asset,
         k: 12,
     };
+    let plan = ContinuousKnn::new(vec![monitor]);
     let mut sim = Simulator::new(
         scenario.sim_config(),
         plans,
-        ContinuousKnn::new(DiknnConfig::default(), vec![monitor]),
+        Diknn::new(DiknnConfig::default(), plan.requests().to_vec()),
         seed,
     );
     sim.warm_neighbor_tables();
@@ -49,8 +50,8 @@ fn main() {
         "round", "completed", "joined", "left"
     );
     let energy = sim.ctx().total_protocol_energy_j();
-    let proto = sim.protocol_mut();
-    for d in proto.deltas().to_vec() {
+    let deltas = plan.deltas(sim.protocol().outcomes());
+    for d in &deltas {
         println!(
             "{:>5} {:>10} {:>8} {:>8}",
             d.round,
@@ -63,7 +64,7 @@ fn main() {
     }
     println!(
         "\nmean churn per round: {:.0}% of the guard set",
-        proto.mean_churn() * 100.0
+        plan.mean_churn(&deltas) * 100.0
     );
     println!("energy for the whole watch: {energy:.2} J");
 }

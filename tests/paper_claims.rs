@@ -219,3 +219,55 @@ fn kpt_accuracy_falls_with_k() {
         "KPT post-accuracy should fall with k: {k20:.3} at k = 20, {k100:.3} at k = 100"
     );
 }
+
+/// §5.3, Fig. 8(a): DIKNN answers fastest at both ends of the k range, and
+/// Peer-tree's latency grows the most with k.
+///
+/// Reduced-scale check at µmax = 10 m/s, three runs per cell. Measured at
+/// base seeds 1234, 1235 and 1236: DIKNN leads the runner-up by 0.84, 0.70
+/// and 0.59 s at k = 20 and by 0.63, 0.82 and 0.80 s at k = 100; Peer-tree
+/// grows 1.84, 1.66 and 1.67 s from k = 20 to 100, at least 0.95 s more
+/// than either other protocol. The paper also calls DIKNN's curve the
+/// flattest, but KPT grew less than DIKNN at seed 1234 (0.58 against
+/// 0.86 s) and more at 1235 (0.71 against 0.64 s) and 1236 (0.71 against
+/// 0.65 s), so neither order is asserted.
+#[test]
+fn diknn_latency_lowest_across_k_and_peertree_grows_most() {
+    let scenario = ScenarioConfig {
+        duration: 50.0,
+        ..ScenarioConfig::default()
+    };
+    let latency = |proto: &ProtocolKind, k: usize| {
+        let wl = WorkloadConfig {
+            k,
+            last_at: 30.0,
+            ..WorkloadConfig::default()
+        };
+        Experiment::new(proto.clone(), scenario.clone(), wl)
+            .run(3, 1234)
+            .latency_s
+            .mean
+    };
+    let [diknn, kpt, peertree] = [
+        ProtocolKind::Diknn(DiknnConfig::default()),
+        ProtocolKind::Kpt(KptConfig::default()),
+        ProtocolKind::PeerTree(PeerTreeConfig::default()),
+    ]
+    .map(|p| [latency(&p, 20), latency(&p, 100)]);
+    for (i, k) in [20, 100].into_iter().enumerate() {
+        let runner_up = kpt[i].min(peertree[i]);
+        assert!(
+            diknn[i] + 0.3 <= runner_up,
+            "k = {k}: DIKNN {:.2} s must lead the runner-up {runner_up:.2} s by 0.3 s",
+            diknn[i]
+        );
+    }
+    let growth = |l: [f64; 2]| l[1] - l[0];
+    assert!(
+        growth(peertree) >= growth(diknn).max(growth(kpt)) + 0.5,
+        "Peer-tree must grow the most: DIKNN +{:.2} s, KPT +{:.2} s, Peer-tree +{:.2} s",
+        growth(diknn),
+        growth(kpt),
+        growth(peertree)
+    );
+}
