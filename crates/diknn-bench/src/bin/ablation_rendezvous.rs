@@ -8,7 +8,6 @@
 
 use diknn_bench::{default_workload, print_csv_header, print_row, run_cell};
 use diknn_core::DiknnConfig;
-use diknn_mobility::placement::ClusterConfig;
 use diknn_workloads::{PlacementKind, ProtocolKind, ScenarioConfig, WorkloadConfig};
 
 fn main() {
@@ -25,7 +24,7 @@ fn main() {
             };
             let scenario = ScenarioConfig {
                 placement: if placement == "clustered" {
-                    PlacementKind::Clustered(ClusterConfig::default())
+                    PlacementKind::Clustered
                 } else {
                     PlacementKind::Uniform
                 },

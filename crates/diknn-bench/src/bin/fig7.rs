@@ -14,7 +14,6 @@
 
 use diknn_core::{Diknn, DiknnConfig, KnnProtocol, QueryRequest};
 use diknn_geom::{Point, Rect};
-use diknn_mobility::GroupConfig;
 use diknn_sim::{NodeId, SimConfig, Simulator, TraceConfig};
 use diknn_workloads::{GroundTruth, HerdSetup, PlacementKind, ScenarioConfig};
 
@@ -27,19 +26,11 @@ fn main() {
         nodes: 500,
         field,
         max_speed: 0.0,
-        placement: PlacementKind::Uniform, // overridden by the herd setup
         // True group mobility: six drifting herds plus enough independent
-        // background animals to keep the network connected.
-        herds: Some(HerdSetup {
+        // background animals that the herds stay connected through them
+        // (the paper's field is connected).
+        placement: PlacementKind::Herds(HerdSetup {
             herds: 6,
-            group: GroupConfig {
-                field,
-                leader_speed: 2.0,
-                spread: 16.0,
-                ..GroupConfig::default()
-            },
-            // Enough independent background animals that the herds stay
-            // connected through them (the paper's field is connected).
             background_fraction: 0.35,
         }),
         duration: 40.0,

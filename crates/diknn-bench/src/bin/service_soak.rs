@@ -28,10 +28,8 @@
 //! * `DIKNN_DURATION`   — simulated seconds (default 300)
 //! * `DIKNN_SVC_NODES`  — node count (default 150)
 //! * `DIKNN_SVC_RATE`   — arrival rate in queries/sec (default 0.5)
-//! * `DIKNN_SVC_EPOCH`  — epoch length in seconds (default 5)
-//! * `DIKNN_SVC_SPEED`  — max node speed in m/s (default 5)
-//! * `DIKNN_SVC_CHURN`  — churning population fraction (default 0.2)
-//! * `DIKNN_SVC_K`      — neighbour count k (default 10)
+//!
+//! Every run uses 5 s epochs, µmax 5 m/s, k = 10 and 20 % churn.
 
 // Wall-clock timing never feeds back into simulation state, so the
 // determinism ban is lifted here (the xtask pass is exempted per call site
@@ -48,30 +46,29 @@ use diknn_workloads::{
     invariants, RateSchedule, ScenarioConfig, ServiceConfig, ServiceMetrics, ServiceRun,
 };
 
-fn service_cfg(
-    nodes: usize,
-    duration: f64,
-    rate: f64,
-    epoch_s: f64,
-    speed: f64,
-    churn: f64,
-    k: usize,
-) -> ServiceConfig {
+/// Epoch length in seconds.
+const EPOCH_S: f64 = 5.0;
+/// Maximum node speed µmax in m/s.
+const SPEED: f64 = 5.0;
+/// Fraction of the population that churns.
+const CHURN: f64 = 0.2;
+/// Neighbours requested per query.
+const K: usize = 10;
+
+fn service_cfg(nodes: usize, duration: f64, rate: f64) -> ServiceConfig {
     let mut cfg = ServiceConfig::new(
         ScenarioConfig {
             nodes,
-            max_speed: speed,
+            max_speed: SPEED,
             duration,
             ..ScenarioConfig::default()
         },
         RateSchedule::constant(rate),
     );
-    cfg.k = k;
-    cfg.epoch_s = epoch_s;
+    cfg.k = K;
+    cfg.epoch_s = EPOCH_S;
     cfg.diknn.serving = ServingConfig::enabled();
-    if churn > 0.0 {
-        cfg.faults = FaultPlan::churning(churn, 60.0, 20.0, 5.0, (duration - 20.0).max(5.0));
-    }
+    cfg.faults = FaultPlan::churning(CHURN, 60.0, 20.0, 5.0, (duration - 20.0).max(5.0));
     cfg
 }
 
@@ -91,11 +88,7 @@ fn main() {
     let duration = env_f64("DIKNN_DURATION", 300.0).max(20.0);
     let nodes = env_usize("DIKNN_SVC_NODES", 150).max(10);
     let rate = env_f64("DIKNN_SVC_RATE", 0.5).max(0.01);
-    let epoch_s = env_f64("DIKNN_SVC_EPOCH", 5.0).max(0.5);
-    let speed = env_f64("DIKNN_SVC_SPEED", 5.0).max(0.0);
-    let churn = env_f64("DIKNN_SVC_CHURN", 0.2).clamp(0.0, 1.0);
-    let k = env_usize("DIKNN_SVC_K", 10).max(1);
-    let epochs = (duration / epoch_s).floor() as u64;
+    let epochs = (duration / EPOCH_S).floor() as u64;
     let cut = epochs / 2;
 
     let mut out = String::new();
@@ -106,13 +99,13 @@ fn main() {
     };
     line(format!(
         "service_soak: resident DIKNN service, {nodes} nodes, {rate} q/s, \
-         churn {churn}, {epochs} epochs x {epoch_s}s"
+         churn {CHURN}, {epochs} epochs x {EPOCH_S}s"
     ));
     line(format!(
-        "seed={seed} duration={duration}s speed={speed} k={k} snapshot_at_epoch={cut}"
+        "seed={seed} duration={duration}s speed={SPEED} k={K} snapshot_at_epoch={cut}"
     ));
 
-    let cfg = service_cfg(nodes, duration, rate, epoch_s, speed, churn, k);
+    let cfg = service_cfg(nodes, duration, rate);
 
     // Reference: uninterrupted run, sampling metrics every 10 epochs.
     let t0 = Instant::now(); // lint: wall-clock-ok
@@ -200,10 +193,10 @@ fn main() {
                 ("duration_s", Json::Fixed(duration, 1)),
                 ("nodes", nodes.into()),
                 ("rate_qps", Json::Num(rate)),
-                ("epoch_s", Json::Num(epoch_s)),
-                ("max_speed", Json::Num(speed)),
-                ("churn_fraction", Json::Num(churn)),
-                ("k", k.into()),
+                ("epoch_s", Json::Num(EPOCH_S)),
+                ("max_speed", Json::Num(SPEED)),
+                ("churn_fraction", Json::Num(CHURN)),
+                ("k", K.into()),
                 ("epochs", Json::UInt(epochs)),
                 ("snapshot_epoch", Json::UInt(cut)),
             ]),
@@ -275,7 +268,7 @@ mod tests {
 
     #[test]
     fn an_empty_latency_window_is_not_a_non_finite_metric() {
-        let run = ServiceRun::new(service_cfg(30, 20.0, 0.5, 5.0, 0.0, 0.0, 5), 1);
+        let run = ServiceRun::new(service_cfg(30, 20.0, 0.5), 1);
         let empty = run.metrics();
         assert!(empty.latency_p50_s.is_nan(), "{empty:?}");
         assert!(metrics_finite(&empty), "{empty:?}");

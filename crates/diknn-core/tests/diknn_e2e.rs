@@ -10,7 +10,9 @@ use std::sync::Arc;
 use diknn_core::{CollectionScheme, Diknn, DiknnConfig, KnnProtocol, QueryRequest};
 use diknn_geom::{Point, Rect};
 use diknn_mobility::{placement, RandomWaypoint, RwpConfig, StaticMobility};
-use diknn_sim::{NodeId, SharedMobility, SimConfig, SimDuration, Simulator, TraceConfig};
+use diknn_sim::{
+    LinkLossModel, NodeId, SharedMobility, SimConfig, SimDuration, Simulator, TraceConfig,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -380,10 +382,8 @@ fn packet_loss_degrades_gracefully() {
         q,
         k: 10,
     };
-    let cfg = SimConfig {
-        loss_rate: 0.15,
-        ..sim_config(40.0)
-    };
+    let mut cfg = sim_config(40.0);
+    cfg.faults.link_loss = LinkLossModel::Uniform(0.15);
     let mut sim = Simulator::new(cfg, mob, Diknn::new(DiknnConfig::default(), vec![req]), 131);
     sim.warm_neighbor_tables();
     sim.run();

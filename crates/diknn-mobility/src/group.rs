@@ -17,74 +17,55 @@ use diknn_geom::{Point, Rect, Vec2};
 use rand::Rng;
 use std::sync::Arc;
 
-/// Parameters of a herd.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroupConfig {
-    /// Field the herd's leader roams in.
-    pub field: Rect,
-    /// Leader (herd) speed `µmax` in m/s.
-    pub leader_speed: f64,
-    /// Radius of the herd: member reference offsets are within this.
-    pub spread: f64,
-    /// Amplitude of each member's local wander around its reference point.
-    pub wander: f64,
-    /// Period of the local wander in seconds.
-    pub wander_period: f64,
-    /// Plan horizon in seconds.
-    pub horizon: f64,
-}
-
-impl Default for GroupConfig {
-    fn default() -> Self {
-        GroupConfig {
-            field: Rect::new(0.0, 0.0, 200.0, 200.0),
-            leader_speed: 2.0,
-            spread: 15.0,
-            wander: 3.0,
-            wander_period: 20.0,
-            horizon: 200.0,
-        }
-    }
-}
-
 /// A herd: one shared leader trajectory plus per-member offsets.
 pub struct Group {
     leader: Arc<RandomWaypoint>,
-    cfg: GroupConfig,
+    field: Rect,
 }
 
 impl Group {
-    /// Create a herd whose leader starts at `center`.
-    pub fn new(center: Point, cfg: GroupConfig, rng: &mut impl Rng) -> Self {
+    /// Leader (herd) speed `µmax` in m/s: grazing speed.
+    pub const LEADER_SPEED: f64 = 2.0;
+    /// Radius of the herd: member reference offsets are within this, in
+    /// metres.
+    pub const SPREAD: f64 = 16.0;
+    /// Amplitude of each member's local wander around its reference point,
+    /// in metres.
+    const WANDER: f64 = 3.0;
+    /// Period of the local wander in seconds.
+    const WANDER_PERIOD: f64 = 20.0;
+
+    /// Create a herd whose leader starts at `center` and roams `field`,
+    /// with plans generated up to `horizon` seconds.
+    pub fn new(center: Point, field: Rect, horizon: f64, rng: &mut impl Rng) -> Self {
+        let spread = Self::SPREAD;
         let leader_cfg = RwpConfig {
             // The leader roams a shrunken field so the whole herd stays
             // inside the real one.
             field: Rect::new(
-                cfg.field.min_x + cfg.spread,
-                cfg.field.min_y + cfg.spread,
-                (cfg.field.max_x - cfg.spread).max(cfg.field.min_x + cfg.spread + 1.0),
-                (cfg.field.max_y - cfg.spread).max(cfg.field.min_y + cfg.spread + 1.0),
+                field.min_x + spread,
+                field.min_y + spread,
+                (field.max_x - spread).max(field.min_x + spread + 1.0),
+                (field.max_y - spread).max(field.min_y + spread + 1.0),
             ),
-            ..RwpConfig::new(cfg.field, cfg.leader_speed, cfg.horizon)
+            ..RwpConfig::new(field, Self::LEADER_SPEED, horizon)
         };
         Group {
             leader: Arc::new(RandomWaypoint::new(center, &leader_cfg, rng)),
-            cfg,
+            field,
         }
     }
 
     /// Spawn one member with a random reference offset and wander phase.
     pub fn member(&self, rng: &mut impl Rng) -> GroupMember {
         let theta = rng.gen_range(0.0..std::f64::consts::TAU);
-        let rho = self.cfg.spread * rng.gen_range(0.0f64..1.0).sqrt();
+        let rho = Self::SPREAD * rng.gen_range(0.0f64..1.0).sqrt();
         GroupMember {
             leader: Arc::clone(&self.leader),
             offset: Vec2::from_angle(theta) * rho,
-            wander: self.cfg.wander,
-            wander_period: self.cfg.wander_period.max(1e-3),
             phase: rng.gen_range(0.0..std::f64::consts::TAU),
             phase2: rng.gen_range(0.0..std::f64::consts::TAU),
-            field: self.cfg.field,
+            field: self.field,
         }
     }
 
@@ -98,8 +79,6 @@ impl Group {
 pub struct GroupMember {
     leader: Arc<RandomWaypoint>,
     offset: Vec2,
-    wander: f64,
-    wander_period: f64,
     phase: f64,
     phase2: f64,
     field: Rect,
@@ -108,10 +87,10 @@ pub struct GroupMember {
 impl GroupMember {
     fn wander_at(&self, t: f64) -> Vec2 {
         // Smooth quasi-random wander: two incommensurate sinusoids.
-        let w = std::f64::consts::TAU / self.wander_period;
+        let w = std::f64::consts::TAU / Group::WANDER_PERIOD;
         Vec2::new(
-            self.wander * (w * t + self.phase).sin(),
-            self.wander * (w * t * 0.731 + self.phase2).cos(),
+            Group::WANDER * (w * t + self.phase).sin(),
+            Group::WANDER * (w * t * 0.731 + self.phase2).cos(),
         )
     }
 }
@@ -130,7 +109,7 @@ impl Mobility for GroupMember {
     }
 
     fn max_speed(&self) -> f64 {
-        self.leader.max_speed() + self.wander * std::f64::consts::TAU / self.wander_period * 2.0
+        self.leader.max_speed() + Group::WANDER * std::f64::consts::TAU / Group::WANDER_PERIOD * 2.0
     }
 }
 
@@ -140,10 +119,16 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    const FIELD: Rect = Rect {
+        min_x: 0.0,
+        min_y: 0.0,
+        max_x: 200.0,
+        max_y: 200.0,
+    };
+
     fn herd(seed: u64) -> (Group, Vec<GroupMember>) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let cfg = GroupConfig::default();
-        let group = Group::new(Point::new(100.0, 100.0), cfg, &mut rng);
+        let group = Group::new(Point::new(100.0, 100.0), FIELD, 200.0, &mut rng);
         let members = (0..12).map(|_| group.member(&mut rng)).collect();
         (group, members)
     }
@@ -151,14 +136,13 @@ mod tests {
     #[test]
     fn members_stay_near_the_leader() {
         let (group, members) = herd(1);
-        let cfg = GroupConfig::default();
         for i in 0..40 {
             let t = i as f64 * 3.7;
             let leader = group.leader_position_at(t);
             for m in &members {
                 let d = m.position_at(t).dist(leader);
                 assert!(
-                    d <= cfg.spread + cfg.wander * 2.0 + 1e-6,
+                    d <= Group::SPREAD + Group::WANDER * 2.0 + 1e-6,
                     "member strayed {d} m from the herd at t={t}"
                 );
             }
@@ -168,11 +152,10 @@ mod tests {
     #[test]
     fn members_stay_inside_the_field() {
         let (_, members) = herd(2);
-        let field = GroupConfig::default().field;
         for i in 0..100 {
             let t = i as f64 * 1.3;
             for m in &members {
-                assert!(field.contains(m.position_at(t)));
+                assert!(FIELD.contains(m.position_at(t)));
             }
         }
     }
@@ -191,7 +174,7 @@ mod tests {
         for m in &members {
             let shift = m.position_at(t0).dist(m.position_at(t1));
             assert!(
-                (shift - leader_shift).abs() < GroupConfig::default().spread * 2.0 + 12.0,
+                (shift - leader_shift).abs() < Group::SPREAD * 2.0 + 12.0,
                 "member shift {shift} inconsistent with herd {leader_shift}"
             );
         }

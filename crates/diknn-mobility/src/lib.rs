@@ -30,13 +30,11 @@ pub mod placement;
 mod rwp;
 mod statics;
 mod trace;
-pub mod trace_io;
 
-pub use group::{Group, GroupConfig, GroupMember};
+pub use group::{Group, GroupMember};
 pub use rwp::{RandomWaypoint, RwpConfig};
 pub use statics::StaticMobility;
 pub use trace::WaypointTrace;
-pub use trace_io::{read_traces, write_traces, TraceError};
 
 use diknn_geom::Point;
 

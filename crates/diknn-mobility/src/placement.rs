@@ -42,47 +42,37 @@ pub fn grid(field: Rect, cols: usize, rows: usize) -> Vec<Point> {
     pts
 }
 
-/// Parameters of the clustered placement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterConfig {
-    /// Number of Gaussian clusters ("herds").
-    pub clusters: usize,
-    /// Standard deviation of each cluster, in metres.
-    pub sigma: f64,
-    /// Fraction of nodes scattered uniformly as background (0..=1); the rest
-    /// are split evenly among clusters.
-    pub background_fraction: f64,
-}
+/// Number of Gaussian clusters ("herds") of the clustered placement.
+const CLUSTERS: usize = 4;
 
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            clusters: 4,
-            sigma: 8.0,
-            background_fraction: 0.15,
-        }
-    }
-}
+/// Standard deviation of each cluster, in metres.
+const CLUSTER_SIGMA: f64 = 8.0;
 
-/// Clustered ("caribou-herd") placement: cluster centres uniform in the
-/// field, members Gaussian around their centre (clamped to the field), plus
-/// a uniform background. This produces the spatial irregularity of \[8\] that
-/// degrades density-based boundary estimation and creates itinerary voids.
-pub fn clustered(field: Rect, n: usize, cfg: &ClusterConfig, rng: &mut impl Rng) -> Vec<Point> {
-    assert!(cfg.clusters > 0, "need at least one cluster");
-    assert!(
-        (0.0..=1.0).contains(&cfg.background_fraction),
-        "background fraction must be in [0, 1]"
-    );
-    let centers: Vec<Point> = uniform(field, cfg.clusters, rng);
-    let n_background = (n as f64 * cfg.background_fraction).round() as usize;
+/// Fraction of nodes the clustered placement scatters uniformly as
+/// background; the rest are split evenly among the clusters.
+const CLUSTER_BACKGROUND: f64 = 0.15;
+
+const _: () = assert!(CLUSTERS > 0, "need at least one cluster");
+const _: () = assert!(
+    CLUSTER_BACKGROUND >= 0.0 && CLUSTER_BACKGROUND <= 1.0,
+    "background fraction must be in [0, 1]"
+);
+
+/// Clustered ("caribou-herd") placement: four cluster centres uniform in
+/// the field, members Gaussian (σ = 8 m) around their centre (clamped to
+/// the field), plus a uniform background of 15 % of the nodes. This
+/// produces the spatial irregularity of \[8\] that degrades density-based
+/// boundary estimation and creates itinerary voids.
+pub fn clustered(field: Rect, n: usize, rng: &mut impl Rng) -> Vec<Point> {
+    let centers: Vec<Point> = uniform(field, CLUSTERS, rng);
+    let n_background = (n as f64 * CLUSTER_BACKGROUND).round() as usize;
     let n_clustered = n.saturating_sub(n_background);
     let mut pts = Vec::with_capacity(n);
     for i in 0..n_clustered {
         let c = centers[i % centers.len()];
         pts.push(field.clamp(Point::new(
-            c.x + gaussian(rng) * cfg.sigma,
-            c.y + gaussian(rng) * cfg.sigma,
+            c.x + gaussian(rng) * CLUSTER_SIGMA,
+            c.y + gaussian(rng) * CLUSTER_SIGMA,
         )));
     }
     pts.extend(uniform(field, n_background, rng));
@@ -156,7 +146,7 @@ mod tests {
     #[test]
     fn clustered_stays_in_field() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let pts = clustered(field(), 300, &ClusterConfig::default(), &mut rng);
+        let pts = clustered(field(), 300, &mut rng);
         assert_eq!(pts.len(), 300);
         assert!(pts.iter().all(|&p| field().contains(p)));
     }
@@ -165,7 +155,7 @@ mod tests {
     fn clustered_is_more_irregular_than_uniform() {
         let mut rng = SmallRng::seed_from_u64(3);
         let u = uniform(field(), 400, &mut rng);
-        let c = clustered(field(), 400, &ClusterConfig::default(), &mut rng);
+        let c = clustered(field(), 400, &mut rng);
         let iu = irregularity(field(), &u, 6);
         let ic = irregularity(field(), &c, 6);
         assert!(

@@ -2,34 +2,31 @@ use crate::Mobility;
 use diknn_geom::{Point, Rect};
 use rand::Rng;
 
-/// Configuration of the random waypoint model (paper §5.1).
+/// Configuration of the random waypoint model (paper §5.1). As in the
+/// paper's setup, a node sets off for its next waypoint the moment it
+/// reaches one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RwpConfig {
     /// Field the node roams in; destinations are uniform over this rectangle.
     pub field: Rect,
-    /// Maximum speed `µmax` in m/s. Leg speeds are uniform in
-    /// `[min_speed, µmax]`.
-    pub max_speed: f64,
-    /// Minimum leg speed in m/s. The paper says "0 to µmax", but a literal
+    /// Maximum speed `µmax` in m/s. Leg speeds are uniform between a small
+    /// floor and `µmax`: the paper says "0 to µmax", but a literal
     /// zero-speed leg never terminates (the classic RWP speed-decay
-    /// pathology), so a small positive floor is used.
-    pub min_speed: f64,
-    /// Pause time at each waypoint, in seconds (0 in the paper's setup).
-    pub pause: f64,
+    /// pathology), so the floor is `0.1·µmax` clamped to
+    /// `[0.001, 0.5]` m/s.
+    pub max_speed: f64,
     /// Plan horizon in seconds: legs are generated until at least this time.
     /// Beyond the horizon the node freezes at its last position.
     pub horizon: f64,
 }
 
 impl RwpConfig {
-    /// The paper's default: roam the given field at up to `max_speed`,
-    /// no pauses, plan for `horizon` seconds.
+    /// Roam the given field at up to `max_speed`, planned for `horizon`
+    /// seconds.
     pub fn new(field: Rect, max_speed: f64, horizon: f64) -> Self {
         RwpConfig {
             field,
             max_speed,
-            min_speed: (0.1 * max_speed).clamp(1e-3, 0.5),
-            pause: 0.0,
             horizon,
         }
     }
@@ -38,7 +35,7 @@ impl RwpConfig {
 /// One straight-line leg of a random-waypoint trajectory.
 #[derive(Debug, Clone, Copy)]
 struct Leg {
-    /// Departure time from `from` (after any pause).
+    /// Departure time from `from`.
     start: f64,
     /// Arrival time at `to`; `end >= start`.
     end: f64,
@@ -48,7 +45,7 @@ struct Leg {
 }
 
 /// The random waypoint model: pick a uniform destination, walk at a uniform
-/// random speed, pause, repeat. The entire trajectory is generated eagerly
+/// random speed, repeat. The entire trajectory is generated eagerly
 /// at construction from the provided RNG, so lookups are pure and the plan
 /// can be shared with the ground-truth oracle.
 #[derive(Debug, Clone)]
@@ -62,9 +59,10 @@ impl RandomWaypoint {
     /// and speeds.
     pub fn new(start: Point, cfg: &RwpConfig, rng: &mut impl Rng) -> Self {
         assert!(cfg.max_speed > 0.0, "RWP needs a positive max speed");
+        let speed_floor = (0.1 * cfg.max_speed).clamp(1e-3, 0.5);
         assert!(
-            cfg.min_speed > 0.0 && cfg.min_speed <= cfg.max_speed,
-            "RWP min speed must be in (0, max_speed]"
+            speed_floor <= cfg.max_speed,
+            "RWP max speed must be at least the leg-speed floor (0.001 m/s)"
         );
         assert!(!cfg.field.is_empty(), "RWP field must be non-empty");
         let mut legs = Vec::new();
@@ -76,19 +74,18 @@ impl RandomWaypoint {
                 rng.gen_range(cfg.field.min_x..=cfg.field.max_x),
                 rng.gen_range(cfg.field.min_y..=cfg.field.max_y),
             );
-            let speed = rng.gen_range(cfg.min_speed..=cfg.max_speed);
+            let speed = rng.gen_range(speed_floor..=cfg.max_speed);
             let dist = pos.dist(dest);
             let travel = dist / speed;
-            let start_t = t + cfg.pause;
             legs.push(Leg {
-                start: start_t,
-                end: start_t + travel,
+                start: t,
+                end: t + travel,
                 from: pos,
                 to: dest,
                 speed,
             });
             max_seen = max_seen.max(speed);
-            t = start_t + travel;
+            t += travel;
             pos = dest;
         }
         RandomWaypoint {
@@ -115,7 +112,7 @@ impl Mobility for RandomWaypoint {
             None => self.legs.first().map(|l| l.from).unwrap_or(Point::ORIGIN),
             Some(leg) => {
                 if t >= leg.end {
-                    // Pausing at the waypoint or past the horizon.
+                    // Past the horizon (or on a zero-length leg).
                     leg.to
                 } else {
                     let frac = if leg.end > leg.start {
@@ -235,19 +232,5 @@ mod tests {
             assert!(prev.dist(cur) <= 20.0 * 0.05 + 1e-9);
             prev = cur;
         }
-    }
-
-    #[test]
-    fn pause_holds_position() {
-        let mut rng = SmallRng::seed_from_u64(13);
-        let cfg = RwpConfig {
-            pause: 5.0,
-            ..RwpConfig::new(field(), 10.0, 100.0)
-        };
-        let m = RandomWaypoint::new(Point::new(10.0, 10.0), &cfg, &mut rng);
-        // The initial pause holds the start position for 5 seconds.
-        assert_eq!(m.position_at(0.0), Point::new(10.0, 10.0));
-        assert_eq!(m.position_at(4.9), Point::new(10.0, 10.0));
-        assert_eq!(m.speed_at(2.0), 0.0);
     }
 }

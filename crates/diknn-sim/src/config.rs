@@ -58,11 +58,9 @@ pub enum ConfigError {
     EmptyField,
     /// The radio range is not positive.
     NonPositiveRadioRange(f64),
-    /// `loss_rate` outside `[0, 1)`.
+    /// The uniform link-loss probability
+    /// ([`crate::faults::LinkLossModel::Uniform`]) is outside `[0, 1)`.
     LossRateOutOfRange(f64),
-    /// `max_backoffs` is zero: no frame could ever be transmitted under
-    /// contention.
-    ZeroMaxBackoffs,
     /// `time_limit` is zero: the run would end before `on_start`.
     ZeroTimeLimit,
     /// Beaconing is enabled but the beacon interval is not shorter than
@@ -103,9 +101,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::LossRateOutOfRange(l) => {
                 write!(f, "loss rate must be in [0, 1), got {l}")
-            }
-            ConfigError::ZeroMaxBackoffs => {
-                write!(f, "max_backoffs must be nonzero (no frame could ever send)")
             }
             ConfigError::ZeroTimeLimit => write!(f, "time_limit must be nonzero"),
             ConfigError::NeighborTimeoutTooShort {
@@ -154,7 +149,9 @@ impl std::error::Error for ConfigError {}
 /// are constants beside their readers: [`BITS_PER_SEC`] and
 /// [`HEADER_BYTES`] here, [`NEIGHBOR_TIMEOUT`] in [`crate::neighbors`],
 /// [`crate::energy::TX_POWER_W`] and [`crate::energy::RX_POWER_W`] in
-/// [`crate::energy`], and the engine's `BACKOFF_WINDOW` and `BEACON_BYTES`.
+/// [`crate::energy`], and the engine's `BACKOFF_WINDOW`, `MAX_BACKOFFS`,
+/// `UNICAST_RETRIES` and `BEACON_BYTES`. Link loss lives in the fault plan
+/// ([`crate::faults::LinkLossModel`]).
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Simulation field boundary.
@@ -163,17 +160,6 @@ pub struct SimConfig {
     pub radio_range: f64,
     /// MAC mode (contention vs. contention-free).
     pub mac: MacMode,
-    /// Maximum number of MAC (re)transmission attempts when the channel is
-    /// busy before the packet is dropped.
-    pub max_backoffs: u32,
-    /// Link-layer (ARQ) retransmissions for unicast frames whose addressee
-    /// did not receive them; models the 802.11 retry behaviour.
-    pub unicast_retries: u32,
-    /// Uniform random per-reception packet loss probability in `[0, 1)`,
-    /// applied on top of collisions (models fading/interference the unit
-    /// disc cannot). Ignored when the fault plan selects a
-    /// [`crate::faults::LinkLossModel::GilbertElliott`] channel.
-    pub loss_rate: f64,
     /// Interval between neighbour beacons (0.5 s in the paper). A zero
     /// duration disables beaconing: tables then hold only what
     /// `Simulator::warm_neighbor_tables` seeded at t = 0. Beacons are the
@@ -185,8 +171,8 @@ pub struct SimConfig {
     pub neighbor_index: NeighborIndex,
     /// Hard stop: no event later than this is processed.
     pub time_limit: SimDuration,
-    /// Fault injection plan (crashes, bursty loss, jamming, energy
-    /// budgets); the default plan is inert. See [`crate::faults`].
+    /// Fault injection plan (link loss, crashes, jamming, energy budgets,
+    /// churn); the default plan is inert. See [`crate::faults`].
     pub faults: FaultPlan,
     /// Flight recorder settings (see [`crate::trace`]): typed, ring-buffered
     /// event traces for golden files and the invariant checker. Disabled by
@@ -200,9 +186,6 @@ impl Default for SimConfig {
             field: Rect::new(0.0, 0.0, 115.0, 115.0),
             radio_range: 20.0,
             mac: MacMode::Contention,
-            max_backoffs: 6,
-            unicast_retries: 3,
-            loss_rate: 0.0,
             beacon_interval: SimDuration::from_millis(500),
             neighbor_index: NeighborIndex::default(),
             time_limit: SimDuration::from_secs_f64(100.0),
@@ -220,12 +203,6 @@ impl SimConfig {
         }
         if self.radio_range <= 0.0 || self.radio_range.is_nan() {
             return Err(ConfigError::NonPositiveRadioRange(self.radio_range));
-        }
-        if !(0.0..1.0).contains(&self.loss_rate) {
-            return Err(ConfigError::LossRateOutOfRange(self.loss_rate));
-        }
-        if self.max_backoffs == 0 {
-            return Err(ConfigError::ZeroMaxBackoffs);
         }
         if self.time_limit == SimDuration::ZERO {
             return Err(ConfigError::ZeroTimeLimit);
@@ -262,10 +239,12 @@ mod tests {
     #[test]
     fn radio_constants_keep_the_former_defaults() {
         use crate::energy::{RX_POWER_W, TX_POWER_W};
-        use crate::engine::{BACKOFF_WINDOW, BEACON_BYTES};
+        use crate::engine::{BACKOFF_WINDOW, BEACON_BYTES, MAX_BACKOFFS, UNICAST_RETRIES};
         assert_eq!(BITS_PER_SEC, 250_000);
         assert_eq!(HEADER_BYTES, 16);
         assert_eq!(BACKOFF_WINDOW, SimDuration::from_micros(640));
+        assert_eq!(MAX_BACKOFFS, 6);
+        assert_eq!(UNICAST_RETRIES, 3);
         assert_eq!(BEACON_BYTES, 20);
         // 2.2 × the 0.5 s beacon interval.
         assert_eq!(NEIGHBOR_TIMEOUT, SimDuration::from_millis(500).mul_f64(2.2));
@@ -283,19 +262,13 @@ mod tests {
     #[test]
     fn validate_rejects_bad_loss_rate() {
         let c = SimConfig {
-            loss_rate: 1.5,
+            faults: FaultPlan {
+                link_loss: crate::faults::LinkLossModel::Uniform(1.5),
+                ..FaultPlan::default()
+            },
             ..SimConfig::default()
         };
         assert_eq!(c.validate(), Err(ConfigError::LossRateOutOfRange(1.5)));
-    }
-
-    #[test]
-    fn validate_rejects_zero_max_backoffs() {
-        let c = SimConfig {
-            max_backoffs: 0,
-            ..SimConfig::default()
-        };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroMaxBackoffs));
     }
 
     #[test]

@@ -73,10 +73,27 @@ use crate::trace::{EventTrace, ProtoEvent, TraceKind};
 ///
 /// Version 8: a DIKNN query's sink state is dropped when the query is
 /// finalised, so the state lost its `done` flag.
-pub const SNAP_VERSION: u32 = 8;
+///
+/// Version 9: the image ends in an FNV-1a checksum of all bytes before it,
+/// and the configuration fingerprint covers a `SimConfig` whose MAC budgets
+/// are constants and whose uniform loss rate lives in the fault plan.
+pub const SNAP_VERSION: u32 = 9;
 
 /// Base MAC backoff window; the n-th retry waits uniform(0, window·2ⁿ).
 pub(crate) const BACKOFF_WINDOW: SimDuration = SimDuration::from_micros(640);
+
+/// Carrier-sense backoffs a frame may take while the channel is busy; the
+/// next busy attempt drops it.
+pub(crate) const MAX_BACKOFFS: u32 = 6;
+
+/// Link-layer (ARQ) retransmissions of a unicast frame its addressee did
+/// not receive; models the 802.11 retry behaviour.
+pub const UNICAST_RETRIES: u32 = 3;
+
+const _: () = assert!(
+    MAX_BACKOFFS > 0,
+    "no frame could ever send under contention"
+);
 
 /// Beacon payload size in bytes (id + position + speed).
 pub(crate) const BEACON_BYTES: usize = 20;
@@ -972,10 +989,6 @@ impl<P: Protocol> Simulator<P> {
         &self.protocol
     }
 
-    pub fn protocol_mut(&mut self) -> &mut P {
-        &mut self.protocol
-    }
-
     /// Split borrow: mutable protocol alongside the (immutable) context.
     /// Lets post-run accounting (`KnnProtocol::finish`) and trace replay
     /// run without consuming the simulator.
@@ -1165,13 +1178,11 @@ impl<P: Protocol> Simulator<P> {
                     .energy_budget_j
                     .is_some_and(|b| ctx.energy[node.index()].total_j() >= b);
                 if ctx.phase(node) == NodePhase::Down && !exhausted {
-                    if ctx.cfg.faults.churn.is_some_and(|c| c.state_loss) {
-                        // Amnesiac rejoin: the node's own neighbour table
-                        // is gone; it re-learns from beacons like a
-                        // factory-fresh node. Other nodes' tables age its
-                        // old entry out on their own.
-                        ctx.tables[node.index()].clear();
-                    }
+                    // Amnesiac rejoin: the node's own neighbour table is
+                    // gone; it re-learns from beacons like a factory-fresh
+                    // node. Other nodes' tables age its old entry out on
+                    // their own.
+                    ctx.tables[node.index()].clear();
                     ctx.nodes.phase[node.index()] = NodePhase::Up;
                     ctx.stats.nodes_rejoined += 1;
                     ctx.trace_event(node, TraceKind::Rejoin);
@@ -1227,7 +1238,7 @@ impl<P: Protocol> Simulator<P> {
                 if ctx.channel_busy(from) {
                     let p = ctx.frames.get_mut(h).expect("pending tx");
                     p.backoffs += 1;
-                    if p.backoffs > ctx.cfg.max_backoffs {
+                    if p.backoffs > MAX_BACKOFFS {
                         ctx.stats.mac_drops += 1;
                         let p = ctx.frames.remove(h).expect("pending tx");
                         if let (Destination::Unicast(to), Frame::Proto(msg)) = (p.dest, p.frame) {
@@ -1376,8 +1387,8 @@ impl<P: Protocol> Simulator<P> {
                 }
             }
             match ctx.cfg.faults.link_loss {
-                LinkLossModel::Uniform => {
-                    if ctx.cfg.loss_rate > 0.0 && ctx.rng.gen::<f64>() < ctx.cfg.loss_rate {
+                LinkLossModel::Uniform(loss) => {
+                    if loss > 0.0 && ctx.rng.gen::<f64>() < loss {
                         ctx.stats.random_losses += 1;
                         continue;
                     }
@@ -1446,7 +1457,7 @@ impl<P: Protocol> Simulator<P> {
                             msg,
                             to: successes,
                         }
-                    } else if retries < ctx.cfg.unicast_retries {
+                    } else if retries < UNICAST_RETRIES {
                         // ARQ: put the frame back (a fresh pool slot) and
                         // try again shortly.
                         ctx.stats.arq_retries += 1;
@@ -1654,7 +1665,7 @@ where
         w.put_u64(self.ctx.mobility_fingerprint());
         self.ctx.snap_engine_state(&mut w);
         self.protocol.snap_state(&mut w);
-        w.into_bytes()
+        diknn_snap::seal(w)
     }
 
     /// Rebuild a simulator from a [`Simulator::snapshot`] stream.
@@ -1664,16 +1675,16 @@ where
     /// constructed instance with the same static configuration — its
     /// mutable state is overwritten from the stream. Panics (like
     /// [`Simulator::new`]) if `cfg` is invalid or `mobility` is empty;
-    /// all stream problems are reported as errors.
+    /// all stream problems are reported as errors. The header and checksum
+    /// are checked before anything is decoded.
     pub fn restore(
         bytes: &[u8],
         cfg: SimConfig,
         mobility: Vec<SharedMobility>,
         protocol: P,
     ) -> Result<Self, SnapError> {
+        let mut r = diknn_snap::open(bytes, SNAP_VERSION)?;
         let mut sim = Simulator::new(cfg, mobility, protocol, 0);
-        let mut r = SnapReader::new(bytes);
-        diknn_snap::read_header(&mut r, SNAP_VERSION)?;
         if r.take_u64()? != sim.ctx.config_fingerprint() {
             return Err(SnapError::FingerprintMismatch("SimConfig"));
         }

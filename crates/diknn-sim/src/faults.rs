@@ -1,12 +1,11 @@
 //! Fault injection: a seeded, deterministic plan of things going wrong.
 //!
 //! The paper's whole argument (§3–§5) is that a single itinerary token
-//! survives a hostile environment. The uniform `loss_rate` of
-//! [`crate::SimConfig`] cannot express the failures real deployments see:
-//! node crashes and battery deaths, *bursty* correlated link loss (802.11
-//! fading is not i.i.d.), and spatially correlated interference. A
-//! [`FaultPlan`] describes those failure processes declaratively; the
-//! engine executes them.
+//! survives a hostile environment. A [`FaultPlan`] describes the failures
+//! real deployments see declaratively, and the engine executes them: link
+//! loss (uniform i.i.d. or *bursty* correlated, since 802.11 fading is not
+//! i.i.d.), node crashes and battery deaths, spatially correlated
+//! interference, and leave/rejoin churn.
 //!
 //! Determinism: everything random about a plan (which nodes crash under
 //! [`RandomCrashes`], when; Gilbert–Elliott state transitions; jam-zone
@@ -68,17 +67,6 @@ pub struct GilbertElliott {
 }
 
 impl GilbertElliott {
-    /// A plausible default: rare entry into bursts (2%), mean burst of
-    /// five frames, near-clean good state, 80% loss inside a burst.
-    pub fn typical() -> Self {
-        GilbertElliott {
-            p_gb: 0.02,
-            p_bg: 0.2,
-            good_loss: 0.01,
-            bad_loss: 0.8,
-        }
-    }
-
     /// Scale burst severity: `severity` in `[0, 1]` interpolates from
     /// no loss at all to an aggressive bursty channel (10% burst entry,
     /// mean burst of ten frames, 95% in-burst loss).
@@ -123,16 +111,23 @@ impl GilbertElliott {
     }
 }
 
-/// Link-loss process applied to otherwise-successful receptions.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Link-loss process applied to otherwise-successful receptions (on top
+/// of collisions): the run's one loss model.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkLossModel {
-    /// The pre-existing uniform i.i.d. loss: every reception is dropped
-    /// with `SimConfig::loss_rate`, independently.
-    #[default]
-    Uniform,
-    /// Bursty two-state loss; **replaces** the uniform `loss_rate` (the
-    /// chain's `good_loss`/`bad_loss` are the whole loss process).
+    /// Uniform i.i.d. loss: every reception is dropped independently with
+    /// this probability, in `[0, 1)` (fading and interference the unit
+    /// disc cannot model). `Uniform(0.0)`, the default, loses nothing.
+    Uniform(f64),
+    /// Bursty two-state loss: the chain's `good_loss`/`bad_loss` are the
+    /// whole loss process.
     GilbertElliott(GilbertElliott),
+}
+
+impl Default for LinkLossModel {
+    fn default() -> Self {
+        LinkLossModel::Uniform(0.0)
+    }
 }
 
 /// Spatial region of a jamming zone.
@@ -171,8 +166,11 @@ pub struct JamZone {
 /// leaves, stays away for a while, rejoins, and repeats until the window
 /// closes. Departures are clipped to `[from, until]`; a rejoin scheduled
 /// past `until` still happens, so the network always heals after the churn
-/// window. Node choice and all dwell times are drawn from a generator
-/// derived from the run seed — same `(seed, plan)` ⇒ same churn schedule.
+/// window. A rejoining node comes back amnesiac: its neighbour table is
+/// wiped and re-learned from beacons (unlike the flash-backed reboot of
+/// [`CrashSpec::recover_after`]). Node choice and all dwell times are
+/// drawn from a generator derived from the run seed — same `(seed, plan)`
+/// ⇒ same churn schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnPlan {
     /// Fraction of all nodes that participate in churn, in `[0, 1]`.
@@ -184,11 +182,6 @@ pub struct ChurnPlan {
     /// Departures occur only inside `[from, until]`.
     pub from: SimDuration,
     pub until: SimDuration,
-    /// When true, a rejoining node comes back amnesiac: its neighbour
-    /// table is wiped and must be re-learned from beacons (the "rejoin
-    /// with state loss" model). When false, rejoin behaves like the
-    /// flash-backed reboot of [`CrashSpec::recover_after`].
-    pub state_loss: bool,
 }
 
 impl ChurnPlan {
@@ -219,14 +212,14 @@ impl ChurnPlan {
 }
 
 /// The full fault-injection plan of a run. The default plan is inert:
-/// no crashes, uniform link loss, no jamming, unlimited energy, no churn.
+/// no link loss, no crashes, no jamming, unlimited energy, no churn.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Scheduled fail-stop crashes of specific nodes.
     pub crashes: Vec<CrashSpec>,
     /// Seed-derived random crashes of a population fraction.
     pub random_crashes: Option<RandomCrashes>,
-    /// Link-loss process (uniform `loss_rate` vs Gilbert–Elliott).
+    /// Link-loss process (uniform vs Gilbert–Elliott).
     pub link_loss: LinkLossModel,
     /// Spatio-temporal jamming zones.
     pub jam_zones: Vec<JamZone>,
@@ -238,11 +231,11 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// True when the plan injects nothing (the engine fast-paths this).
+    /// True when the plan injects nothing.
     pub fn is_inert(&self) -> bool {
         self.crashes.is_empty()
             && self.random_crashes.is_none()
-            && self.link_loss == LinkLossModel::Uniform
+            && self.link_loss == LinkLossModel::default()
             && self.jam_zones.is_empty()
             && self.energy_budget_j.is_none()
             && self.churn.is_none()
@@ -264,7 +257,7 @@ impl FaultPlan {
 
     /// A plan with only leave/rejoin churn: `fraction` of nodes cycle on
     /// the given mean up/down dwell times (seconds) inside `[from, until]`
-    /// seconds, rejoining amnesiac (state loss on).
+    /// seconds, rejoining amnesiac.
     pub fn churning(
         fraction: f64,
         mean_up_s: f64,
@@ -279,7 +272,6 @@ impl FaultPlan {
                 mean_down_s,
                 from: SimDuration::from_secs_f64(from),
                 until: SimDuration::from_secs_f64(until),
-                state_loss: true,
             }),
             ..FaultPlan::default()
         }
@@ -319,8 +311,13 @@ impl FaultPlan {
                 ));
             }
         }
-        if let LinkLossModel::GilbertElliott(ge) = &self.link_loss {
-            ge.validate()?;
+        match self.link_loss {
+            LinkLossModel::Uniform(p) => {
+                if !(0.0..1.0).contains(&p) {
+                    return Err(ConfigError::LossRateOutOfRange(p));
+                }
+            }
+            LinkLossModel::GilbertElliott(ge) => ge.validate()?,
         }
         for (i, z) in self.jam_zones.iter().enumerate() {
             if !(0.0..=1.0).contains(&z.loss) {
@@ -369,6 +366,12 @@ mod tests {
 
     #[test]
     fn builders_are_not_inert() {
+        let lossy = FaultPlan {
+            link_loss: LinkLossModel::Uniform(0.1),
+            ..FaultPlan::default()
+        };
+        assert!(!lossy.is_inert());
+        assert!(lossy.validate().is_ok());
         assert!(!FaultPlan::random_crashes(0.2, 0.0, 10.0).is_inert());
         assert!(!FaultPlan::bursty(0.5).is_inert());
         assert!(!FaultPlan::churning(0.2, 20.0, 5.0, 0.0, 100.0).is_inert());
@@ -417,7 +420,7 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(p.validate().is_err());
-        let mut ge = GilbertElliott::typical();
+        let mut ge = GilbertElliott::with_severity(0.5);
         ge.bad_loss = 1.2;
         let p = FaultPlan {
             link_loss: LinkLossModel::GilbertElliott(ge),

@@ -8,8 +8,8 @@
 //!   receives `on_message` / `on_timer` / `on_send_failed` callbacks.
 //! * A CSMA/CA-style MAC ([`config::MacMode`]) with carrier sense, binary
 //!   exponential backoff, a collision model that destroys overlapping
-//!   receptions (including hidden-terminal cases), optional uniform packet
-//!   loss, and link-layer retries for unicast frames.
+//!   receptions (including hidden-terminal cases), link loss from the
+//!   [`FaultPlan`], and link-layer retries for unicast frames.
 //! * Periodic location beacons feeding per-node
 //!   [`NeighborTable`](neighbors::NeighborTable)s — the "table enrolling IDs
 //!   and locations of neighbor nodes" of §3.1. A table keeps who was heard
@@ -78,7 +78,9 @@ pub mod time;
 pub mod trace;
 
 pub use config::{ConfigError, MacMode, NeighborIndex, SimConfig};
-pub use engine::{Ctx, Destination, Protocol, SharedMobility, Simulator, SNAP_VERSION};
+pub use engine::{
+    Ctx, Destination, Protocol, SharedMobility, Simulator, SNAP_VERSION, UNICAST_RETRIES,
+};
 pub use faults::{
     ChurnPlan, CrashSpec, FaultPlan, FaultRegion, GilbertElliott, JamZone, LinkLossModel,
     RandomCrashes,

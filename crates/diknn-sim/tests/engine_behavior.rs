@@ -6,8 +6,8 @@ use std::sync::Arc;
 use diknn_geom::{Point, Rect};
 use diknn_mobility::{RandomWaypoint, RwpConfig, StaticMobility, WaypointTrace};
 use diknn_sim::{
-    Ctx, MacMode, Neighbor, NeighborIndex, NodeId, Protocol, SharedMobility, SimConfig,
-    SimDuration, SimTime, Simulator,
+    Ctx, FaultPlan, LinkLossModel, MacMode, Neighbor, NeighborIndex, NodeId, Protocol,
+    SharedMobility, SimConfig, SimDuration, SimTime, Simulator,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -253,7 +253,10 @@ fn random_loss_drops_some_receptions() {
         }
     }
     let cfg = SimConfig {
-        loss_rate: 0.3,
+        faults: FaultPlan {
+            link_loss: LinkLossModel::Uniform(0.3),
+            ..FaultPlan::default()
+        },
         ..quiet_config()
     };
     let nodes = static_nodes(&[(0.0, 0.0), (10.0, 0.0)]);
@@ -387,7 +390,10 @@ fn runs_are_deterministic_per_seed() {
             .collect();
         let cfg = SimConfig {
             time_limit: SimDuration::from_secs_f64(10.0),
-            loss_rate: 0.05,
+            faults: FaultPlan {
+                link_loss: LinkLossModel::Uniform(0.05),
+                ..FaultPlan::default()
+            },
             ..SimConfig::default()
         };
         let mut sim = Simulator::new(cfg, nodes, Chatty, seed);

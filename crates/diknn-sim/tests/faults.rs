@@ -260,10 +260,13 @@ fn inert_plan_changes_nothing() {
         (*sim.ctx().stats(), sim.ctx().total_energy_j())
     };
     let mut cfg = quiet_config();
-    cfg.loss_rate = 0.1;
+    cfg.faults.link_loss = LinkLossModel::Uniform(0.1);
     cfg.time_limit = SimDuration::from_secs_f64(12.0);
     let baseline = run(cfg.clone());
-    cfg.faults = FaultPlan::default();
+    cfg.faults = FaultPlan {
+        link_loss: LinkLossModel::Uniform(0.1),
+        ..FaultPlan::default()
+    };
     assert_eq!(baseline, run(cfg));
 }
 

@@ -9,6 +9,7 @@ use diknn_sim::config::{BITS_PER_SEC, HEADER_BYTES};
 use diknn_sim::energy::RX_POWER_W;
 use diknn_sim::{
     Ctx, MacMode, NodeId, Protocol, SharedMobility, SimConfig, SimDuration, Simulator,
+    UNICAST_RETRIES,
 };
 
 fn static_nodes(points: &[(f64, f64)]) -> Vec<SharedMobility> {
@@ -131,19 +132,13 @@ fn arq_gives_up_after_configured_retries() {
             self.failures += 1;
         }
     }
-    for retries in [0u32, 1, 5] {
-        let cfg = SimConfig {
-            unicast_retries: retries,
-            ..quiet()
-        };
-        let nodes = static_nodes(&[(0.0, 0.0), (100.0, 0.0)]);
-        let mut sim = Simulator::new(cfg, nodes, Fail { failures: 0 }, 1);
-        sim.run();
-        assert_eq!(sim.protocol().failures, 1);
-        let s = sim.ctx().stats();
-        assert_eq!(s.tx_frames, 1 + retries as u64, "retries={retries}");
-        assert_eq!(s.arq_retries, retries as u64);
-    }
+    let nodes = static_nodes(&[(0.0, 0.0), (100.0, 0.0)]);
+    let mut sim = Simulator::new(quiet(), nodes, Fail { failures: 0 }, 1);
+    sim.run();
+    assert_eq!(sim.protocol().failures, 1);
+    let s = sim.ctx().stats();
+    assert_eq!(s.tx_frames, 1 + u64::from(UNICAST_RETRIES));
+    assert_eq!(s.arq_retries, u64::from(UNICAST_RETRIES));
 }
 
 #[test]
@@ -302,16 +297,21 @@ fn backoff_saturation_drops_frames() {
     }
     let cfg = SimConfig {
         time_limit: SimDuration::from_secs_f64(3.0),
-        max_backoffs: 3,
         ..quiet()
     };
     let nodes = static_nodes(&[(0.0, 0.0), (15.0, 0.0), (30.0, 0.0), (15.0, 15.0)]);
     let mut sim = Simulator::new(cfg, nodes, Saturate { dropped: false }, 3);
     sim.run();
     let s = sim.ctx().stats();
+    // The budget of `MAX_BACKOFFS` busy attempts runs out: the frame is
+    // dropped at the MAC and its sender told.
     assert!(
-        sim.protocol().dropped || s.mac_drops > 0 || s.unicast_failures > 0,
-        "sustained jamming should cost something: {s:?}"
+        s.mac_drops > 0,
+        "sustained jamming must exhaust the backoffs: {s:?}"
+    );
+    assert!(
+        sim.protocol().dropped,
+        "the sender must learn of the drop: {s:?}"
     );
 }
 

@@ -301,15 +301,23 @@ fn snapshot_layout_is_pinned_to_its_version() {
     let bytes = sim.snapshot();
     assert_eq!(
         (SNAP_VERSION, diknn_snap::fingerprint(&bytes)),
-        (8, 0x16e1_e920_71e0_e30a),
+        (9, 0x5ed0_aa8d_e0bc_38a2),
         "snapshot layout changed: bump SNAP_VERSION and re-pin"
     );
+}
+
+/// Recompute an edited image's trailing checksum, so the edit reaches the
+/// decoder's own checks instead of failing the checksum.
+fn reseal(image: &mut [u8]) {
+    let body = image.len() - 8;
+    let sum = diknn_snap::fingerprint(&image[..body]);
+    image[body..].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// A neighbour-table entry is an index into the mobility plans plus the
 /// time to evaluate them at, so a restore must refuse, with a typed error
 /// rather than a panic, an entry that names no node or that was heard after
-/// the snapshot's own clock.
+/// the snapshot's own clock. The edited images carry a recomputed checksum.
 #[test]
 fn restore_refuses_corrupt_neighbor_entries() {
     let nodes: Vec<SharedMobility> = [(10.0, 10.0), (25.0, 10.0), (10.0, 25.0)]
@@ -339,6 +347,12 @@ fn restore_refuses_corrupt_neighbor_entries() {
 
     let mut bad_id = bytes.clone();
     bad_id[id_at..id_at + 4].copy_from_slice(&3u32.to_le_bytes());
+    assert_eq!(
+        restore(&bad_id),
+        Err(diknn_snap::SnapError::Corrupt("checksum mismatch")),
+        "an edit without a new checksum fails the checksum"
+    );
+    reseal(&mut bad_id);
     assert!(
         matches!(restore(&bad_id), Err(diknn_snap::SnapError::Corrupt(_))),
         "an entry naming node 3 of 3 must be refused"
@@ -347,6 +361,7 @@ fn restore_refuses_corrupt_neighbor_entries() {
     let late = word(16) + 1;
     let mut bad_time = bytes.clone();
     bad_time[time_at..time_at + 8].copy_from_slice(&late.to_le_bytes());
+    reseal(&mut bad_time);
     assert!(
         matches!(restore(&bad_time), Err(diknn_snap::SnapError::Corrupt(_))),
         "an entry heard after the snapshot time must be refused"

@@ -22,12 +22,15 @@
 //! ## Format versioning rule
 //!
 //! A snapshot stream starts with [`MAGIC`] plus a `u32` format version
-//! written by [`write_header`]. [`read_header`] rejects any mismatch:
-//! snapshots are *not* forward- or backward-compatible, on purpose. Any
-//! change to any `Snap`/`SnapState` impl that alters the byte stream must
-//! bump the owning crate's snapshot version constant (the simulator's is
-//! `diknn_sim::SNAP_VERSION`), invalidating old snapshots loudly rather
-//! than misreading them quietly.
+//! written by [`write_header`], and [`seal`] ends it with an FNV-1a
+//! checksum of every byte before it. [`open`] checks the header first and
+//! rejects any mismatch: snapshots are *not* forward- or
+//! backward-compatible, on purpose. Any change to any `Snap`/`SnapState`
+//! impl that alters the byte stream must bump the owning crate's snapshot
+//! version constant (the simulator's is `diknn_sim::SNAP_VERSION`),
+//! invalidating old snapshots loudly rather than misreading them quietly.
+//! [`open`] then checks the checksum, so a damaged image is refused with
+//! [`SnapError::Corrupt`] before any of it is decoded.
 
 #![forbid(unsafe_code)]
 
@@ -207,7 +210,7 @@ pub fn write_header(w: &mut SnapWriter, version: u32) {
 
 /// Check the stream header, rejecting any magic or version mismatch (the
 /// snapshot versioning rule: no cross-version reads, ever).
-pub fn read_header(r: &mut SnapReader<'_>, expected: u32) -> Result<(), SnapError> {
+fn read_header(r: &mut SnapReader<'_>, expected: u32) -> Result<(), SnapError> {
     let magic = r.take(4)?;
     if magic != MAGIC {
         return Err(SnapError::BadMagic);
@@ -217,6 +220,39 @@ pub fn read_header(r: &mut SnapReader<'_>, expected: u32) -> Result<(), SnapErro
         return Err(SnapError::BadVersion { found, expected });
     }
     Ok(())
+}
+
+/// Bytes of the checksum [`seal`] appends.
+const CHECKSUM_BYTES: usize = 8;
+
+/// Finish an image begun with [`write_header`]: append the FNV-1a
+/// [`fingerprint`] of every byte written so far.
+pub fn seal(w: SnapWriter) -> Vec<u8> {
+    let mut buf = w.buf;
+    let sum = fingerprint(&buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    buf
+}
+
+/// Open a [`seal`]ed image before decoding any of it: check the header
+/// (magic, then `version`), then the checksum over everything before it.
+/// The reader starts after the header and ends before the checksum.
+pub fn open(bytes: &[u8], version: u32) -> Result<SnapReader<'_>, SnapError> {
+    let mut r = SnapReader::new(bytes);
+    read_header(&mut r, version)?;
+    if r.remaining() < CHECKSUM_BYTES {
+        return Err(SnapError::Eof);
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_BYTES);
+    let mut sum = [0u8; CHECKSUM_BYTES];
+    sum.copy_from_slice(tail);
+    if fingerprint(body) != u64::from_le_bytes(sum) {
+        return Err(SnapError::Corrupt("checksum mismatch"));
+    }
+    Ok(SnapReader {
+        buf: body,
+        pos: r.pos,
+    })
 }
 
 /// A value that can be encoded into and rebuilt from a snapshot stream.
@@ -673,6 +709,36 @@ mod tests {
         garbage[0] = b'X';
         let mut r = SnapReader::new(&garbage);
         assert_eq!(read_header(&mut r, 3), Err(SnapError::BadMagic));
+    }
+
+    #[test]
+    fn open_checks_the_header_then_the_checksum() {
+        let mut w = SnapWriter::new();
+        write_header(&mut w, 3);
+        w.put_u64(0xDEAD_BEEF);
+        let bytes = seal(w);
+        let mut r = open(&bytes, 3).expect("a sealed image opens");
+        assert_eq!(r.take_u64(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.finish(), Ok(()));
+        // The header is checked before the checksum, so a version skew
+        // keeps its own error.
+        assert_eq!(
+            open(&bytes, 4).err(),
+            Some(SnapError::BadVersion {
+                found: 3,
+                expected: 4
+            })
+        );
+        for at in 8..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x10;
+            assert_eq!(
+                open(&bad, 3).err(),
+                Some(SnapError::Corrupt("checksum mismatch")),
+                "a flip at byte {at} went unseen"
+            );
+        }
+        assert_eq!(open(&bytes[..12], 3).err(), Some(SnapError::Eof));
     }
 
     #[test]

@@ -3,30 +3,34 @@
 use std::sync::Arc;
 
 use diknn_geom::{Point, Rect};
-use diknn_mobility::{placement, Group, GroupConfig, RandomWaypoint, RwpConfig, StaticMobility};
+use diknn_mobility::{placement, Group, RandomWaypoint, RwpConfig, StaticMobility};
 use diknn_sim::{SharedMobility, SimConfig, SimDuration};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Initial node placement.
+/// Initial node placement, and with it how the nodes move.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlacementKind {
-    /// Uniform random (the paper's main experiments, §5.1).
+    /// Uniform random (the paper's main experiments, §5.1); nodes move by
+    /// random waypoint at up to `max_speed`.
     Uniform,
     /// Clustered "caribou-herd" placement standing in for the real-world
-    /// distribution of Figure 7 (see DESIGN.md substitutions).
-    Clustered(placement::ClusterConfig),
+    /// distribution of Figure 7 (see DESIGN.md substitutions), with
+    /// [`placement::clustered`]'s constants; nodes move as under `Uniform`.
+    Clustered,
+    /// Cohesive mobile herds (Reference-Point Group Mobility) plus an
+    /// independent background; `max_speed` is not used.
+    Herds(HerdSetup),
 }
 
 /// Herd (group mobility) setup: nodes move as cohesive groups following
-/// wandering leaders — the Figure 7 caribou behaviour.
+/// wandering leaders — the Figure 7 caribou behaviour. Each herd moves
+/// with [`Group`]'s constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HerdSetup {
     /// Number of herds; nodes are split evenly among them (after the
     /// background share).
     pub herds: usize,
-    /// Per-herd mobility parameters (field is overridden by the scenario).
-    pub group: GroupConfig,
     /// Fraction of nodes roaming independently (RWP) as background.
     pub background_fraction: f64,
 }
@@ -40,10 +44,8 @@ pub struct ScenarioConfig {
     pub field: Rect,
     /// Maximum RWP speed `µmax` in m/s (0 ⇒ static network).
     pub max_speed: f64,
+    /// Initial placement, and with it the motion model.
     pub placement: PlacementKind,
-    /// When set, overrides `max_speed`/`placement` with cohesive mobile
-    /// herds (Reference-Point Group Mobility).
-    pub herds: Option<HerdSetup>,
     /// Simulated duration in seconds (100 s per run in the paper).
     pub duration: f64,
     /// Extra stationary infrastructure positions appended after the data
@@ -58,7 +60,6 @@ impl Default for ScenarioConfig {
             field: Rect::new(0.0, 0.0, 115.0, 115.0),
             max_speed: 10.0,
             placement: PlacementKind::Uniform,
-            herds: None,
             duration: 100.0,
             infrastructure: Vec::new(),
         }
@@ -82,14 +83,10 @@ impl ScenarioConfig {
     /// cloned to share the *same* plans with the ground-truth oracle.
     pub fn build(&self, seed: u64) -> Vec<SharedMobility> {
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-        if let Some(setup) = self.herds {
-            return self.build_herds(setup, &mut rng);
-        }
         let starts = match self.placement {
             PlacementKind::Uniform => placement::uniform(self.field, self.nodes, &mut rng),
-            PlacementKind::Clustered(cfg) => {
-                placement::clustered(self.field, self.nodes, &cfg, &mut rng)
-            }
+            PlacementKind::Clustered => placement::clustered(self.field, self.nodes, &mut rng),
+            PlacementKind::Herds(setup) => return self.build_herds(setup, &mut rng),
         };
         // Plans must outlive post-completion accuracy checks.
         let horizon = self.duration + 30.0;
@@ -118,15 +115,10 @@ impl ScenarioConfig {
         assert!(setup.herds > 0, "need at least one herd");
         assert!((0.0..=1.0).contains(&setup.background_fraction));
         let horizon = self.duration + 30.0;
-        let group_cfg = GroupConfig {
-            field: self.field,
-            horizon,
-            ..setup.group
-        };
         let centers = placement::uniform(self.field, setup.herds, rng);
         let groups: Vec<Group> = centers
             .into_iter()
-            .map(|c| Group::new(c, group_cfg, rng))
+            .map(|c| Group::new(c, self.field, horizon, rng))
             .collect();
         let n_background = (self.nodes as f64 * setup.background_fraction).round() as usize;
         let n_members = self.nodes.saturating_sub(n_background);
@@ -134,7 +126,7 @@ impl ScenarioConfig {
         for i in 0..n_members {
             plans.push(Arc::new(groups[i % groups.len()].member(rng)) as SharedMobility);
         }
-        let bg_speed = setup.group.leader_speed.max(1.0);
+        let bg_speed = Group::LEADER_SPEED.max(1.0);
         for p in placement::uniform(self.field, n_background, rng) {
             plans.push(Arc::new(RandomWaypoint::new(
                 p,
@@ -230,9 +222,8 @@ mod tests {
     fn herd_scenario_builds_cohesive_groups() {
         let s = ScenarioConfig {
             nodes: 60,
-            herds: Some(HerdSetup {
+            placement: PlacementKind::Herds(HerdSetup {
                 herds: 3,
-                group: GroupConfig::default(),
                 background_fraction: 0.1,
             }),
             duration: 50.0,
@@ -249,10 +240,7 @@ mod tests {
         }
         // Members of the same herd stay close to each other over time.
         let d0 = plans[0].position_at(40.0).dist(plans[3].position_at(40.0));
-        assert!(
-            d0 < 2.5 * GroupConfig::default().spread + 10.0,
-            "herd dispersed: {d0}"
-        );
+        assert!(d0 < 2.5 * Group::SPREAD + 10.0, "herd dispersed: {d0}");
     }
 
     #[test]

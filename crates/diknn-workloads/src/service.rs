@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 
 use diknn_core::{Diknn, DiknnConfig, DiknnMsg, KnnProtocol, QueryOutcome, QueryStatus};
 use diknn_sim::{Ctx, FaultPlan, NeighborIndex, SimTime, Simulator, TraceConfig};
-use diknn_snap::{Snap, SnapError, SnapReader, SnapWriter};
+use diknn_snap::{Snap, SnapError, SnapWriter};
 
 use crate::metrics::percentile;
 use crate::scenario::ScenarioConfig;
@@ -53,7 +53,11 @@ use crate::workload::{epoch_arrivals, RateSchedule};
 ///
 /// Version 2: the driver keeps the visited qids still pending instead of
 /// every qid it ever counted.
-pub const SERVICE_SNAP_VERSION: u32 = 2;
+///
+/// Version 3: the image ends in an FNV-1a checksum of all bytes before it,
+/// and the configuration fingerprint covers a `ScenarioConfig` whose herd
+/// setup is a placement.
+pub const SERVICE_SNAP_VERSION: u32 = 3;
 
 /// Rolling window (number of recent terminal queries) for the latency
 /// percentiles in [`ServiceMetrics`].
@@ -336,7 +340,7 @@ impl ServiceRun {
         w.put_u64(self.terminal);
         w.put_u64(self.completed);
         self.sim.snapshot().snap(&mut w);
-        w.into_bytes()
+        diknn_snap::seal(w)
     }
 
     /// Rebuild a run from [`ServiceRun::snapshot`] bytes and the original
@@ -344,8 +348,7 @@ impl ServiceRun {
     /// from the scenario and seed; neighbour tables come from the stream,
     /// so no re-warming happens (it would clobber the restored state).
     pub fn restore(bytes: &[u8], cfg: ServiceConfig) -> Result<Self, SnapError> {
-        let mut r = SnapReader::new(bytes);
-        diknn_snap::read_header(&mut r, SERVICE_SNAP_VERSION)?;
+        let mut r = diknn_snap::open(bytes, SERVICE_SNAP_VERSION)?;
         let fp = r.take_u64()?;
         let seed = r.take_u64()?;
         if fp != cfg.fingerprint(seed) {

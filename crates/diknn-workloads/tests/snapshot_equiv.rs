@@ -120,7 +120,44 @@ fn service_snapshot_layout_is_pinned_to_its_versions() {
             SERVICE_SNAP_VERSION,
             diknn_snap::fingerprint(&bytes)
         ),
-        (8, 2, 0xedab_597a_f93d_0efc),
+        (9, 3, 0xdf13_5c54_9dd1_7e8c),
         "service snapshot layout changed: bump the version and re-pin"
     );
+}
+
+/// A damaged service image is refused, not restored: 200 seeded flips of
+/// one to three distinct bits anywhere in a 60-node image at epoch 10 (a
+/// mobile, churning run) each end in a `SnapError`. The trailing checksum
+/// catches the flips the decoder's own structural checks would miss.
+#[test]
+fn bit_flipped_service_images_are_refused() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    let cfg = service_cfg(60, 5.0, true, false);
+    let mut run = ServiceRun::new(cfg.clone(), 3);
+    run.run_epochs(10);
+    let image = run.snapshot();
+    drop(run);
+    assert!(ServiceRun::restore(&image, cfg.clone()).is_ok());
+    let bits = image.len() * 8;
+    let mut rng = SmallRng::seed_from_u64(0x5EA1);
+    for case in 0..200 {
+        let mut flips: Vec<usize> = Vec::new();
+        let n = rng.gen_range(1..=3);
+        while flips.len() < n {
+            let bit = rng.gen_range(0..bits);
+            if !flips.contains(&bit) {
+                flips.push(bit);
+            }
+        }
+        let mut bad = image.clone();
+        for &bit in &flips {
+            bad[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(
+            ServiceRun::restore(&bad, cfg.clone()).is_err(),
+            "case {case}: the image with bits {flips:?} flipped restored"
+        );
+    }
 }

@@ -11,7 +11,6 @@
 //! cargo run --release --example wildlife_tracking
 //! ```
 
-use diknn_repro::mobility::GroupConfig;
 use diknn_repro::prelude::*;
 use diknn_repro::sim::TraceConfig;
 use diknn_repro::workloads::{GroundTruth, HerdSetup};
@@ -22,15 +21,8 @@ fn main() {
         nodes: 400,
         field,
         max_speed: 0.0,
-        placement: PlacementKind::Uniform, // overridden by the herd setup
-        herds: Some(HerdSetup {
+        placement: PlacementKind::Herds(HerdSetup {
             herds: 5,
-            group: GroupConfig {
-                field,
-                leader_speed: 2.0, // grazing speed
-                spread: 16.0,
-                ..GroupConfig::default()
-            },
             background_fraction: 0.3,
         }),
         duration: 60.0,

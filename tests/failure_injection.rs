@@ -3,7 +3,7 @@
 //! completion is expected; hangs, panics, or nonsense metrics are not.
 
 use diknn_repro::prelude::*;
-use diknn_repro::sim::MacMode;
+use diknn_repro::sim::{LinkLossModel, MacMode};
 
 fn base_scenario() -> ScenarioConfig {
     ScenarioConfig {
@@ -31,11 +31,11 @@ fn with_loss(rate: f64) -> Experiment {
     );
     // fn-pointer tweaks cannot capture `rate`, so dispatch to constants.
     exp.sim_tweak = if rate <= 0.1 {
-        Some(|c: &mut SimConfig| c.loss_rate = 0.1)
+        Some(|c: &mut SimConfig| c.faults.link_loss = LinkLossModel::Uniform(0.1))
     } else if rate <= 0.3 {
-        Some(|c: &mut SimConfig| c.loss_rate = 0.3)
+        Some(|c: &mut SimConfig| c.faults.link_loss = LinkLossModel::Uniform(0.3))
     } else {
-        Some(|c: &mut SimConfig| c.loss_rate = 0.5)
+        Some(|c: &mut SimConfig| c.faults.link_loss = LinkLossModel::Uniform(0.5))
     };
     exp
 }

@@ -10,6 +10,11 @@ use diknn_repro::prelude::*;
 
 /// §4.2: "radius lengths returned by KNNB are generally 1/√(kπ) of the
 /// previous work KPT under the same level of accuracy."
+///
+/// KNNB radii are whole hop distances, so the ratio sits below the formula
+/// by a k-dependent step: these inputs give ratio/formula 0.79, 0.84 and
+/// 0.71 at k = 20, 40 and 100 (`results/boundary_compare.txt` spans 0.69
+/// to 1.12 over k = 5–100).
 #[test]
 fn knnb_radius_ratio_tracks_paper_formula() {
     let r: f64 = 20.0;
@@ -24,9 +29,8 @@ fn knnb_radius_ratio_tracks_paper_formula() {
     for k in [20usize, 40, 100] {
         let ratio = knnb(&list, q, r, k).radius / kpt_conservative_radius(k, 15.0);
         let paper = 1.0 / (k as f64 * std::f64::consts::PI).sqrt();
-        // Same order of magnitude (within 3× either way).
         assert!(
-            ratio < 3.0 * paper && ratio > paper / 3.0,
+            (0.70..=0.85).contains(&(ratio / paper)),
             "k={k}: ratio {ratio:.4} vs paper {paper:.4}"
         );
     }
@@ -270,4 +274,89 @@ fn diknn_latency_lowest_across_k_and_peertree_grows_most() {
         growth(kpt),
         growth(peertree)
     );
+}
+
+/// §3.3: the cone-shaped itinerary adapts to "various degrees of
+/// parallelism", and S = 8 is the accuracy sweet spot: four sectors
+/// traverse longer itineraries and sixteen crowd the channel
+/// (`results/ablation_sectors.txt`: post-accuracy 0.862, 0.882 and 0.847
+/// at S = 4, 8 and 16).
+///
+/// Reduced-scale check at k = 40, µmax = 10 m/s, three runs per cell.
+/// Measured at base seeds 1234, 1235 and 1236: S = 8 leads S = 4 by
+/// 0.058, 0.063 and 0.003 and S = 16 by 0.023, 0.110 and 0.044 in
+/// post-accuracy, and answers 0.22–0.49 s faster than either.
+#[test]
+fn eight_sectors_are_the_accuracy_sweet_spot() {
+    let scenario = ScenarioConfig {
+        duration: 50.0,
+        ..ScenarioConfig::default()
+    };
+    let wl = WorkloadConfig {
+        k: 40,
+        last_at: 30.0,
+        ..WorkloadConfig::default()
+    };
+    let [s4, s8, s16] = [4, 8, 16].map(|sectors| {
+        let cfg = DiknnConfig {
+            sectors,
+            ..DiknnConfig::default()
+        };
+        Experiment::new(ProtocolKind::Diknn(cfg), scenario.clone(), wl).run(3, 1234)
+    });
+    let post = |a: &diknn_repro::workloads::Aggregate| a.post_accuracy.mean;
+    assert!(
+        post(&s8) > post(&s4) && post(&s8) > post(&s16),
+        "S = 8 post-accuracy {:.3} must beat S = 4 ({:.3}) and S = 16 ({:.3})",
+        post(&s8),
+        post(&s4),
+        post(&s16)
+    );
+    let fastest_other = s4.latency_s.mean.min(s16.latency_s.mean);
+    assert!(
+        s8.latency_s.mean + 0.15 <= fastest_other,
+        "S = 8 latency {:.2} s must lead S = 4 and S = 16 ({fastest_other:.2} s) by 0.15 s",
+        s8.latency_s.mean
+    );
+}
+
+/// §4.3: rendezvous-based boundary adjustment raises accuracy, most where
+/// KNNB's uniform-density assumption fails (`results/ablation_rendezvous.txt`:
+/// pre-accuracy 0.878 → 0.911 on the uniform field and 0.843 → 0.889 on
+/// the clustered one).
+///
+/// Reduced-scale check at k = 40, µmax = 10 m/s, three runs per cell.
+/// Measured at base seeds 1234, 1235 and 1236: rendezvous raises
+/// pre-accuracy by 0.047, 0.053 and 0.020 on the uniform field and by
+/// 0.021, 0.063 and 0.024 on the clustered one. Post-accuracy is not
+/// asserted: it fell with rendezvous at seed 1236 on the uniform field
+/// (0.880 → 0.867) and at seed 1234 on the clustered one (0.879 → 0.850).
+#[test]
+fn rendezvous_raises_accuracy() {
+    let wl = WorkloadConfig {
+        k: 40,
+        last_at: 30.0,
+        ..WorkloadConfig::default()
+    };
+    for placement in [PlacementKind::Uniform, PlacementKind::Clustered] {
+        let scenario = ScenarioConfig {
+            duration: 50.0,
+            placement,
+            ..ScenarioConfig::default()
+        };
+        let [on, off] = [true, false].map(|rendezvous| {
+            let cfg = DiknnConfig {
+                rendezvous,
+                ..DiknnConfig::default()
+            };
+            Experiment::new(ProtocolKind::Diknn(cfg), scenario.clone(), wl)
+                .run(3, 1234)
+                .pre_accuracy
+                .mean
+        });
+        assert!(
+            on >= off + 0.01,
+            "{placement:?}: rendezvous pre-accuracy {on:.3} must beat {off:.3} by 0.01"
+        );
+    }
 }
