@@ -12,8 +12,11 @@
 //!   all-pairs cost the spatial grid removes,
 //! * `run`   — the event loop proper,
 //!
-//! plus events/sec over the run phase and a behaviour fingerprint
-//! (`SimStats` + total energy bits) per run. The grid is a pure index and
+//! plus events/sec over the run phase, the receiver query's exact work per
+//! transmitted frame (`grid_candidates_per_tx`: nodes considered;
+//! `exact_checks_per_tx`: mobility-plan evaluations; warm-up queries
+//! included), and a behaviour fingerprint (`SimStats` + total energy bits)
+//! per run. The grid is a pure index and
 //! the sweep a pure executor: every cell of the same node count must
 //! produce **bit-identical** fingerprints whatever the index or thread
 //! count.
@@ -28,9 +31,10 @@
 //! bench-smoke job relies on this).
 //!
 //! Output: a human table on stdout and machine-readable
-//! `results/BENCH_scale.json` (schema 4: unmeasured ratios are `null`, a
+//! `results/BENCH_scale.json` (schema 5: unmeasured ratios are `null`, a
 //! collapsed thread axis is flagged as `degenerate_parallel` instead of
-//! reporting a vacuous 1.000 column).
+//! reporting a vacuous 1.000 column, and every cell carries the per-frame
+//! work counts).
 //!
 //! The brute-force oracle is an O(n²) scan per transmission and exists
 //! only to witness equivalence; above [`BRUTE_MAX_NODES`] nodes it is
@@ -56,7 +60,7 @@ use std::time::Instant; // lint: wall-clock-ok (host-side benchmark timing)
 use diknn_bench::report::{gate, write_results, Json};
 use diknn_bench::{base_seed, env_f64, env_list, env_usize, threads};
 use diknn_core::{Diknn, DiknnConfig};
-use diknn_sim::{NeighborIndex, SimStats, Simulator, TraceConfig};
+use diknn_sim::{NeighborIndex, PerfCounters, SimStats, Simulator, TraceConfig};
 use diknn_snap::Snap;
 use diknn_workloads::{workload, Experiment, ParallelSweep, ScenarioConfig, WorkloadConfig};
 
@@ -65,8 +69,8 @@ const RADIO_RANGE: f64 = 20.0;
 /// Constant node degree: the field grows as `sqrt(n)` so local density —
 /// and thus per-node work — stays fixed while global work scales.
 const NODE_DEGREE: f64 = 20.0;
-/// RWP speed cap (m/s); nonzero so the grid's incremental refresh and
-/// drift padding are on the measured path.
+/// RWP speed cap (m/s); nonzero so the grid's refresh and drift padding
+/// are on the measured path.
 const MAX_SPEED: f64 = 5.0;
 /// Largest population the brute-force equivalence oracle still runs at.
 /// The oracle is O(n²) per transmission; beyond this it would dominate
@@ -74,9 +78,10 @@ const MAX_SPEED: f64 = 5.0;
 /// already witnessed at every count up to here).
 const BRUTE_MAX_NODES: usize = 2000;
 /// Schema version of `results/BENCH_scale.json`. Bumped to 3 for the
-/// `null`-ratio rules and the degenerate-parallel flag, and to 4 when the
-/// intra-run partition axis was removed.
-const SCALE_SCHEMA_VERSION: usize = 4;
+/// `null`-ratio rules and the degenerate-parallel flag, to 4 when the
+/// intra-run partition axis was removed, and to 5 for the per-frame work
+/// counts.
+const SCALE_SCHEMA_VERSION: usize = 5;
 
 /// Behaviour fingerprint of one run. The trace part is the fingerprint of
 /// an empty recorder unless the run was traced.
@@ -87,11 +92,13 @@ struct Fingerprint {
     energy_bits: u64,
 }
 
-/// Timings and behaviour fingerprint of one seeded run.
+/// Timings, receiver-query work and behaviour fingerprint of one seeded
+/// run.
 struct RunOut {
     setup_s: f64,
     warm_s: f64,
     run_s: f64,
+    perf: PerfCounters,
     fingerprint: Fingerprint,
 }
 
@@ -107,12 +114,21 @@ struct Cell {
     warm_s: f64,
     run_s: f64,
     events: u64,
+    /// Receiver-query counters summed over runs.
+    grid_candidates: u64,
+    exact_checks: u64,
     fingerprints: Vec<Fingerprint>,
 }
 
 impl Cell {
     fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.run_s
+    }
+
+    /// `count` per transmitted frame, over all of the cell's runs.
+    fn per_tx(&self, count: u64) -> f64 {
+        let frames: u64 = self.fingerprints.iter().map(|f| f.stats.tx_frames).sum();
+        count as f64 / frames as f64
     }
 
     fn json(&self) -> Json {
@@ -127,6 +143,14 @@ impl Cell {
             ("run_s", Json::Fixed(self.run_s, 6)),
             ("events", Json::UInt(self.events)),
             ("events_per_sec", Json::Fixed(self.events_per_sec(), 1)),
+            (
+                "grid_candidates_per_tx",
+                Json::Fixed(self.per_tx(self.grid_candidates), 2),
+            ),
+            (
+                "exact_checks_per_tx",
+                Json::Fixed(self.per_tx(self.exact_checks), 2),
+            ),
         ])
     }
 }
@@ -229,6 +253,7 @@ fn run_one(
         setup_s,
         warm_s,
         run_s,
+        perf: *ctx.perf(),
         fingerprint: Fingerprint {
             trace_fp: diknn_snap::fingerprint(&w.into_bytes()),
             stats: *ctx.stats(),
@@ -260,6 +285,8 @@ fn bench_cell(
         warm_s: outs.iter().map(|o| o.warm_s).sum(),
         run_s: outs.iter().map(|o| o.run_s).sum(),
         events: outs.iter().map(|o| o.fingerprint.stats.events).sum(),
+        grid_candidates: outs.iter().map(|o| o.perf.grid_candidates).sum(),
+        exact_checks: outs.iter().map(|o| o.perf.exact_checks).sum(),
         fingerprints: outs.iter().map(|o| o.fingerprint).collect(),
     }
 }
@@ -281,7 +308,8 @@ fn divergences(nodes: usize, variants: &[(String, Vec<Fingerprint>)]) -> Vec<Str
 fn print_cell(cell: &Cell) {
     println!(
         "scale nodes={:<5} index={:<5} threads={:<2} wall={:>8.3}s \
-         setup={:>7.3}s warm={:>7.3}s run={:>8.3}s events={:>9} ({:>9.0} ev/s)",
+         setup={:>7.3}s warm={:>7.3}s run={:>8.3}s events={:>9} ({:>9.0} ev/s) \
+         per tx: candidates={:.2} exact={:.2}",
         cell.nodes,
         index_name(cell.index),
         cell.threads,
@@ -291,6 +319,8 @@ fn print_cell(cell: &Cell) {
         cell.run_s,
         cell.events,
         cell.events_per_sec(),
+        cell.per_tx(cell.grid_candidates),
+        cell.per_tx(cell.exact_checks),
     );
 }
 
@@ -513,6 +543,8 @@ mod tests {
             warm_s: 0.2,
             run_s: 1.2,
             events: 1000,
+            grid_candidates: 900,
+            exact_checks: 240,
             fingerprints: vec![fingerprint(7); 3],
         }
     }
@@ -520,7 +552,10 @@ mod tests {
     fn fingerprint(trace_fp: u64) -> Fingerprint {
         Fingerprint {
             trace_fp,
-            stats: SimStats::default(),
+            stats: SimStats {
+                tx_frames: 4,
+                ..SimStats::default()
+            },
             energy_bits: 0.5f64.to_bits(),
         }
     }
@@ -557,7 +592,10 @@ mod tests {
         }];
         let config = config_json(3, 1000, 30.0, 1, 1, &[250, 5000]);
         let json = render_json(config, &cells, &speedups, true);
-        assert!(json.contains("\"schema_version\": 4"), "{json}");
+        assert!(json.contains("\"schema_version\": 5"), "{json}");
+        // 900 candidates and 240 exact checks over 3 runs of 4 frames.
+        assert!(json.contains("\"grid_candidates_per_tx\": 75.00"), "{json}");
+        assert!(json.contains("\"exact_checks_per_tx\": 20.00"), "{json}");
         assert!(json.contains("\"degenerate_parallel\": true"), "{json}");
         assert!(json.contains("\"threads_detected\": 1"), "{json}");
         assert!(

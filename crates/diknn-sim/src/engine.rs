@@ -77,7 +77,10 @@ use crate::trace::{EventTrace, ProtoEvent, TraceKind};
 /// Version 9: the image ends in an FNV-1a checksum of all bytes before it,
 /// and the configuration fingerprint covers a `SimConfig` whose MAC budgets
 /// are constants and whose uniform loss rate lives in the fault plan.
-pub const SNAP_VERSION: u32 = 9;
+///
+/// Version 10: a frame on the air carries its sender's position at
+/// transmission start, which bounds the frames it can collide with.
+pub const SNAP_VERSION: u32 = 10;
 
 /// Base MAC backoff window; the n-th retry waits uniform(0, window·2ⁿ).
 pub(crate) const BACKOFF_WINDOW: SimDuration = SimDuration::from_micros(640);
@@ -168,8 +171,11 @@ struct PendingTx<M> {
 struct ActiveTx {
     id: Handle,
     from: NodeId,
-    /// Nodes that were within range at transmission start, with a flag set
-    /// when their copy has been destroyed by a collision.
+    /// The sender's position at transmission start.
+    origin: Point,
+    /// Nodes that were within range at transmission start, ascending by
+    /// id, with a flag set when their copy has been destroyed by a
+    /// collision.
     receivers: Vec<(NodeId, bool)>,
     airtime: SimDuration,
 }
@@ -251,6 +257,7 @@ impl<M: Snap> Snap for PendingTx<M> {
 diknn_snap::snap_struct!(ActiveTx {
     id,
     from,
+    origin,
     receivers,
     airtime
 });
@@ -265,30 +272,6 @@ diknn_snap::snap_enum!(EventKind {
     6 => Leave(node),
     7 => Rejoin(node),
 });
-
-/// Per-node cached grid-candidate lists for the audible-set query (see
-/// `Ctx::fill_receivers`). Derived state: never serialized — a restored
-/// run starts cold — and semantically transparent, since a hit returns
-/// exactly the list a fresh grid query over the same (epoch, cell-window)
-/// would produce.
-struct AudCache {
-    /// Grid epoch each node's list was filled at; `u64::MAX` = never.
-    epoch: Vec<u64>,
-    /// Padded query cell-window the list was filled for.
-    window: Vec<(u32, u32, u32, u32)>,
-    /// Sorted (ascending, unique) grid candidate ids.
-    list: Vec<Vec<u32>>,
-}
-
-impl AudCache {
-    fn new(n: usize) -> Self {
-        AudCache {
-            epoch: vec![u64::MAX; n],
-            window: vec![(0, 0, 0, 0); n],
-            list: vec![Vec::new(); n],
-        }
-    }
-}
 
 /// Reusable hot-path scratch buffers. Never serialized: contents are dead
 /// between events; only the allocations are recycled.
@@ -342,8 +325,6 @@ pub struct Ctx<M> {
     /// tx charge plus every receiver's rx charge lands on its flow, so the
     /// ledger sums to `total_protocol_energy_j` when all traffic is tagged.
     flow_energy: FlowLedger,
-    /// Incremental audible-set cache (derived, not snapshotted).
-    aud: AudCache,
     /// Recycled hot-path buffers (derived, not snapshotted).
     scratch: Scratch,
     /// Implementation performance counters (not snapshotted, not part of
@@ -479,8 +460,8 @@ impl<M: Clone> Ctx<M> {
         &self.flow_energy
     }
 
-    /// Implementation-side performance counters (audible-cache hit rate,
-    /// grid refreshes). Deliberately outside [`Ctx::stats`]: these describe
+    /// Implementation-side performance counters (receiver-query work, grid
+    /// refreshes). Deliberately outside [`Ctx::stats`]: these describe
     /// *how* the run was computed, differ across index variants, and reset
     /// on restore — see [`PerfCounters`].
     #[inline]
@@ -657,93 +638,84 @@ impl<M: Clone> Ctx<M> {
     }
 
     /// Append to `out` (which must be empty) the live nodes within radio
-    /// range of `from` right now, ascending by id. This is the engine's
-    /// one in-range query: frame delivery and table warm-up both use it.
+    /// range of `from` right now, ascending by id, and return `from`'s
+    /// position. This is the engine's one in-range query: frame delivery
+    /// and table warm-up both use it.
     ///
-    /// With the grid index, the node's grid candidate list is reused
-    /// across transmissions until the grid refreshes or the padded query
-    /// window moves to different cells.
-    /// Bucket contents only change on refresh (= epoch bump), so a cached
-    /// list over the same (epoch, window) is byte-identical to a fresh
-    /// query: same membership, same order, same downstream RNG draws.
-    fn fill_receivers(&mut self, from: NodeId, out: &mut Vec<(NodeId, bool)>) {
+    /// With the grid index it is one pass over the cover window's slot
+    /// runs, one per row. Each slot carries its node's anchor, which is
+    /// within `drift` of the node's true position, so an anchor distance
+    /// outside `range ± drift` decides membership outright and only the
+    /// ambiguity band pays an exact mobility-plan evaluation. `ANCHOR_EPS`
+    /// absorbs the few-ulp rounding slack between the anchor-distance and
+    /// exact-distance computations, keeping both shortcuts conservative:
+    /// any slot the triage classifies would get the same answer from the
+    /// exact predicate. The survivors are then sorted by id, so the
+    /// receiver set and its order — and every RNG draw downstream of it —
+    /// are those of the brute-force scan.
+    fn fill_receivers(&mut self, from: NodeId, out: &mut Vec<(NodeId, bool)>) -> Point {
         debug_assert!(out.is_empty());
         let origin = self.position(from);
-        let range2 = self.cfg.radio_range * self.cfg.radio_range;
+        let range = self.cfg.radio_range;
+        let range2 = range * range;
         let t = self.now.as_secs_f64();
         let fi = from.index();
         let Ctx {
-            cfg,
             mobility,
             nodes,
             grid,
-            aud,
             perf,
             now,
             ..
         } = self;
-        let in_range = |i: usize| -> bool {
-            i != fi
-                && nodes.phase[i].is_up()
-                && origin.dist_sq(mobility[i].position_at(t)) <= range2
-        };
+        perf.aud_cache_misses += 1; // no cache: every query misses
         let Some(grid) = grid.as_ref() else {
-            for i in 0..mobility.len() {
-                if in_range(i) {
-                    out.push((NodeId(i as u32), false));
+            perf.grid_candidates += mobility.len() as u64;
+            for (i, plan) in mobility.iter().enumerate() {
+                if i != fi && nodes.phase[i].is_up() {
+                    perf.exact_checks += 1;
+                    if origin.dist_sq(plan.position_at(t)) <= range2 {
+                        out.push((NodeId(i as u32), false));
+                    }
                 }
             }
-            return;
+            return origin;
         };
-        let window = grid.cover_cells(origin, cfg.radio_range, *now);
-        if aud.epoch[fi] == grid.epoch() && aud.window[fi] == window {
-            perf.aud_cache_hits += 1;
-        } else {
-            let list = &mut aud.list[fi];
-            list.clear();
-            grid.collect_cells(window, list);
-            list.sort_unstable();
-            aud.epoch[fi] = grid.epoch();
-            aud.window[fi] = window;
-            perf.aud_cache_misses += 1;
-        }
-        // Triage candidates against their grid anchors before paying for
-        // an exact mobility-plan evaluation. A candidate's true position
-        // is within `drift` of its anchor, so anchor distances outside
-        // `range ± drift` decide membership outright; only the ambiguity
-        // band needs the exact check. `ANCHOR_EPS` absorbs the few-ulp
-        // rounding slack between the anchor-distance and exact-distance
-        // computations, keeping both shortcuts conservative: any
-        // candidate the triage classifies would get the same answer from
-        // the exact predicate, so the receiver set — and every RNG draw
-        // downstream of it — is bit-identical to the brute-force scan.
         const ANCHOR_EPS: f64 = 1e-6;
         let drift = grid.drift_bound(*now);
-        let far = cfg.radio_range + drift + ANCHOR_EPS;
+        let far = range + drift + ANCHOR_EPS;
         let far_sq = far * far;
-        let near = cfg.radio_range - drift - ANCHOR_EPS;
+        let near = range - drift - ANCHOR_EPS;
         let near_sq = if near > 0.0 { near * near } else { -1.0 };
-        let anchors = grid.anchors();
-        for &i in &aud.list[fi] {
-            let ix = i as usize;
-            if ix == fi || !nodes.phase[ix].is_up() {
-                continue;
+        for run in grid.row_runs(grid.cover_cells(origin, range, *now)) {
+            perf.grid_candidates += run.len() as u64;
+            for slot in run {
+                let d0 = origin.dist_sq(slot.pos);
+                if d0 > far_sq {
+                    continue; // definitely out of range
+                }
+                let ix = slot.id as usize;
+                if ix == fi || !nodes.phase[ix].is_up() {
+                    continue;
+                }
+                if d0 > near_sq {
+                    // Ambiguity band: the exact check decides.
+                    perf.exact_checks += 1;
+                    if origin.dist_sq(mobility[ix].position_at(t)) > range2 {
+                        continue;
+                    }
+                }
+                out.push((NodeId(slot.id), false));
             }
-            let d0 = origin.dist_sq(anchors[ix]);
-            if d0 > far_sq {
-                continue; // definitely out of range
-            }
-            if d0 > near_sq && origin.dist_sq(mobility[ix].position_at(t)) > range2 {
-                continue; // ambiguity band: exact check says out
-            }
-            out.push((NodeId(i), false));
         }
+        out.sort_unstable_by_key(|&(id, _)| id);
+        origin
     }
 
-    /// Incrementally re-bucket the spatial grid once accumulated node
-    /// drift could exceed the refresh slack. Called by the run loop on
-    /// every event; a cheap no-op while fresh, and always for static
-    /// scenarios (`vmax = 0` never drifts).
+    /// Re-bucket the spatial grid once accumulated node drift could
+    /// exceed the refresh slack. Called by the run loop on every event; a
+    /// cheap no-op while fresh, and always for static scenarios (`vmax = 0`
+    /// never drifts).
     fn refresh_grid_if_stale(&mut self) {
         let now = self.now;
         let Ctx {
@@ -786,7 +758,7 @@ impl<M: Clone> Ctx<M> {
             },
         );
         let mut receivers = self.scratch.recv.pop().unwrap_or_default();
-        self.fill_receivers(from, &mut receivers);
+        let origin = self.fill_receivers(from, &mut receivers);
         if self.cfg.mac == MacMode::Contention {
             // Collision rule: a receiver hearing two overlapping
             // transmissions loses both copies; a transmitting node cannot
@@ -804,16 +776,7 @@ impl<M: Clone> Ctx<M> {
                 .iter()
                 .any(|&(r, _)| self.nodes.rx_cover[r.index()] > 0)
             {
-                for other in self.active.iter_mut() {
-                    for (r, corrupted) in other.receivers.iter_mut() {
-                        // `receivers` is sorted ascending with unique ids.
-                        if let Ok(at) = receivers.binary_search_by_key(r, |&(mr, _)| mr) {
-                            *corrupted = true;
-                            receivers[at].1 = true;
-                            self.stats.collisions += 1;
-                        }
-                    }
-                }
+                self.mark_collisions(origin, &mut receivers);
             }
         }
         self.nodes.tx_count[from.index()] += 1;
@@ -823,10 +786,53 @@ impl<M: Clone> Ctx<M> {
         self.active.push(ActiveTx {
             id: h,
             from,
+            origin,
             receivers,
             airtime,
         });
         self.schedule(self.now + airtime, EventKind::TxEnd(h));
+    }
+
+    /// Mark every receiver that a new frame from `origin` shares with a
+    /// frame already on the air, in both frames, counting one collision per
+    /// shared receiver. Both receiver lists ascend by id, so one linear
+    /// merge finds the shared ones.
+    ///
+    /// With the grid index, frames whose sender started too far away are
+    /// skipped. A shared receiver was within range of the other sender at
+    /// that frame's start and is within range of `origin` now, at most the
+    /// other frame's airtime later, moving at no more than `vmax` (the
+    /// grid's speed bound) in between: so the two senders' start positions
+    /// are at most `2 · range + vmax · airtime` apart; `REACH_EPS` absorbs
+    /// rounding. The brute-force index keeps the full walk, the oracle the
+    /// filter is tested against.
+    fn mark_collisions(&mut self, origin: Point, receivers: &mut [(NodeId, bool)]) {
+        const REACH_EPS: f64 = 1e-6;
+        let range = self.cfg.radio_range;
+        let vmax = self.grid.as_ref().map(SpatialGrid::max_speed);
+        for other in self.active.iter_mut() {
+            if let Some(vmax) = vmax {
+                let reach = 2.0 * range + vmax * other.airtime.as_secs_f64() + REACH_EPS;
+                if origin.dist_sq(other.origin) > reach * reach {
+                    continue;
+                }
+            }
+            let (mut i, mut j) = (0, 0);
+            while i < receivers.len() && j < other.receivers.len() {
+                let (mine, theirs) = (receivers[i].0, other.receivers[j].0);
+                if mine < theirs {
+                    i += 1;
+                } else if theirs < mine {
+                    j += 1;
+                } else {
+                    receivers[i].1 = true;
+                    other.receivers[j].1 = true;
+                    self.stats.collisions += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
     }
     // lint: end-hot-path
 }
@@ -887,7 +893,6 @@ impl<P: Protocol> Simulator<P> {
             grid: None,
             trace,
             flow_energy: FlowLedger::new(),
-            aud: AudCache::new(n),
             scratch: Scratch::default(),
             perf: PerfCounters::default(),
         };
@@ -1539,7 +1544,7 @@ impl<M: Clone> Ctx<M> {
                 self.cfg.radio_range,
                 &positions,
                 vmax,
-                0.5 * self.cfg.radio_range,
+                0.1 * self.cfg.radio_range,
                 self.now,
             ));
         } else {
@@ -1632,9 +1637,7 @@ impl<M: Clone> Ctx<M> {
                 ));
             }
         }
-        // Derived state: the audible cache is rebuilt lazily (epoch
-        // sentinel never matches a fresh grid), and perf counters restart.
-        self.aud = AudCache::new(n);
+        // Derived state: perf counters restart.
         self.perf = PerfCounters::default();
         Ok(())
     }

@@ -12,15 +12,16 @@
 //!
 //! The grid is a *candidate* index, never an oracle:
 //!
-//! * Bucket contents are kept sorted ascending by node id, and cells are
-//!   visited in row-major order, so candidate enumeration order is a pure
-//!   function of the grid state — no hashing, no pointer order.
+//! * Each cell's slots ascend by node id, and cells are visited in
+//!   row-major order, so candidate enumeration order is a pure function
+//!   of the grid state — no hashing, no pointer order.
 //! * Queries pad the search radius by `vmax · (now − built_at)`: a node
 //!   can have drifted at most that far from the position it was bucketed
 //!   at, so the padded query is a guaranteed superset of the true answer.
-//! * Callers re-check every candidate against its **true** current
-//!   position with the same predicate (`dist_sq <= range²`) the brute
-//!   scan uses, and sort the survivors ascending by id. The result is
+//! * Callers judge every candidate by the same predicate
+//!   (`dist_sq <= range²`) the brute scan uses, on its **true** current
+//!   position, or from its anchor where the drift bound already decides
+//!   the answer, and sort the survivors ascending by id. The result is
 //!   therefore bit-identical — same membership, same order, hence the
 //!   same downstream RNG draw sequence — to the O(n) scan it replaces.
 //!   `crates/diknn-sim/tests/grid_equiv.rs` proptests this equivalence.
@@ -29,18 +30,34 @@
 //! Clamping is monotone per axis, so a clamped position still lands inside
 //! the clamped query window — coverage survives out-of-field drift.
 //!
-//! # Refresh policy
+//! # Layout and refresh policy
 //!
-//! Buckets are refreshed *incrementally* (a node moves buckets only when
-//! its cell changed) once the accumulated drift bound `vmax · (now −
-//! built_at)` exceeds a slack threshold (half the radio range by
-//! default). Static scenarios (`vmax = 0`) never refresh and never pad.
+//! The grid is a CSR index: one array of `(anchor, id)` slots holding
+//! every node once, grouped by cell in row-major order and ascending by id
+//! within a cell, plus one offset per cell into it. A node's *anchor* is
+//! the position it was bucketed at, so a range query reads positions and
+//! ids from one contiguous run per row of its cell window and can classify
+//! most candidates without evaluating a mobility plan. Build and refresh
+//! fill the array with one stable counting sort over node ids; refresh
+//! evaluates each node's plan once. The engine refreshes once the
+//! accumulated drift bound `vmax · (now − built_at)` exceeds a slack
+//! threshold (a tenth of the radio range). Static scenarios (`vmax = 0`)
+//! never refresh and never pad.
 
 use crate::time::SimTime;
 use diknn_geom::{Point, Rect};
 
+/// One grid slot: a node and the position it was bucketed at (its
+/// anchor). By the drift bound, the node's true position at `now` is
+/// within `drift_bound(now)` metres of `pos`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    pub(crate) pos: Point,
+    pub(crate) id: u32,
+}
+
 /// A uniform cell grid over node positions; see the module docs for the
-/// determinism contract.
+/// determinism contract and the layout.
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
     /// Cell edge length in metres (the radio range).
@@ -50,29 +67,21 @@ pub struct SpatialGrid {
     min_y: f64,
     cols: usize,
     rows: usize,
-    /// Per-cell node ids, each bucket sorted ascending. Indexed
-    /// `row * cols + col` (row-major).
-    buckets: Vec<Vec<u32>>,
-    /// Flat cell index each node currently sits in.
-    node_cell: Vec<u32>,
-    /// Position each node was bucketed at (as of `built_at`). By the
-    /// drift bound, node `i`'s true position at `now` is within
-    /// `drift_bound(now)` metres of `anchors[i]` — a dense array callers
-    /// can use to triage candidates without touching the mobility plans
-    /// (see [`SpatialGrid::anchors`]).
-    anchors: Vec<Point>,
+    /// `start[c]..start[c + 1]` is cell `c`'s run in `slots`; cells are
+    /// row-major (`row * cols + col`), so the cells of one row of a query
+    /// window are one run. Length `cols * rows + 1`.
+    start: Vec<u32>,
+    /// Every node once, grouped by cell, ascending by id within a cell.
+    slots: Vec<Slot>,
+    /// Counting-sort input, indexed by node id: each node's cell and
+    /// position. Scratch between refreshes; only the allocation is kept.
+    placed: Vec<(u32, Point)>,
     /// Upper bound on any node's speed (m/s); drives query padding.
     vmax: f64,
-    /// Time the bucket assignments were last computed.
+    /// Time the slots were last filled.
     built_at: SimTime,
     /// Refresh once drift (`vmax · age`) exceeds this many metres.
     refresh_slack: f64,
-    /// Bumped on every [`SpatialGrid::refresh`]. Bucket contents are a pure
-    /// function of `(build inputs, epoch)`, so callers caching a query
-    /// answer can reuse it for as long as the epoch and the query window
-    /// are unchanged (the engine's incremental audible sets do exactly
-    /// this).
-    epoch: u64,
 }
 
 impl SpatialGrid {
@@ -96,38 +105,41 @@ impl SpatialGrid {
             min_y: field.min_y,
             cols,
             rows,
-            buckets: vec![Vec::new(); cols * rows],
-            node_cell: vec![0; positions.len()],
-            anchors: positions.to_vec(),
+            start: Vec::new(),
+            slots: Vec::new(),
+            placed: Vec::with_capacity(positions.len()),
             vmax: vmax.max(0.0),
             built_at: t,
             refresh_slack: refresh_slack.max(0.0),
-            epoch: 0,
         };
-        for (i, &p) in positions.iter().enumerate() {
-            let c = grid.cell_index(p);
-            grid.node_cell[i] = c;
-            // Ids are inserted in ascending order, so buckets stay sorted.
-            grid.buckets[c as usize].push(i as u32);
+        for &p in positions {
+            grid.placed.push((grid.cell_index(p), p));
         }
+        grid.sort_placed();
         grid
     }
 
     /// Number of nodes indexed.
     #[inline]
     pub fn len(&self) -> usize {
-        self.node_cell.len()
+        self.slots.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.node_cell.is_empty()
+        self.slots.is_empty()
     }
 
     /// Grid dimensions `(cols, rows)`.
     #[inline]
     pub fn dims(&self) -> (usize, usize) {
         (self.cols, self.rows)
+    }
+
+    /// The speed bound the grid pads its queries with (m/s).
+    #[inline]
+    pub(crate) fn max_speed(&self) -> f64 {
+        self.vmax
     }
 
     /// Column of `x`, clamped into the grid.
@@ -158,6 +170,37 @@ impl SpatialGrid {
         (self.row_of(p.y) * self.cols + self.col_of(p.x)) as u32
     }
 
+    /// Fill `start` and `slots` from `placed` with a stable counting sort:
+    /// count each cell, turn the counts into run ends, then place nodes in
+    /// descending id order at the back of their cell's run, so each run
+    /// ends up ascending by id and `start[c]` at the run's first slot.
+    fn sort_placed(&mut self) {
+        let cells = self.cols * self.rows;
+        self.start.clear();
+        self.start.resize(cells + 1, 0);
+        for &(c, _) in &self.placed {
+            self.start[c as usize] += 1;
+        }
+        let mut end = 0;
+        for s in &mut self.start {
+            end += *s;
+            *s = end;
+        }
+        self.slots.clear();
+        self.slots.resize(
+            self.placed.len(),
+            Slot {
+                pos: Point::new(0.0, 0.0),
+                id: 0,
+            },
+        );
+        for (id, &(c, pos)) in self.placed.iter().enumerate().rev() {
+            let at = &mut self.start[c as usize];
+            *at -= 1;
+            self.slots[*at as usize] = Slot { pos, id: id as u32 };
+        }
+    }
+
     /// How far any node may have drifted from its bucketed position by
     /// `now`, in metres.
     #[inline]
@@ -168,57 +211,23 @@ impl SpatialGrid {
         self.vmax * now.since(self.built_at).as_secs_f64()
     }
 
-    /// Whether the accumulated drift bound warrants an incremental
-    /// refresh. Static scenarios never refresh.
+    /// Whether the accumulated drift bound warrants a refresh. Static
+    /// scenarios never refresh.
     #[inline]
     pub fn needs_refresh(&self, now: SimTime) -> bool {
         self.drift_bound(now) > self.refresh_slack
     }
 
     /// Re-bucket every node at its current position (`pos_of(i)` must
-    /// return node `i`'s position as of `now`). Incremental: a node only
-    /// touches its buckets when its cell actually changed, which under
-    /// bounded drift is a small fraction of the population.
+    /// return node `i`'s position as of `now`, and is called once per
+    /// node), rebuilding the slot array by counting sort.
     pub fn refresh<F: Fn(usize) -> Point>(&mut self, pos_of: F, now: SimTime) {
-        for i in 0..self.node_cell.len() {
+        for i in 0..self.placed.len() {
             let p = pos_of(i);
-            self.anchors[i] = p;
-            let new_cell = self.cell_index(p);
-            let old_cell = self.node_cell[i];
-            if new_cell == old_cell {
-                continue;
-            }
-            let id = i as u32;
-            let old = &mut self.buckets[old_cell as usize];
-            if let Ok(at) = old.binary_search(&id) {
-                old.remove(at);
-            }
-            let new = &mut self.buckets[new_cell as usize];
-            if let Err(at) = new.binary_search(&id) {
-                new.insert(at, id);
-            }
-            self.node_cell[i] = new_cell;
+            self.placed[i] = (self.cell_index(p), p);
         }
+        self.sort_placed();
         self.built_at = now;
-        self.epoch += 1;
-    }
-
-    /// Refresh generation: bumped each time [`SpatialGrid::refresh`] runs.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The position every node was last bucketed at (indexed by node id;
-    /// valid as of `built_at`). Combined with [`SpatialGrid::drift_bound`]
-    /// this bounds each node's true position: `|pos(now) - anchors[i]| <=
-    /// drift_bound(now)`, letting range queries resolve most candidates
-    /// definitively from this dense array and reserve the exact (and far
-    /// more expensive) mobility-plan evaluation for candidates inside the
-    /// ambiguity band around the range boundary.
-    #[inline]
-    pub fn anchors(&self) -> &[Point] {
-        &self.anchors
     }
 
     // lint: hot-path (radio-range queries run once per transmission; the
@@ -229,15 +238,14 @@ impl SpatialGrid {
     /// cell order, ascending by id within a cell; callers exact-check and
     /// sort. `out` is not cleared.
     pub fn candidates_near(&self, center: Point, radius: f64, now: SimTime, out: &mut Vec<u32>) {
-        let w = self.cover_cells(center, radius, now);
-        self.collect_cells(w, out);
+        for run in self.row_runs(self.cover_cells(center, radius, now)) {
+            out.extend(run.iter().map(|s| s.id));
+        }
     }
 
     /// The inclusive cell window `(col0, col1, row0, row1)` that a
     /// [`SpatialGrid::candidates_near`] query with the same arguments
-    /// visits (drift padding included). Together with [`SpatialGrid::epoch`]
-    /// this keys cached query answers: equal window + equal epoch ⇒ the
-    /// candidate list is unchanged.
+    /// visits (drift padding included).
     pub fn cover_cells(&self, center: Point, radius: f64, now: SimTime) -> (u32, u32, u32, u32) {
         let r = radius + self.drift_bound(now);
         (
@@ -248,16 +256,21 @@ impl SpatialGrid {
         )
     }
 
-    /// Append the contents of every cell in `window` (as produced by
-    /// [`SpatialGrid::cover_cells`]) to `out`, row-major, ascending by id
-    /// within a cell. `out` is not cleared.
-    pub fn collect_cells(&self, window: (u32, u32, u32, u32), out: &mut Vec<u32>) {
+    /// The slots of every cell in `window` (as produced by
+    /// [`SpatialGrid::cover_cells`]), one contiguous run per row, rows in
+    /// ascending order; each run holds its cells left to right, ascending
+    /// by id within a cell.
+    pub(crate) fn row_runs(
+        &self,
+        window: (u32, u32, u32, u32),
+    ) -> impl Iterator<Item = &[Slot]> + '_ {
         let (c0, c1, r0, r1) = window;
-        for row in r0..=r1 {
-            for col in c0..=c1 {
-                out.extend_from_slice(&self.buckets[row as usize * self.cols + col as usize]);
-            }
-        }
+        (r0..=r1).map(move |row| {
+            let first = row as usize * self.cols;
+            let lo = self.start[first + c0 as usize] as usize;
+            let hi = self.start[first + c1 as usize + 1] as usize;
+            &self.slots[lo..hi]
+        })
     }
     // lint: end-hot-path
 }
@@ -359,18 +372,43 @@ mod tests {
     }
 
     #[test]
-    fn epoch_counts_refreshes_and_cover_cells_matches_candidates_near() {
-        let mut g = grid_of(&[(5.0, 5.0), (45.0, 45.0)], 20.0, 2.0);
-        assert_eq!(g.epoch(), 0);
+    fn slots_are_grouped_by_cell_ascending_by_id_and_carry_anchors() {
+        // Cells (0,0), (2,0) and (0,2) of a 5×5 grid, ids interleaved.
+        let pts = [
+            (45.0, 5.0),
+            (5.0, 5.0),
+            (45.0, 6.0),
+            (5.0, 45.0),
+            (6.0, 5.0),
+        ];
+        let mut g = grid_of(&pts, 20.0, 2.0);
+        let ids = |g: &SpatialGrid| g.slots.iter().map(|s| s.id).collect::<Vec<_>>();
+        assert_eq!(ids(&g), [1, 4, 0, 2, 3]);
+        assert_eq!(&g.start[..4], &[0, 2, 2, 4]);
+        assert_eq!((g.start[10], g.start[11], g.start[25]), (4, 5, 5));
+        // Node 1 moves into cell (2,0); the rebuilt runs stay ascending.
         let later = SimTime::ZERO + SimDuration::from_secs_f64(30.0);
-        let moved = [Point::new(5.0, 5.0), Point::new(45.0, 45.0)];
-        g.refresh(|i| moved[i], later);
-        assert_eq!(g.epoch(), 1);
-        let center = Point::new(20.0, 20.0);
-        let mut direct = Vec::new();
-        g.candidates_near(center, 25.0, later, &mut direct);
-        let mut via_window = Vec::new();
-        g.collect_cells(g.cover_cells(center, 25.0, later), &mut via_window);
-        assert_eq!(direct, via_window);
+        let moved = [
+            (45.0, 5.0),
+            (45.0, 7.0),
+            (45.0, 6.0),
+            (5.0, 45.0),
+            (6.0, 5.0),
+        ];
+        g.refresh(|i| Point::new(moved[i].0, moved[i].1), later);
+        assert_eq!(ids(&g), [4, 0, 1, 2, 3]);
+        for s in &g.slots {
+            let (x, y) = moved[s.id as usize];
+            assert_eq!((s.pos.x, s.pos.y), (x, y), "anchor of node {}", s.id);
+        }
+        // One run per window row: row 0 holds cells 0..=2 back to back.
+        let runs: Vec<Vec<u32>> = g
+            .row_runs((0, 2, 0, 2))
+            .map(|run| run.iter().map(|s| s.id).collect())
+            .collect();
+        assert_eq!(runs, [vec![4, 0, 1, 2], vec![], vec![3]]);
+        let mut near = Vec::new();
+        g.candidates_near(Point::new(25.0, 25.0), 20.0, later, &mut near);
+        assert_eq!(near, [4, 0, 1, 2, 3]);
     }
 }

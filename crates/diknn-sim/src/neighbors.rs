@@ -42,9 +42,12 @@ pub struct NeighborTable {
 
 impl NeighborTable {
     /// Record a beacon from `id` heard at `heard_at`, replacing any
-    /// previous entry for the sender in place.
+    /// previous entry for the sender in place. Ids are unique within a
+    /// table, so the search may start from the newest entry: senders that
+    /// moved away, which expiry drops only on the next read, were inserted
+    /// earlier and sit toward the front.
     pub fn record(&mut self, id: NodeId, heard_at: SimTime) {
-        match self.entries.iter_mut().find(|e| e.0 == id) {
+        match self.entries.iter_mut().rev().find(|e| e.0 == id) {
             Some(e) => e.1 = heard_at,
             None => self.entries.push((id, heard_at)),
         }

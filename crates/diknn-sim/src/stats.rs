@@ -115,20 +115,28 @@ diknn_snap::snap_struct!(SimStats {
 /// `SimStats` is a behavioural fingerprint: it is serialized into
 /// snapshots and compared bit-for-bit across index variants (grid vs
 /// brute force) and across snapshot/restore boundaries. The counters here
-/// describe *how* the engine computed the run — cache hits, index
-/// refreshes — which legitimately differ between variants (brute force
-/// has no grid to refresh; a restored run starts with a cold cache). They
-/// therefore live outside the snapshot stream and outside every
-/// equivalence oracle, and reset to zero on restore.
+/// describe *how* the engine computed the run — work per receiver query,
+/// index refreshes — which legitimately differ between variants (brute
+/// force has no grid to refresh). They therefore live outside the
+/// snapshot stream and outside every equivalence oracle, and reset to zero
+/// on restore. Every count is a pure function of seed and code.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PerfCounters {
-    /// Audible-set queries answered from the per-node candidate cache.
+    /// Receiver queries answered from a per-node candidate cache. The
+    /// engine has no such cache, so this stays 0; kept for readers that
+    /// still report it.
     pub aud_cache_hits: u64,
-    /// Audible-set queries that had to re-query the grid (cache cold,
-    /// grid refreshed, or query window moved).
+    /// Receiver queries that had to query the index: every query.
     pub aud_cache_misses: u64,
-    /// Incremental spatial-grid refreshes performed by the run loop.
+    /// Spatial-grid refreshes performed by the run loop.
     pub grid_refreshes: u64,
+    /// Nodes the receiver queries considered: the slots in each query's
+    /// cell window, or every node under the brute-force index.
+    pub grid_candidates: u64,
+    /// Exact mobility-plan evaluations the receiver queries made: the
+    /// candidates in the ambiguity band around the range boundary, or every
+    /// live non-sender under the brute-force index.
+    pub exact_checks: u64,
 }
 
 #[cfg(test)]

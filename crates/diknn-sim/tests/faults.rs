@@ -250,24 +250,61 @@ fn random_crashes_are_deterministic_per_seed() {
 
 #[test]
 fn inert_plan_changes_nothing() {
-    // A run with the default (inert) plan must be bit-identical to one
-    // where the faults field was never touched — the fault hooks must not
-    // consume RNG draws on the fault-free path.
-    let run = |cfg: SimConfig| {
-        let nodes = static_nodes(&[(0.0, 0.0), (10.0, 0.0), (5.0, 8.0)]);
-        let mut sim = Simulator::new(cfg, nodes, Ticker::new(NodeId(0), 3), 13);
+    // A plan whose mechanisms are all present but never fire (a jam zone
+    // covering no node, an energy budget no node reaches, a crash after the
+    // run ends) must leave the run bit-identical to the default plan's: the
+    // fault hooks draw no RNG and change no decision on the fault-free
+    // path. Two clusters out of each other's range, bridged by two nodes
+    // that hear both, beacon every 20 ms: the channel is contended and
+    // the bridges see hidden-terminal collisions, so a single extra draw
+    // moves backoffs and collisions.
+    let limit = SimDuration::from_secs_f64(12.0);
+    let run = |faults: FaultPlan| {
+        let nodes = static_nodes(&[
+            (0.0, 0.0),
+            (5.0, 0.0),
+            (0.0, 5.0),
+            (30.0, 0.0),
+            (35.0, 0.0),
+            (30.0, 5.0),
+            (15.0, 0.0),
+            (17.0, 3.0),
+        ]);
+        let cfg = SimConfig {
+            beacon_interval: SimDuration::from_millis(20),
+            time_limit: limit,
+            faults,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(cfg, nodes, Ticker::new(NodeId(0), 8), 13);
         sim.run();
         (*sim.ctx().stats(), sim.ctx().total_energy_j())
     };
-    let mut cfg = quiet_config();
-    cfg.faults.link_loss = LinkLossModel::Uniform(0.1);
-    cfg.time_limit = SimDuration::from_secs_f64(12.0);
-    let baseline = run(cfg.clone());
-    cfg.faults = FaultPlan {
-        link_loss: LinkLossModel::Uniform(0.1),
+    let dormant = FaultPlan {
+        crashes: vec![CrashSpec {
+            node: 1,
+            at: limit + SimDuration::from_secs_f64(1.0),
+            recover_after: None,
+        }],
+        jam_zones: vec![JamZone {
+            region: FaultRegion::Circle {
+                center: Point::new(500.0, 500.0),
+                radius: 5.0,
+            },
+            from: SimDuration::ZERO,
+            until: limit,
+            loss: 1.0,
+        }],
+        energy_budget_j: Some(1e6),
         ..FaultPlan::default()
     };
-    assert_eq!(baseline, run(cfg));
+    assert!(!dormant.is_inert());
+    let (stats, energy) = run(FaultPlan::default());
+    assert!(
+        stats.collisions > 0 && stats.ev_mac_attempt > stats.tx_frames,
+        "{stats:?}"
+    );
+    assert_eq!((stats, energy), run(dormant));
 }
 
 #[test]

@@ -13,8 +13,8 @@
 //!   list makes slot assignment a pure function of the op sequence.
 //! * Engine snapshots must be byte-stable across a restore round-trip, with
 //!   their layout pinned to `SNAP_VERSION` and every flight-recorder event
-//!   kind decoding back to itself, and the incremental audible-set
-//!   cache must be semantically invisible: a cached grid run is
+//!   kind decoding back to itself, and the grid's receiver pass and
+//!   collision filter must be semantically invisible: a grid run is
 //!   bit-identical to the brute-force oracle's.
 
 use std::cmp::Reverse;
@@ -111,10 +111,11 @@ proptest! {
     }
 }
 
-// ---- engine-level snapshot byte stability + cache transparency ---------
+// ---- engine-level snapshot byte stability + receiver-path transparency --
 
 /// Broadcast-chatty protocol: every node rebroadcasts on a timer, so the
-/// run exercises the audible-set path (and the frame pool) constantly.
+/// run exercises the receiver query, collision marking and the frame pool
+/// constantly.
 struct Chatter {
     heard: u64,
 }
@@ -151,6 +152,7 @@ impl diknn_snap::SnapState for Chatter {
     }
 }
 
+use diknn_sim::config::packet_airtime;
 use diknn_snap::{Snap, SnapReader, SnapWriter};
 
 /// One value of every protocol trace event variant, in snapshot-tag order.
@@ -278,8 +280,10 @@ fn every_trace_event_kind_round_trips_through_the_snapshot_codec() {
 /// The snapshot byte layout is pinned to its version: any change to what a
 /// snapshot holds or how it is encoded must bump `SNAP_VERSION` and re-pin
 /// the hash. The run is fixed and tiny: four static nodes, beacons and the
-/// recorder on, every node broadcasting on a timer, and one event of every
-/// protocol variant recorded through `Ctx::record_proto` at the end.
+/// recorder on, every node broadcasting on a timer. The image is taken at
+/// the last transmission start of a 2 s run, so it holds a frame on the
+/// air, and one event of every protocol variant is recorded through
+/// `Ctx::record_proto` first.
 #[test]
 fn snapshot_layout_is_pinned_to_its_version() {
     let nodes: Vec<SharedMobility> = [(10.0, 10.0), (25.0, 10.0), (10.0, 25.0), (60.0, 60.0)]
@@ -291,8 +295,25 @@ fn snapshot_layout_is_pinned_to_its_version() {
         trace: TraceConfig::enabled(),
         ..SimConfig::default()
     };
+    let mut full = Simulator::new(cfg.clone(), nodes.clone(), Chatter { heard: 0 }, 7);
+    full.run();
+    let last_start = full
+        .ctx()
+        .trace()
+        .events()
+        .filter(|e| matches!(e.kind, TraceKind::TxStart { .. }))
+        .map(|e| e.time)
+        .last()
+        .expect("the run transmitted");
+    // Events at `last_start` run, its frame's end does not: the frame is
+    // still on the air when the image is taken.
     let mut sim = Simulator::new(cfg, nodes, Chatter { heard: 0 }, 7);
-    sim.run();
+    sim.run_until(last_start);
+    let newest = sim.ctx().trace().events().last().expect("recorded");
+    assert!(
+        matches!(newest.kind, TraceKind::TxStart { .. }) && newest.time == last_start,
+        "{newest:?}"
+    );
     sim.drive(|_, ctx| {
         for ev in every_proto_event() {
             ctx.record_proto(NodeId(0), ev);
@@ -301,7 +322,7 @@ fn snapshot_layout_is_pinned_to_its_version() {
     let bytes = sim.snapshot();
     assert_eq!(
         (SNAP_VERSION, diknn_snap::fingerprint(&bytes)),
-        (9, 0x5ed0_aa8d_e0bc_38a2),
+        (10, 0xee29_2b4d_7ad7_6d0f),
         "snapshot layout changed: bump SNAP_VERSION and re-pin"
     );
 }
@@ -414,38 +435,73 @@ fn engine_snapshot_survives_a_restore_byte_for_byte() {
     );
 }
 
-/// The audible-set cache is pure memoization: the cached grid run must be
-/// bit-identical to the brute-force oracle, which has no cache — same
-/// trace bytes, same deliveries, same energy. Crossing a snapshot boundary
-/// mid-run (which cold-starts the cache) must not perturb the result
-/// either.
+/// The grid's receiver pass and its collision filter only change cost: a
+/// grid run must be bit-identical to the brute-force oracle, which scans
+/// every node and walks every frame on the air — same trace bytes,
+/// deliveries, stats and energy. Crossing a snapshot boundary mid-run
+/// (which rebuilds the grid) must not perturb the result either. The field
+/// is more than four radio ranges wide, and the run has collisions and
+/// concurrent frames whose senders are more than two ranges apart, so the
+/// filter both skips frames and marks shared receivers.
 #[test]
-fn audible_set_cache_is_semantically_invisible() {
+fn grid_receiver_path_matches_brute_force_across_a_snapshot() {
+    let nodes = mobile_nodes(50, 0xBEEF);
     let run = |neighbor_index: NeighborIndex, split: bool| {
         let cfg = SimConfig {
             neighbor_index,
             ..chatter_cfg()
         };
-        let nodes = mobile_nodes(50, 0xBEEF);
         let mut sim = Simulator::new(cfg.clone(), nodes.clone(), Chatter { heard: 0 }, 23);
         if split {
             sim.run_until(SimTime::ZERO + SimDuration::from_secs_f64(5.0));
             let bytes = sim.snapshot();
-            sim = Simulator::restore(&bytes, cfg, nodes, Chatter { heard: 0 }).expect("restore");
+            sim = Simulator::restore(&bytes, cfg, nodes.clone(), Chatter { heard: 0 })
+                .expect("restore");
         }
         sim.run();
-        let hits = sim.ctx().perf().aud_cache_hits;
-        let (proto, ctx) = sim.into_parts();
+        sim.into_parts()
+    };
+    let outcome = |(proto, ctx): &(Chatter, Ctx<u32>)| {
         (
-            (ctx.trace().render(), proto.heard, ctx.total_energy_j()),
-            hits,
+            ctx.trace().render(),
+            proto.heard,
+            *ctx.stats(),
+            ctx.total_energy_j(),
         )
     };
-    let (cached, hits) = run(NeighborIndex::Grid, false);
-    let (brute, _) = run(NeighborIndex::BruteForce, false);
-    let (split, _) = run(NeighborIndex::Grid, true);
-    assert!(!cached.0.is_empty(), "run recorded no trace events");
-    assert_eq!(cached, brute, "cached grid run diverged from brute force");
-    assert_eq!(cached, split, "snapshot boundary perturbed the cached run");
-    assert!(hits > 0, "dense broadcast run never hit the audible cache");
+    let grid = run(NeighborIndex::Grid, false);
+    let want = outcome(&grid);
+    assert!(!want.0.is_empty(), "run recorded no trace events");
+    assert!(want.2.collisions > 0, "{:?}", want.2);
+    assert_eq!(
+        want,
+        outcome(&run(NeighborIndex::BruteForce, false)),
+        "grid run diverged"
+    );
+    assert_eq!(
+        want,
+        outcome(&run(NeighborIndex::Grid, true)),
+        "snapshot boundary perturbed the run"
+    );
+
+    // Some frame starts while another, from more than 2r away, is on the
+    // air (the shortest frame's airtime bounds "on the air" from below).
+    let range = chatter_cfg().radio_range;
+    assert!(FIELD.width() >= 4.0 * range);
+    let starts: Vec<(SimTime, Point)> = grid
+        .1
+        .trace()
+        .events()
+        .filter(|e| matches!(e.kind, TraceKind::TxStart { .. }))
+        .map(|e| {
+            let plan = &nodes[e.node.index()];
+            (e.time, plan.position_at(e.time.as_secs_f64()))
+        })
+        .collect();
+    let airtime = packet_airtime(20);
+    let far_apart = starts.windows(2).any(|w| {
+        let ((t0, p0), (t1, p1)) = (w[0], w[1]);
+        t1.since(t0) < airtime && p0.dist(p1) > 2.0 * range
+    });
+    assert!(far_apart, "no concurrent frames more than 2r apart");
 }

@@ -120,7 +120,7 @@ fn service_snapshot_layout_is_pinned_to_its_versions() {
             SERVICE_SNAP_VERSION,
             diknn_snap::fingerprint(&bytes)
         ),
-        (9, 3, 0xdf13_5c54_9dd1_7e8c),
+        (10, 3, 0xa6c2_0931_585a_8f12),
         "service snapshot layout changed: bump the version and re-pin"
     );
 }
