@@ -94,7 +94,6 @@ pub struct Centralized {
     /// The base station's index: node → (position, heard time).
     index: BTreeMap<u32, (Point, SimTime)>,
     route_excludes: BTreeMap<(u32, u8), Vec<NodeId>>,
-    radio_range: f64,
 }
 
 impl Centralized {
@@ -117,7 +116,6 @@ impl Centralized {
             data_nodes,
             index: BTreeMap::new(),
             route_excludes: BTreeMap::new(),
-            radio_range: 0.0,
         }
     }
 
@@ -227,7 +225,6 @@ impl Protocol for Centralized {
     type Msg = CentralMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<CentralMsg>) {
-        self.radio_range = ctx.config().radio_range;
         assert_eq!(
             ctx.node_count(),
             self.data_nodes + 1,

@@ -9,6 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use diknn_geom::Point;
 use diknn_routing::{next_hop, reliable, GpsrHeader};
+use diknn_sim::config::RADIO_RANGE;
 use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 
 use diknn_core::knnb::knnb;
@@ -76,7 +77,6 @@ pub struct Flood {
     merged: BTreeMap<u32, (CandidateSet, u32, SimTime)>,
     seen_flood: BTreeSet<(u32, u32)>,
     pending: BTreeMap<(u32, u32), QuerySpec>,
-    radio_range: f64,
 }
 
 impl Flood {
@@ -87,7 +87,6 @@ impl Flood {
             merged: BTreeMap::new(),
             seen_flood: BTreeSet::new(),
             pending: BTreeMap::new(),
-            radio_range: 0.0,
         }
     }
 
@@ -125,14 +124,14 @@ impl Flood {
         from: Option<NodeId>,
     ) {
         let neighbors = reliable(ctx, at);
-        msg.record_hop(ctx.position(at), &neighbors, self.radio_range);
+        msg.record_hop(ctx.position(at), &neighbors, RADIO_RANGE);
         if let Some(next) = next_hop(ctx, at, &neighbors, None, &mut msg.gpsr, from, &[]) {
             return self.send(ctx, at, next, FloodMsg::Query(msg));
         }
         let spec = msg.spec;
-        let radius = knnb(&msg.list, spec.q, self.radio_range, spec.k as usize)
+        let radius = knnb(&msg.list, spec.q, RADIO_RANGE, spec.k as usize)
             .radius
-            .max(self.radio_range * 0.5);
+            .max(RADIO_RANGE * 0.5);
         if let Some(o) = self.outcomes.get_mut(spec.qid as usize) {
             o.boundary_radius = radius;
             o.final_radius = radius;
@@ -230,7 +229,6 @@ impl Protocol for Flood {
     type Msg = FloodMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<FloodMsg>) {
-        self.radio_range = ctx.config().radio_range;
         schedule_issues(ctx, 0, &self.requests);
     }
 

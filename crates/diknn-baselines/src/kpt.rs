@@ -23,6 +23,7 @@
 use std::collections::BTreeMap;
 
 use diknn_routing::{next_hop, reliable, GpsrHeader};
+use diknn_sim::config::RADIO_RANGE;
 use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, Neighbor, NodeId, Protocol, SimDuration};
 
 use diknn_core::knnb::{knnb, kpt_conservative_radius, HopRecord};
@@ -153,7 +154,6 @@ pub struct Kpt {
     homes: BTreeMap<u32, HomeState>,
     query_excludes: BTreeMap<u32, Vec<NodeId>>,
     result_excludes: BTreeMap<u32, Vec<NodeId>>,
-    radio_range: f64,
 }
 
 impl Kpt {
@@ -166,7 +166,6 @@ impl Kpt {
             homes: BTreeMap::new(),
             query_excludes: BTreeMap::new(),
             result_excludes: BTreeMap::new(),
-            radio_range: 0.0,
         }
     }
 
@@ -204,7 +203,7 @@ impl Kpt {
     ) {
         self.query_excludes.remove(&msg.spec.qid);
         let neighbors = reliable(ctx, at);
-        msg.record_hop(ctx.position(at), &neighbors, self.radio_range);
+        msg.record_hop(ctx.position(at), &neighbors, RADIO_RANGE);
         self.forward_query(ctx, at, &neighbors, msg, from);
     }
 
@@ -236,18 +235,18 @@ impl Kpt {
         let field = ctx.config().field;
         let diag = (field.width().powi(2) + field.height().powi(2)).sqrt();
         let radius = match self.cfg.boundary {
-            KptBoundary::Knnb => knnb(l, spec.q, self.radio_range, spec.k as usize).radius,
+            KptBoundary::Knnb => knnb(l, spec.q, RADIO_RANGE, spec.k as usize).radius,
             KptBoundary::Conservative { mean_hop_distance } => {
                 kpt_conservative_radius(spec.k as usize, mean_hop_distance)
             }
         }
-        .clamp(self.radio_range * 0.5, diag);
+        .clamp(RADIO_RANGE * 0.5, diag);
         if let Some(o) = self.outcomes.get_mut(spec.qid as usize) {
             o.boundary_radius = radius;
             o.final_radius = radius;
             o.routing_hops = l.len().saturating_sub(1) as u32;
         }
-        let height = (radius / (0.7 * self.radio_range)).ceil() as u32 + 1;
+        let height = (radius / (0.7 * RADIO_RANGE)).ceil() as u32 + 1;
         let mut agg = CandidateSet::new(spec.k as usize);
         let my_pos = ctx.position(home);
         agg.insert(Candidate {
@@ -511,7 +510,6 @@ impl Protocol for Kpt {
     type Msg = KptMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<KptMsg>) {
-        self.radio_range = ctx.config().radio_range;
         schedule_issues(ctx, 0, &self.requests);
     }
 

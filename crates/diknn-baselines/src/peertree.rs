@@ -213,7 +213,6 @@ pub struct PeerTree {
     /// colliding at the query head.
     pending_subreplies: BTreeMap<(u32, u32), PtMsg>,
     route_excludes: BTreeMap<(u32, u8), Vec<NodeId>>,
-    radio_range: f64,
     field: Rect,
 }
 
@@ -259,7 +258,6 @@ impl PeerTree {
             collections: BTreeMap::new(),
             pending_subreplies: BTreeMap::new(),
             route_excludes: BTreeMap::new(),
-            radio_range: 0.0,
             field,
         }
     }
@@ -663,7 +661,6 @@ impl Protocol for PeerTree {
     type Msg = PtMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<PtMsg>) {
-        self.radio_range = ctx.config().radio_range;
         assert_eq!(
             ctx.node_count(),
             self.data_nodes + self.cfg.grid * self.cfg.grid,

@@ -9,6 +9,7 @@
 use diknn_baselines::{KptConfig, PeerTreeConfig};
 use diknn_bench::{default_workload, print_csv_header, print_row, run_cell};
 use diknn_core::DiknnConfig;
+use diknn_sim::config::RADIO_RANGE;
 use diknn_workloads::{ProtocolKind, WorkloadConfig};
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
             ProtocolKind::PeerTree(PeerTreeConfig::default()),
         ] {
             let name = proto.name();
-            let scenario = diknn_bench::default_scenario().with_node_degree(degree, 20.0);
+            let scenario = diknn_bench::default_scenario().with_node_degree(degree, RADIO_RANGE);
             let agg = run_cell(
                 proto,
                 scenario,

@@ -14,6 +14,7 @@
 
 use diknn_core::{Diknn, DiknnConfig, KnnProtocol, QueryRequest};
 use diknn_geom::{Point, Rect};
+use diknn_sim::config::RADIO_RANGE;
 use diknn_sim::{NodeId, SimConfig, Simulator, TraceConfig};
 use diknn_workloads::{GroundTruth, HerdSetup, PlacementKind, ScenarioConfig};
 
@@ -49,7 +50,7 @@ fn main() {
     let degree = |i: usize| {
         positions
             .iter()
-            .filter(|p| p.dist(positions[i]) <= 20.0)
+            .filter(|p| p.dist(positions[i]) <= RADIO_RANGE)
             .count()
     };
     let densest = (0..positions.len()).max_by_key(|&i| degree(i)).unwrap();
@@ -79,21 +80,6 @@ fn main() {
 
     let outcome = &sim.protocol().outcomes()[0];
     let hops = oracle.itinerary_hops(sim.ctx().trace());
-    if std::env::var("FIG7_DEBUG").is_ok() {
-        if let Some(&(from, _, _)) = hops.values().next().and_then(|h| h.first()) {
-            eprintln!(
-                "debug: first Q-node at ({:.1},{:.1}), dist to q {:.1}",
-                from.x,
-                from.y,
-                from.dist(q)
-            );
-        }
-        eprintln!(
-            "debug: sink at {:?}, q at {:?}, parts {}/{}",
-            positions[sink], q, outcome.parts_returned, outcome.parts_expected
-        );
-        eprintln!("debug: answer len {}", outcome.answer.len());
-    }
 
     // ---- ASCII map -----------------------------------------------------
     let mut grid = vec![[b' '; COLS]; ROWS];

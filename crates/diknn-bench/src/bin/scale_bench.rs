@@ -60,12 +60,11 @@ use std::time::Instant; // lint: wall-clock-ok (host-side benchmark timing)
 use diknn_bench::report::{gate, write_results, Json};
 use diknn_bench::{base_seed, env_f64, env_list, env_usize, threads};
 use diknn_core::{Diknn, DiknnConfig};
+use diknn_sim::config::RADIO_RANGE;
 use diknn_sim::{NeighborIndex, PerfCounters, SimStats, Simulator, TraceConfig};
 use diknn_snap::Snap;
 use diknn_workloads::{workload, Experiment, ParallelSweep, ScenarioConfig, WorkloadConfig};
 
-/// Radio range (m); matches `SimConfig::default` and sizes the grid cells.
-const RADIO_RANGE: f64 = 20.0;
 /// Constant node degree: the field grows as `sqrt(n)` so local density —
 /// and thus per-node work — stays fixed while global work scales.
 const NODE_DEGREE: f64 = 20.0;

@@ -3,7 +3,7 @@
 //! asserts they match.
 
 use diknn_core::{DiknnConfig, COLLECTION_UNIT, RESPONSE_BYTES};
-use diknn_sim::config::BITS_PER_SEC;
+use diknn_sim::config::{BITS_PER_SEC, RADIO_RANGE};
 use diknn_sim::SimConfig;
 use diknn_workloads::{ScenarioConfig, WorkloadConfig};
 
@@ -26,14 +26,10 @@ fn main() {
             let density = sc.nodes as f64 / sc.field.area();
             format!(
                 "{:.1}",
-                density * std::f64::consts::PI * sim.radio_range * sim.radio_range
+                density * std::f64::consts::PI * RADIO_RANGE * RADIO_RANGE
             )
         }),
-        (
-            "radio range r",
-            "20 m".into(),
-            format!("{} m", sim.radio_range),
-        ),
+        ("radio range r", "20 m".into(), format!("{RADIO_RANGE} m")),
         (
             "response size",
             "10 bytes".into(),
@@ -84,7 +80,7 @@ fn main() {
 
     // Hard assertions: the defaults and constants ARE the paper settings.
     assert_eq!(sc.nodes, 200);
-    assert_eq!(sim.radio_range, 20.0);
+    assert_eq!(RADIO_RANGE, 20.0);
     assert_eq!(BITS_PER_SEC, 250_000);
     assert_eq!(dk.sectors, 8);
     assert_eq!(RESPONSE_BYTES, 10);

@@ -3,8 +3,6 @@
 //! The settings every protocol of the evaluation shares are constants here;
 //! the config structs hold only what an experiment varies.
 
-use diknn_sim::ConfigError;
-
 /// Data-collection time unit `m` in seconds (0.018 s in the paper): how
 /// long a collector budgets per expected replier. DIKNN's Q-nodes,
 /// Peer-tree's query heads and the flooding baseline's responders all pace
@@ -41,71 +39,22 @@ pub enum CollectionScheme {
 }
 
 /// Sink-side serving layer: admission control, spatial query merging and
-/// short-TTL result caching (DESIGN.md §12). Disabled by default — with
-/// `enabled == false` the protocol behaves bit-identically to a build
-/// without the serving layer (golden traces are pinned on this).
-#[derive(Debug, Clone)]
+/// short-TTL result caching (DESIGN.md §12). Its admission ceiling, merge
+/// and cache radii and cache TTL are constants beside their reader in the
+/// DIKNN protocol. Disabled by default — with `enabled == false` the
+/// protocol behaves bit-identically to a build without the serving layer
+/// (golden traces are pinned on this).
+#[derive(Debug, Clone, Default)]
 pub struct ServingConfig {
     /// Master switch. Off: every query is admitted immediately, no merge,
     /// no cache, no serving trace events.
     pub enabled: bool,
-    /// Admission ceiling: maximum queries in flight (admitted, not yet
-    /// terminal) across all sinks. Arrivals beyond it are deferred, then
-    /// rejected. Must be nonzero.
-    pub max_in_flight: u32,
-    /// Spatial merge radius in metres: a new arrival whose query point lies
-    /// within this distance of an in-flight query's point (and whose `k`
-    /// does not exceed the host's) rides the host's itinerary instead of
-    /// launching its own. `0.0` disables merging.
-    pub merge_radius_m: f64,
-    /// Result-cache radius in metres: a new arrival within this distance of
-    /// a fresh completed query's point (with `k` not exceeding the cached
-    /// `k`) is answered from the cache. `0.0` disables caching.
-    pub cache_radius_m: f64,
-    /// Cache TTL in seconds. Entries older than this are never served;
-    /// the mobility-drift bound can retire them sooner. Must be positive.
-    pub cache_ttl_s: f64,
-}
-
-impl Default for ServingConfig {
-    fn default() -> Self {
-        ServingConfig {
-            enabled: false,
-            max_in_flight: 8,
-            merge_radius_m: 10.0,
-            cache_radius_m: 10.0,
-            cache_ttl_s: 2.0,
-        }
-    }
 }
 
 impl ServingConfig {
-    /// An enabled serving layer with the default knobs.
+    /// An enabled serving layer.
     pub fn enabled() -> Self {
-        ServingConfig {
-            enabled: true,
-            ..ServingConfig::default()
-        }
-    }
-
-    /// Reject nonsensical serving knobs with typed errors (shared
-    /// [`ConfigError`] vocabulary with the simulator config). Checked even
-    /// while `enabled == false` so a bad config cannot lurk behind the
-    /// switch.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.max_in_flight == 0 {
-            return Err(ConfigError::ZeroAdmissionCeiling);
-        }
-        if self.cache_ttl_s <= 0.0 || self.cache_ttl_s.is_nan() {
-            return Err(ConfigError::NonPositiveCacheTtl(self.cache_ttl_s));
-        }
-        if self.merge_radius_m < 0.0 || self.merge_radius_m.is_nan() {
-            return Err(ConfigError::NegativeMergeRadius(self.merge_radius_m));
-        }
-        if self.cache_radius_m < 0.0 || self.cache_radius_m.is_nan() {
-            return Err(ConfigError::NegativeCacheRadius(self.cache_radius_m));
-        }
-        Ok(())
+        ServingConfig { enabled: true }
     }
 }
 
@@ -168,9 +117,6 @@ impl DiknnConfig {
             "assurance gain must be in [0, 1]"
         );
         assert!(self.sink_timeout > 0.0, "sink timeout must be positive");
-        if let Err(e) = self.serving.validate() {
-            panic!("serving config: {e}");
-        }
     }
 }
 
@@ -191,65 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn serving_defaults_are_off_and_valid() {
-        let s = ServingConfig::default();
-        assert!(!s.enabled);
-        assert_eq!(s.validate(), Ok(()));
+    fn serving_defaults_are_off() {
+        assert!(!ServingConfig::default().enabled);
         assert!(ServingConfig::enabled().enabled);
-    }
-
-    #[test]
-    fn serving_rejects_zero_admission_ceiling() {
-        let s = ServingConfig {
-            max_in_flight: 0,
-            ..ServingConfig::default()
-        };
-        assert_eq!(s.validate(), Err(ConfigError::ZeroAdmissionCeiling));
-    }
-
-    #[test]
-    fn serving_rejects_non_positive_cache_ttl() {
-        for ttl in [0.0, -1.0, f64::NAN] {
-            let s = ServingConfig {
-                cache_ttl_s: ttl,
-                ..ServingConfig::default()
-            };
-            assert!(
-                matches!(s.validate(), Err(ConfigError::NonPositiveCacheTtl(_))),
-                "ttl {ttl} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn serving_rejects_negative_merge_radius() {
-        let s = ServingConfig {
-            merge_radius_m: -0.1,
-            ..ServingConfig::default()
-        };
-        assert_eq!(s.validate(), Err(ConfigError::NegativeMergeRadius(-0.1)));
-    }
-
-    #[test]
-    fn serving_rejects_negative_cache_radius() {
-        let s = ServingConfig {
-            cache_radius_m: -2.0,
-            ..ServingConfig::default()
-        };
-        assert_eq!(s.validate(), Err(ConfigError::NegativeCacheRadius(-2.0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "serving config")]
-    fn protocol_validate_surfaces_serving_errors() {
-        DiknnConfig {
-            serving: ServingConfig {
-                max_in_flight: 0,
-                ..ServingConfig::default()
-            },
-            ..DiknnConfig::default()
-        }
-        .validate();
     }
 
     #[test]

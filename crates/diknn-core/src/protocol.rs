@@ -20,6 +20,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use diknn_geom::{angle, Point, Polyline};
 use diknn_routing::{next_hop, plan_next_hop, reliable, GpsrHeader, RouteStep};
+use diknn_sim::config::RADIO_RANGE;
 use diknn_sim::{
     pack_timer_key, unpack_timer_key, Ctx, Neighbor, NodeId, ProtoEvent, Protocol, SimDuration,
     SimTime, TimerId,
@@ -116,10 +117,36 @@ const DRIFT_RATE_MPS: f64 = 5.0;
 /// `age × DRIFT_RATE_MPS` exceeds this, even inside the TTL.
 const CACHE_DRIFT_M: f64 = 10.0;
 
+/// Admission ceiling: maximum queries in flight (admitted, not yet
+/// terminal) across all sinks. Arrivals beyond it are deferred, then
+/// rejected.
+const MAX_IN_FLIGHT: u32 = 8;
+
+/// Spatial merge radius in metres: a new arrival whose query point lies
+/// within this distance of an in-flight query's point (and whose `k` does
+/// not exceed the host's) rides the host's itinerary instead of launching
+/// its own.
+const MERGE_RADIUS_M: f64 = 10.0;
+
+/// Result-cache radius in metres: a new arrival within this distance of a
+/// fresh completed query's point (with `k` not exceeding the cached `k`) is
+/// answered from the cache.
+const CACHE_RADIUS_M: f64 = 10.0;
+
+/// Cache TTL in seconds. Entries older than this are never served; the
+/// mobility-drift bound can retire them sooner.
+const CACHE_TTL_S: f64 = 2.0;
+
 const _: () = assert!(
     RETRY_AFTER_S > 0.0 && MAX_RETRY_AFTER_S >= RETRY_AFTER_S,
     "retry-after bounds must satisfy 0 < base <= max"
 );
+const _: () = assert!(MAX_IN_FLIGHT >= 1, "no query could ever be admitted");
+const _: () = assert!(
+    MERGE_RADIUS_M > 0.0 && CACHE_RADIUS_M > 0.0,
+    "merge and cache radii must be positive"
+);
+const _: () = assert!(CACHE_TTL_S > 0.0, "a cache entry must outlive its write");
 const _: () = assert!(LOAD_WINDOW_S > 0.0, "load window must be positive");
 const _: () = assert!(
     DRIFT_RATE_MPS > 0.0 && CACHE_DRIFT_M >= 0.0,
@@ -209,9 +236,6 @@ struct ServingState {
     /// Finish times of admitted queries, oldest first; those older than
     /// [`LOAD_WINDOW_S`] are dropped at each completion.
     completions: VecDeque<SimTime>,
-    /// Admitted queries that have not yet finalised (candidate merge
-    /// hosts). Its size is the admission depth.
-    active: BTreeSet<u32>,
     /// Host qid → member qids answered from the host's return leg.
     members: BTreeMap<u32, Vec<u32>>,
     /// Member qid → the host it rides.
@@ -224,7 +248,6 @@ struct ServingState {
 
 diknn_snap::snap_struct!(ServingState {
     completions,
-    active,
     members,
     host_of,
     defers,
@@ -276,9 +299,9 @@ pub struct Diknn {
     /// tokens are stale duplicates from a watchdog re-issue and are dropped.
     token_epochs: BTreeMap<(u32, u8, u8), u32>,
     /// Serving layer (admission / merge / cache); inert while
-    /// `cfg.serving.enabled` is false.
+    /// `cfg.serving.enabled` is false. With it on, the admitted queries
+    /// still in flight are the keys of `sinks`.
     serving: ServingState,
-    radio_range: f64,
 }
 
 impl Diknn {
@@ -286,7 +309,6 @@ impl Diknn {
         cfg.validate();
         let serving = ServingState {
             completions: VecDeque::new(),
-            active: BTreeSet::new(),
             members: BTreeMap::new(),
             host_of: BTreeMap::new(),
             defers: BTreeMap::new(),
@@ -307,7 +329,6 @@ impl Diknn {
             result_excludes: BTreeMap::new(),
             watchdogs: BTreeMap::new(),
             token_epochs: BTreeMap::new(),
-            radio_range: 0.0,
         }
     }
 
@@ -326,7 +347,7 @@ impl Diknn {
     }
 
     fn width(&self) -> f64 {
-        self.cfg.width_factor * self.radio_range
+        self.cfg.width_factor * RADIO_RANGE
     }
 
     /// Deterministic per-query sector origin (decorrelates queries). A
@@ -476,93 +497,85 @@ impl Diknn {
 
         // 1. Result cache: answer from a fresh completed query at (nearly)
         // the same point, inside both the TTL and the mobility-drift bound.
-        if self.cfg.serving.cache_radius_m > 0.0 {
-            let ttl = self.cfg.serving.cache_ttl_s;
-            let max_age = ttl.min(CACHE_DRIFT_M / DRIFT_RATE_MPS);
-            self.serving
-                .cache
-                .retain(|e| (now - e.completed_at).as_secs_f64() <= max_age);
-            let radius = self.cfg.serving.cache_radius_m;
-            let hit = self
-                .serving
-                .cache
-                .iter()
-                .filter(|e| e.k >= k && e.q.dist(q) <= radius)
-                .min_by(|a, b| {
-                    a.q.dist(q)
-                        .total_cmp(&b.q.dist(q))
-                        .then(b.completed_at.cmp(&a.completed_at))
-                        .then(a.src_qid.cmp(&b.src_qid))
-                });
-            if let Some(entry) = hit {
-                let age = (now - entry.completed_at).as_secs_f64();
-                let answer = Self::rank_for(&entry.candidates, q, k);
-                let src = entry.src_qid;
-                let o = &mut self.outcomes[qid as usize];
-                o.answer = answer.clone();
-                o.completed_at = Some(now);
-                o.status = QueryStatus::CacheHit;
-                ctx.record_proto(
-                    sink,
-                    ProtoEvent::CacheServed {
-                        qid,
-                        src,
-                        age_s: age,
-                        ttl_s: ttl,
-                    },
-                );
-                ctx.record_proto(
-                    sink,
-                    ProtoEvent::QueryDone {
-                        qid,
-                        status: QueryStatus::CacheHit,
-                        answer,
-                    },
-                );
-                self.serving.defers.remove(&qid);
-                return;
-            }
+        let max_age = CACHE_TTL_S.min(CACHE_DRIFT_M / DRIFT_RATE_MPS);
+        self.serving
+            .cache
+            .retain(|e| (now - e.completed_at).as_secs_f64() <= max_age);
+        let hit = self
+            .serving
+            .cache
+            .iter()
+            .filter(|e| e.k >= k && e.q.dist(q) <= CACHE_RADIUS_M)
+            .min_by(|a, b| {
+                a.q.dist(q)
+                    .total_cmp(&b.q.dist(q))
+                    .then(b.completed_at.cmp(&a.completed_at))
+                    .then(a.src_qid.cmp(&b.src_qid))
+            });
+        if let Some(entry) = hit {
+            let age = (now - entry.completed_at).as_secs_f64();
+            let answer = Self::rank_for(&entry.candidates, q, k);
+            let src = entry.src_qid;
+            let o = &mut self.outcomes[qid as usize];
+            o.answer = answer.clone();
+            o.completed_at = Some(now);
+            o.status = QueryStatus::CacheHit;
+            ctx.record_proto(
+                sink,
+                ProtoEvent::CacheServed {
+                    qid,
+                    src,
+                    age_s: age,
+                    ttl_s: CACHE_TTL_S,
+                },
+            );
+            ctx.record_proto(
+                sink,
+                ProtoEvent::QueryDone {
+                    qid,
+                    status: QueryStatus::CacheHit,
+                    answer,
+                },
+            );
+            self.serving.defers.remove(&qid);
+            return;
         }
 
         // 2. Spatial merge: ride an in-flight query whose itinerary covers
         // this one. The member is answered from the host's return leg with
         // per-query re-ranking; it never emits a frame of its own.
-        if self.cfg.serving.merge_radius_m > 0.0 {
-            let radius = self.cfg.serving.merge_radius_m;
-            let host = self
-                .serving
-                .active
-                .iter()
-                .copied()
-                .filter(|&h| {
-                    let ho = &self.outcomes[h as usize];
-                    ho.k >= k && ho.q.dist(q) <= radius
-                })
-                .min_by(|&a, &b| {
-                    let da = self.outcomes[a as usize].q.dist(q);
-                    let db = self.outcomes[b as usize].q.dist(q);
-                    da.total_cmp(&db).then(a.cmp(&b))
-                });
-            if let Some(host) = host {
-                // Keep enough merged candidates at the host's sink for the
-                // member's re-rank: the host's own top-k around *its* point
-                // might drop the member's nearest nodes.
-                if let Some(state) = self.sinks.get_mut(&host) {
-                    let wide = state.merged.k() + k;
-                    state.merged.widen(wide);
-                }
-                self.serving.members.entry(host).or_default().push(qid);
-                self.serving.host_of.insert(qid, host);
-                self.serving.defers.remove(&qid);
-                ctx.record_proto(sink, ProtoEvent::QueryMerged { qid, host });
-                return;
+        let host = self
+            .sinks
+            .keys()
+            .copied()
+            .filter(|&h| {
+                let ho = &self.outcomes[h as usize];
+                ho.k >= k && ho.q.dist(q) <= MERGE_RADIUS_M
+            })
+            .min_by(|&a, &b| {
+                let da = self.outcomes[a as usize].q.dist(q);
+                let db = self.outcomes[b as usize].q.dist(q);
+                da.total_cmp(&db).then(a.cmp(&b))
+            });
+        if let Some(host) = host {
+            // Keep enough merged candidates at the host's sink for the
+            // member's re-rank: the host's own top-k around *its* point
+            // might drop the member's nearest nodes.
+            if let Some(state) = self.sinks.get_mut(&host) {
+                let wide = state.merged.k() + k;
+                state.merged.widen(wide);
             }
+            self.serving.members.entry(host).or_default().push(qid);
+            self.serving.host_of.insert(qid, host);
+            self.serving.defers.remove(&qid);
+            ctx.record_proto(sink, ProtoEvent::QueryMerged { qid, host });
+            return;
         }
 
         // 3. Admission: bounded-deferral concurrency ceiling on the
         // admitted queries still in flight.
-        let depth = self.serving.active.len() as u32;
-        if depth >= self.cfg.serving.max_in_flight {
+        let depth = self.sinks.len() as u32;
+        if depth >= MAX_IN_FLIGHT {
             let defers = self.serving.defers.get(&qid).copied().unwrap_or(0);
             if defers >= MAX_ADMISSION_DEFERS {
                 // Out of patience: terminal rejection, never executed.
@@ -605,12 +618,11 @@ impl Diknn {
             return;
         }
         self.serving.defers.remove(&qid);
-        self.serving.active.insert(qid);
         ctx.record_proto(
             sink,
             ProtoEvent::QueryAdmitted {
                 qid,
-                depth: self.serving.active.len() as u32,
+                depth: depth + 1,
             },
         );
         self.launch_query(ctx, qid);
@@ -621,7 +633,7 @@ impl Diknn {
     /// or load may have drained).
     fn admission_retry(&mut self, ctx: &mut Ctx<DiknnMsg>, qid: u32) {
         let still_waiting = self.outcomes[qid as usize].status == QueryStatus::Pending
-            && !self.serving.active.contains(&qid)
+            && !self.sinks.contains_key(&qid)
             && !self.serving.host_of.contains_key(&qid);
         if still_waiting {
             self.serve_query(ctx, qid);
@@ -633,7 +645,7 @@ impl Diknn {
     /// pool to every member with exact per-query re-ranking, and (for
     /// complete answers) publish a cache entry.
     fn settle_serving(&mut self, ctx: &mut Ctx<DiknnMsg>, qid: u32) {
-        if !self.cfg.serving.enabled || !self.serving.active.remove(&qid) {
+        if !self.cfg.serving.enabled {
             return;
         }
         let now = ctx.now();
@@ -671,7 +683,7 @@ impl Diknn {
                 },
             );
         }
-        if host_completed && self.cfg.serving.cache_radius_m > 0.0 {
+        if host_completed {
             if let Some(completed_at) = completed_at {
                 let o = &self.outcomes[qid as usize];
                 self.serving.cache.push(CacheEntry {
@@ -700,7 +712,7 @@ impl Diknn {
     ) {
         self.query_excludes.remove(&msg.spec.qid);
         let neighbors = reliable(ctx, at);
-        msg.record_hop(ctx.position(at), &neighbors, self.radio_range);
+        msg.record_hop(ctx.position(at), &neighbors, RADIO_RANGE);
         self.forward_query(ctx, at, &neighbors, msg, from);
     }
 
@@ -727,10 +739,10 @@ impl Diknn {
 
     fn begin_dissemination(&mut self, ctx: &mut Ctx<DiknnMsg>, home: NodeId, msg: QueryMsg) {
         let spec = msg.spec;
-        let boundary = knnb(&msg.list, spec.q, self.radio_range, spec.k as usize);
+        let boundary = knnb(&msg.list, spec.q, RADIO_RANGE, spec.k as usize);
         let field = ctx.config().field;
         let max_r = (field.width().powi(2) + field.height().powi(2)).sqrt();
-        let radius = boundary.radius.clamp(self.radio_range * 0.5, max_r);
+        let radius = boundary.radius.clamp(RADIO_RANGE * 0.5, max_r);
         ctx.record_proto(
             home,
             ProtoEvent::BoundaryEstimated {
@@ -965,7 +977,7 @@ impl Diknn {
         // the target comes within radio reach.
         if let Some((detour_arclen, header)) = token.detour {
             let target = poly.point_at(detour_arclen);
-            if my_pos.dist(target) <= self.radio_range {
+            if my_pos.dist(target) <= RADIO_RANGE {
                 // Crossed the void: resume the itinerary from the target.
                 token.frontier = token.frontier.max(detour_arclen);
                 token.detour = None;
@@ -993,7 +1005,7 @@ impl Diknn {
         }
 
         let w = token.itin.width;
-        let mut walk = Walk::new(&poly, my_pos, token.frontier, self.radio_range, w);
+        let mut walk = Walk::new(&poly, my_pos, token.frontier, RADIO_RANGE, w);
         loop {
             let step = walk.step(&neighbors, &exclude);
             token.frontier = walk.frontier();
@@ -1365,7 +1377,6 @@ impl Protocol for Diknn {
     type Msg = DiknnMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<DiknnMsg>) {
-        self.radio_range = ctx.config().radio_range;
         schedule_issues(ctx, 0, &self.requests);
     }
 
@@ -1660,7 +1671,6 @@ impl diknn_snap::SnapState for Diknn {
         self.watchdogs.snap(w);
         self.token_epochs.snap(w);
         self.serving.snap(w);
-        self.radio_range.snap(w);
     }
 
     fn restore_state(
@@ -1680,7 +1690,6 @@ impl diknn_snap::SnapState for Diknn {
         self.watchdogs = Snap::unsnap(r)?;
         self.token_epochs = Snap::unsnap(r)?;
         self.serving = Snap::unsnap(r)?;
-        self.radio_range = Snap::unsnap(r)?;
         Ok(())
     }
 }
@@ -1765,11 +1774,12 @@ mod tests {
         }
     }
 
-    /// A 3-node static simulator advanced to t = 10 s, so `ctx.now()` is a
-    /// realistic mid-run instant when the closures below fabricate state.
-    fn tiny_serving_sim(serving: ServingConfig) -> Simulator<Diknn> {
+    /// A 3-node static simulator with the serving layer on, advanced to
+    /// t = 10 s, so `ctx.now()` is a realistic mid-run instant when the
+    /// closures below fabricate state.
+    fn tiny_serving_sim() -> Simulator<Diknn> {
         let cfg = DiknnConfig {
-            serving,
+            serving: ServingConfig::enabled(),
             ..DiknnConfig::default()
         };
         let plans: Vec<SharedMobility> = (0..3)
@@ -1792,12 +1802,8 @@ mod tests {
     #[test]
     fn cache_hit_at_exact_ttl_expiry() {
         // The drift bound (10 m at 5 m/s) is 2 s too, so the age bound is
-        // exactly the TTL.
-        let serving = ServingConfig {
-            cache_ttl_s: 2.0,
-            ..ServingConfig::enabled()
-        };
-        let mut sim = tiny_serving_sim(serving);
+        // exactly the 2 s TTL.
+        let mut sim = tiny_serving_sim();
         sim.drive(|p, ctx| {
             let now = ctx.now();
             // Entry whose age is exactly the TTL, to the nanosecond.
@@ -1840,11 +1846,7 @@ mod tests {
 
     #[test]
     fn cache_entry_one_nanosecond_past_ttl_is_stale() {
-        let serving = ServingConfig {
-            cache_ttl_s: 2.0,
-            ..ServingConfig::enabled()
-        };
-        let mut sim = tiny_serving_sim(serving);
+        let mut sim = tiny_serving_sim();
         sim.drive(|p, ctx| {
             let now = ctx.now();
             let born = SimTime::from_nanos(now.as_nanos() - 2_000_000_001);
@@ -1877,24 +1879,19 @@ mod tests {
                 "the stale entry must have been evicted by the retain pass"
             );
             // The miss falls through to admission and launches for real.
-            assert!(p.serving.active.contains(&0));
+            assert!(p.sinks.contains_key(&0));
         });
     }
 
     #[test]
     fn merge_member_attributed_when_host_never_finalises() {
-        let serving = ServingConfig {
-            merge_radius_m: 30.0,
-            ..ServingConfig::enabled()
-        };
-        let mut sim = tiny_serving_sim(serving);
+        let mut sim = tiny_serving_sim();
         let host_q = Point::new(50.0, 50.0);
         sim.drive(|p, ctx| {
             let now = ctx.now();
             // An in-flight host with a partially filled merged pool.
             p.outcomes
                 .push(pending_outcome(0, NodeId(0), host_q, 4, now));
-            p.serving.active.insert(0);
             let mut merged = CandidateSet::new(4);
             for (id, x) in [(1u32, 40.0), (2, 60.0), (3, 90.0)] {
                 merged.insert(Candidate {
@@ -1916,11 +1913,12 @@ mod tests {
                     counted: BTreeSet::new(),
                 },
             );
-            // A nearby arrival merges onto it instead of launching.
+            // An arrival 8 m away, inside the merge radius, merges onto it
+            // instead of launching.
             p.outcomes.push(pending_outcome(
                 1,
                 NodeId(1),
-                Point::new(60.0, 50.0),
+                Point::new(58.0, 50.0),
                 2,
                 now,
             ));

@@ -18,6 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use diknn_geom::{Point, Polyline, Rect};
 use diknn_routing::{next_hop, reliable, GpsrHeader};
+use diknn_sim::config::RADIO_RANGE;
 use diknn_sim::{pack_timer_key, unpack_timer_key, Ctx, NodeId, Protocol, SimDuration, SimTime};
 use rand::Rng;
 
@@ -169,9 +170,8 @@ struct Collecting {
 pub struct WindowQuery {
     requests: Vec<WindowRequest>,
     outcomes: Vec<WindowOutcome>,
-    /// Scanline spacing (set from the radio range at start).
+    /// Scanline spacing: the recommended width for the radio range.
     width: f64,
-    radio_range: f64,
     collecting: BTreeMap<u32, Collecting>,
     responded: BTreeSet<(u32, u32)>,
     pending_replies: BTreeMap<(u32, u32), NodeId>,
@@ -188,8 +188,7 @@ impl WindowQuery {
         WindowQuery {
             requests,
             outcomes: Vec::new(),
-            width: 0.0,
-            radio_range: 0.0,
+            width: ItinerarySpec::recommended_width(RADIO_RANGE),
             collecting: BTreeMap::new(),
             responded: BTreeSet::new(),
             pending_replies: BTreeMap::new(),
@@ -310,7 +309,7 @@ impl WindowQuery {
                 .get(&spec.qid)
                 .map_or(&[][..], Vec::as_slice);
             let me = ctx.position(at);
-            let mut walk = Walk::new(&poly, me, frontier, self.radio_range, self.width);
+            let mut walk = Walk::new(&poly, me, frontier, RADIO_RANGE, self.width);
             loop {
                 match walk.step(&neighbors, exclude) {
                     WalkStep::Handoff(next) => break Some((next, walk.frontier())),
@@ -396,8 +395,6 @@ impl Protocol for WindowQuery {
     type Msg = WindowMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<WindowMsg>) {
-        self.radio_range = ctx.config().radio_range;
-        self.width = ItinerarySpec::recommended_width(self.radio_range);
         for (i, req) in self.requests.iter().enumerate() {
             ctx.set_timer(
                 req.sink,

@@ -151,30 +151,28 @@ fn first_round_delta_is_the_full_answer() {
 /// runs out were never executed, so they end `rejected`, not `token-lost`.
 #[test]
 fn rounds_parked_behind_admission_end_rejected() {
-    // One query in flight at a time, and a round every 0.3 s: far closer
-    // together than one query's latency (about 1 s), so rounds queue at
-    // admission. Each deferral waits at least 1.25 s at this drain rate, so
-    // none exhausts its six deferrals in a 6 s run: every round that never
-    // got admitted is still parked at the end.
-    let monitor = MonitorRequest {
-        start_at: 1.0,
-        period: 0.3,
-        rounds: 12,
-        sink: NodeId(0),
-        q: Point::new(57.0, 57.0),
-        k: 10,
-    };
+    // Twelve monitors, each issuing one round at t = 1 s. Their points are
+    // 25 m apart, farther than the 10 m merge and cache radii, so no round
+    // rides another: the first eight fill the admission ceiling of eight
+    // and the other four are deferred. A deferral at depth eight with no
+    // completion yet waits the 4 s cap, so a run that ends at 4 s still
+    // has those four parked, none of them out of deferrals.
+    let monitors = (0..12)
+        .map(|i| MonitorRequest {
+            start_at: 1.0,
+            period: 1.0,
+            rounds: 1,
+            sink: NodeId(0),
+            q: Point::new(20.0 + 25.0 * (i % 4) as f64, 30.0 + 25.0 * (i / 4) as f64),
+            k: 10,
+        })
+        .collect();
     let cfg = DiknnConfig {
-        serving: ServingConfig {
-            max_in_flight: 1,
-            merge_radius_m: 0.0,
-            cache_radius_m: 0.0,
-            ..ServingConfig::enabled()
-        },
+        serving: ServingConfig::enabled(),
         ..DiknnConfig::default()
     };
-    let plan = ContinuousKnn::new(vec![monitor]);
-    let sim = run_plan(&plan, cfg, 6.0, 0.0, 3);
+    let plan = ContinuousKnn::new(monitors);
+    let sim = run_plan(&plan, cfg, 4.0, 0.0, 3);
     let serving = |pick: fn(&ProtoEvent) -> Option<u32>| -> BTreeSet<u32> {
         let events = sim.ctx().trace().events();
         events
@@ -200,7 +198,11 @@ fn rounds_parked_behind_admission_end_rejected() {
     assert_eq!(outcomes.len(), 12);
     assert!(terminally_rejected.is_empty(), "{terminally_rejected:?}");
     let parked: Vec<u32> = (0..12).filter(|q| !admitted.contains(q)).collect();
-    assert!(!parked.is_empty(), "every round was admitted");
+    assert_eq!(
+        parked,
+        [8, 9, 10, 11],
+        "the rounds past the ceiling stay parked"
+    );
     for o in outcomes {
         if parked.contains(&o.qid) {
             assert_eq!(o.status, QueryStatus::Rejected, "parked round {}", o.qid);

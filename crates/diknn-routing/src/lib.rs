@@ -41,6 +41,7 @@ mod planar;
 
 pub use planar::gabriel_neighbors;
 
+use diknn_sim::config::RADIO_RANGE;
 use diknn_sim::{Ctx, SimTime};
 
 /// `at`'s neighbour table filtered down to entries whose link is predicted
@@ -60,7 +61,7 @@ pub fn reliable<M: Clone>(ctx: &mut Ctx<M>, at: NodeId) -> Vec<Neighbor> {
         ctx.speed(at),
         ctx.now(),
         &raw,
-        ctx.config().radio_range,
+        RADIO_RANGE,
     )
 }
 
@@ -94,11 +95,10 @@ pub fn next_hop<M: Clone>(
     from: Option<NodeId>,
     exclude: &[NodeId],
 ) -> Option<NodeId> {
-    let range = ctx.config().radio_range;
     let home_radius = match dest {
         Some(dest) if neighbors.iter().any(|n| n.id == dest) => return Some(dest),
-        Some(_) => range,
-        None => 1.5 * range,
+        Some(_) => RADIO_RANGE,
+        None => 1.5 * RADIO_RANGE,
     };
     let prev = from.map(|f| (f, ctx.position(f)));
     match plan_next_hop(

@@ -14,7 +14,11 @@ pub const BITS_PER_SEC: u64 = 250_000;
 /// Bytes of PHY+MAC framing added to every packet's payload size.
 pub const HEADER_BYTES: usize = 16;
 
+/// Radio range `r` in metres (unit-disc model, 20 m in §5.1).
+pub const RADIO_RANGE: f64 = 20.0;
+
 const _: () = assert!(BITS_PER_SEC > 0, "channel rate must be positive");
+const _: () = assert!(RADIO_RANGE > 0.0, "radio range must be positive");
 
 /// Airtime of a packet carrying `payload_bytes` plus the framing header.
 #[inline]
@@ -56,8 +60,6 @@ pub enum MacMode {
 pub enum ConfigError {
     /// The simulation field rectangle is empty.
     EmptyField,
-    /// The radio range is not positive.
-    NonPositiveRadioRange(f64),
     /// The uniform link-loss probability
     /// ([`crate::faults::LinkLossModel::Uniform`]) is outside `[0, 1)`.
     LossRateOutOfRange(f64),
@@ -78,27 +80,12 @@ pub enum ConfigError {
     /// A query arrival rate is not positive: the arrival process would
     /// never produce a query (or would divide by zero computing gaps).
     NonPositiveQueryRate(f64),
-    /// The serving layer's result cache is enabled with a zero or negative
-    /// TTL: every entry would be stale the moment it is written.
-    NonPositiveCacheTtl(f64),
-    /// The serving layer's spatial merge radius is negative (zero disables
-    /// merging; negative is meaningless).
-    NegativeMergeRadius(f64),
-    /// The serving layer's result-cache radius is negative (zero disables
-    /// the cache; negative is meaningless).
-    NegativeCacheRadius(f64),
-    /// The admission controller's concurrency ceiling is zero: no query
-    /// could ever be admitted.
-    ZeroAdmissionCeiling,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::EmptyField => write!(f, "empty simulation field"),
-            ConfigError::NonPositiveRadioRange(r) => {
-                write!(f, "radio range must be positive, got {r}")
-            }
             ConfigError::LossRateOutOfRange(l) => {
                 write!(f, "loss rate must be in [0, 1), got {l}")
             }
@@ -118,24 +105,6 @@ impl fmt::Display for ConfigError {
             ConfigError::NonPositiveQueryRate(r) => {
                 write!(f, "query arrival rate must be positive, got {r}")
             }
-            ConfigError::NonPositiveCacheTtl(ttl) => {
-                write!(
-                    f,
-                    "cache TTL must be positive when caching is enabled, got {ttl}"
-                )
-            }
-            ConfigError::NegativeMergeRadius(r) => {
-                write!(f, "merge radius must be non-negative, got {r}")
-            }
-            ConfigError::NegativeCacheRadius(r) => {
-                write!(f, "cache radius must be non-negative, got {r}")
-            }
-            ConfigError::ZeroAdmissionCeiling => {
-                write!(
-                    f,
-                    "admission ceiling must be nonzero (no query could be admitted)"
-                )
-            }
         }
     }
 }
@@ -144,9 +113,9 @@ impl std::error::Error for ConfigError {}
 
 /// The physical/MAC/beacon parameters an experiment varies.
 ///
-/// Defaults reproduce the settings table of §5.1: 115×115 m² field, 20 m
-/// radio range, RTS/CTS off, 0.5 s beacons. The settings every run shares
-/// are constants beside their readers: [`BITS_PER_SEC`] and
+/// Defaults reproduce the settings table of §5.1: 115×115 m² field, RTS/CTS
+/// off, 0.5 s beacons. The settings every run shares are constants beside
+/// their readers: the 20 m [`RADIO_RANGE`], [`BITS_PER_SEC`] and
 /// [`HEADER_BYTES`] here, [`NEIGHBOR_TIMEOUT`] in [`crate::neighbors`],
 /// [`crate::energy::TX_POWER_W`] and [`crate::energy::RX_POWER_W`] in
 /// [`crate::energy`], and the engine's `BACKOFF_WINDOW`, `MAX_BACKOFFS`,
@@ -156,8 +125,6 @@ impl std::error::Error for ConfigError {}
 pub struct SimConfig {
     /// Simulation field boundary.
     pub field: Rect,
-    /// Radio range `r` in metres (unit-disc model).
-    pub radio_range: f64,
     /// MAC mode (contention vs. contention-free).
     pub mac: MacMode,
     /// Interval between neighbour beacons (0.5 s in the paper). A zero
@@ -184,7 +151,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             field: Rect::new(0.0, 0.0, 115.0, 115.0),
-            radio_range: 20.0,
             mac: MacMode::Contention,
             beacon_interval: SimDuration::from_millis(500),
             neighbor_index: NeighborIndex::default(),
@@ -200,9 +166,6 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.field.is_empty() {
             return Err(ConfigError::EmptyField);
-        }
-        if self.radio_range <= 0.0 || self.radio_range.is_nan() {
-            return Err(ConfigError::NonPositiveRadioRange(self.radio_range));
         }
         if self.time_limit == SimDuration::ZERO {
             return Err(ConfigError::ZeroTimeLimit);
@@ -228,7 +191,6 @@ mod tests {
     fn defaults_match_paper_settings() {
         let c = SimConfig::default();
         assert_eq!(c.field, Rect::new(0.0, 0.0, 115.0, 115.0));
-        assert_eq!(c.radio_range, 20.0);
         assert_eq!(c.beacon_interval, SimDuration::from_millis(500));
         assert_eq!(c.mac, MacMode::Contention);
         assert_eq!(c.neighbor_index, NeighborIndex::Grid);
@@ -240,6 +202,7 @@ mod tests {
     fn radio_constants_keep_the_former_defaults() {
         use crate::energy::{RX_POWER_W, TX_POWER_W};
         use crate::engine::{BACKOFF_WINDOW, BEACON_BYTES, MAX_BACKOFFS, UNICAST_RETRIES};
+        assert_eq!(RADIO_RANGE, 20.0);
         assert_eq!(BITS_PER_SEC, 250_000);
         assert_eq!(HEADER_BYTES, 16);
         assert_eq!(BACKOFF_WINDOW, SimDuration::from_micros(640));
@@ -326,18 +289,10 @@ mod tests {
 
     #[test]
     fn serving_error_variants_display() {
-        // The serving-layer knobs (validated by `DiknnConfig`/workload
-        // validation in the downstream crates) share this error type.
-        for (e, needle) in [
-            (ConfigError::NonPositiveQueryRate(0.0), "rate"),
-            (ConfigError::NonPositiveCacheTtl(-1.0), "TTL"),
-            (ConfigError::NegativeMergeRadius(-3.0), "merge radius"),
-            (ConfigError::NegativeCacheRadius(-3.0), "cache radius"),
-            (ConfigError::ZeroAdmissionCeiling, "admission ceiling"),
-        ] {
-            let s = e.to_string();
-            assert!(s.contains(needle), "{s} should mention {needle}");
-        }
+        // The arrival-rate check (workload validation in the downstream
+        // crates) shares this error type.
+        let s = ConfigError::NonPositiveQueryRate(0.0).to_string();
+        assert!(s.contains("rate"), "{s} should mention rate");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 use diknn_snap::{Snap, SnapError, SnapReader, SnapState, SnapWriter};
 
-use crate::config::{packet_airtime, MacMode, NeighborIndex, SimConfig, HEADER_BYTES};
+use crate::config::{packet_airtime, MacMode, NeighborIndex, SimConfig, HEADER_BYTES, RADIO_RANGE};
 use crate::energy::{EnergyMeter, TrafficClass, RX_POWER_W, TX_POWER_W};
 use crate::faults::LinkLossModel;
 use crate::grid::SpatialGrid;
@@ -80,7 +80,12 @@ use crate::trace::{EventTrace, ProtoEvent, TraceKind};
 ///
 /// Version 10: a frame on the air carries its sender's position at
 /// transmission start, which bounds the frames it can collide with.
-pub const SNAP_VERSION: u32 = 10;
+///
+/// Version 11: the radio range is a constant, so the DIKNN image lost its
+/// copy of it and the configuration fingerprint covers a `SimConfig`
+/// without it; the DIKNN serving layer lost its admitted set, which was the
+/// key set of the live sink states.
+pub const SNAP_VERSION: u32 = 11;
 
 /// Base MAC backoff window; the n-th retry waits uniform(0, window·2ⁿ).
 pub(crate) const BACKOFF_WINDOW: SimDuration = SimDuration::from_micros(640);
@@ -656,8 +661,7 @@ impl<M: Clone> Ctx<M> {
     fn fill_receivers(&mut self, from: NodeId, out: &mut Vec<(NodeId, bool)>) -> Point {
         debug_assert!(out.is_empty());
         let origin = self.position(from);
-        let range = self.cfg.radio_range;
-        let range2 = range * range;
+        let range2 = RADIO_RANGE * RADIO_RANGE;
         let t = self.now.as_secs_f64();
         let fi = from.index();
         let Ctx {
@@ -683,11 +687,11 @@ impl<M: Clone> Ctx<M> {
         };
         const ANCHOR_EPS: f64 = 1e-6;
         let drift = grid.drift_bound(*now);
-        let far = range + drift + ANCHOR_EPS;
+        let far = RADIO_RANGE + drift + ANCHOR_EPS;
         let far_sq = far * far;
-        let near = range - drift - ANCHOR_EPS;
+        let near = RADIO_RANGE - drift - ANCHOR_EPS;
         let near_sq = if near > 0.0 { near * near } else { -1.0 };
-        for run in grid.row_runs(grid.cover_cells(origin, range, *now)) {
+        for run in grid.row_runs(grid.cover_cells(origin, RADIO_RANGE, *now)) {
             perf.grid_candidates += run.len() as u64;
             for slot in run {
                 let d0 = origin.dist_sq(slot.pos);
@@ -808,11 +812,10 @@ impl<M: Clone> Ctx<M> {
     /// filter is tested against.
     fn mark_collisions(&mut self, origin: Point, receivers: &mut [(NodeId, bool)]) {
         const REACH_EPS: f64 = 1e-6;
-        let range = self.cfg.radio_range;
         let vmax = self.grid.as_ref().map(SpatialGrid::max_speed);
         for other in self.active.iter_mut() {
             if let Some(vmax) = vmax {
-                let reach = 2.0 * range + vmax * other.airtime.as_secs_f64() + REACH_EPS;
+                let reach = 2.0 * RADIO_RANGE + vmax * other.airtime.as_secs_f64() + REACH_EPS;
                 if origin.dist_sq(other.origin) > reach * reach {
                     continue;
                 }
@@ -1417,7 +1420,7 @@ impl<P: Protocol> Simulator<P> {
             }
             successes.push(r);
         }
-        successes.sort_unstable();
+        debug_assert!(successes.windows(2).all(|w| w[0] < w[1]));
         // Receiver list fully consumed: recycle the allocation.
         let mut recv_buf = receivers;
         recv_buf.clear();
@@ -1541,10 +1544,10 @@ impl<M: Clone> Ctx<M> {
             let positions: Vec<Point> = self.mobility.iter().map(|m| m.position_at(t)).collect();
             self.grid = Some(SpatialGrid::build(
                 self.cfg.field,
-                self.cfg.radio_range,
+                RADIO_RANGE,
                 &positions,
                 vmax,
-                0.1 * self.cfg.radio_range,
+                0.1 * RADIO_RANGE,
                 self.now,
             ));
         } else {
@@ -1636,6 +1639,43 @@ impl<M: Clone> Ctx<M> {
                     "neighbour table entry heard after the snapshot time",
                 ));
             }
+        }
+        // Dispatch indexes the node columns by an event's node, resolves its
+        // frame handle in the pool, and never moves the clock backwards.
+        for (time, _, kind) in self.queue.iter() {
+            if time < self.now {
+                return Err(SnapError::Corrupt(
+                    "queued event precedes the snapshot time",
+                ));
+            }
+            let resolves = match *kind {
+                EventKind::MacAttempt(h) | EventKind::TxEnd(h) => self.frames.get(h).is_some(),
+                EventKind::Timer { node, .. }
+                | EventKind::Beacon(node)
+                | EventKind::Crash(node)
+                | EventKind::Recover(node)
+                | EventKind::Leave(node)
+                | EventKind::Rejoin(node) => node.index() < n,
+            };
+            if !resolves {
+                return Err(SnapError::Corrupt(
+                    "queued event names no node or pooled frame",
+                ));
+            }
+        }
+        let pooled = self.frames.iter().flat_map(|(_, p)| {
+            let to = match p.dest {
+                Destination::Unicast(to) => Some(to),
+                Destination::Broadcast => None,
+            };
+            std::iter::once(p.from).chain(to)
+        });
+        let on_air = self
+            .active
+            .iter()
+            .flat_map(|a| std::iter::once(a.from).chain(a.receivers.iter().map(|&(id, _)| id)));
+        if pooled.chain(on_air).any(|id| id.index() >= n) {
+            return Err(SnapError::Corrupt("frame names no node"));
         }
         // Derived state: perf counters restart.
         self.perf = PerfCounters::default();

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use diknn_geom::{Point, Rect};
 use diknn_mobility::{RandomWaypoint, RwpConfig, StaticMobility, WaypointTrace};
+use diknn_sim::config::RADIO_RANGE;
 use diknn_sim::{
     Ctx, FaultPlan, LinkLossModel, MacMode, Neighbor, NeighborIndex, NodeId, Protocol,
     SharedMobility, SimConfig, SimDuration, SimTime, Simulator,
@@ -446,7 +447,7 @@ fn warm_neighbor_tables_gives_immediate_neighbors() {
         type Msg = ();
         fn on_message(&mut self, _: NodeId, _: NodeId, _: &(), _: &mut Ctx<()>) {}
     }
-    let range = SimConfig::default().radio_range;
+    let range = RADIO_RANGE;
     let mut nodes = static_nodes(&[(0.0, 0.0), (10.0, 0.0), (range, 0.0), (0.0, range + 1e-9)]);
     nodes.push(Arc::new(WaypointTrace::new(vec![
         (0.0, Point::new(5.0, 5.0)),

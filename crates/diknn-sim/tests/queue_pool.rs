@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use diknn_geom::{Point, Rect};
 use diknn_mobility::{RandomWaypoint, RwpConfig, StaticMobility};
+use diknn_sim::config::RADIO_RANGE;
 use diknn_sim::{
     Ctx, EventQueue, FramePool, NeighborIndex, NodeId, ProtoEvent, Protocol, QueryStatus,
     SharedMobility, SimConfig, SimDuration, SimTime, Simulator, TraceConfig, TraceEvent, TraceKind,
@@ -322,7 +323,7 @@ fn snapshot_layout_is_pinned_to_its_version() {
     let bytes = sim.snapshot();
     assert_eq!(
         (SNAP_VERSION, diknn_snap::fingerprint(&bytes)),
-        (10, 0xee29_2b4d_7ad7_6d0f),
+        (11, 0xf8b9_bf08_c0d8_19d6),
         "snapshot layout changed: bump SNAP_VERSION and re-pin"
     );
 }
@@ -335,12 +336,9 @@ fn reseal(image: &mut [u8]) {
     image[body..].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// A neighbour-table entry is an index into the mobility plans plus the
-/// time to evaluate them at, so a restore must refuse, with a typed error
-/// rather than a panic, an entry that names no node or that was heard after
-/// the snapshot's own clock. The edited images carry a recomputed checksum.
-#[test]
-fn restore_refuses_corrupt_neighbor_entries() {
+/// Three static nodes that broadcast on timers for 1.3 s, and the image of
+/// that run at its end, with the config and plans a restore needs.
+fn chatter_image() -> (Vec<u8>, SimConfig, Vec<SharedMobility>) {
     let nodes: Vec<SharedMobility> = [(10.0, 10.0), (25.0, 10.0), (10.0, 25.0)]
         .into_iter()
         .map(|(x, y)| Arc::new(StaticMobility::new(Point::new(x, y))) as SharedMobility)
@@ -353,13 +351,32 @@ fn restore_refuses_corrupt_neighbor_entries() {
     sim.warm_neighbor_tables();
     sim.run();
     let bytes = sim.snapshot();
-    // Layout: magic and version (8 bytes), config fingerprint, clock and
-    // mobility fingerprint (8 each), then the table list: its length, the
-    // first table's length, and that table's first `(u32 id, u64 time)`.
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    assert_eq!(word(16), sim.ctx().now().as_nanos(), "the snapshot clock");
-    assert_eq!(word(32), 3, "one table per node");
-    assert!(word(40) > 0, "node 0 heard its neighbours");
+    // Layout: magic and version (8 bytes), config fingerprint, then the
+    // clock at byte 16.
+    assert_eq!(
+        word(&bytes, 16),
+        sim.ctx().now().as_nanos(),
+        "the snapshot clock"
+    );
+    (bytes, cfg, nodes)
+}
+
+fn word(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// A neighbour-table entry is an index into the mobility plans plus the
+/// time to evaluate them at, so a restore must refuse, with a typed error
+/// rather than a panic, an entry that names no node or that was heard after
+/// the snapshot's own clock. The edited images carry a recomputed checksum.
+#[test]
+fn restore_refuses_corrupt_neighbor_entries() {
+    let (bytes, cfg, nodes) = chatter_image();
+    // After the clock and the mobility fingerprint (8 bytes each) comes
+    // the table list: its length, the first table's length, and that
+    // table's first `(u32 id, u64 time)`.
+    assert_eq!(word(&bytes, 32), 3, "one table per node");
+    assert!(word(&bytes, 40) > 0, "node 0 heard its neighbours");
     let (id_at, time_at) = (48, 52);
     let restore = |bytes: &[u8]| {
         Simulator::restore(bytes, cfg.clone(), nodes.clone(), Chatter { heard: 0 }).map(|_| ())
@@ -379,13 +396,57 @@ fn restore_refuses_corrupt_neighbor_entries() {
         "an entry naming node 3 of 3 must be refused"
     );
 
-    let late = word(16) + 1;
+    let late = word(&bytes, 16) + 1;
     let mut bad_time = bytes.clone();
     bad_time[time_at..time_at + 8].copy_from_slice(&late.to_le_bytes());
     reseal(&mut bad_time);
     assert!(
         matches!(restore(&bad_time), Err(diknn_snap::SnapError::Corrupt(_))),
         "an entry heard after the snapshot time must be refused"
+    );
+}
+
+/// A queued event is dispatched at its time to its node, so a restore must
+/// refuse one that names no node or that lies before the snapshot's clock,
+/// which would panic later or run the clock backwards.
+#[test]
+fn restore_refuses_corrupt_queued_events() {
+    let (bytes, cfg, nodes) = chatter_image();
+    let restore = |bytes: &[u8]| {
+        Simulator::restore(bytes, cfg.clone(), nodes.clone(), Chatter { heard: 0 }).map(|_| ())
+    };
+    // Node 1 broadcasts at 0.101 s and every 0.7 s after, so its timer for
+    // 1.501 s is queued, encoded as `(u64 time, u64 seq, u8 tag, u32 node,
+    // ..)` with tag 2 for a timer.
+    let at = bytes
+        .windows(8)
+        .position(|w| w == 1_501_000_000u64.to_le_bytes())
+        .expect("node 1's next timer is queued");
+    let node_at = at + 17;
+    assert_eq!(bytes[at + 16], 2, "a timer event");
+    assert_eq!(bytes[node_at..node_at + 4], 1u32.to_le_bytes());
+
+    let mut bad_node = bytes.clone();
+    bad_node[node_at..node_at + 4].copy_from_slice(&3u32.to_le_bytes());
+    reseal(&mut bad_node);
+    assert_eq!(
+        restore(&bad_node),
+        Err(diknn_snap::SnapError::Corrupt(
+            "queued event names no node or pooled frame"
+        )),
+        "a timer for node 3 of 3 must be refused"
+    );
+
+    let early = word(&bytes, 16) - 1;
+    let mut bad_time = bytes.clone();
+    bad_time[at..at + 8].copy_from_slice(&early.to_le_bytes());
+    reseal(&mut bad_time);
+    assert_eq!(
+        restore(&bad_time),
+        Err(diknn_snap::SnapError::Corrupt(
+            "queued event precedes the snapshot time"
+        )),
+        "an event before the snapshot time must be refused"
     );
 }
 
@@ -486,7 +547,7 @@ fn grid_receiver_path_matches_brute_force_across_a_snapshot() {
 
     // Some frame starts while another, from more than 2r away, is on the
     // air (the shortest frame's airtime bounds "on the air" from below).
-    let range = chatter_cfg().radio_range;
+    let range = RADIO_RANGE;
     assert!(FIELD.width() >= 4.0 * range);
     let starts: Vec<(SimTime, Point)> = grid
         .1

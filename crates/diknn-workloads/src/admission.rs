@@ -161,14 +161,7 @@ mod tests {
             first_at: 2.0,
             last_at: 10.0,
         };
-        let serving = ServingConfig {
-            max_in_flight: 2,
-            merge_radius_m: 60.0,
-            cache_radius_m: 40.0,
-            cache_ttl_s: 4.0,
-            ..ServingConfig::enabled()
-        };
-        let exp = admission_experiment(120, 25.0, 0.0, &load, serving);
+        let exp = admission_experiment(120, 25.0, 0.0, &load, ServingConfig::enabled());
         let m = exp.run_once(5);
         let s = ServingSummary::from_runs(&[m]);
         assert!(s.queries >= 20, "{s:?}");

@@ -70,7 +70,8 @@ impl ScenarioConfig {
     /// A variant whose field is sized for the given average node degree
     /// (the paper varies 200×200 → 115×115 m² for degrees 5 → 20).
     ///
-    /// degree ≈ n·π·r² / A  ⇒  side = sqrt(n·π·r² / degree).
+    /// degree ≈ n·π·r² / A  ⇒  side = sqrt(n·π·r² / degree), where `r` is
+    /// the radio range, [`diknn_sim::config::RADIO_RANGE`].
     pub fn with_node_degree(mut self, degree: f64, radio_range: f64) -> Self {
         assert!(degree > 0.0);
         let side =
@@ -210,7 +211,7 @@ mod tests {
 
     #[test]
     fn node_degree_sizing() {
-        let r = 20.0;
+        let r = diknn_sim::config::RADIO_RANGE;
         let s = ScenarioConfig::default().with_node_degree(20.0, r);
         // 200·π·400/20 = 12566 m² -> side ≈ 112 m (the paper rounds to 115).
         assert!((s.field.width() - 112.1).abs() < 1.0, "{}", s.field.width());

@@ -57,7 +57,11 @@ use crate::workload::{epoch_arrivals, RateSchedule};
 /// Version 3: the image ends in an FNV-1a checksum of all bytes before it,
 /// and the configuration fingerprint covers a `ScenarioConfig` whose herd
 /// setup is a placement.
-pub const SERVICE_SNAP_VERSION: u32 = 3;
+///
+/// Version 4: the configuration fingerprint covers a `DiknnConfig` whose
+/// serving layer keeps only its switch; its admission ceiling, merge and
+/// cache radii and cache TTL are constants.
+pub const SERVICE_SNAP_VERSION: u32 = 4;
 
 /// Rolling window (number of recent terminal queries) for the latency
 /// percentiles in [`ServiceMetrics`].

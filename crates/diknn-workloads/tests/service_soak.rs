@@ -137,10 +137,7 @@ fn soak_rate_step_overload() {
     );
     cfg.k = 8;
     cfg.diknn = DiknnConfig {
-        serving: ServingConfig {
-            max_in_flight: 3,
-            ..ServingConfig::enabled()
-        },
+        serving: ServingConfig::enabled(),
         ..DiknnConfig::default()
     };
     let (injected, census) = soak(cfg, 72);

@@ -89,17 +89,14 @@ proptest! {
 /// change to what the service driver or the DIKNN image holds, or to how
 /// either is encoded, must bump `SERVICE_SNAP_VERSION` or `SNAP_VERSION`
 /// and re-pin the hash. The run is fixed and tiny, with the serving layer
-/// on and overloaded, so the image holds admitted, deferred, merged,
-/// cached and still-pending queries and recent completion times.
+/// on and overloaded (6 q/s on 60 nodes), so the image holds admitted,
+/// deferred, merged, cached and still-pending queries and recent
+/// completion times.
 #[test]
 fn service_snapshot_layout_is_pinned_to_its_versions() {
     let mut cfg = service_cfg(60, 0.0, false, false);
-    cfg.schedule = RateSchedule::constant(4.0);
-    cfg.diknn.serving = ServingConfig {
-        max_in_flight: 2,
-        cache_radius_m: 30.0,
-        ..ServingConfig::enabled()
-    };
+    cfg.schedule = RateSchedule::constant(6.0);
+    cfg.diknn.serving = ServingConfig::enabled();
     let mut run = ServiceRun::new(cfg, 7);
     run.run_epochs(3);
     let m = run.metrics();
@@ -120,7 +117,7 @@ fn service_snapshot_layout_is_pinned_to_its_versions() {
             SERVICE_SNAP_VERSION,
             diknn_snap::fingerprint(&bytes)
         ),
-        (10, 3, 0xa6c2_0931_585a_8f12),
+        (11, 4, 0xab4f_e940_b43d_2bb9),
         "service snapshot layout changed: bump the version and re-pin"
     );
 }

@@ -12,6 +12,7 @@
 //! ```
 
 use diknn_repro::prelude::*;
+use diknn_repro::sim::config::RADIO_RANGE;
 use diknn_repro::sim::TraceConfig;
 use diknn_repro::workloads::{GroundTruth, HerdSetup};
 
@@ -38,7 +39,7 @@ fn main() {
         .max_by_key(|&i| {
             positions
                 .iter()
-                .filter(|p| p.dist(positions[i]) <= 20.0)
+                .filter(|p| p.dist(positions[i]) <= RADIO_RANGE)
                 .count()
         })
         .expect("non-empty herd");
@@ -50,7 +51,7 @@ fn main() {
             .max_by_key(|&i| {
                 positions
                     .iter()
-                    .filter(|p| p.dist(positions[i]) <= 20.0)
+                    .filter(|p| p.dist(positions[i]) <= RADIO_RANGE)
                     .count()
             })
             .expect("non-empty population");

@@ -3,6 +3,7 @@
 //! completion is expected; hangs, panics, or nonsense metrics are not.
 
 use diknn_repro::prelude::*;
+use diknn_repro::sim::config::RADIO_RANGE;
 use diknn_repro::sim::{LinkLossModel, MacMode};
 
 fn base_scenario() -> ScenarioConfig {
@@ -70,7 +71,7 @@ fn sparse_network_terminates_for_every_protocol() {
         max_speed: 10.0,
         ..ScenarioConfig::default()
     }
-    .with_node_degree(4.0, 20.0);
+    .with_node_degree(4.0, RADIO_RANGE);
     for proto in [
         ProtocolKind::Diknn(DiknnConfig::default()),
         ProtocolKind::Kpt(KptConfig::default()),

@@ -268,7 +268,7 @@ impl WorkspaceIndex {
     /// Conservative on the "alive" side: references from *any* test,
     /// bench, or example file count (integration tests consume the public
     /// API), and a comment/doc mention outside the defining crate also
-    /// keeps an item alive.
+    /// keeps an item alive when it names the item as a whole identifier.
     pub fn dead_exports(&self) -> Vec<DeadExport> {
         let mut out = Vec::new();
         for item in &self.pub_items {
@@ -295,7 +295,7 @@ impl WorkspaceIndex {
                 !(f.crate_name == item.crate_name && f.kind == FileKind::Lib)
                     && f.toks
                         .iter()
-                        .any(|t| !t.kind.is_code() && t.text.contains(&item.name))
+                        .any(|t| !t.kind.is_code() && names_word(&t.text, &item.name))
             });
             if !mentioned {
                 out.push(DeadExport {
@@ -311,6 +311,16 @@ impl WorkspaceIndex {
         out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
         out
     }
+}
+
+/// Whether `text` holds `name` as a whole identifier: neither neighbour of
+/// the occurrence is `[A-Za-z0-9_]`, so "settles" does not name `settle`.
+fn names_word(text: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(name).any(|(at, _)| {
+        !text[..at].chars().next_back().is_some_and(ident)
+            && !text[at + name.len()..].chars().next().is_some_and(ident)
+    })
 }
 
 /// Keywords never indexed as references or call sites.
@@ -746,18 +756,20 @@ mod tests {
                 "diknn-a",
                 FileKind::Lib,
                 "pub fn used_by_b() {}\npub fn used_in_a() {}\npub fn truly_dead() {}\n\
-                 pub fn doc_mentioned() {}\nfn caller() { used_in_a(); }\n",
+                 pub fn doc_mentioned() {}\nfn caller() { used_in_a(); }\npub fn settle() {}\n",
             ),
             (
                 "crates/diknn-b/src/lib.rs",
                 "diknn-b",
                 FileKind::Lib,
-                "fn g() { diknn_a::used_by_b(); }\n// see doc_mentioned for details\n",
+                "fn g() { diknn_a::used_by_b(); }\n// see doc_mentioned for details\n\
+                 // it settles nothing\n",
             ),
         ]);
         let dead = idx.dead_exports();
         let names: Vec<_> = dead.iter().map(|d| d.name.as_str()).collect();
-        assert_eq!(names, vec!["used_in_a", "truly_dead"], "{dead:?}");
+        // A comment holding the name inside a longer word keeps nothing alive.
+        assert_eq!(names, vec!["used_in_a", "truly_dead", "settle"], "{dead:?}");
         assert!(dead[0].intra_crate_refs);
         assert!(!dead[1].intra_crate_refs);
     }
